@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 const specPath = "../BENCHMARK.json"
@@ -65,7 +67,7 @@ func TestWorkloadsTiny(t *testing.T) {
 					if fi, err := os.Stat(filepath.Join(out, "trace_"+wl.name+".jsonl")); err != nil || fi.Size() == 0 {
 						t.Fatalf("trace file: %v", err)
 					}
-					if wl.name == "chaos_500" && line.Metrics["memnet.chaos_events"].Value == 0 {
+					if wl.name == "chaos_300" && line.Metrics["memnet.chaos_events"].Value == 0 {
 						t.Error("chaos workload injected no chaos")
 					}
 				}
@@ -135,6 +137,37 @@ func TestQuartiles(t *testing.T) {
 		q1, q2, q3 := quartiles(c.in)
 		if [3]float64{q1, q2, q3} != c.want {
 			t.Errorf("quartiles(%v) = %v %v %v, want %v", c.in, q1, q2, q3, c.want)
+		}
+	}
+}
+
+func TestAtRef(t *testing.T) {
+	for _, c := range []struct {
+		wall, cpu time.Duration
+		scale     float64
+		want      float64
+	}{
+		{4 * time.Second, 0, 0.5, 4},               // all waiting: the machine's speed is beside the point
+		{4 * time.Second, 6 * time.Second, 0.5, 2}, // busy on more than one CPU: all computing
+		{4 * time.Second, 2 * time.Second, 0.5, 3}, // half computing
+	} {
+		if got := atRef(c.wall, c.cpu, c.scale); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("atRef(%v, %v, %v) = %v, want %v", c.wall, c.cpu, c.scale, got, c.want)
+		}
+	}
+}
+
+// TestProbe checks that a probe samples every CPU even over an interval
+// shorter than its tick, and reports a usable scale.
+func TestProbe(t *testing.T) {
+	p := startProbe()
+	scale, busy := p.end()
+	if !(scale > 0) || math.IsInf(scale, 0) || busy <= 0 {
+		t.Fatalf("scale %v, busy %v", scale, busy)
+	}
+	for cpu, ts := range p.times {
+		if len(ts) == 0 {
+			t.Errorf("CPU %d: no samples", cpu)
 		}
 	}
 }

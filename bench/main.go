@@ -6,7 +6,7 @@
 // every correctness gate passes.
 //
 //	bash bench/run.sh                                 # every workload, 3 reps each
-//	bash bench/run.sh -workload chaos_500 -seed 7     # one workload
+//	bash bench/run.sh -workload chaos_300 -seed 7     # one workload
 //	bash bench/run.sh -trace                          # per-layer metrics, JSONL traces
 //	bash bench/run.sh -json bench/results/BENCH_<date>_a.json
 //	bash bench/run.sh -compare OLD.json NEW.json
@@ -151,10 +151,15 @@ func worldSeed(seed uint64, n int) uint64 {
 }
 
 // repsFor is how many worlds a run of wl measures: -reps, or as many as
-// fill -seconds at wl's nominal cost per rep. The count depends only on
-// the flags, so one seed always measures the same worlds.
+// fill -seconds at wl's nominal cost per rep. A traced run crawls each
+// world twice, so it fills the same time with half as many. The count
+// depends only on the flags, so one seed always measures the same worlds.
 func (o options) repsFor(wl workload) int {
-	return max(o.reps, int(math.Round(float64(o.seconds)/wl.repSeconds)))
+	perWorld := wl.repSeconds
+	if o.trace {
+		perWorld *= 2
+	}
+	return max(o.reps, int(math.Round(float64(o.seconds)/perWorld)))
 }
 
 func (o options) size(wl workload) int {
@@ -199,6 +204,13 @@ func measure(o options, sp *spec, wl workload, stdout, stderr io.Writer) workloa
 			}
 			plain = append(plain, res)
 			wr.Worlds = append(wr.Worlds, ws)
+			// The reference costs as much as a crawl, so a run checks
+			// it on its first world only.
+			if n == 0 {
+				if err := checkReference(o, wl, ws, res.Digest); err != nil {
+					return fmt.Errorf("world %d: %w", ws, err)
+				}
+			}
 			if !o.trace {
 				continue
 			}
@@ -283,6 +295,25 @@ func runChild(o options, wl workload, world uint64, traced bool, stderr io.Write
 	return &res, nil
 }
 
+// checkReference compares the digest of a world's output with the one
+// wl.expect gives for that world, if it gives one. It runs in the main
+// process, so a reference crawl cannot raise a rep's peak RSS.
+func checkReference(o options, wl workload, world uint64, digest string) error {
+	if wl.expect == nil {
+		return nil
+	}
+	r := newRep(o, o.size(wl), world, nil)
+	defer r.close()
+	want, err := wl.expect(context.Background(), r)
+	if err != nil {
+		return fmt.Errorf("reference: %w", err)
+	}
+	if want != "" && digest != want {
+		return fmt.Errorf("digest %s, want %s", digest, want)
+	}
+	return nil
+}
+
 // runWorld is the rep process: one rep of wl on the world o.world, its
 // gates, and its numbers as one JSON object on stdout. A traced rep
 // appends its spans to the workload's trace file.
@@ -298,17 +329,6 @@ func runWorld(o options, wl workload, stdout, stderr io.Writer) int {
 		tr = newTracer()
 	}
 	res, err := runRep(ctx, o, wl, world, tr)
-	if err == nil && wl.expect != nil {
-		// After the timed section, so the reference crawl cannot raise
-		// the rep's peak RSS.
-		r := newRep(o, o.size(wl), world, nil)
-		var want string
-		want, err = wl.expect(ctx, r)
-		r.close()
-		if err == nil && want != "" && res.Digest != want {
-			err = fmt.Errorf("digest %s, want %s", res.Digest, want)
-		}
-	}
 	if err == nil && tr != nil {
 		err = tr.write(o.tracePath(wl), world)
 	}
@@ -332,26 +352,33 @@ func runRep(ctx context.Context, o options, wl workload, seed uint64, tr *tracer
 	r.root = tr.begin("rep", 0)
 	defer tr.end(r.root)
 
+	c0 := readUsage().cpu
+	pr := startProbe()
 	start := time.Now()
 	e, err := newEnv(ctx, r)
+	setup := time.Since(start)
+	setupScale, setupProbeCPU := pr.end()
+	setupCPU := readUsage().cpu - c0 - setupProbeCPU
 	if err != nil {
 		return nil, fmt.Errorf("setup: %w", err)
 	}
 	r.env = e
-	setup := time.Since(start)
 
 	// Collect the set-up's garbage before the clock starts.
 	runtime.GC()
 	u0 := readUsage()
 	r.runSpan = tr.begin("run", r.root)
+	pr = startProbe()
 	start = time.Now()
 	out, err := wl.run(ctx, r)
 	wall := time.Since(start)
+	runScale, probeCPU := pr.end()
 	tr.end(r.runSpan)
 	u1 := readUsage()
 	if err != nil {
 		return nil, err
 	}
+	cpu := u1.cpu - u0.cpu - probeCPU
 	digest, err := out.verify()
 	if err != nil {
 		return nil, err
@@ -366,9 +393,9 @@ func runRep(ctx context.Context, o options, wl workload, seed uint64, tr *tracer
 		gaps += rep.GapCount()
 	}
 	res := &repResult{Digest: digest, E2E: map[string]float64{
-		"setup_s":     setup.Seconds(),
-		"run_s":       wall.Seconds(),
-		"cpu_s":       (u1.cpu - u0.cpu).Seconds(),
+		"setup_s":     atRef(setup, setupCPU, setupScale),
+		"run_s":       atRef(wall, cpu, runScale),
+		"cpu_s":       cpu.Seconds() * runScale,
 		"alloc_mb":    float64(u1.alloc-u0.alloc) / (1 << 20),
 		"peak_rss_mb": u1.peakRSSMB,
 		"requests":    float64(requests),
@@ -376,6 +403,7 @@ func runRep(ctx context.Context, o options, wl workload, seed uint64, tr *tracer
 	}}
 	if tr != nil {
 		res.Layer = r.layerMetrics(reports, gaps, u0, u1)
+		res.Layer["probe.scale"] = runScale
 	}
 	return res, nil
 }
@@ -446,7 +474,7 @@ func layerNames() []string {
 	for _, p := range allocPasses {
 		names = append(names, "analysis."+p+"_alloc_mb")
 	}
-	return append(names, "report.all_s", "runtime.gc_cycles", "runtime.gc_pause_ms", "trace.overhead_frac")
+	return append(names, "report.all_s", "runtime.gc_cycles", "runtime.gc_pause_ms", "trace.overhead_frac", "probe.scale")
 }
 
 func workloadNames() []string {

@@ -38,21 +38,23 @@ type workload struct {
 	// repSeconds is the wall time of one rep process, set-up and gates
 	// included, on a 2-vCPU machine; -seconds divides by it.
 	repSeconds float64
-	// expect returns the digest the rep's world must produce, computed
-	// outside the timing ("" for none).
+	// expect returns the digest a run's first world must produce,
+	// computed outside the timing ("" for none).
 	expect func(ctx context.Context, r *rep) (string, error)
 	run    func(ctx context.Context, r *rep) (*outcome, error)
 }
 
+// The worlds are small enough for a rep to take 3-5 s, so that a run of
+// BENCHMARK.json's length takes the median over six or seven worlds.
 var workloads = []workload{
-	// The report must match `figures -migrants 1000 -seed 99` stdout byte
+	// The report must match `figures -migrants 300 -seed 99` stdout byte
 	// for byte: same pipeline, same world.
-	{name: "paper_1k", migrants: 1000, repSeconds: 10, run: runPaper,
-		expect: golden(1000, "e2099bbe700e5a246bc9cb439bae962919bc7ff6f68557d0dbe5c5a80c07b0ca")},
-	{name: "toxicity_500", migrants: 500, repSeconds: 8, run: runToxicity,
-		expect: golden(500, "401e8d40ced4fe12b434ff102bf8172eddbcfdb71f7774a637c99624be9ea34d")},
-	{name: "chaos_500", migrants: 500, repSeconds: 6, run: runChaos},
-	{name: "resume_300", migrants: 300, repSeconds: 12, run: runResume, expect: resumeReference},
+	{name: "paper_300", migrants: 300, repSeconds: 4.2, run: runPaper,
+		expect: golden(300, "f8e715918c95f6709e4092a16b810b29a25e5d47699e140cff7f55fbef3ac897")},
+	{name: "toxicity_200", migrants: 200, repSeconds: 3.3, run: runToxicity,
+		expect: golden(200, "fd499d2f79253490e54f1378a8c60f822f9f664dc537877dd27e3ae3f2cf1949")},
+	{name: "chaos_300", migrants: 300, repSeconds: 3.6, run: runChaos},
+	{name: "resume_150", migrants: 150, repSeconds: 3.9, run: runResume, expect: resumeReference},
 }
 
 // golden pins the output digest of the world with seed 99 at the
@@ -156,7 +158,7 @@ type rep struct {
 	crawlAlloc     uint64
 }
 
-// leg is one crawler.Run; resume_300 has two.
+// leg is one crawler.Run; resume_150 has two.
 type leg struct {
 	c    *crawler.Crawler
 	span int
@@ -272,7 +274,7 @@ var passes = []struct {
 	}},
 	{"hashtags", func(e analysis.Engine, ds *crawler.Dataset, res *core.Result) { res.Hashtags = e.RQ3Hashtags(ds) }},
 	{"toxicity", func(e analysis.Engine, ds *crawler.Dataset, res *core.Result) {
-		// paper_1k crawls without scoring, so score locally as
+		// paper_300 crawls without scoring, so score locally as
 		// core.Analyze does when ScoreToxicity is off.
 		res.Toxicity = e.RQ3Toxicity(ds, analysis.ToxicityOptions{ScoreFn: toxsvc.Score})
 	}},
