@@ -6,6 +6,8 @@
 package crawler_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -619,22 +621,34 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1BackwardCompat proves a pre-health (schema v1)
-// checkpoint file still loads and resumes cleanly: v1 files carry no
-// version field and no health snapshot, and must not be rejected or
-// misread by the v2 decoder.
-func TestCheckpointV1BackwardCompat(t *testing.T) {
-	e := newSoakEnv(t, 60, 9)
-	path := filepath.Join(t.TempDir(), "v1.ckpt.gz")
-	ckpt := store.NewFileCheckpoint(path)
+// TestCheckpointV1BackwardCompat and TestCheckpointV2BackwardCompat
+// resume from checkpoint files written the way schemas v1 and v2 wrote
+// them, one gzip member holding one JSON value: v1 without the version
+// field and the health snapshot, v2 with both. Each must resume to the
+// dataset of an uninterrupted crawl and re-save under the current schema.
+func TestCheckpointV1BackwardCompat(t *testing.T) { testLegacyResume(t, 0) }
 
-	// Produce a mid-crawl checkpoint, then rewrite it as a v1 file:
-	// omitempty drops both new fields, so the bytes are exactly what the
-	// v1 encoder produced.
+func TestCheckpointV2BackwardCompat(t *testing.T) { testLegacyResume(t, 2) }
+
+func testLegacyResume(t *testing.T, version int) {
+	const nMigrants, seed = 60, 9
+	refDS, err := crawler.New(newSoakEnv(t, nMigrants, seed).config()).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(refDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A mid-crawl progress: killed right after tweet collection, so the
+	// mapping phase is part done.
+	e := newSoakEnv(t, nMigrants, seed)
+	mem := &crawler.MemCheckpoint{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := e.config()
-	cfg.Checkpoint = ckpt
+	cfg.Checkpoint = mem
 	cfg.Logf = func(format string, _ ...any) {
 		if strings.HasPrefix(format, "collected") {
 			cancel()
@@ -643,32 +657,45 @@ func TestCheckpointV1BackwardCompat(t *testing.T) {
 	if _, err := crawler.New(cfg).Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("kill: err = %v, want context.Canceled", err)
 	}
-	prog, err := ckpt.Load()
+	prog, err := mem.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Version = 0
-	prog.Health = nil
-	if err := ckpt.Save(prog); err != nil {
+	prog.Version = version
+	if version < 2 {
+		prog.Health = nil
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := json.NewEncoder(zw).Encode(prog); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "legacy.ckpt.gz")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Resume from the v1 file to completion.
 	cfg = e.config()
-	cfg.Checkpoint = ckpt
+	cfg.Checkpoint = store.NewFileCheckpoint(path)
 	c := crawler.New(cfg)
 	ds, err := c.Run(context.Background())
 	if err != nil {
-		t.Fatalf("v1 resume failed: %v", err)
+		t.Fatalf("v%d resume failed: %v", version, err)
 	}
 	if !c.Report().Resumed {
-		t.Fatal("v1 resume did not report Resumed")
+		t.Fatalf("v%d resume did not report Resumed", version)
 	}
-	if cov := ds.Coverage(); cov.Pairs == 0 {
-		t.Fatalf("v1 resume produced an empty dataset: %+v", cov)
+	got, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The resumed run re-saves under the current schema.
-	saved, err := ckpt.Load()
+	if string(got) != string(want) {
+		t.Fatalf("v%d resume diverged from the uninterrupted crawl: got %d bytes, want %d", version, len(got), len(want))
+	}
+	saved, err := store.NewFileCheckpoint(path).Load()
 	if err != nil {
 		t.Fatal(err)
 	}

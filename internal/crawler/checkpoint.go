@@ -2,7 +2,10 @@ package crawler
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,10 +17,12 @@ import (
 //
 // v1 files predate the Version field (they decode as 0) and carry no
 // health snapshot; they still load cleanly and resume with an empty
-// registry. v2 adds the persisted per-host health registry. Decoders
-// refuse versions newer than this constant rather than silently
-// dropping fields they do not understand.
-const ProgressVersion = 2
+// registry. v2 adds the persisted per-host health registry. v3 keeps the
+// v2 snapshot layout and lets a checkpoint follow the snapshot with the
+// Records applied since (see store.FileCheckpoint). Decoders refuse
+// versions newer than this constant rather than silently dropping fields
+// they do not understand.
+const ProgressVersion = 3
 
 // The §3 pipeline's phases, in execution order. Progress.Phase holds the
 // highest phase that has fully completed, so a resumed crawl re-enters
@@ -39,6 +44,34 @@ const (
 type SeenTweet struct {
 	Tweet TweetJSON  `json:"tweet"`
 	Class QueryClass `json:"class"`
+}
+
+// Record is one completed work unit, or the end of a phase. Applying
+// records (Progress.Apply) is the only way the crawler changes a
+// progress; the package comment lists each phase's records. A unit
+// record names its unit in Key; an End record, and the scores a
+// cancelled toxicity phase saves, have no key.
+//
+// The slice payloads behind pointers keep present-versus-absent through
+// JSON: a nil pointer adds no dataset entry, a pointer to an empty slice
+// adds an empty one. The crawler never points them at a nil slice.
+type Record struct {
+	Phase int    `json:"phase"`
+	Key   string `json:"key,omitempty"`
+	End   bool   `json:"end,omitempty"`
+
+	Instances  *[]IndexedInstance `json:"instances,omitempty"`
+	Class      QueryClass         `json:"class,omitempty"`
+	Tweets     []TweetJSON        `json:"tweets,omitempty"`
+	Pair       *AccountPair       `json:"pair,omitempty"`
+	TwitterTL  *TwitterTimeline   `json:"twitter_tl,omitempty"`
+	MastodonTL *MastodonTimeline  `json:"mastodon_tl,omitempty"`
+	Followees  *[]FolloweeRef     `json:"followees,omitempty"`
+	Following  *[]string          `json:"following,omitempty"`
+	Weeks      *[]WeekActivity    `json:"weeks,omitempty"`
+	// Scores holds one toxicity score per timeline post, in
+	// Dataset.timelinePosts order; -1 leaves a post unscored.
+	Scores []float64 `json:"scores,omitempty"`
 }
 
 // Progress is the serializable crawl state a Checkpoint persists. It
@@ -70,6 +103,13 @@ type Progress struct {
 	DoneFollowees map[string]bool `json:"done_followees,omitempty"`
 	// DoneActivity marks phase-6 instance domains that finished.
 	DoneActivity map[string]bool `json:"done_activity,omitempty"`
+
+	// seq counts the records applied since the progress was created or
+	// decoded; journal holds the last len(journal) of them while
+	// journaling is on.
+	seq        int
+	journal    []Record
+	journaling bool
 }
 
 func newProgress() *Progress {
@@ -78,10 +118,10 @@ func newProgress() *Progress {
 	return p
 }
 
-// Clone deep-copies the progress through its JSON form — the same
-// round trip FileCheckpoint performs — so every Checkpoint
-// implementation hands out isolated snapshots with identical
-// serialization semantics. A nil progress clones to nil.
+// Clone deep-copies the progress through its JSON form, which is also
+// the snapshot layout FileCheckpoint writes, so every Checkpoint
+// implementation hands out isolated copies with the same serialization
+// semantics. The copy keeps no journal. A nil progress clones to nil.
 func (p *Progress) Clone() (*Progress, error) {
 	if p == nil {
 		return nil, nil
@@ -135,10 +175,233 @@ func (p *Progress) normalize() {
 	}
 }
 
+// Apply applies one record to the progress, live and when a checkpoint
+// replays its records, so a resumed progress equals the saved one by
+// construction. The record must belong to the phase after p.Phase, and
+// each keyed unit completes once; any other record is an error and
+// leaves p unchanged. While journaling, p also keeps the record.
+func (p *Progress) Apply(r Record) error {
+	p.normalize()
+	if err := p.apply(r); err != nil {
+		return fmt.Errorf("crawler: phase %d record %q at phase %d: %w", r.Phase, r.Key, p.Phase, err)
+	}
+	p.seq++
+	if p.journaling {
+		p.journal = append(p.journal, r)
+	}
+	return nil
+}
+
+var errDuplicateUnit = errors.New("unit already complete")
+
+func (p *Progress) apply(r Record) error {
+	if r.Phase != p.Phase+1 {
+		return errors.New("out of phase")
+	}
+	if r.End {
+		return p.endPhase(r)
+	}
+	d := p.Dataset
+	switch r.Phase {
+	case phaseTweets:
+		if p.DoneQueries[r.Key] {
+			return errDuplicateUnit
+		}
+		for _, tw := range r.Tweets {
+			prev, dup := p.SeenTweets[tw.ID]
+			// Instance-link class wins on dedup: a tweet carrying a handle
+			// link is strictly more informative. The rule is
+			// order-independent, so resumed runs converge to the same
+			// corpus.
+			if !dup || (prev.Class == ClassKeyword && r.Class == ClassInstanceLink) {
+				p.SeenTweets[tw.ID] = SeenTweet{Tweet: tw, Class: r.Class}
+			}
+		}
+		p.DoneQueries[r.Key] = true
+	case phaseMapping:
+		if p.DoneAuthors[r.Key] {
+			return errDuplicateUnit
+		}
+		if r.Pair != nil {
+			d.Pairs = append(d.Pairs, *r.Pair)
+		}
+		p.DoneAuthors[r.Key] = true
+	case phaseTwitterTL:
+		if r.TwitterTL == nil {
+			return errors.New("no timeline")
+		}
+		if _, ok := d.TwitterTimelines[r.Key]; ok {
+			return errDuplicateUnit
+		}
+		d.TwitterTimelines[r.Key] = r.TwitterTL
+	case phaseMastoTL:
+		if r.MastodonTL == nil {
+			return errors.New("no timeline")
+		}
+		if _, ok := d.MastodonTimelines[r.Key]; ok {
+			return errDuplicateUnit
+		}
+		d.MastodonTimelines[r.Key] = r.MastodonTL
+	case phaseFollowees:
+		if p.DoneFollowees[r.Key] {
+			return errDuplicateUnit
+		}
+		if r.Followees != nil {
+			d.TwitterFollowees[r.Key] = *r.Followees
+		}
+		if r.Following != nil {
+			d.MastodonFollowing[r.Key] = *r.Following
+		}
+		p.DoneFollowees[r.Key] = true
+	case phaseActivity:
+		if p.DoneActivity[r.Key] {
+			return errDuplicateUnit
+		}
+		if r.Weeks != nil {
+			d.Activity[r.Key] = *r.Weeks
+		}
+		p.DoneActivity[r.Key] = true
+	case phaseToxicity:
+		// The scores a cancelled phase had fetched, keyless: the phase
+		// restarts and skips the posts they score.
+		return d.setScores(r.Scores)
+	default:
+		return errors.New("phase has no unit records")
+	}
+	return nil
+}
+
+// endPhase applies an End record: the phase's closing step, then Phase
+// advances.
+func (p *Progress) endPhase(r Record) error {
+	d := p.Dataset
+	switch r.Phase {
+	case phaseIndex:
+		d.Instances = nil
+		if r.Instances != nil {
+			d.Instances = *r.Instances
+		}
+	case phaseTweets:
+		for _, h := range p.SeenTweets {
+			at, ok := parseTweetTime(h.Tweet.CreatedAt)
+			if !ok {
+				continue
+			}
+			d.CollectedTweets = append(d.CollectedTweets, CollectedTweet{
+				ID:       h.Tweet.ID,
+				AuthorID: h.Tweet.AuthorID,
+				Time:     at,
+				Text:     h.Tweet.Text,
+				Source:   h.Tweet.Source,
+				Class:    h.Class,
+			})
+		}
+		sort.Slice(d.CollectedTweets, func(i, j int) bool {
+			a, b := d.CollectedTweets[i], d.CollectedTweets[j]
+			if !a.Time.Equal(b.Time) {
+				return a.Time.Before(b.Time)
+			}
+			return a.ID < b.ID
+		})
+		p.SeenTweets = map[string]SeenTweet{}
+		p.DoneQueries = map[string]bool{}
+	case phaseMapping:
+		sort.Slice(d.Pairs, func(i, j int) bool { return d.Pairs[i].TwitterID < d.Pairs[j].TwitterID })
+		p.DoneAuthors = map[string]bool{}
+	case phaseTwitterTL, phaseMastoTL:
+	case phaseFollowees:
+		p.DoneFollowees = map[string]bool{}
+	case phaseActivity:
+		p.DoneActivity = map[string]bool{}
+	case phaseToxicity:
+		if err := d.setScores(r.Scores); err != nil {
+			return err
+		}
+	default:
+		return errors.New("unknown phase")
+	}
+	p.Phase = r.Phase
+	return nil
+}
+
+// setScores sets every timeline post's toxicity score, in timelinePosts
+// order. The posts belong to the timelines' unit records too. One still
+// unwritten is then saved with these scores, which replaying the scores'
+// record sets again.
+func (d *Dataset) setScores(scores []float64) error {
+	posts := d.timelinePosts()
+	if len(scores) != len(posts) {
+		return fmt.Errorf("%d scores for %d posts", len(scores), len(posts))
+	}
+	for i, post := range posts {
+		post.Toxicity = scores[i]
+	}
+	return nil
+}
+
+// timelinePosts lists every timeline post in a fixed order: Twitter
+// timelines, then Mastodon timelines, each by user ID, posts in timeline
+// order. The toxicity phase's scores follow it.
+func (d *Dataset) timelinePosts() []*Post {
+	var posts []*Post
+	add := func(tl []Post) {
+		for i := range tl {
+			posts = append(posts, &tl[i])
+		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(d.TwitterTimelines)) {
+		if tl := d.TwitterTimelines[id]; tl != nil {
+			add(tl.Posts)
+		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(d.MastodonTimelines)) {
+		if tl := d.MastodonTimelines[id]; tl != nil {
+			add(tl.Posts)
+		}
+	}
+	return posts
+}
+
+// StartJournal makes the progress keep every record it applies from now
+// on, until a Checkpoint that has written them calls TrimJournal. The
+// crawler journals only when a Checkpoint is configured, and a
+// journaling progress changes only through Apply.
+func (p *Progress) StartJournal() { p.journaling = true }
+
+// Seq is the number of records applied since the progress was created
+// or decoded.
+func (p *Progress) Seq() int { return p.seq }
+
+// Journal returns the journaled records applied after the first `from`,
+// oldest first. ok is false when the progress is not journaling or has
+// already trimmed some of them.
+func (p *Progress) Journal(from int) (recs []Record, ok bool) {
+	first := p.seq - len(p.journal)
+	if !p.journaling || from < first || from > p.seq {
+		return nil, false
+	}
+	return p.journal[from-first:], true
+}
+
+// TrimJournal drops the journaled records numbered below seq: a
+// Checkpoint calls it once they are durable.
+func (p *Progress) TrimJournal(seq int) {
+	n := min(seq, p.seq) - (p.seq - len(p.journal))
+	if n <= 0 {
+		return
+	}
+	kept := copy(p.journal, p.journal[n:])
+	clear(p.journal[kept:])
+	p.journal = p.journal[:kept]
+}
+
 // Checkpoint persists crawl progress so a killed or cancelled Run can
 // resume where it stopped. Load returns (nil, nil) when no checkpoint
 // exists yet. Implementations must tolerate Save being called from the
-// crawl's worker goroutines (calls are serialized by the crawler).
+// crawl's worker goroutines (calls are serialized by the crawler). The
+// crawler's progress journals its records (Progress.Journal); Save may
+// persist just the records since its last write, and should TrimJournal
+// what it has made durable.
 type Checkpoint interface {
 	Load() (*Progress, error)
 	Save(*Progress) error
@@ -148,7 +411,8 @@ type Checkpoint interface {
 // pipelines. The zero value is ready to use. Save and Load both deep-copy
 // the progress, matching FileCheckpoint's serialize semantics: the stored
 // snapshot is frozen at Save time, not a live alias of the tracker's
-// still-mutating *Progress.
+// still-mutating *Progress. It stores whole snapshots, so Save trims the
+// progress's journal.
 type MemCheckpoint struct {
 	mu    sync.Mutex
 	data  *Progress
@@ -168,6 +432,7 @@ func (m *MemCheckpoint) Save(p *Progress) error {
 	if err != nil {
 		return err
 	}
+	p.TrimJournal(p.Seq())
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.data = cp
@@ -182,9 +447,9 @@ func (m *MemCheckpoint) Saves() int {
 	return m.saves
 }
 
-// tracker serializes all mutation of the in-flight Progress and drives
-// periodic checkpoint saves: one Save per `every` completed units, plus
-// an explicit flush at every phase boundary.
+// tracker serializes all changes to the in-flight Progress, which it
+// makes only through Progress.Apply, and drives checkpoint saves: one
+// Save per `every` completed units, plus a flush at every phase boundary.
 type tracker struct {
 	mu      sync.Mutex
 	ckpt    Checkpoint // nil: no persistence
@@ -203,24 +468,37 @@ func (t *tracker) snapshotHealth() {
 	}
 }
 
-// update applies fn to the progress under the tracker lock and counts one
-// completed unit toward the periodic save.
-func (t *tracker) update(fn func(*Progress)) {
+// record applies r under the tracker lock. A unit record counts toward
+// the periodic save; a phase end is followed by a flush instead.
+func (t *tracker) record(r Record) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fn(t.prog)
-	if t.ckpt == nil {
-		return
+	if err := t.prog.Apply(r); err != nil {
+		return err
+	}
+	if t.ckpt == nil || r.End {
+		return nil
 	}
 	t.pending++
 	if t.pending >= t.every {
-		// Best effort mid-phase; a failure here is retried by the next
-		// periodic save and surfaced by the phase-boundary flush.
+		// Best effort mid-phase. The count restarts even when the save
+		// fails, so a failing checkpoint costs one Save per `every` units,
+		// not one per unit; the journal keeps the unsaved records for the
+		// next save, and the phase-boundary flush surfaces the error.
+		t.pending = 0
 		t.snapshotHealth()
-		if err := t.ckpt.Save(t.prog); err == nil {
-			t.pending = 0
-		}
+		_ = t.ckpt.Save(t.prog)
 	}
+	return nil
+}
+
+// end applies r as its phase's End record, then flushes.
+func (t *tracker) end(r Record) error {
+	r.End = true
+	if err := t.record(r); err != nil {
+		return err
+	}
+	return t.flush()
 }
 
 // flush forces a save (phase boundaries, cancellation paths).
@@ -230,11 +508,11 @@ func (t *tracker) flush() error {
 	if t.ckpt == nil {
 		return nil
 	}
+	t.pending = 0
 	t.snapshotHealth()
 	if err := t.ckpt.Save(t.prog); err != nil {
 		return fmt.Errorf("crawler: checkpoint save: %w", err)
 	}
-	t.pending = 0
 	return nil
 }
 
@@ -398,31 +676,34 @@ func (c *Crawler) begin() (*tracker, error) {
 	if t.every <= 0 {
 		t.every = 32
 	}
-	if c.cfg.Checkpoint != nil {
-		prog, err := c.cfg.Checkpoint.Load()
-		if err != nil {
-			return nil, fmt.Errorf("crawler: checkpoint load: %w", err)
-		}
-		if prog != nil {
-			if prog.Version > ProgressVersion {
-				return nil, fmt.Errorf("crawler: checkpoint schema v%d is newer than supported v%d", prog.Version, ProgressVersion)
-			}
-			prog.normalize()
-			// Seed the registry with the persisted health snapshot so the
-			// planner skips hosts quarantined before the kill. v1 files
-			// carry no snapshot and resume with an empty registry.
-			if !c.cfg.NoHealthResume && len(prog.Health) > 0 {
-				c.health.ImportHealth(prog.Health)
-			}
-			prog.Version = ProgressVersion
-			t.prog = prog
-			c.rep.mu.Lock()
-			c.rep.resumed = true
-			c.rep.mu.Unlock()
-			return t, nil
-		}
+	if t.ckpt == nil {
+		t.prog = newProgress()
+		return t, nil
 	}
-	t.prog = newProgress()
+	prog, err := t.ckpt.Load()
+	if err != nil {
+		return nil, fmt.Errorf("crawler: checkpoint load: %w", err)
+	}
+	if prog == nil {
+		prog = newProgress()
+	} else {
+		if prog.Version > ProgressVersion {
+			return nil, fmt.Errorf("crawler: checkpoint schema v%d is newer than supported v%d", prog.Version, ProgressVersion)
+		}
+		prog.normalize()
+		// Seed the registry with the persisted health snapshot so the
+		// planner skips hosts quarantined before the kill. v1 files carry
+		// no snapshot and resume with an empty registry.
+		if !c.cfg.NoHealthResume && len(prog.Health) > 0 {
+			c.health.ImportHealth(prog.Health)
+		}
+		prog.Version = ProgressVersion
+		c.rep.mu.Lock()
+		c.rep.resumed = true
+		c.rep.mu.Unlock()
+	}
+	prog.StartJournal()
+	t.prog = prog
 	return t, nil
 }
 

@@ -8,6 +8,47 @@
 // the simulated services it reproduces the paper's dataset; pointed at
 // real endpoints (with real hosts and credentials) the same code would
 // crawl the real platforms.
+//
+// # Records
+//
+// The crawl changes its Progress only by applying Records
+// (Progress.Apply): one per completed work unit, and an End record that
+// closes each phase and advances Progress.Phase. A Checkpoint can thus
+// persist a snapshot plus the records applied since, and a resumed
+// progress replays them through the same function.
+//
+//	phase        key         payload             Apply
+//	index        (End)       Instances           sets Dataset.Instances
+//	tweets       query       Class, Tweets       merges the tweets into
+//	                                             SeenTweets (instance-link
+//	                                             class wins); query done
+//	tweets       (End)       -                   dedups SeenTweets into
+//	                                             sorted CollectedTweets;
+//	                                             clears SeenTweets and
+//	                                             DoneQueries
+//	mapping      author ID   Pair (nil: none)    appends the pair; author
+//	                                             done
+//	mapping      (End)       -                   sorts Pairs by Twitter ID;
+//	                                             clears DoneAuthors
+//	twitter_tl   Twitter ID  TwitterTL           stores the timeline
+//	mastodon_tl  Twitter ID  MastodonTL          stores the timeline
+//	followees    Twitter ID  Followees,          stores each list present
+//	                         Following           (absent: failed or no
+//	                                             account); user done
+//	followees    (End)       -                   clears DoneFollowees
+//	activity     domain      Weeks (nil: gap)    stores the weeks; domain
+//	                                             done
+//	activity     (End)       -                   clears DoneActivity
+//	toxicity     (none)      Scores              sets every timeline
+//	                                             post's score
+//	toxicity     (End)       Scores              sets every timeline
+//	                                             post's score
+//
+// The timeline phases' End records only advance the phase. The toxicity
+// phase keeps its per-post fan-out and writes no per-post records: its
+// End record carries all the scores, and a cancelled phase writes a
+// keyless record with the scores fetched so far (-1 for the rest), so a
+// resumed run skips the posts already scored.
 package crawler
 
 import (

@@ -236,11 +236,7 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 		if err != nil {
 			return abort(fmt.Errorf("crawler: instance index: %w", err))
 		}
-		t.update(func(p *Progress) {
-			p.Dataset.Instances = instances
-			p.Phase = phaseIndex
-		})
-		if err := t.flush(); err != nil {
+		if err := t.end(Record{Phase: phaseIndex, Instances: &instances}); err != nil {
 			return nil, err
 		}
 	}
@@ -321,7 +317,9 @@ func (c *Crawler) collectTweets(ctx context.Context, t *tracker) error {
 	for _, kw := range c.cfg.Keywords {
 		queries = append(queries, query{kw, ClassKeyword})
 	}
-	// Snapshot the done set before scheduling: workers mutate the live one.
+	// Snapshot the done set before scheduling (workers mutate the live
+	// one) and mark each query as it is scheduled, so a query listed
+	// twice runs once.
 	done := make(map[string]bool, len(t.prog.DoneQueries))
 	for q, ok := range t.prog.DoneQueries {
 		done[q] = ok
@@ -333,6 +331,7 @@ func (c *Crawler) collectTweets(ctx context.Context, t *tracker) error {
 		if done[q.q] {
 			continue
 		}
+		done[q.q] = true
 		g.Go(func() error {
 			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
 				return c.tw.SearchAll(ctx, q.q, start, end, c.cfg.MaxSearchPages)
@@ -342,55 +341,15 @@ func (c *Crawler) collectTweets(ctx context.Context, t *tracker) error {
 					return ctx.Err()
 				}
 				c.rep.note(c.rep.failedQueries, q.q, err)
-				t.update(func(p *Progress) { p.DoneQueries[q.q] = true })
-				return nil
+				return t.record(Record{Phase: phaseTweets, Key: q.q})
 			}
-			t.update(func(p *Progress) {
-				for _, tw := range tweets {
-					prev, dup := p.SeenTweets[tw.ID]
-					// Instance-link class wins on dedup: a tweet carrying a
-					// handle link is strictly more informative. The rule is
-					// order-independent, so resumed runs converge to the
-					// same corpus.
-					if !dup || (prev.Class == ClassKeyword && q.class == ClassInstanceLink) {
-						p.SeenTweets[tw.ID] = SeenTweet{Tweet: tw, Class: q.class}
-					}
-				}
-				p.DoneQueries[q.q] = true
-			})
-			return nil
+			return t.record(Record{Phase: phaseTweets, Key: q.q, Class: q.class, Tweets: tweets})
 		})
 	}
 	if err := waitPhase(ctx, g, "tweet collection"); err != nil {
 		return err
 	}
-	t.update(func(p *Progress) {
-		for _, h := range p.SeenTweets {
-			at, ok := parseTweetTime(h.Tweet.CreatedAt)
-			if !ok {
-				continue
-			}
-			p.Dataset.CollectedTweets = append(p.Dataset.CollectedTweets, CollectedTweet{
-				ID:       h.Tweet.ID,
-				AuthorID: h.Tweet.AuthorID,
-				Time:     at,
-				Text:     h.Tweet.Text,
-				Source:   h.Tweet.Source,
-				Class:    h.Class,
-			})
-		}
-		sort.Slice(p.Dataset.CollectedTweets, func(i, j int) bool {
-			a, b := p.Dataset.CollectedTweets[i], p.Dataset.CollectedTweets[j]
-			if !a.Time.Equal(b.Time) {
-				return a.Time.Before(b.Time)
-			}
-			return a.ID < b.ID
-		})
-		p.SeenTweets = map[string]SeenTweet{}
-		p.DoneQueries = map[string]bool{}
-		p.Phase = phaseTweets
-	})
-	return t.flush()
+	return t.end(Record{Phase: phaseTweets})
 }
 
 // mapAccounts applies §3.1's hierarchical matching to every collected
@@ -424,8 +383,8 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 			continue
 		}
 		g.Go(func() error {
-			markDone := func() {
-				t.update(func(p *Progress) { p.DoneAuthors[authorID] = true })
+			markDone := func() error {
+				return t.record(Record{Phase: phaseMapping, Key: authorID})
 			}
 			user, err := underLimit(ctx, c, c.twHost, func() (*UserJSON, error) {
 				return c.tw.UserByID(ctx, authorID)
@@ -436,8 +395,7 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 				}
 				// Account gone between collection and mapping: skip.
 				c.rep.note(c.rep.droppedAuthors, authorID, err)
-				markDone()
-				return nil
+				return markDone()
 			}
 			profile := match.Profile{
 				Username:    user.Username,
@@ -448,8 +406,7 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 			}
 			res, ok := match.Map(profile, byAuthor[authorID], known)
 			if !ok {
-				markDone()
-				return nil
+				return markDone()
 			}
 			pair := AccountPair{
 				TwitterID:        user.ID,
@@ -522,29 +479,17 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 				}
 			} else if httpkit.IsStatus(lerr, 404) {
 				// Handle does not resolve: false-positive mapping, drop.
-				markDone()
-				return nil
+				return markDone()
 			} else if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			t.update(func(p *Progress) {
-				p.Dataset.Pairs = append(p.Dataset.Pairs, pair)
-				p.DoneAuthors[authorID] = true
-			})
-			return nil
+			return t.record(Record{Phase: phaseMapping, Key: authorID, Pair: &pair})
 		})
 	}
 	if err := waitPhase(ctx, g, "account mapping"); err != nil {
 		return err
 	}
-	t.update(func(p *Progress) {
-		sort.Slice(p.Dataset.Pairs, func(i, j int) bool {
-			return p.Dataset.Pairs[i].TwitterID < p.Dataset.Pairs[j].TwitterID
-		})
-		p.DoneAuthors = map[string]bool{}
-		p.Phase = phaseMapping
-	})
-	return t.flush()
+	return t.end(Record{Phase: phaseMapping})
 }
 
 // handleFromURL reconstructs a handle from an account URL plus username.
@@ -569,7 +514,7 @@ func usernameFromURL(u string) string {
 // crawlTwitterTimelines fetches every pair's tweets with the §3.2
 // failure taxonomy. Presence in ds.TwitterTimelines is the resume
 // marker: every finished unit (including taxonomy failures) writes an
-// entry.
+// entry. A Twitter ID shared by two pairs is crawled once.
 func (c *Crawler) crawlTwitterTimelines(ctx context.Context, t *tracker) error {
 	start, end := vclock.StudyStart, vclock.StudyEnd.Add(24*time.Hour)
 	ds := t.prog.Dataset
@@ -583,6 +528,7 @@ func (c *Crawler) crawlTwitterTimelines(ctx context.Context, t *tracker) error {
 		if done[pair.TwitterID] {
 			continue
 		}
+		done[pair.TwitterID] = true
 		g.Go(func() error {
 			tl := &TwitterTimeline{State: StateOK}
 			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
@@ -614,21 +560,22 @@ func (c *Crawler) crawlTwitterTimelines(ctx context.Context, t *tracker) error {
 					tl.Posts = append(tl.Posts, Post{ID: tw.ID, Time: at, Text: tw.Text, Source: tw.Source, Toxicity: -1})
 				}
 			}
-			t.update(func(p *Progress) { p.Dataset.TwitterTimelines[pair.TwitterID] = tl })
-			return nil
+			return t.record(Record{Phase: phaseTwitterTL, Key: pair.TwitterID, TwitterTL: tl})
 		})
 	}
 	if err := waitPhase(ctx, g, "twitter timelines"); err != nil {
 		return err
 	}
-	t.update(func(p *Progress) { p.Phase = phaseTwitterTL })
+	if err := t.end(Record{Phase: phaseTwitterTL}); err != nil {
+		return err
+	}
 	c.logf("twitter timelines: %d", len(ds.TwitterTimelines))
-	return t.flush()
+	return nil
 }
 
 // crawlMastodonTimelines fetches every pair's statuses, spanning both
 // instances for moved accounts. Presence in ds.MastodonTimelines is the
-// resume marker.
+// resume marker. A Twitter ID shared by two pairs is crawled once.
 func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error {
 	ds := t.prog.Dataset
 	done := make(map[string]bool, len(ds.MastodonTimelines))
@@ -641,15 +588,17 @@ func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error 
 		if done[pair.TwitterID] {
 			continue
 		}
+		done[pair.TwitterID] = true
 		// Planner partition: pairs whose primary instance is quarantined
 		// are resolved up front — recorded as instance-down with a gap
 		// entry, never scheduled, never dialed.
 		if host := strings.ToLower(pair.Handle.Domain); c.plan.decide(host) == planSkip {
 			c.rep.noteSkip(host)
 			c.rep.note(c.rep.mastoTLFailures, pair.TwitterID, errQuarantineSkip)
-			t.update(func(p *Progress) {
-				p.Dataset.MastodonTimelines[pair.TwitterID] = &MastodonTimeline{State: StateInstanceDown}
-			})
+			if err := t.record(Record{Phase: phaseMastoTL, Key: pair.TwitterID, MastodonTL: &MastodonTimeline{State: StateInstanceDown}}); err != nil {
+				_ = g.Wait() // the record error is the one to report
+				return err
+			}
 			continue
 		}
 		g.Go(func() error {
@@ -701,16 +650,17 @@ func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error 
 				tl.State = StateNoStatuses
 			}
 			sort.Slice(tl.Posts, func(a, b int) bool { return tl.Posts[a].Time.Before(tl.Posts[b].Time) })
-			t.update(func(p *Progress) { p.Dataset.MastodonTimelines[pair.TwitterID] = tl })
-			return nil
+			return t.record(Record{Phase: phaseMastoTL, Key: pair.TwitterID, MastodonTL: tl})
 		})
 	}
 	if err := waitPhase(ctx, g, "mastodon timelines"); err != nil {
 		return err
 	}
-	t.update(func(p *Progress) { p.Phase = phaseMastoTL })
+	if err := t.end(Record{Phase: phaseMastoTL}); err != nil {
+		return err
+	}
 	c.logf("mastodon timelines: %d", len(ds.MastodonTimelines))
-	return t.flush()
+	return nil
 }
 
 // stripHTML removes the <p> wrapper and entities from status content.
@@ -733,7 +683,8 @@ func stripHTML(s string) string {
 // from below — then full followee crawls on both platforms. The sample
 // is a pure function of the mapped pairs, so a resumed run recomputes it
 // identically; DoneFollowees marks the units already crawled (failures
-// produce no dataset entry, hence the explicit set).
+// produce no dataset entry, hence the explicit set). A Twitter ID shared
+// by two sampled pairs is crawled once.
 func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 	ds := t.prog.Dataset
 	// Eligible: pairs whose Twitter account is crawlable.
@@ -745,11 +696,7 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 		}
 	}
 	if len(eligible) == 0 {
-		t.update(func(p *Progress) {
-			p.DoneFollowees = map[string]bool{}
-			p.Phase = phaseFollowees
-		})
-		return t.flush()
+		return t.end(Record{Phase: phaseFollowees})
 	}
 	sort.Slice(eligible, func(i, j int) bool {
 		if eligible[i].TwitterFollowing != eligible[j].TwitterFollowing {
@@ -808,10 +755,12 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 		if done[p.TwitterID] {
 			continue
 		}
+		done[p.TwitterID] = true
 		g.Go(func() error {
-			markDone := func() {
-				t.update(func(pr *Progress) { pr.DoneFollowees[p.TwitterID] = true })
-			}
+			// One record per user: the followees (absent when the Twitter
+			// crawl failed) and the following (absent when there is no
+			// live Mastodon account or its crawl failed).
+			rec := Record{Phase: phaseFollowees, Key: p.TwitterID}
 			users, err := underLimit(ctx, c, c.twHost, func() ([]UserJSON, error) {
 				return c.tw.Following(ctx, p.TwitterID)
 			})
@@ -820,22 +769,20 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 					return ctx.Err()
 				}
 				c.rep.note(c.rep.followeeGaps, p.TwitterID, err)
-				markDone()
-				return nil
+				return t.record(rec)
 			}
 			refs := make([]FolloweeRef, 0, len(users))
 			for _, u := range users {
 				refs = append(refs, FolloweeRef{TwitterID: u.ID, Username: u.Username})
 			}
-			t.update(func(pr *Progress) { pr.Dataset.TwitterFollowees[p.TwitterID] = refs })
+			rec.Followees = &refs
 			// Mastodon following of the live account.
 			domain, accID := p.Handle.Domain, p.MastodonAccountID
 			if p.Moved != nil {
 				domain, accID = p.Moved.Handle.Domain, p.Moved.AccountID
 			}
 			if accID == "" {
-				markDone()
-				return nil
+				return t.record(rec)
 			}
 			accounts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoAccountJSON, error) {
 				return c.masto.Following(ctx, domain, accID)
@@ -845,8 +792,7 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 					return ctx.Err()
 				}
 				c.rep.note(c.rep.followeeGaps, p.TwitterID, err)
-				markDone()
-				return nil
+				return t.record(rec)
 			}
 			handles := make([]string, 0, len(accounts))
 			for _, a := range accounts {
@@ -856,22 +802,18 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 				}
 				handles = append(handles, "@"+acct)
 			}
-			t.update(func(pr *Progress) {
-				pr.Dataset.MastodonFollowing[p.TwitterID] = handles
-				pr.DoneFollowees[p.TwitterID] = true
-			})
-			return nil
+			rec.Following = &handles
+			return t.record(rec)
 		})
 	}
 	if err := waitPhase(ctx, g, "followee sample"); err != nil {
 		return err
 	}
-	t.update(func(p *Progress) {
-		p.DoneFollowees = map[string]bool{}
-		p.Phase = phaseFollowees
-	})
+	if err := t.end(Record{Phase: phaseFollowees}); err != nil {
+		return err
+	}
 	c.logf("followee sample: %d users", len(ds.TwitterFollowees))
-	return t.flush()
+	return nil
 }
 
 // crawlActivity fetches weekly activity for every instance that received
@@ -907,7 +849,10 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 		if host := strings.ToLower(domain); c.plan.decide(host) == planSkip {
 			c.rep.noteSkip(host)
 			c.rep.note(c.rep.activityGaps, domain, errQuarantineSkip)
-			t.update(func(p *Progress) { p.DoneActivity[domain] = true })
+			if err := t.record(Record{Phase: phaseActivity, Key: domain}); err != nil {
+				_ = g.Wait() // the record error is the one to report
+				return err
+			}
 			continue
 		}
 		g.Go(func() error {
@@ -920,8 +865,7 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 				}
 				// Down instances drop out of the activity panel.
 				c.rep.note(c.rep.activityGaps, domain, err)
-				t.update(func(p *Progress) { p.DoneActivity[domain] = true })
-				return nil
+				return t.record(Record{Phase: phaseActivity, Key: domain})
 			}
 			weeks := make([]WeekActivity, 0, len(acts))
 			for _, a := range acts {
@@ -935,22 +879,17 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 				weeks = append(weeks, WeekActivity{Week: wk, Statuses: st, Logins: lg, Registrations: rg})
 			}
 			sort.Slice(weeks, func(i, j int) bool { return weeks[i].Week.Before(weeks[j].Week) })
-			t.update(func(p *Progress) {
-				p.Dataset.Activity[domain] = weeks
-				p.DoneActivity[domain] = true
-			})
-			return nil
+			return t.record(Record{Phase: phaseActivity, Key: domain, Weeks: &weeks})
 		})
 	}
 	if err := waitPhase(ctx, g, "activity"); err != nil {
 		return err
 	}
-	t.update(func(p *Progress) {
-		p.DoneActivity = map[string]bool{}
-		p.Phase = phaseActivity
-	})
+	if err := t.end(Record{Phase: phaseActivity}); err != nil {
+		return err
+	}
 	c.logf("activity: %d instances", len(ds.Activity))
-	return t.flush()
+	return nil
 }
 
 func atoiSafe(s string) (int, error) {
@@ -960,44 +899,43 @@ func atoiSafe(s string) (int, error) {
 }
 
 // scoreToxicity labels every crawled post via the Perspective-style
-// service (§6.3). Already-scored posts (Toxicity >= 0, e.g. restored
-// from a checkpoint) are skipped, making the phase idempotent. No
-// mid-phase checkpoints: workers write posts in place, so saves only
-// happen at the phase boundary when they are quiescent.
+// service (§6.3), one request per post. Workers write scores into a
+// local slice, so the phase has no mid-phase checkpoints; its End record
+// carries every score. A cancelled phase records the scores it has, so
+// abort's flush saves them, and already-scored posts (Toxicity >= 0) are
+// skipped, making the phase idempotent across resumes.
 func (c *Crawler) scoreToxicity(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
+	posts := t.prog.Dataset.timelinePosts()
+	scores := make([]float64, len(posts))
 	g := httpkit.NewGroup(c.cfg.Concurrency)
-	scorePosts := func(posts []Post) {
-		for i := range posts {
-			i := i
-			if posts[i].Toxicity >= 0 {
-				continue
-			}
-			g.Go(func() error {
-				v, err := underLimit(ctx, c, c.toxHost, func() (float64, error) {
-					return c.tox.Score(ctx, posts[i].Text)
-				})
-				if err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					return nil // unscored posts keep -1
-				}
-				posts[i].Toxicity = v
-				return nil
-			})
+	for i, post := range posts {
+		scores[i] = post.Toxicity
+		if post.Toxicity >= 0 {
+			continue
 		}
-	}
-	for _, tl := range ds.TwitterTimelines {
-		scorePosts(tl.Posts)
-	}
-	for _, tl := range ds.MastodonTimelines {
-		scorePosts(tl.Posts)
+		g.Go(func() error {
+			v, err := underLimit(ctx, c, c.toxHost, func() (float64, error) {
+				return c.tox.Score(ctx, post.Text)
+			})
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				return nil // unscored posts keep -1
+			}
+			scores[i] = v
+			return nil
+		})
 	}
 	if err := waitPhase(ctx, g, "toxicity"); err != nil {
+		if rerr := t.record(Record{Phase: phaseToxicity, Scores: scores}); rerr != nil {
+			return rerr
+		}
 		return err
 	}
-	t.update(func(p *Progress) { p.Phase = phaseToxicity })
+	if err := t.end(Record{Phase: phaseToxicity, Scores: scores}); err != nil {
+		return err
+	}
 	c.logf("toxicity scoring done")
-	return t.flush()
+	return nil
 }

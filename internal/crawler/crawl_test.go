@@ -51,15 +51,17 @@ func newEnv(t testing.TB, nMigrants int, seed uint64) *env {
 	return &env{w: w, fab: fab, fedi: fedi, http: fab.Client()}
 }
 
-func (e *env) crawler() *Crawler {
-	return New(Config{
+func (e *env) config() Config {
+	return Config{
 		TwitterBase:     "https://" + birdsite.Host,
 		IndexBase:       "https://" + indexsvc.Host,
 		PerspectiveBase: "https://" + toxsvc.Host,
 		Transport:       Transport{HTTP: e.http, Concurrency: 8},
 		ScoreToxicity:   false,
-	})
+	}
 }
+
+func (e *env) crawler() *Crawler { return New(e.config()) }
 
 // sharedRun crawls once (discovery/mapping up; outages before timelines
 // is exercised in the core pipeline test; here everything stays up so

@@ -27,7 +27,7 @@ type InstanceDTO struct {
 
 // ListResponse is the /api/1.0/instances/list payload.
 type ListResponse struct {
-	Instances []InstanceDTO `json:"instances"`
+	Instances  []InstanceDTO `json:"instances"`
 	Pagination struct {
 		Total    int    `json:"total"`
 		NextPage string `json:"next_page,omitempty"`

@@ -1,6 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,10 +95,9 @@ func TestFileCheckpointSaveIsAtomic(t *testing.T) {
 	}
 }
 
-// saveSized writes a checkpoint big enough that JSON decoding finishes
-// well before the gzip trailer, then returns the raw file bytes.
-func saveSized(t *testing.T, ck *FileCheckpoint) []byte {
-	t.Helper()
+// sizedProgress is a progress big enough that JSON decoding finishes
+// well before the gzip trailer.
+func sizedProgress() *crawler.Progress {
 	prog := &crawler.Progress{Phase: 2, Dataset: crawler.NewDataset(), DoneQueries: map[string]bool{}}
 	for i := 0; i < 200; i++ {
 		prog.DoneQueries[string(rune('a'+i%26))+"-query-"+string(rune('0'+i%10))] = true
@@ -99,7 +105,13 @@ func saveSized(t *testing.T, ck *FileCheckpoint) []byte {
 			ID: "tweet-id-padding-padding-padding", AuthorID: "author", Text: "bye bye twitter",
 		})
 	}
-	if err := ck.Save(prog); err != nil {
+	return prog
+}
+
+// saveSized saves sizedProgress, then returns the raw file bytes.
+func saveSized(t testing.TB, ck *FileCheckpoint) []byte {
+	t.Helper()
+	if err := ck.Save(sizedProgress()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(ck.Path)
@@ -109,44 +121,300 @@ func saveSized(t *testing.T, ck *FileCheckpoint) []byte {
 	return raw
 }
 
-func TestFileCheckpointLoadDetectsTailCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crawl.json.gz")
-	ck := NewFileCheckpoint(path)
-	raw := saveSized(t, ck)
-
-	// Flip a bit in the gzip trailer (last 8 bytes: CRC32 + ISIZE). The
-	// JSON payload still decodes; only the drained CRC check can notice.
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)-6] ^= 0xFF
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
+// framedFile saves a checkpoint as a snapshot followed by three frames of
+// ten tweet-collection records each, and returns the progress it saved
+// with the raw file bytes.
+func framedFile(t testing.TB, ck *FileCheckpoint) (*crawler.Progress, []byte) {
+	t.Helper()
+	prog := &crawler.Progress{Version: crawler.ProgressVersion, Dataset: crawler.NewDataset()}
+	prog.StartJournal()
+	// A snapshot big enough that three small frames stay lighter.
+	instances := make([]crawler.IndexedInstance, 300)
+	for i := range instances {
+		instances[i] = crawler.IndexedInstance{Name: fmt.Sprintf("inst%03d-%x.example", i, i*7919), Users: i * 31, Statuses: i * 977, Up: i%3 != 0}
+	}
+	if err := prog.Apply(crawler.Record{Phase: 1, End: true, Instances: &instances}); err != nil {
 		t.Fatal(err)
 	}
-	if prog, err := ck.Load(); err == nil {
-		t.Fatalf("tail-corrupted checkpoint loaded silently: %+v", prog)
+	if err := ck.Save(prog); err != nil {
+		t.Fatal(err)
+	}
+	for batch := 0; batch < 3; batch++ {
+		applyQueries(t, prog, batch, 10)
+		if err := ck.Save(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(ck.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, frames, sealed, err := openTrailer(raw); err != nil || !sealed || frames != 3 {
+		t.Fatalf("trailer: %d frames, sealed=%v, err=%v; want 3 frames", frames, sealed, err)
+	}
+	return prog, raw
+}
+
+// applyQueries applies n completed tweet-collection queries to prog.
+func applyQueries(t testing.TB, prog *crawler.Progress, batch, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%d%03d", batch, i)
+		err := prog.Apply(crawler.Record{Phase: 2, Key: "q" + id, Class: crawler.ClassKeyword, Tweets: []crawler.TweetJSON{{
+			ID: id, AuthorID: "a" + id, Text: "bye bye twitter " + id, CreatedAt: "2022-11-01T00:00:00Z",
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// memberEnds returns the offset where each gzip member of a v3 file ends.
+func memberEnds(t *testing.T, raw []byte) []int {
+	t.Helper()
+	r := bytes.NewReader(raw[:len(raw)-trailerLen])
+	zr, err := gzip.NewReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	for {
+		zr.Multistream(false)
+		if _, err := io.Copy(io.Discard, zr); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(raw)-trailerLen-r.Len())
+		if err := zr.Reset(r); err == io.EOF {
+			return ends
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// mustEqualJSON fails unless got and want encode to the same JSON.
+func mustEqualJSON(t testing.TB, got, want *crawler.Progress) {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("loaded progress differs from the saved one:\n got %s\nwant %s", g, w)
+	}
+}
+
+// TestFileCheckpointCompacts: once the frames outweigh the snapshot, the
+// next save writes a fresh snapshot with no frames.
+func TestFileCheckpointCompacts(t *testing.T) {
+	ck := NewFileCheckpoint(filepath.Join(t.TempDir(), "crawl.json.gz"))
+	prog := &crawler.Progress{Version: crawler.ProgressVersion, Dataset: crawler.NewDataset()}
+	prog.StartJournal()
+	if err := prog.Apply(crawler.Record{Phase: 1, End: true}); err != nil {
+		t.Fatal(err)
+	}
+	frames := func() int {
+		raw, err := os.ReadFile(ck.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n, _, err := openTrailer(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	compacted := false
+	for batch := 0; batch < 10; batch++ {
+		applyQueries(t, prog, batch, 20)
+		want := 0 // a first save, or frames outweighing the snapshot
+		if ck.last != nil && len(ck.data)-ck.snap <= ck.snap {
+			want = frames() + 1
+		}
+		compacted = compacted || ck.last != nil && want == 0
+		if err := ck.Save(prog); err != nil {
+			t.Fatal(err)
+		}
+		if got := frames(); got != want {
+			t.Fatalf("save %d left %d frames, want %d", batch, got, want)
+		}
+	}
+	if !compacted {
+		t.Fatal("ten saves never compacted")
+	}
+	if _, ok := prog.Journal(0); ok {
+		t.Fatal("written records were not trimmed from the journal")
+	}
+	got, err := ck.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualJSON(t, got, prog)
+}
+
+// TestFileCheckpointFailedSaveKeepsRecords: a save that fails leaves the
+// checkpoint's state alone, so the next successful save still writes the
+// records the failed one held.
+func TestFileCheckpointFailedSaveKeepsRecords(t *testing.T) {
+	parent := filepath.Join(t.TempDir(), "ckpt")
+	ck := NewFileCheckpoint(filepath.Join(parent, "crawl.json.gz"))
+	prog, _ := framedFile(t, ck)
+
+	applyQueries(t, prog, 7, 5)
+	// A regular file where the parent directory was makes the save fail
+	// (permission bits would not stop root).
+	if err := os.RemoveAll(parent); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(parent, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Save(prog); err == nil {
+		t.Fatal("save under a regular file succeeded")
+	}
+	if err := os.Remove(parent); err != nil {
+		t.Fatal(err)
+	}
+
+	applyQueries(t, prog, 8, 5)
+	if err := ck.Save(prog); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ck.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualJSON(t, got, prog)
+	if len(got.DoneQueries) != 40 {
+		t.Fatalf("loaded %d queries, want all 40", len(got.DoneQueries))
+	}
+}
+
+// corruptionInputs are the checkpoint files the corruption tests run on:
+// a v2 file, whose only integrity check is the gzip member's CRC-32 and
+// length, a bare v3 snapshot and a v3 snapshot with three frames.
+func corruptionInputs(t *testing.T) map[string][]byte {
+	legacy := sizedProgress()
+	legacy.Version = legacyVersion
+	return map[string][]byte{
+		"legacy":   legacyFile(t, legacy),
+		"snapshot": saveSized(t, NewFileCheckpoint(filepath.Join(t.TempDir(), "a.json.gz"))),
+		"framed": func() []byte {
+			_, raw := framedFile(t, NewFileCheckpoint(filepath.Join(t.TempDir(), "b.json.gz")))
+			return raw
+		}(),
+	}
+}
+
+func TestFileCheckpointLoadDetectsTailCorruption(t *testing.T) {
+	for name, raw := range corruptionInputs(t) {
+		path := filepath.Join(t.TempDir(), "crawl.json.gz")
+		ck := NewFileCheckpoint(path)
+		// Flip a byte near the end of the file: the CRC of the gzip
+		// member (legacy) or the trailer's frame count (v3). The payload
+		// still decodes; only the checksums can notice.
+		flips := []int{len(raw) - 6}
+		if name == "framed" {
+			// And one in the middle of the middle frame.
+			ends := memberEnds(t, raw)
+			flips = append(flips, (ends[1]+ends[2])/2)
+		}
+		for _, at := range flips {
+			bad := append([]byte(nil), raw...)
+			bad[at] ^= 0xFF
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if prog, err := ck.Load(); err == nil {
+				t.Fatalf("%s: checkpoint with byte %d/%d flipped loaded silently: %+v", name, at, len(raw), prog)
+			}
+		}
 	}
 }
 
 func TestFileCheckpointLoadDetectsTruncation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crawl.json.gz")
-	ck := NewFileCheckpoint(path)
-	raw := saveSized(t, ck)
+	for name, raw := range corruptionInputs(t) {
+		path := filepath.Join(t.TempDir(), "crawl.json.gz")
+		ck := NewFileCheckpoint(path)
+		cuts := []int{4, len(raw) / 2, len(raw) - 5}
+		if name == "framed" {
+			// Every member boundary, exactly and one byte either side.
+			for _, end := range memberEnds(t, raw) {
+				cuts = append(cuts, end-1, end, end+1)
+			}
+		}
+		for _, cut := range cuts {
+			if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if prog, err := ck.Load(); err == nil {
+				t.Fatalf("%s: checkpoint truncated to %d/%d bytes loaded silently: %+v", name, cut, len(raw), prog)
+			}
+		}
 
-	for _, cut := range []int{4, len(raw) / 2, len(raw) - 5} {
-		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+		// The intact file still loads after all that abuse.
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if prog, err := ck.Load(); err == nil {
-			t.Fatalf("checkpoint truncated to %d/%d bytes loaded silently: %+v", cut, len(raw), prog)
+		want := map[string]int{"legacy": 2, "snapshot": 2, "framed": 1}[name]
+		if prog, err := ck.Load(); err != nil || prog == nil || prog.Phase != want {
+			t.Fatalf("%s: intact checkpoint failed to load: %+v, %v", name, prog, err)
 		}
 	}
+}
 
-	// The intact file still loads after all that abuse.
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+// legacyFile encodes prog the way schema v1 and v2 saved it: one gzip
+// member holding one JSON value.
+func legacyFile(t testing.TB, prog *crawler.Progress) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := json.NewEncoder(zw).Encode(prog); err != nil {
 		t.Fatal(err)
 	}
-	if prog, err := ck.Load(); err != nil || prog == nil || prog.Phase != 2 {
-		t.Fatalf("intact checkpoint failed to load: %+v, %v", prog, err)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// FuzzFileCheckpointLoad: Load never panics, and any file it accepts
+// saves and loads back to the same JSON. Each input is also tried with
+// its trailer checksum recomputed, so mutations reach the gzip members,
+// the JSON and the record replay behind the file checksum.
+func FuzzFileCheckpointLoad(f *testing.F) {
+	v2 := &crawler.Progress{Version: 2, Phase: 1, Dataset: crawler.NewDataset(), DoneQueries: map[string]bool{"mastodon": true}}
+	v2.Dataset.Instances = []crawler.IndexedInstance{{Name: "mastodon.social", Up: true}}
+	f.Add(legacyFile(f, v2))
+	_, framed := framedFile(f, NewFileCheckpoint(filepath.Join(f.TempDir(), "seed.json.gz")))
+	f.Add(framed)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		inputs := [][]byte{raw}
+		if n := len(raw); n >= trailerLen && string(raw[n-trailerLen:n-8]) == trailerMagic {
+			sealed := append([]byte(nil), raw...)
+			binary.BigEndian.PutUint32(sealed[n-4:], crc32.ChecksumIEEE(sealed[:n-4]))
+			inputs = append(inputs, sealed)
+		}
+		for _, in := range inputs {
+			prog, err := decodeCheckpoint(in)
+			if err != nil {
+				continue
+			}
+			ck := NewFileCheckpoint(filepath.Join(t.TempDir(), "rt.json.gz"))
+			if err := ck.Save(prog); err != nil {
+				t.Fatalf("accepted progress does not save: %v", err)
+			}
+			again, err := ck.Load()
+			if err != nil {
+				t.Fatalf("saved progress does not load: %v", err)
+			}
+			mustEqualJSON(t, again, prog)
+		}
+	})
 }
 
 func TestFileCheckpointClear(t *testing.T) {

@@ -48,10 +48,10 @@ func Generate(cfg Config) (*World, error) {
 // distribution, with their category and topic. mastodon.social must stay
 // first: several paper statistics single it out.
 var wellKnown = []struct {
-	domain   string
-	cat      InstanceCategory
-	topic    textkit.Topic
-	natives  int // relative native population weight
+	domain  string
+	cat     InstanceCategory
+	topic   textkit.Topic
+	natives int // relative native population weight
 }{
 	{"mastodon.social", CatFlagship, textkit.TopicFediverse, 1000},
 	{"mastodon.online", CatFlagship, textkit.TopicFediverse, 350},

@@ -80,8 +80,8 @@ type Config struct {
 	// time (11.58%).
 	DownCoverage float64
 	// TweetsPerDay / StatusesPerDay are mean posting rates.
-	TweetsPerDay    float64
-	StatusesPerDay  float64
+	TweetsPerDay   float64
+	StatusesPerDay float64
 	// ToxicTweetRate / ToxicStatusRate are the target mean per-user toxic
 	// post fractions (4.02% / 2.07%).
 	ToxicTweetRate  float64
@@ -105,12 +105,12 @@ func DefaultConfig(nMigrants int) Config {
 		nInst = 2879
 	}
 	return Config{
-		Seed:                   1,
-		NMigrants:              nMigrants,
-		PopulationFactor:       8,
-		BystanderFraction:      0.35,
-		NInstances:             nInst,
-		MeanOutDegree:          35,
+		Seed:              1,
+		NMigrants:         nMigrants,
+		PopulationFactor:  8,
+		BystanderFraction: 0.35,
+		NInstances:        nInst,
+		MeanOutDegree:     35,
 		// The paper's 72% is measured over the *mapped* population, and
 		// the tweet-text match path only accepts identical usernames, so
 		// mapping inflates the share. A 61.5% prior measures as ~72%
