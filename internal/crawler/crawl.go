@@ -36,7 +36,10 @@ type Transport struct {
 	// HTTP performs all requests (point it at the memnet fabric or a real
 	// network).
 	HTTP httpkit.Doer
-	// Concurrency bounds parallel fetches globally (default 8).
+	// Concurrency bounds the crawl's running work units (default 8). A
+	// unit waiting out a retry backoff, a host's adaptive window or a
+	// probe gate does not count against it; at most 8x as many units
+	// exist at once (see httpkit.Group).
 	Concurrency int
 	// Hedge enables tail-latency hedging on the crawl's shared client
 	// (zero value: off).
@@ -168,7 +171,9 @@ func hostOf(base string) string {
 
 // underLimit runs fetch inside the adaptive limiter's window for host.
 // Every fan-out phase routes its per-target exchanges through here so a
-// backed-off host slows only its own work units.
+// backed-off host slows only its own work units: a unit waiting for the
+// window lends its worker slot to another unit meanwhile, so it does not
+// count against Concurrency.
 func underLimit[T any](ctx context.Context, c *Crawler, host string, fetch func() (T, error)) (T, error) {
 	release, err := c.lim.Acquire(ctx, host)
 	if err != nil {
@@ -325,14 +330,14 @@ func (c *Crawler) collectTweets(ctx context.Context, t *tracker) error {
 		done[q] = ok
 	}
 
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
 	for _, q := range queries {
 		q := q
 		if done[q.q] {
 			continue
 		}
 		done[q.q] = true
-		g.Go(func() error {
+		g.Go(func(ctx context.Context) error {
 			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
 				return c.tw.SearchAll(ctx, q.q, start, end, c.cfg.MaxSearchPages)
 			})
@@ -376,13 +381,13 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 		done[a] = ok
 	}
 
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
 	for _, authorID := range authors {
 		authorID := authorID
 		if done[authorID] {
 			continue
 		}
-		g.Go(func() error {
+		g.Go(func(ctx context.Context) error {
 			markDone := func() error {
 				return t.record(Record{Phase: phaseMapping, Key: authorID})
 			}
@@ -522,14 +527,14 @@ func (c *Crawler) crawlTwitterTimelines(ctx context.Context, t *tracker) error {
 	for id := range ds.TwitterTimelines {
 		done[id] = true
 	}
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
 	for i := range ds.Pairs {
 		pair := &ds.Pairs[i]
 		if done[pair.TwitterID] {
 			continue
 		}
 		done[pair.TwitterID] = true
-		g.Go(func() error {
+		g.Go(func(ctx context.Context) error {
 			tl := &TwitterTimeline{State: StateOK}
 			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
 				return c.tw.Timeline(ctx, pair.TwitterID, start, end)
@@ -582,7 +587,7 @@ func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error 
 	for id := range ds.MastodonTimelines {
 		done[id] = true
 	}
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
 	for i := range ds.Pairs {
 		pair := &ds.Pairs[i]
 		if done[pair.TwitterID] {
@@ -601,7 +606,7 @@ func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error 
 			}
 			continue
 		}
-		g.Go(func() error {
+		g.Go(func(ctx context.Context) error {
 			tl := &MastodonTimeline{State: StateOK}
 			fetch := func(domain, accountID string) error {
 				sts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoStatusJSON, error) {
@@ -749,14 +754,14 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 		done[id] = ok
 	}
 
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
 	for _, p := range sampled {
 		p := p
 		if done[p.TwitterID] {
 			continue
 		}
 		done[p.TwitterID] = true
-		g.Go(func() error {
+		g.Go(func(ctx context.Context) error {
 			// One record per user: the followees (absent when the Twitter
 			// crawl failed) and the following (absent when there is no
 			// live Mastodon account or its crawl failed).
@@ -838,7 +843,7 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 		done[d] = ok
 	}
 
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
 	for _, domain := range sorted {
 		domain := domain
 		if done[domain] {
@@ -855,7 +860,7 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 			}
 			continue
 		}
-		g.Go(func() error {
+		g.Go(func(ctx context.Context) error {
 			acts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]ActivityJSON, error) {
 				return c.masto.Activity(ctx, domain)
 			})
@@ -907,13 +912,13 @@ func atoiSafe(s string) (int, error) {
 func (c *Crawler) scoreToxicity(ctx context.Context, t *tracker) error {
 	posts := t.prog.Dataset.timelinePosts()
 	scores := make([]float64, len(posts))
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
 	for i, post := range posts {
 		scores[i] = post.Toxicity
 		if post.Toxicity >= 0 {
 			continue
 		}
-		g.Go(func() error {
+		g.Go(func(ctx context.Context) error {
 			v, err := underLimit(ctx, c, c.toxHost, func() (float64, error) {
 				return c.tox.Score(ctx, post.Text)
 			})

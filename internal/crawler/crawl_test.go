@@ -1,7 +1,10 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"math"
 	"net/http"
 	"strings"
@@ -405,4 +408,39 @@ func medianInt(xs []int) int {
 		}
 	}
 	return cp[len(cp)/2]
+}
+
+// TestDatasetSameAtAnyConcurrency: the crawl's dataset is a function of
+// the world and the fault schedule, not of the worker count. Each count
+// crawls a fresh copy of the same world with the §3.2 outages applied
+// before the timelines, so retry backoffs against dead hosts overlap
+// differently with the other units at each count.
+func TestDatasetSameAtAnyConcurrency(t *testing.T) {
+	var want []byte
+	for _, n := range []int{1, 2, 8} {
+		e := newEnv(t, 80, 5)
+		cfg := e.config()
+		cfg.Concurrency = n
+		cfg.ScoreToxicity = true
+		cfg.BeforeTimelines = func() {
+			e.fedi.ApplyOutages(e.fab)
+			e.http.CloseIdleConnections()
+		}
+		ds, err := New(cfg).Run(context.Background())
+		e.http.CloseIdleConnections()
+		e.fab.Close()
+		if err != nil {
+			t.Fatalf("concurrency %d: %v", n, err)
+		}
+		got, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("concurrency %d: %d bytes, sha256 %x", n, len(got), sha256.Sum256(got))
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("concurrency %d: dataset differs from concurrency 1 (%d vs %d bytes)", n, len(got), len(want))
+		}
+	}
 }

@@ -8,7 +8,9 @@
 // answers 2xx, multiplicative decrease on 429/5xx/breaker-open — the
 // same control law TCP uses to share a bottleneck fairly. Fan-out
 // phases acquire a slot for the target host before each exchange; the
-// global Group bound still caps total parallelism.
+// global Group bound still caps the work units running at once, and a
+// unit waiting here for its host lends its Group slot to another unit
+// (httpkit.Idle).
 package crawler
 
 import (
@@ -185,10 +187,17 @@ func (l *aimdLimiter) Acquire(ctx context.Context, host string) (func(), error) 
 		}
 		wake := w.wake
 		l.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-wake:
+		// The wait is for another unit's exchange, so it must not hold a
+		// worker slot: that unit may need one to finish its retries.
+		if err := httpkit.Idle(ctx, func() error {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-wake:
+				return nil
+			}
+		}); err != nil {
+			return nil, err
 		}
 		l.mu.Lock()
 	}

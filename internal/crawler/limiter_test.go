@@ -2,6 +2,10 @@ package crawler
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -148,4 +152,69 @@ func TestAdaptiveAcquireBlocksAtWindow(t *testing.T) {
 	a()
 	b()
 	_ = health
+}
+
+// failFirst answers 503 to the first request it sees and 200 with an
+// empty JSON object to every later one.
+type failFirst struct{ calls atomic.Int64 }
+
+func (f *failFirst) Do(*http.Request) (*http.Response, error) {
+	code := http.StatusOK
+	if f.calls.Add(1) == 1 {
+		code = http.StatusServiceUnavailable
+	}
+	return &http.Response{StatusCode: code, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("{}"))}, nil
+}
+
+// TestIdleWaitsDoNotDeadlock: one worker slot, and host H admits one
+// exchange at a time, through an adaptive window of 1 or a probation
+// probe gate. Task A holds H, fails once and backs off; task B, let in
+// by A's backoff, waits for H. A must get a worker slot back to retry,
+// so B's wait must not keep the one slot.
+func TestIdleWaitsDoNotDeadlock(t *testing.T) {
+	const host = "h.example"
+	for _, tc := range []struct {
+		name  string
+		setup func(*Config)
+	}{
+		{"adaptive window", func(cfg *Config) {
+			cfg.Adaptive = AdaptivePolicy{Enabled: true, MaxPerHost: 1}
+		}},
+		{"probe gate", func(cfg *Config) {
+			// Past the quarantine threshold, last failure older than the
+			// probation age (1ns, so A's failure does not quarantine H
+			// again): the planner probes one exchange at a time.
+			cfg.Health = httpkit.NewHealthRegistry(httpkit.BreakerPolicy{Probation: time.Nanosecond})
+			cfg.Health.ImportHealth([]httpkit.HostHealth{{
+				Host:            host,
+				QuarantineOpens: httpkit.DefaultBreaker.QuarantineAfter,
+				LastFailure:     time.Now().Add(-time.Second),
+			}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doer := &failFirst{}
+			cfg := Config{Transport: Transport{HTTP: doer, Concurrency: 1}}
+			tc.setup(&cfg)
+			c := New(cfg)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			g := httpkit.NewGroup(ctx, 1)
+			for i := 0; i < 2; i++ {
+				g.Go(func(ctx context.Context) error {
+					_, err := underPlan(ctx, c, host, func() (struct{}, error) {
+						var out struct{}
+						return out, c.client.GetJSON(ctx, "https://"+host+"/x", &out)
+					})
+					return err
+				})
+			}
+			if err := g.Wait(); err != nil {
+				t.Fatalf("deadlocked until the deadline: %v", err)
+			}
+			if n := doer.calls.Load(); n != 3 {
+				t.Fatalf("%d requests, want 3 (A's failure and retry, B's exchange)", n)
+			}
+		})
+	}
 }

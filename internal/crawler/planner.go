@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"flock/internal/httpkit"
 )
 
 // errQuarantineSkip marks a work unit the planner refused to schedule
@@ -84,8 +86,19 @@ func underPlan[T any](ctx context.Context, c *Crawler, host string, fetch func()
 		g := c.plan.gate(host)
 		select {
 		case g <- struct{}{}:
-		case <-ctx.Done():
-			return zero, ctx.Err()
+		default:
+			// Another unit is probing host: wait for its exchange
+			// without a worker slot, as in the adaptive limiter.
+			if err := httpkit.Idle(ctx, func() error {
+				select {
+				case g <- struct{}{}:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}); err != nil {
+				return zero, err
+			}
 		}
 		defer func() { <-g }()
 	}

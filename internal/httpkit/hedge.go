@@ -261,14 +261,15 @@ func (c *Client) race(req *http.Request, host string, delay time.Duration) (*htt
 	launch(0, false)
 	inflight := 1
 
-	// The hedge trigger runs through c.wait so tests with an injected
+	// The hedge trigger runs through c.sleep so tests with an injected
 	// Sleep control it; cancelling timerCtx reaps the goroutine once a
-	// result settles the race.
+	// result settles the race. It is not c.wait: the primary attempt
+	// still runs, so the task keeps its Group slot.
 	timerCtx, timerCancel := context.WithCancel(parent)
 	defer timerCancel()
 	timer := make(chan struct{})
 	go func() {
-		if c.wait(timerCtx, delay) == nil {
+		if c.sleep(timerCtx, delay) == nil {
 			close(timer)
 		}
 	}()

@@ -2,13 +2,14 @@
 //
 // The paper's data collection (§3) leans on two awkward realities of
 // crawling social platforms: server-side rate limits (Twitter's v2 API
-// returns 429 with x-rate-limit-reset; Mastodon returns 429 with
-// X-RateLimit-Reset or Retry-After) and flaky instances (timeouts,
-// transient 5xx, dead hosts). httpkit packages the standard responses to
-// both — client-side token-bucket pacing, reactive backoff that honours
-// server reset headers, capped exponential retry with jitter — behind a
-// small Client, plus cursor/max_id pagination iterators and a bounded
-// concurrency group for fan-out crawls.
+// returns 429 with x-rate-limit-reset in unix seconds; Mastodon returns
+// 429 with Retry-After or an ISO 8601 X-RateLimit-Reset) and flaky
+// instances (timeouts, transient 5xx, dead hosts). httpkit packages the
+// standard responses to both — client-side token-bucket pacing, reactive
+// backoff that honours server reset headers, capped exponential retry
+// with jitter — behind a small Client, plus cursor/max_id pagination
+// iterators and a concurrency group for fan-out crawls that bounds the
+// running tasks, not the waiting ones.
 package httpkit
 
 import (
@@ -259,11 +260,18 @@ func (c *Client) rnd() float64 {
 	return 0.5
 }
 
-func (c *Client) wait(ctx context.Context, d time.Duration) error {
+// sleep waits d with the injected Sleep, or SleepContext.
+func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	if c.Sleep != nil {
 		return c.Sleep(ctx, d)
 	}
 	return SleepContext(ctx, d)
+}
+
+// wait sleeps out a retry backoff. Inside a Group task the task's
+// worker slot goes to another task meanwhile (see Idle).
+func (c *Client) wait(ctx context.Context, d time.Duration) error {
+	return Idle(ctx, func() error { return c.sleep(ctx, d) })
 }
 
 func (c *Client) now() time.Time {
@@ -274,8 +282,10 @@ func (c *Client) now() time.Time {
 }
 
 // retryAfter extracts a server-requested wait from 429/503 responses:
-// Retry-After (seconds) or x-rate-limit-reset (unix epoch), the two
-// conventions Twitter and Mastodon use.
+// Retry-After (seconds or an HTTP date), else the rate-limit reset time,
+// which Twitter sends as x-rate-limit-reset in unix seconds and Mastodon
+// as X-RateLimit-Reset in ISO 8601 (RFC 3339). Either header is read in
+// either form.
 func retryAfter(resp *http.Response, now time.Time) (time.Duration, bool) {
 	if v := resp.Header.Get("Retry-After"); v != "" {
 		if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
@@ -289,6 +299,9 @@ func retryAfter(resp *http.Response, now time.Time) (time.Duration, bool) {
 		if v := resp.Header.Get(h); v != "" {
 			if epochSecs, err := strconv.ParseInt(v, 10, 64); err == nil {
 				return time.Unix(epochSecs, 0).Sub(now), true
+			}
+			if at, err := time.Parse(time.RFC3339, v); err == nil {
+				return at.Sub(now), true
 			}
 		}
 	}
@@ -533,34 +546,54 @@ func Paginate[T any](ctx context.Context, maxPages int, fetch FetchPage[T]) ([]T
 	return out, nil
 }
 
-// Group runs tasks with bounded concurrency, collecting the first error
-// but letting remaining tasks finish (a crawl wants maximal coverage, not
-// fail-fast).
+// Group runs tasks with bounded concurrency, collecting every task's
+// error but letting the remaining tasks finish (a crawl wants maximal
+// coverage, not fail-fast); Wait joins them.
+//
+// The bound counts running tasks, not existing ones. Each task gets its
+// own context carrying its worker slot, and a task that waits for
+// anything other than its own exchange (a retry backoff, a per-host
+// window, a probe gate) waits through Idle, which lends the slot to
+// another task for the wait. So waits overlap with other tasks' work,
+// and a task holding a slot blocks on nothing but its own exchange:
+// whatever it waits for is held by a task that either runs or is itself
+// waiting without a slot.
 type Group struct {
-	sem  chan struct{}
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	errs []error
+	ctx   context.Context
+	run   chan struct{} // worker slots: one per running task
+	alive chan struct{} // one per existing task, running or waiting
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	errs  []error
 }
 
-// NewGroup returns a Group running at most n tasks at once.
-func NewGroup(n int) *Group {
+// tasksPerSlot caps the tasks that exist at once at this multiple of the
+// running bound, so a phase with far more work units than slots does not
+// start a goroutine per unit. Past 8x, crawl time stops improving.
+const tasksPerSlot = 8
+
+// NewGroup returns a Group running at most n tasks at once. Each task's
+// context derives from ctx.
+func NewGroup(ctx context.Context, n int) *Group {
 	if n < 1 {
 		n = 1
 	}
-	return &Group{sem: make(chan struct{}, n)}
+	return &Group{ctx: ctx, run: make(chan struct{}, n), alive: make(chan struct{}, tasksPerSlot*n)}
 }
 
-// Go schedules fn. It blocks if the concurrency limit is reached.
-func (g *Group) Go(fn func() error) {
+// Go schedules fn. It blocks while tasksPerSlot*n tasks exist; the task
+// itself starts once a worker slot is free.
+func (g *Group) Go(fn func(ctx context.Context) error) {
+	g.alive <- struct{}{}
 	g.wg.Add(1)
-	g.sem <- struct{}{}
 	go func() {
 		defer func() {
-			<-g.sem
+			<-g.alive
 			g.wg.Done()
 		}()
-		if err := fn(); err != nil {
+		g.run <- struct{}{}
+		defer func() { <-g.run }()
+		if err := fn(context.WithValue(g.ctx, slotKey{}, &slot{run: g.run})); err != nil {
 			g.mu.Lock()
 			g.errs = append(g.errs, err)
 			g.mu.Unlock()
@@ -574,15 +607,38 @@ func (g *Group) Wait() error {
 	g.wg.Wait()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.errs) == 0 {
-		return nil
-	}
 	return errors.Join(g.errs...)
 }
 
-// Errs returns how many tasks have failed so far.
-func (g *Group) Errs() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.errs)
+// slotKey is the context key under which a Group task finds its slot.
+type slotKey struct{}
+
+// slot is one task's claim on its Group's worker slots.
+type slot struct {
+	run  chan struct{}
+	idle bool // the slot is lent out; only the task's goroutine touches it
+}
+
+// Idle runs wait with the calling task's worker slot lent to another
+// task, then takes a slot back before returning. The slot comes back
+// unconditionally, also when wait fails on cancellation: every slot is
+// held by a task that blocks on nothing but its own exchange, so one
+// always frees up, and the task still holds a slot when it returns to
+// its Group.
+//
+// Call Idle from the task's own goroutine, around a wait that does not
+// need a worker slot. Without a Group task in ctx (or inside another
+// Idle), it just runs wait.
+func Idle(ctx context.Context, wait func() error) error {
+	s, _ := ctx.Value(slotKey{}).(*slot)
+	if s == nil || s.idle {
+		return wait()
+	}
+	s.idle = true
+	<-s.run
+	defer func() {
+		s.run <- struct{}{}
+		s.idle = false
+	}()
+	return wait()
 }

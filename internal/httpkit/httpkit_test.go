@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,6 +138,43 @@ func TestDoHonoursRetryAfterSeconds(t *testing.T) {
 	resp.Body.Close()
 	if slept != 3*time.Second {
 		t.Fatalf("slept %v, want 3s", slept)
+	}
+}
+
+// TestDoHonoursMastodonRateLimitReset: a Mastodon 429 carries its reset
+// time as an ISO 8601 X-RateLimit-Reset and may omit Retry-After; the
+// client waits until the reset instead of backing off exponentially.
+func TestDoHonoursMastodonRateLimitReset(t *testing.T) {
+	now := time.Date(2023, 2, 1, 12, 0, 0, 0, time.UTC)
+	// The simulator's layout, and Mastodon's with milliseconds.
+	for _, layout := range []string{time.RFC3339, "2006-01-02T15:04:05.000Z07:00"} {
+		var slept []time.Duration
+		fd := &fakeDoer{fn: func(call int, _ *http.Request) (*http.Response, error) {
+			if call == 1 {
+				return respond(429, "", map[string]string{
+					"X-RateLimit-Reset": now.Add(7 * time.Second).Format(layout),
+				}), nil
+			}
+			return respond(200, "ok", nil), nil
+		}}
+		c := New(
+			WithDoer(fd),
+			WithClock(func() time.Time { return now }),
+			WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Second, MaxDelay: time.Minute}),
+			WithSleep(func(ctx context.Context, d time.Duration) error {
+				slept = append(slept, d)
+				return nil
+			}),
+		)
+		req, _ := http.NewRequest("GET", "https://x.example/", nil)
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if len(slept) != 1 || slept[0] != 7*time.Second {
+			t.Fatalf("layout %q: slept %v, want [7s] (until the reset)", layout, slept)
+		}
 	}
 }
 
@@ -351,51 +387,6 @@ func TestPaginatePartialOnError(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Fatalf("partial items lost: %v", got)
-	}
-}
-
-func TestGroupBoundedConcurrency(t *testing.T) {
-	g := NewGroup(3)
-	var cur, peak int64
-	for i := 0; i < 20; i++ {
-		g.Go(func() error {
-			n := atomic.AddInt64(&cur, 1)
-			for {
-				p := atomic.LoadInt64(&peak)
-				if n <= p || atomic.CompareAndSwapInt64(&peak, p, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			atomic.AddInt64(&cur, -1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if peak > 3 {
-		t.Fatalf("peak concurrency %d > 3", peak)
-	}
-}
-
-func TestGroupCollectsErrors(t *testing.T) {
-	g := NewGroup(2)
-	for i := 0; i < 5; i++ {
-		i := i
-		g.Go(func() error {
-			if i%2 == 0 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-	}
-	err := g.Wait()
-	if err == nil {
-		t.Fatal("want joined error")
-	}
-	if g.Errs() != 3 {
-		t.Fatalf("Errs = %d, want 3", g.Errs())
 	}
 }
 
