@@ -36,7 +36,6 @@ import (
 	"flock/internal/report"
 	"flock/internal/stats"
 	"flock/internal/textkit"
-	"flock/internal/textsim"
 	"flock/internal/toxsvc"
 	"flock/internal/trendsvc"
 	"flock/internal/vclock"
@@ -556,10 +555,10 @@ func BenchmarkAblationTailLatency(b *testing.B) {
 // BenchmarkAblationParallelAnalysis quantifies the deterministic
 // parallel analysis engine: the full RQ hot path (centralization,
 // contagion, the quadratic Fig. 14 similarity scan, toxicity,
-// retention) serially, then on the kernels at 1/2/4/8 workers, then
-// with the shared embedding cache on top. Results are byte-identical
-// across all variants (see TestAnalysisDeterministicAcrossWorkers);
-// only wall-clock and allocations move.
+// retention) serially, then on the kernels at 1/2/4/8 workers. Results
+// are byte-identical across all variants (see
+// TestAnalysisDeterministicAcrossWorkers); only wall-clock and
+// allocations move.
 func BenchmarkAblationParallelAnalysis(b *testing.B) {
 	res := benchResult(b)
 	ds := res.Dataset
@@ -582,20 +581,6 @@ func BenchmarkAblationParallelAnalysis(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				suite(analysis.Engine{Workers: w})
-			}
-		})
-		b.Run("parallel_cache_w"+strconv.Itoa(w), func(b *testing.B) {
-			// One cache across iterations: embeddings are immutable and
-			// keyed by canonical text, so cross-run reuse is sound. One
-			// warm-up pass fills it outside the timer — the steady-state
-			// ns/op and allocs/op delta against the uncached variant is
-			// the win repeated analyses (reports, figure sweeps) see.
-			cache := textsim.NewCache()
-			suite(analysis.Engine{Workers: w, Cache: cache})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				suite(analysis.Engine{Workers: w, Cache: cache})
 			}
 		})
 	}

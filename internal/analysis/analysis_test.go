@@ -280,6 +280,26 @@ func TestRQ3Overlap(t *testing.T) {
 	}
 }
 
+// TestRQ3OverlapIdenticalNeedsTheBestMatch pins why an exact-text lookup
+// cannot short-circuit the Identical class: a lower-index tweet that
+// differs only in case and punctuation embeds to the same vector, wins
+// the tie, and makes the status Similar, not Identical.
+func TestRQ3OverlapIdenticalNeedsTheBestMatch(t *testing.T) {
+	ds := crawler.NewDataset()
+	at := vclock.Takeover
+	text := "announcing my brand new project on decentralized social networks tonight"
+	mkTimelines(ds, "u0",
+		[]crawler.Post{
+			{ID: "1", Time: at, Text: "Announcing my brand-new project on decentralized social networks tonight!", Toxicity: -1},
+			{ID: "2", Time: at, Text: text, Toxicity: -1},
+		},
+		[]crawler.Post{{ID: "3", Time: at, Text: text, Toxicity: -1}})
+	o := RQ3Overlap(ds, OverlapOptions{})
+	if o.MeanIdentical != 0 || o.MeanSimilar != 1 {
+		t.Fatalf("identical %v, similar %v; want 0 and 1", o.MeanIdentical, o.MeanSimilar)
+	}
+}
+
 func TestRQ3OverlapMaxUsers(t *testing.T) {
 	ds := crawler.NewDataset()
 	at := vclock.Takeover

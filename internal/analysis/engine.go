@@ -9,7 +9,7 @@ import (
 
 // Engine runs every analysis on the deterministic parallel kernels of
 // internal/parallel. The zero value is valid: Workers <= 0 resolves to
-// GOMAXPROCS and Cache == nil disables cross-pass embedding reuse.
+// GOMAXPROCS.
 //
 // Determinism contract: for a fixed dataset, every Engine method returns
 // a byte-identical result (under stable JSON encoding) at any Workers
@@ -22,8 +22,8 @@ import (
 type Engine struct {
 	// Workers bounds the worker pool per analysis (<= 0: GOMAXPROCS).
 	Workers int
-	// Cache, when non-nil, memoizes embeddings across analyses — the
-	// Fig. 14 texts repeat heavily across RQ passes and runs.
+	// Cache is a no-op (see textsim.Cache), kept only so that code
+	// which still sets it compiles; delete it with its last user.
 	Cache *textsim.Cache
 }
 
@@ -41,7 +41,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // Free-function forms of every analysis, kept for callers that do not
 // need worker control; each delegates to a default Engine (GOMAXPROCS
-// workers, no shared cache).
+// workers).
 
 // RQ1 computes the centralization results.
 func RQ1(ds *crawler.Dataset) *Centralization { return Engine{}.RQ1(ds) }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"flock/internal/crawler"
 	"flock/internal/parallel"
@@ -256,11 +257,28 @@ type OverlapOptions struct {
 	MaxUsers int
 }
 
-// RQ3Overlap computes cross-platform content similarity. This is the
-// hot path of the whole analysis suite (quadratic text comparison per
-// user), so users fan out across workers; each user's index build and
-// scan stay serial inside its slot, and embeddings go through the
-// engine's shared cache when one is configured.
+// overlapScratch is one worker's reusable state for the Fig. 14 scan:
+// a user's canonical tweet texts, their embeddings and one status's
+// embedding. Pooled, so the scan stops allocating once a worker has seen
+// its largest timeline.
+type overlapScratch struct {
+	texts []string
+	index textsim.Index
+	query textsim.Vector
+}
+
+var overlapPool = sync.Pool{New: func() any { return new(overlapScratch) }}
+
+// RQ3Overlap computes cross-platform content similarity: each Mastodon
+// status is matched to its closest tweet by the same user, and counts as
+// identical when the two canonical texts (textsim.Canonical) are equal,
+// or else as similar when their cosine reaches the threshold. Texts are
+// embedded in canonical form. Users fan out across workers; each user's
+// embedding and scan run serially in its own slot, on pooled scratch, so
+// the result does not depend on the worker count. The scan skips each
+// status's zero coordinates and scores four tweets per pass, yet every
+// cosine, best match and tie is exactly what a dense scan over
+// textsim.Cosine gives (see the textsim package comment).
 func (e Engine) RQ3Overlap(ds *crawler.Dataset, opt OverlapOptions) *Overlap {
 	if opt.Threshold == 0 {
 		opt.Threshold = textsim.DefaultThreshold
@@ -293,19 +311,23 @@ func (e Engine) RQ3Overlap(ds *crawler.Dataset, opt OverlapOptions) *Overlap {
 	slots := parallel.MapSlice(e.Workers, len(eligible), func(u int) userRow {
 		mtl := ds.MastodonTimelines[eligible[u]]
 		ttl := ds.TwitterTimelines[eligible[u]]
-		texts := make([]string, len(ttl.Posts))
-		for i, p := range ttl.Posts {
-			texts[i] = p.Text
+		sc := overlapPool.Get().(*overlapScratch)
+		defer overlapPool.Put(sc)
+		sc.texts = sc.texts[:0]
+		for _, p := range ttl.Posts {
+			sc.texts = append(sc.texts, textsim.Canonical(p.Text))
 		}
-		idx := textsim.NewIndexParallel(texts, 1, e.Cache)
+		sc.index.Reset(sc.texts)
 		identical, similar := 0, 0
 		for _, sp := range mtl.Posts {
-			best, sim := idx.BestMatch(e.Cache.Embed(sp.Text))
+			text := textsim.Canonical(sp.Text)
+			textsim.EmbedInto(&sc.query, text)
+			best, sim := sc.index.BestMatch(&sc.query)
 			if best < 0 {
 				continue
 			}
 			switch {
-			case textsim.Identical(sp.Text, texts[best]):
+			case text == sc.texts[best]: // textsim.Identical
 				identical++
 			case sim >= opt.Threshold:
 				similar++

@@ -27,7 +27,6 @@ import (
 	"flock/internal/indexsvc"
 	"flock/internal/memnet"
 	"flock/internal/parallel"
-	"flock/internal/textsim"
 	"flock/internal/toxsvc"
 	"flock/internal/world"
 )
@@ -183,9 +182,7 @@ func Analyze(ds *crawler.Dataset, cfg Config) *Result {
 		// locally with the same model the service uses.
 		scoreFn = toxsvc.Score
 	}
-	// One engine (and one embedding cache) across all analyses: the
-	// Fig. 14 texts recur between passes, so the cache pays off here.
-	eng := analysis.Engine{Workers: cfg.AnalysisWorkers, Cache: textsim.NewCache()}
+	eng := analysis.Engine{Workers: cfg.AnalysisWorkers}
 	res := &Result{Dataset: ds, Coverage: ds.Coverage()}
 	// Each pass runs under a timer so cfg.Logf (cmd/figures -workers)
 	// can report where analysis wall-clock goes.

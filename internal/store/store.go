@@ -18,8 +18,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"flock/internal/crawler"
@@ -172,7 +174,8 @@ func Save(dir string, ds *crawler.Dataset, anonymized bool) error {
 }
 
 // SaveAt is Save with an explicit manifest timestamp, so replays driven
-// by a virtual clock produce byte-identical datasets.
+// by a virtual clock produce byte-identical datasets: map-backed parts
+// are written in sorted key order.
 func SaveAt(dir string, ds *crawler.Dataset, anonymized bool, at time.Time) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -205,39 +208,44 @@ func SaveAt(dir string, ds *crawler.Dataset, anonymized bool, at time.Time) erro
 	if err := writeJSONL(filepath.Join(dir, pairsFile), ds.Pairs); err != nil {
 		return err
 	}
-	var ttl []twitterTLRow
-	for id, tl := range ds.TwitterTimelines {
-		ttl = append(ttl, twitterTLRow{TwitterID: id, Timeline: tl})
-	}
+	ttl := rowsByKey(ds.TwitterTimelines, func(id string, tl *crawler.TwitterTimeline) twitterTLRow {
+		return twitterTLRow{TwitterID: id, Timeline: tl}
+	})
 	if err := writeJSONL(filepath.Join(dir, twitterTLFile), ttl); err != nil {
 		return err
 	}
-	var mtl []mastoTLRow
-	for id, tl := range ds.MastodonTimelines {
-		mtl = append(mtl, mastoTLRow{TwitterID: id, Timeline: tl})
-	}
+	mtl := rowsByKey(ds.MastodonTimelines, func(id string, tl *crawler.MastodonTimeline) mastoTLRow {
+		return mastoTLRow{TwitterID: id, Timeline: tl}
+	})
 	if err := writeJSONL(filepath.Join(dir, mastoTLFile), mtl); err != nil {
 		return err
 	}
-	var frs []followeeRow
-	for id, fs := range ds.TwitterFollowees {
-		frs = append(frs, followeeRow{TwitterID: id, Followees: fs})
-	}
+	frs := rowsByKey(ds.TwitterFollowees, func(id string, fs []crawler.FolloweeRef) followeeRow {
+		return followeeRow{TwitterID: id, Followees: fs}
+	})
 	if err := writeJSONL(filepath.Join(dir, followeeFile), frs); err != nil {
 		return err
 	}
-	var mfs []mfollowRow
-	for id, hs := range ds.MastodonFollowing {
-		mfs = append(mfs, mfollowRow{TwitterID: id, Handles: hs})
-	}
+	mfs := rowsByKey(ds.MastodonFollowing, func(id string, hs []string) mfollowRow {
+		return mfollowRow{TwitterID: id, Handles: hs}
+	})
 	if err := writeJSONL(filepath.Join(dir, mfollowFile), mfs); err != nil {
 		return err
 	}
-	var ars []activityRow
-	for domain, weeks := range ds.Activity {
-		ars = append(ars, activityRow{Domain: domain, Weeks: weeks})
-	}
+	ars := rowsByKey(ds.Activity, func(domain string, weeks []crawler.WeekActivity) activityRow {
+		return activityRow{Domain: domain, Weeks: weeks}
+	})
 	return writeJSONL(filepath.Join(dir, activityFile), ars)
+}
+
+// rowsByKey turns a map into storage rows in ascending key order, so the
+// same dataset always writes the same bytes.
+func rowsByKey[V, R any](m map[string]V, row func(string, V) R) []R {
+	rows := make([]R, 0, len(m))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		rows = append(rows, row(k, m[k]))
+	}
+	return rows
 }
 
 // Load reads a dataset from dir.

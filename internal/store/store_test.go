@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +98,52 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.Activity["mastodon.social"][0].Statuses != 10 {
 		t.Fatal("activity lost")
+	}
+}
+
+// TestSaveAtByteIdentical saves one dataset twice with the same
+// timestamp: every file must come out byte for byte the same, including
+// those built from the dataset's maps, whose iteration order varies from
+// one range to the next.
+func TestSaveAtByteIdentical(t *testing.T) {
+	ds := sampleDataset()
+	at := time.Date(2022, 11, 1, 10, 0, 0, 0, time.UTC)
+	for i := 0; i < 40; i++ {
+		id := strconv.Itoa(1000 + i)
+		ds.TwitterTimelines[id] = &crawler.TwitterTimeline{State: crawler.StateOK,
+			Posts: []crawler.Post{{ID: id, Time: at, Text: "tweet " + id}}}
+		ds.MastodonTimelines[id] = &crawler.MastodonTimeline{State: crawler.StateInstanceDown}
+		ds.TwitterFollowees[id] = []crawler.FolloweeRef{{TwitterID: id, Username: "u" + id}}
+		ds.MastodonFollowing[id] = []string{"@u" + id + "@tiny.town"}
+		ds.Activity["i"+id+".social"] = []crawler.WeekActivity{{Week: at, Statuses: i}}
+	}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for _, dir := range dirs {
+		if err := SaveAt(dir, ds, false, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := []string{manifestFile, instancesFile, tweetsFile, pairsFile, twitterTLFile,
+		mastoTLFile, followeeFile, mfollowFile, activityFile}
+	entries, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(names) {
+		t.Fatalf("saved %d files, want %d", len(entries), len(names))
+	}
+	for _, name := range names {
+		a, err := os.ReadFile(filepath.Join(dirs[0], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[1], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two saves", name)
+		}
 	}
 }
 

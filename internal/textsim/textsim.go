@@ -13,16 +13,38 @@
 // sharing most tokens) score high, and independent texts score low. The
 // absolute scale differs from SBERT, so the default threshold is
 // recalibrated (see DefaultThreshold) rather than copied blindly.
+//
+// # Exact sparse scan
+//
+// Index.BestMatch returns, bit for bit, what a dense scan calling Cosine
+// on every row returns, with about a third of the arithmetic on
+// post-length texts (a status has ~80 of 256 coordinates nonzero). It
+// lists the query's nonzero coordinates in ascending order and sums each
+// row's dot product over those alone, in one float64 accumulator per row.
+// That gives the same sum because:
+//
+//   - a float32×float32 product is exact in float64 (24+24 significand
+//     bits fit in 53), so no term is rounded, and a fused multiply-add
+//     cannot change one either;
+//   - every skipped term is ±0, and adding ±0 never changes a sum that
+//     starts at +0: a nonzero sum stays as it is, and +0 stays +0. Exact
+//     cancellation also gives +0 under round-to-nearest, so even the sign
+//     of a zero dot product agrees;
+//   - the remaining terms are added in the dense loop's order.
+//
+// Splitting one row's sum across several accumulators, or summing in
+// float32, would change the rounding, so the kernel does neither. Its
+// speed comes from skipping the zeros and from scoring four rows per pass
+// over the query.
 package textsim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"unicode"
 	"unicode/utf8"
-
-	"flock/internal/parallel"
 )
 
 // Dim is the embedding dimensionality. 256 buckets keeps vectors small
@@ -188,11 +210,18 @@ func sign(h uint32) float32 {
 }
 
 // Embed converts text to its hashed n-gram embedding. The vector is L2
-// normalized; a text with no tokens yields the zero vector. The hot path
-// reuses pooled tokenizer scratch and hashes features incrementally, so
-// embedding allocates nothing beyond the returned value.
+// normalized; a text with no tokens yields the zero vector.
 func Embed(text string) Vector {
 	var v Vector
+	EmbedInto(&v, text)
+	return v
+}
+
+// EmbedInto writes Embed(text) into v, overwriting it. It reuses pooled
+// tokenizer scratch and hashes features incrementally, so it allocates
+// nothing.
+func EmbedInto(v *Vector, text string) {
+	*v = Vector{}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.tokenize(text)
@@ -227,67 +256,17 @@ func Embed(text string) Vector {
 			v[i] *= inv
 		}
 	}
-	return v
 }
 
-// Cache is a concurrency-safe embedding memo keyed by canonicalized
-// text. Profiles and timelines repeat texts heavily across the RQ passes
-// (cross-posted content appears once per platform per analysis), so a
-// shared Cache turns the second and later embeddings of a text into a
-// map read. Canonicalization is safe as a key because it only strips
-// bytes the tokenizer ignores (surrounding whitespace, a trailing
-// truncation ellipsis), so Embed(text) == Embed(canonicalize(text)).
-//
-// A nil *Cache is valid and simply embeds without memoization, so code
-// paths can thread an optional cache unconditionally.
-type Cache struct {
-	mu sync.RWMutex
-	m  map[string]Vector
-}
+// Cache is a no-op, kept only so that code which still builds an
+// analysis.Engine with one compiles; delete it with that code.
+// Embeddings are not memoized: only the Fig. 14 pass embeds text, its
+// texts rarely repeat (148 of 39,604 in one pass over a 300-migrant
+// world), and a shared memo's lock would serialise its workers.
+type Cache struct{}
 
-// NewCache returns an empty cache.
-func NewCache() *Cache {
-	return &Cache{m: make(map[string]Vector)}
-}
-
-// Embed returns the embedding of text, computing and memoizing it on
-// first sight of its canonical form.
-func (c *Cache) Embed(text string) Vector {
-	if c == nil {
-		return Embed(text)
-	}
-	key := canonicalize(text)
-	c.mu.RLock()
-	v, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = Embed(key)
-	c.mu.Lock()
-	c.m[key] = v
-	c.mu.Unlock()
-	return v
-}
-
-// Len returns the number of cached embeddings.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// EmbedAll embeds every text on a bounded worker pool, result slots in
-// input order (deterministic regardless of scheduling; see
-// internal/parallel). cache may be nil.
-func EmbedAll(texts []string, workers int, cache *Cache) []Vector {
-	return parallel.MapSlice(workers, len(texts), func(i int) Vector {
-		return cache.Embed(texts[i])
-	})
-}
+// NewCache returns a no-op Cache.
+func NewCache() *Cache { return &Cache{} }
 
 // Cosine returns the cosine similarity of two embeddings in [-1, 1].
 // Zero vectors yield 0.
@@ -296,7 +275,12 @@ func Cosine(a, b Vector) float64 {
 	for i := range a {
 		dot += float64(a[i]) * float64(b[i])
 	}
-	// Vectors are normalized at Embed time; clamp for float drift.
+	return clamp(dot)
+}
+
+// clamp bounds a dot product of normalized vectors to [-1, 1] against
+// float drift.
+func clamp(dot float64) float64 {
 	if dot > 1 {
 		dot = 1
 	}
@@ -311,10 +295,11 @@ func Similarity(a, b string) float64 {
 	return Cosine(Embed(a), Embed(b))
 }
 
-// canonicalize strips the variance cross-posting bridges introduce
+// Canonical strips the variance cross-posting bridges introduce
 // (trailing ellipsis truncation marker, surrounding whitespace) without
-// touching meaningful content.
-func canonicalize(s string) string {
+// touching meaningful content. Two posts are Identical when their
+// canonical forms are equal.
+func Canonical(s string) string {
 	s = strings.TrimSpace(s)
 	s = strings.TrimSuffix(s, "…")
 	return strings.TrimSpace(s)
@@ -323,7 +308,7 @@ func canonicalize(s string) string {
 // Identical reports whether two posts carry exactly the same content
 // after canonicalization, the paper's "identical" test.
 func Identical(a, b string) bool {
-	return canonicalize(a) == canonicalize(b)
+	return Canonical(a) == Canonical(b)
 }
 
 // Class is the paper's three-way post relationship (§6.1, Fig. 14).
@@ -350,37 +335,80 @@ func Classify(status, tweet string, threshold float64) Class {
 	return Different
 }
 
-// Index precomputes embeddings for a set of texts so a user's full
-// timeline can be compared pairwise without re-embedding (the Fig. 14
-// computation is quadratic per user).
+// Index holds the embeddings of a set of texts, one row per text, so a
+// user's whole timeline is embedded once and then scanned once per query
+// (the Fig. 14 computation is quadratic per user).
 type Index struct {
-	Texts   []string
 	Vectors []Vector
 }
 
-// NewIndex embeds all texts serially.
+// NewIndex embeds texts into a new index.
 func NewIndex(texts []string) *Index {
-	return NewIndexParallel(texts, 1, nil)
+	ix := new(Index)
+	ix.Reset(texts)
+	return ix
 }
 
-// NewIndexParallel embeds all texts on a bounded worker pool, optionally
-// reading through a shared embedding cache. Output is identical to
-// NewIndex for any worker count.
-func NewIndexParallel(texts []string, workers int, cache *Cache) *Index {
-	idx := &Index{Texts: texts, Vectors: make([]Vector, len(texts))}
-	parallel.ForEach(workers, len(texts), func(i int) {
-		idx.Vectors[i] = cache.Embed(texts[i])
-	})
-	return idx
+// Reset re-embeds the index over texts in place. It reuses the rows'
+// storage and grows it only when texts outnumber it, so a pooled Index
+// stops allocating once it has seen its largest input.
+func (ix *Index) Reset(texts []string) {
+	if cap(ix.Vectors) < len(texts) {
+		ix.Vectors = slices.Grow(ix.Vectors[:0], len(texts))
+	}
+	ix.Vectors = ix.Vectors[:len(texts)]
+	for i, t := range texts {
+		EmbedInto(&ix.Vectors[i], t)
+	}
 }
 
-// BestMatch returns the index and cosine of the closest text to the
-// query embedding, or (-1, 0) on an empty index. Ties break to the
-// lowest index, deterministically.
-func (ix *Index) BestMatch(q Vector) (int, float64) {
+// BestMatch returns the index and cosine of the row closest to q, or
+// (-1, 0) on an empty index. Every cosine equals Cosine(*q, row) bit for
+// bit (see the package comment), and rows are compared with a strict
+// greater-than in index order, so ties break to the lowest index.
+func (ix *Index) BestMatch(q *Vector) (int, float64) {
+	// q's nonzero coordinates in ascending order. A uint8 index needs no
+	// bounds check on a row; the products need the values in float64.
+	var (
+		nzAt  [Dim]uint8
+		nzVal [Dim]float64
+	)
+	n := 0
+	for j, x := range q {
+		if x != 0 {
+			nzAt[n], nzVal[n] = uint8(j), float64(x)
+			n++
+		}
+	}
+	at, val := nzAt[:n], nzVal[:n]
+
 	best, bestSim := -1, math.Inf(-1)
-	for i, v := range ix.Vectors {
-		if s := Cosine(q, v); s > bestSim {
+	rows := ix.Vectors
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		// Rows by pointer: ranging over values would copy 1 KB each.
+		r0, r1, r2, r3 := &rows[i], &rows[i+1], &rows[i+2], &rows[i+3]
+		var d0, d1, d2, d3 float64
+		for k, j := range at {
+			x := val[k]
+			d0 += x * float64(r0[j])
+			d1 += x * float64(r1[j])
+			d2 += x * float64(r2[j])
+			d3 += x * float64(r3[j])
+		}
+		for k, d := range [4]float64{d0, d1, d2, d3} {
+			if s := clamp(d); s > bestSim {
+				best, bestSim = i+k, s
+			}
+		}
+	}
+	for ; i < len(rows); i++ {
+		r := &rows[i]
+		var d float64
+		for k, j := range at {
+			d += val[k] * float64(r[j])
+		}
+		if s := clamp(d); s > bestSim {
 			best, bestSim = i, s
 		}
 	}
@@ -388,38 +416,4 @@ func (ix *Index) BestMatch(q Vector) (int, float64) {
 		return -1, 0
 	}
 	return best, bestSim
-}
-
-// BestMatchParallel shards the BestMatch scan over a bounded worker
-// pool. Shard boundaries depend only on the index size and partial
-// winners merge in ascending shard order with a strictly-greater
-// comparison, so the result — including lowest-index tie-breaking — is
-// bit-identical to the serial BestMatch at every worker count.
-func (ix *Index) BestMatchParallel(q Vector, workers int) (int, float64) {
-	if len(ix.Vectors) == 0 {
-		return -1, 0
-	}
-	type cand struct {
-		idx int
-		sim float64
-	}
-	best := parallel.ReduceSharded(workers, len(ix.Vectors),
-		func(lo, hi int) cand {
-			b := cand{idx: -1, sim: math.Inf(-1)}
-			for i := lo; i < hi; i++ {
-				if s := Cosine(q, ix.Vectors[i]); s > b.sim {
-					b = cand{idx: i, sim: s}
-				}
-			}
-			return b
-		},
-		func(a, b cand) cand {
-			// a is the lower shard: keeping it on ties preserves the
-			// lowest-index rule.
-			if b.sim > a.sim {
-				return b
-			}
-			return a
-		})
-	return best.idx, best.sim
 }

@@ -2,9 +2,12 @@ package textsim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"flock/internal/randx"
 )
 
 func TestTokenize(t *testing.T) {
@@ -139,7 +142,7 @@ func TestIndexBestMatch(t *testing.T) {
 	}
 	ix := NewIndex(texts)
 	q := Embed("announcing my big move to mastodon, please follow me there")
-	i, sim := ix.BestMatch(q)
+	i, sim := ix.BestMatch(&q)
 	if i != 0 {
 		t.Fatalf("best match index = %d (sim %v)", i, sim)
 	}
@@ -150,7 +153,8 @@ func TestIndexBestMatch(t *testing.T) {
 
 func TestIndexEmpty(t *testing.T) {
 	ix := NewIndex(nil)
-	if i, s := ix.BestMatch(Embed("x")); i != -1 || s != 0 {
+	q := Embed("x")
+	if i, s := ix.BestMatch(&q); i != -1 || s != 0 {
 		t.Fatalf("empty index match = %d, %v", i, s)
 	}
 }
@@ -165,12 +169,14 @@ func TestDeterministicEmbedding(t *testing.T) {
 
 func TestIndexSingleElement(t *testing.T) {
 	ix := NewIndex([]string{"only one post here"})
-	i, s := ix.BestMatch(Embed("only one post here"))
+	q := Embed("only one post here")
+	i, s := ix.BestMatch(&q)
 	if i != 0 || math.Abs(s-1) > 1e-5 {
 		t.Fatalf("single-element match = %d, %v", i, s)
 	}
 	// Even a zero-vector query must land on index 0 (the only candidate).
-	if i, s := ix.BestMatch(Embed("")); i != 0 || s != 0 {
+	var zero Vector
+	if i, s := ix.BestMatch(&zero); i != 0 || s != 0 {
 		t.Fatalf("zero query against single element = %d, %v", i, s)
 	}
 }
@@ -178,113 +184,149 @@ func TestIndexSingleElement(t *testing.T) {
 func TestIndexAllZeroVectors(t *testing.T) {
 	// Texts with no tokens embed to the zero vector; every cosine is 0
 	// and the lowest index must win.
-	ix := NewIndex([]string{"", "   ", "\t\n"})
-	i, s := ix.BestMatch(Embed("anything at all"))
-	if i != 0 || s != 0 {
+	ix := NewIndex([]string{"", "   ", "\t\n", "", ""})
+	q := Embed("anything at all")
+	i, s := ix.BestMatch(&q)
+	if i != 0 || math.Float64bits(s) != 0 {
 		t.Fatalf("all-zero index match = %d, %v", i, s)
 	}
 }
 
 func TestBestMatchTieBreaksLowestIndex(t *testing.T) {
 	// Duplicate texts give exactly equal cosines; the lowest index must
-	// be picked, and identically so by the sharded scan at every worker
-	// count.
+	// be picked, whether the tie falls inside one four-row block (rows
+	// 1-3), across blocks (row 5) or in the tail after the last block
+	// (row 8).
+	dup := "announcing my move to mastodon today"
 	texts := []string{
 		"completely unrelated filler words",
-		"announcing my move to mastodon today",
-		"announcing my move to mastodon today",
-		"announcing my move to mastodon today",
+		dup, dup, dup,
+		"more unrelated filler",
+		dup,
+		"filler again", "and again",
+		dup,
 	}
 	ix := NewIndex(texts)
-	q := Embed("announcing my move to mastodon today")
-	i, s := ix.BestMatch(q)
-	if i != 1 {
-		t.Fatalf("serial tie-break picked %d (sim %v)", i, s)
+	q := Embed(dup)
+	if i, s := ix.BestMatch(&q); i != 1 || math.Abs(s-1) > 1e-5 {
+		t.Fatalf("tie-break picked %d (sim %v), want 1", i, s)
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		pi, ps := ix.BestMatchParallel(q, w)
-		if pi != i || math.Float64bits(ps) != math.Float64bits(s) {
-			t.Fatalf("workers=%d parallel scan = (%d, %v), serial = (%d, %v)", w, pi, ps, i, s)
-		}
-	}
-}
-
-func TestBestMatchParallelMatchesSerial(t *testing.T) {
-	texts := make([]string, 300)
-	for i := range texts {
-		texts[i] = strings.Repeat("word ", i%17+1) + Tokenize("unique filler")[0]
-	}
-	ix := NewIndex(texts)
-	q := Embed("word word word unique")
-	si, ss := ix.BestMatch(q)
-	for _, w := range []int{1, 2, 3, 8} {
-		pi, ps := ix.BestMatchParallel(q, w)
-		if pi != si || math.Float64bits(ps) != math.Float64bits(ss) {
-			t.Fatalf("workers=%d: (%d, %v) != serial (%d, %v)", w, pi, ps, si, ss)
-		}
-	}
-	if i, s := (&Index{}).BestMatchParallel(q, 4); i != -1 || s != 0 {
-		t.Fatalf("empty parallel scan = %d, %v", i, s)
+	// Without rows 1-3 the winner is row 2 of the rest: the first
+	// duplicate past a full block.
+	ix = NewIndex(append([]string{texts[0], texts[4]}, texts[5:]...))
+	if i, _ := ix.BestMatch(&q); i != 2 {
+		t.Fatalf("tie-break picked %d, want 2", i)
 	}
 }
 
-func TestCacheEmbedMatchesDirect(t *testing.T) {
-	c := NewCache()
-	texts := []string{
-		"Leaving the birdsite, find me at @a@mastodon.social",
-		"Leaving the birdsite, find me at @a@mastodon.social",    // repeat
-		"  Leaving the birdsite, find me at @a@mastodon.social…", // canonicalizes to the first
-		"something else entirely",
-		"",
-	}
-	for _, txt := range texts {
-		if got, want := c.Embed(txt), Embed(txt); got != want {
-			t.Fatalf("cache embedding differs for %q", txt)
+// denseBestMatch is the scan BestMatch replaces: Cosine against every row
+// in index order, a strictly greater cosine wins.
+func denseBestMatch(rows []Vector, q Vector) (int, float64) {
+	best, bestSim := -1, math.Inf(-1)
+	for i := range rows {
+		if s := Cosine(q, rows[i]); s > bestSim {
+			best, bestSim = i, s
 		}
 	}
-	// The first three share a canonical form; with the empty string and
-	// the distinct text that makes 3 entries.
-	if c.Len() != 3 {
-		t.Fatalf("cache size = %d, want 3", c.Len())
+	if best < 0 {
+		return -1, 0
 	}
-	var nilCache *Cache
-	if got, want := nilCache.Embed("nil cache path"), Embed("nil cache path"); got != want {
-		t.Fatal("nil cache embedding differs")
-	}
-	if nilCache.Len() != 0 {
-		t.Fatal("nil cache length")
-	}
+	return best, bestSim
 }
 
-func TestEmbedAllMatchesSerial(t *testing.T) {
-	texts := []string{"one post", "two posts", "", "one post", "three posts about mastodon"}
-	want := make([]Vector, len(texts))
-	for i, txt := range texts {
-		want[i] = Embed(txt)
+// FuzzBestMatch checks BestMatch against denseBestMatch bit for bit on an
+// index of 0-9 rows, cycling through the '|'-separated texts of corpus,
+// so every row count mod 4, the empty index and duplicate rows (exact
+// ties) all occur. The index is reset from a larger one first, as a
+// pooled index would be.
+func FuzzBestMatch(f *testing.F) {
+	f.Add("announcing my move to mastodon", uint8(9), "announcing my move to mastodon|unrelated filler")
+	f.Add("", uint8(5), "some text|more text")
+	f.Add("query", uint8(0), "")
+	f.Add("   ", uint8(3), "|  |\t")
+	f.Add("same post same post", uint8(4), "same post same post")
+	f.Add("Leaving the birdsite! https://mastodon.social/@alice #TwitterMigration", uint8(7),
+		"leaving the birdsite https://mastodon.social/@alice|#twittermigration|LEAVING THE BIRDSITE!|@alice@mastodon.social")
+	f.Fuzz(func(t *testing.T, query string, rows uint8, corpus string) {
+		parts := strings.Split(corpus, "|")
+		texts := make([]string, rows%10)
+		for i := range texts {
+			texts[i] = parts[i%len(parts)]
+		}
+		ix := NewIndex(append(slices.Clone(texts), "stale row", "another stale row"))
+		ix.Reset(texts)
+		for i, txt := range texts {
+			if ix.Vectors[i] != Embed(txt) {
+				t.Fatalf("row %d after Reset differs from Embed(%q)", i, txt)
+			}
+		}
+		q := Embed(query)
+		gi, gs := ix.BestMatch(&q)
+		wi, ws := denseBestMatch(ix.Vectors, q)
+		if gi != wi || math.Float64bits(gs) != math.Float64bits(ws) {
+			t.Fatalf("BestMatch = (%d, %v [%#x]), dense scan = (%d, %v [%#x])",
+				gi, gs, math.Float64bits(gs), wi, ws, math.Float64bits(ws))
+		}
+	})
+}
+
+// TestBestMatchExactOnSparseVectors drives the kernel with vectors no
+// text embeds to: unnormalized values with wide exponents, many zeros,
+// negative zeros, and rows whose dot product with the query cancels to
+// exactly zero. Each row's cosine must still match Cosine bit for bit.
+func TestBestMatchExactOnSparseVectors(t *testing.T) {
+	src := randx.New(15)
+	vec := func(density float64) Vector {
+		var v Vector
+		for j := range v {
+			switch {
+			case src.Bool(density):
+				v[j] = float32(src.NormFloat64() * math.Pow(2, float64(src.Intn(40)-20)))
+			case src.Bool(0.1):
+				v[j] = float32(math.Copysign(0, -1))
+			}
+		}
+		return v
 	}
-	for _, w := range []int{1, 2, 8} {
-		for _, cache := range []*Cache{nil, NewCache()} {
-			got := EmbedAll(texts, w, cache)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d cache=%v slot %d differs", w, cache != nil, i)
-				}
+	for trial := 0; trial < 200; trial++ {
+		q := vec(0.3)
+		// Pair each odd coordinate with the even one before it, so the
+		// row (q[0], -q[0], q[2], -q[2], ...) cancels term by term.
+		for j := 1; j < Dim; j += 2 {
+			q[j] = q[j-1]
+		}
+		cancel := q
+		for j := 1; j < Dim; j += 2 {
+			cancel[j] = -cancel[j]
+		}
+		rows := make([]Vector, src.Intn(10))
+		for i := range rows {
+			switch src.Intn(3) {
+			case 0:
+				rows[i] = vec(0.3)
+			case 1:
+				rows[i] = cancel
+			default:
+				rows[i] = vec(0.05)
+			}
+		}
+		ix := &Index{Vectors: rows}
+		gi, gs := ix.BestMatch(&q)
+		wi, ws := denseBestMatch(rows, q)
+		if gi != wi || math.Float64bits(gs) != math.Float64bits(ws) {
+			t.Fatalf("trial %d: BestMatch = (%d, %#x), dense = (%d, %#x)",
+				trial, gi, math.Float64bits(gs), wi, math.Float64bits(ws))
+		}
+		for i := range rows {
+			one := &Index{Vectors: rows[i : i+1]}
+			if _, s := one.BestMatch(&q); math.Float64bits(s) != math.Float64bits(Cosine(q, rows[i])) {
+				t.Fatalf("trial %d row %d: cosine %#x, Cosine %#x",
+					trial, i, math.Float64bits(s), math.Float64bits(Cosine(q, rows[i])))
 			}
 		}
 	}
-	if EmbedAll(nil, 4, nil) != nil {
-		t.Fatal("empty EmbedAll should return nil")
-	}
-}
-
-func TestNewIndexParallelMatchesSerial(t *testing.T) {
-	texts := []string{"alpha beta", "gamma delta", "epsilon"}
-	a := NewIndex(texts)
-	b := NewIndexParallel(texts, 4, NewCache())
-	for i := range a.Vectors {
-		if a.Vectors[i] != b.Vectors[i] {
-			t.Fatalf("vector %d differs", i)
-		}
+	if s := Cosine(vec(0), vec(0)); math.Float64bits(s) != 0 {
+		t.Fatalf("zero vectors' cosine %#x, want +0", math.Float64bits(s))
 	}
 }
 
@@ -297,22 +339,39 @@ func BenchmarkEmbed(b *testing.B) {
 	}
 }
 
-func BenchmarkEmbedCached(b *testing.B) {
-	text := "Leaving Twitter after 12 years. You can find me at @user@mastodon.social — let's build the fediverse together! #TwitterMigration #Mastodon"
-	c := NewCache()
-	c.Embed(text)
+// BenchmarkBestMatch is the Fig. 14 kernel on its own: one status
+// against a 175-row index (world 99's mean tweets per migrant). The
+// status has ~80 nonzero coordinates, as the pass's statuses do on
+// average; it allocates nothing.
+func BenchmarkBestMatch(b *testing.B) {
+	words := strings.Fields("mastodon twitter fediverse instance migration server " +
+		"follow account post timeline moderation community open source " +
+		"decentralized network people leaving staying today week news " +
+		"science music photo art game code research paper data")
+	src := randx.New(175)
+	sentence := func(n int) string {
+		ws := make([]string, n)
+		for i := range ws {
+			ws[i] = words[src.Intn(len(words))]
+		}
+		return strings.Join(ws, " ")
+	}
+	texts := make([]string, 175)
+	for i := range texts {
+		texts[i] = sentence(8 + src.Intn(12))
+	}
+	ix := NewIndex(texts)
+	q := Embed("so excited to finally move our research group account to a decentralized mastodon instance this week, come follow us")
+	nonzero := 0
+	for _, x := range q {
+		if x != 0 {
+			nonzero++
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Embed(text)
+		ix.BestMatch(&q)
 	}
-}
-
-func BenchmarkCosine(b *testing.B) {
-	x := Embed("some example post about the migration")
-	y := Embed("another example post about the migration")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Cosine(x, y)
-	}
+	b.ReportMetric(float64(nonzero), "nonzeros")
 }
