@@ -8,24 +8,59 @@
 // consistently across the whole dataset so joins keep working. Instance
 // domains are retained: the paper's published analyses are at instance
 // granularity.
+//
+// # Dataset layout
+//
+// A dataset directory holds eight data files and manifest.json. A data
+// file is JSONL, one row per line, stored as one gzip member per 128
+// consecutive rows (blockRows); the last member may be shorter, and a
+// file with no rows is one empty member. Concatenated members are one
+// valid gzip stream, so zcat reads a file whole. Map-backed files list
+// their rows in ascending key order.
+//
+// The manifest (version 2) keeps the counts that figures prints and adds
+// files: per data file its name, row count and SHA-256, and per member
+// its compressed bytes, JSON bytes and rows. Load checks each file's
+// checksum and that its members tile it, then inflates and decodes all
+// members in parallel into presized row slices. Each member is read to
+// its end, so gzip checks its CRC-32 and length.
+//
+// Blocks are cut by row index alone. Save encodes and compresses every
+// block on its own through internal/parallel, so the bytes it writes are
+// the same at any worker count, and it never holds a file's JSON, only
+// each block's compressed bytes. Cutting by encoded size would need the
+// JSON first.
+//
+// Save writes the manifest last, after every data file has been renamed
+// into place. A save torn between two files leaves the old manifest
+// behind, and Load then fails on a checksum instead of returning a mix of
+// two datasets.
+//
+// Version 1 directories, with one gzip member per file and no files
+// list, still load. Each file is read to its end, and the loaded counts
+// must match the manifest's.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"time"
 
 	"flock/internal/crawler"
 	"flock/internal/match"
+	"flock/internal/parallel"
 	"flock/internal/vclock"
 )
 
@@ -130,7 +165,34 @@ type Manifest struct {
 		Tweets    int `json:"collected_tweets"`
 		Pairs     int `json:"pairs"`
 	} `json:"counts"`
+	// Files lists the data files in a fixed order. Version 1 manifests
+	// have none.
+	Files []DataFile `json:"files,omitempty"`
 }
+
+// DataFile is a version 2 manifest's record of one data file.
+type DataFile struct {
+	Name    string   `json:"name"`
+	Rows    int      `json:"rows"`
+	SHA256  string   `json:"sha256"`
+	Members []Member `json:"members"`
+}
+
+// Member is one gzip member of a data file: its compressed size, the
+// size of the JSON lines it inflates to, and their number.
+type Member struct {
+	Bytes     int `json:"bytes"`
+	JSONBytes int `json:"json_bytes"`
+	Rows      int `json:"rows"`
+}
+
+const (
+	// version is the manifest version Save writes.
+	version = 2
+	// blockRows is the row count of every gzip member of a version 2 data
+	// file but the last.
+	blockRows = 128
+)
 
 // file names inside a dataset directory.
 const (
@@ -167,6 +229,131 @@ type activityRow struct {
 	Weeks  []crawler.WeekActivity `json:"weeks"`
 }
 
+// A table is one data file's rows in stored order. Save encodes them
+// block by block; Load decodes every member into them, then puts them
+// into the dataset.
+type table interface {
+	file() string
+	len() int
+	encode(enc *json.Encoder, lo, hi int) error
+	// resize makes room for n rows.
+	resize(n int)
+	// decode decodes rows until dec's stream ends into [lo, lo+n), or
+	// appends them when n < 0 (the count is unknown).
+	decode(dec *json.Decoder, lo, n int) error
+	put()
+}
+
+// rowTable is the table of a data file whose rows have type T.
+type rowTable[T any] struct {
+	name string
+	rows []T
+	to   func([]T) // puts loaded rows into the dataset
+}
+
+func (t *rowTable[T]) file() string { return t.name }
+func (t *rowTable[T]) len() int     { return len(t.rows) }
+func (t *rowTable[T]) put()         { t.to(t.rows) }
+
+func (t *rowTable[T]) resize(n int) {
+	if n > 0 {
+		t.rows = make([]T, n)
+	}
+}
+
+func (t *rowTable[T]) encode(enc *json.Encoder, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		if err := enc.Encode(&t.rows[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *rowTable[T]) decode(dec *json.Decoder, lo, n int) error {
+	dst := t.rows[lo:lo]
+	if n >= 0 {
+		dst = t.rows[lo : lo : lo+n]
+	}
+	var row, zero T
+	for {
+		row = zero
+		if err := dec.Decode(&row); err == io.EOF {
+			break
+		} else if err != nil {
+			return err
+		}
+		if len(dst) == n {
+			return fmt.Errorf("more than %d rows", n)
+		}
+		dst = append(dst, row)
+	}
+	if n < 0 {
+		t.rows = dst
+	} else if len(dst) != n {
+		return fmt.Errorf("%d rows, want %d", len(dst), n)
+	}
+	return nil
+}
+
+// tables lists ds's data files in manifest order. Save encodes the rows
+// found there; Load, given an empty dataset, fills each table and puts
+// its rows into ds.
+func tables(ds *crawler.Dataset) []table {
+	return []table{
+		&rowTable[crawler.IndexedInstance]{instancesFile, ds.Instances,
+			func(rs []crawler.IndexedInstance) { ds.Instances = rs }},
+		&rowTable[crawler.CollectedTweet]{tweetsFile, ds.CollectedTweets,
+			func(rs []crawler.CollectedTweet) { ds.CollectedTweets = rs }},
+		&rowTable[crawler.AccountPair]{pairsFile, ds.Pairs,
+			func(rs []crawler.AccountPair) { ds.Pairs = rs }},
+		keyed(twitterTLFile, ds.TwitterTimelines,
+			func(id string, tl *crawler.TwitterTimeline) twitterTLRow { return twitterTLRow{id, tl} },
+			func(r twitterTLRow) (string, *crawler.TwitterTimeline) { return r.TwitterID, r.Timeline }),
+		keyed(mastoTLFile, ds.MastodonTimelines,
+			func(id string, tl *crawler.MastodonTimeline) mastoTLRow { return mastoTLRow{id, tl} },
+			func(r mastoTLRow) (string, *crawler.MastodonTimeline) { return r.TwitterID, r.Timeline }),
+		keyed(followeeFile, ds.TwitterFollowees,
+			func(id string, fs []crawler.FolloweeRef) followeeRow { return followeeRow{id, fs} },
+			func(r followeeRow) (string, []crawler.FolloweeRef) { return r.TwitterID, r.Followees }),
+		keyed(mfollowFile, ds.MastodonFollowing,
+			func(id string, hs []string) mfollowRow { return mfollowRow{id, hs} },
+			func(r mfollowRow) (string, []string) { return r.TwitterID, r.Handles }),
+		keyed(activityFile, ds.Activity,
+			func(domain string, ws []crawler.WeekActivity) activityRow { return activityRow{domain, ws} },
+			func(r activityRow) (string, []crawler.WeekActivity) { return r.Domain, r.Weeks }),
+	}
+}
+
+// keyed is the table of a map-backed data file: row builds a row from an
+// entry, and kv takes one apart.
+func keyed[V, R any](name string, m map[string]V, row func(string, V) R, kv func(R) (string, V)) table {
+	return &rowTable[R]{name, rowsByKey(m, row), func(rs []R) {
+		for _, r := range rs {
+			k, v := kv(r)
+			m[k] = v
+		}
+	}}
+}
+
+// rowsByKey turns a map into storage rows in ascending key order, so the
+// same dataset always writes the same bytes.
+func rowsByKey[V, R any](m map[string]V, row func(string, V) R) []R {
+	rows := make([]R, 0, len(m))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		rows = append(rows, row(k, m[k]))
+	}
+	return rows
+}
+
+// memberCount is the number of gzip members in a file of n rows.
+func memberCount(n int) int {
+	if n <= 0 {
+		return 1
+	}
+	return (n-1)/blockRows + 1
+}
+
 // Save writes the dataset to dir (created if missing), stamping the
 // manifest with the wall clock.
 func Save(dir string, ds *crawler.Dataset, anonymized bool) error {
@@ -180,72 +367,113 @@ func SaveAt(dir string, ds *crawler.Dataset, anonymized bool, at time.Time) erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	var m Manifest
-	m.Version = 1
-	m.CreatedAt = at.UTC()
-	m.Anonymized = anonymized
+	tabs := tables(ds)
+	type block struct{ tab, lo, hi int }
+	var blocks []block
+	for i, t := range tabs {
+		for k := range memberCount(t.len()) {
+			lo := k * blockRows
+			blocks = append(blocks, block{i, lo, min(lo+blockRows, t.len())})
+		}
+	}
+	members := parallel.MapSlice(0, len(blocks), func(i int) deflated {
+		b := blocks[i]
+		return deflate(tabs[b.tab], b.lo, b.hi)
+	})
+	for _, d := range members {
+		if d.err != nil {
+			return d.err
+		}
+	}
+
+	m := Manifest{Version: version, CreatedAt: at.UTC(), Anonymized: anonymized}
 	m.Counts.Instances = len(ds.Instances)
 	m.Counts.Tweets = len(ds.CollectedTweets)
 	m.Counts.Pairs = len(ds.Pairs)
+	for _, t := range tabs {
+		n := memberCount(t.len())
+		f, err := writeFile(dir, t, members[:n])
+		if err != nil {
+			return err
+		}
+		m.Files = append(m.Files, f)
+		members = members[n:]
+	}
 	mb, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	err = atomicWriteFile(filepath.Join(dir, manifestFile), 0o644, func(w io.Writer) error {
+	return atomicWriteFile(filepath.Join(dir, manifestFile), 0o644, func(w io.Writer) error {
 		_, werr := w.Write(mb)
 		return werr
 	})
-	if err != nil {
-		return err
-	}
-
-	if err := writeJSONL(filepath.Join(dir, instancesFile), ds.Instances); err != nil {
-		return err
-	}
-	if err := writeJSONL(filepath.Join(dir, tweetsFile), ds.CollectedTweets); err != nil {
-		return err
-	}
-	if err := writeJSONL(filepath.Join(dir, pairsFile), ds.Pairs); err != nil {
-		return err
-	}
-	ttl := rowsByKey(ds.TwitterTimelines, func(id string, tl *crawler.TwitterTimeline) twitterTLRow {
-		return twitterTLRow{TwitterID: id, Timeline: tl}
-	})
-	if err := writeJSONL(filepath.Join(dir, twitterTLFile), ttl); err != nil {
-		return err
-	}
-	mtl := rowsByKey(ds.MastodonTimelines, func(id string, tl *crawler.MastodonTimeline) mastoTLRow {
-		return mastoTLRow{TwitterID: id, Timeline: tl}
-	})
-	if err := writeJSONL(filepath.Join(dir, mastoTLFile), mtl); err != nil {
-		return err
-	}
-	frs := rowsByKey(ds.TwitterFollowees, func(id string, fs []crawler.FolloweeRef) followeeRow {
-		return followeeRow{TwitterID: id, Followees: fs}
-	})
-	if err := writeJSONL(filepath.Join(dir, followeeFile), frs); err != nil {
-		return err
-	}
-	mfs := rowsByKey(ds.MastodonFollowing, func(id string, hs []string) mfollowRow {
-		return mfollowRow{TwitterID: id, Handles: hs}
-	})
-	if err := writeJSONL(filepath.Join(dir, mfollowFile), mfs); err != nil {
-		return err
-	}
-	ars := rowsByKey(ds.Activity, func(domain string, weeks []crawler.WeekActivity) activityRow {
-		return activityRow{Domain: domain, Weeks: weeks}
-	})
-	return writeJSONL(filepath.Join(dir, activityFile), ars)
 }
 
-// rowsByKey turns a map into storage rows in ascending key order, so the
-// same dataset always writes the same bytes.
-func rowsByKey[V, R any](m map[string]V, row func(string, V) R) []R {
-	rows := make([]R, 0, len(m))
-	for _, k := range slices.Sorted(maps.Keys(m)) {
-		rows = append(rows, row(k, m[k]))
+// deflated is one block of rows as a gzip member.
+type deflated struct {
+	Member
+	data []byte
+	err  error
+}
+
+// deflater streams JSON lines through bw into zw, counting them in n.
+type deflater struct {
+	zw *gzip.Writer
+	bw *bufio.Writer
+	n  int
+}
+
+func (d *deflater) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return d.bw.Write(p)
+}
+
+// deflaters keeps one deflater per running Save task, so their
+// compressors, about 800 KB each, are reused.
+var deflaters = sync.Pool{New: func() any {
+	zw := gzip.NewWriter(nil)
+	return &deflater{zw: zw, bw: bufio.NewWriter(zw)}
+}}
+
+// deflate encodes rows [lo, hi) of t into one gzip member of its own.
+func deflate(t table, lo, hi int) deflated {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	var buf bytes.Buffer
+	d.zw.Reset(&buf)
+	d.bw.Reset(d.zw)
+	d.n = 0
+	err := t.encode(json.NewEncoder(d), lo, hi)
+	if err == nil {
+		err = d.bw.Flush()
 	}
-	return rows
+	if err == nil {
+		err = d.zw.Close()
+	}
+	if err != nil {
+		err = fmt.Errorf("store: encoding %s: %w", t.file(), err)
+	}
+	return deflated{Member{Bytes: buf.Len(), JSONBytes: d.n, Rows: hi - lo}, buf.Bytes(), err}
+}
+
+// writeFile writes t's data file in dir from its members and returns its
+// manifest record, hashing the bytes as they are written.
+func writeFile(dir string, t table, members []deflated) (DataFile, error) {
+	f := DataFile{Name: t.file(), Rows: t.len(), Members: make([]Member, len(members))}
+	path := filepath.Join(dir, f.Name)
+	h := sha256.New()
+	err := atomicWriteFile(path, 0o644, func(w io.Writer) error {
+		w = io.MultiWriter(w, h)
+		for i, d := range members {
+			f.Members[i] = d.Member
+			if _, err := w.Write(d.data); err != nil {
+				return fmt.Errorf("store: write %s: %w", path, err)
+			}
+		}
+		return nil
+	})
+	f.SHA256 = hex.EncodeToString(h.Sum(nil))
+	return f, err
 }
 
 // Load reads a dataset from dir.
@@ -259,91 +487,132 @@ func Load(dir string) (*crawler.Dataset, *Manifest, error) {
 		return nil, nil, fmt.Errorf("store: manifest: %w", err)
 	}
 	ds := crawler.NewDataset()
-	if err := readJSONL(filepath.Join(dir, instancesFile), &ds.Instances); err != nil {
-		return nil, nil, err
+	tabs := tables(ds)
+	if !(m.Version == 1 && m.Files == nil || m.Version == version && len(m.Files) == len(tabs)) {
+		return nil, nil, fmt.Errorf("store: manifest: version %d with %d files", m.Version, len(m.Files))
 	}
-	if err := readJSONL(filepath.Join(dir, tweetsFile), &ds.CollectedTweets); err != nil {
-		return nil, nil, err
+
+	// A version 1 file is one member with unknown counts.
+	type file struct {
+		raw     []byte
+		members []Member
+		err     error
 	}
-	if err := readJSONL(filepath.Join(dir, pairsFile), &ds.Pairs); err != nil {
-		return nil, nil, err
+	files := parallel.MapSlice(0, len(tabs), func(i int) file {
+		path := filepath.Join(dir, tabs[i].file())
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return file{err: fmt.Errorf("store: %w", err)}
+		}
+		if m.Files == nil {
+			return file{raw: raw, members: []Member{{Bytes: len(raw), JSONBytes: -1, Rows: -1}}}
+		}
+		if err := m.Files[i].check(tabs[i].file(), raw); err != nil {
+			return file{err: fmt.Errorf("store: %s: %w", path, err)}
+		}
+		return file{raw: raw, members: m.Files[i].Members}
+	})
+	type task struct {
+		tab, member, lo int
+		data            []byte
 	}
-	var ttl []twitterTLRow
-	if err := readJSONL(filepath.Join(dir, twitterTLFile), &ttl); err != nil {
-		return nil, nil, err
+	var tasks []task
+	for i, f := range files {
+		if f.err != nil {
+			return nil, nil, f.err
+		}
+		if m.Files != nil {
+			tabs[i].resize(m.Files[i].Rows)
+		}
+		off := 0
+		for k, mem := range f.members {
+			tasks = append(tasks, task{i, k, k * blockRows, f.raw[off : off+mem.Bytes]})
+			off += mem.Bytes
+		}
 	}
-	for _, row := range ttl {
-		ds.TwitterTimelines[row.TwitterID] = row.Timeline
+	errs := parallel.MapSlice(0, len(tasks), func(i int) error {
+		t := tasks[i]
+		if err := inflate(tabs[t.tab], t.data, t.lo, files[t.tab].members[t.member]); err != nil {
+			return fmt.Errorf("store: %s member %d: %w", filepath.Join(dir, tabs[t.tab].file()), t.member, err)
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
 	}
-	var mtl []mastoTLRow
-	if err := readJSONL(filepath.Join(dir, mastoTLFile), &mtl); err != nil {
-		return nil, nil, err
+	for _, t := range tabs {
+		t.put()
 	}
-	for _, row := range mtl {
-		ds.MastodonTimelines[row.TwitterID] = row.Timeline
-	}
-	var frs []followeeRow
-	if err := readJSONL(filepath.Join(dir, followeeFile), &frs); err != nil {
-		return nil, nil, err
-	}
-	for _, row := range frs {
-		ds.TwitterFollowees[row.TwitterID] = row.Followees
-	}
-	var mfs []mfollowRow
-	if err := readJSONL(filepath.Join(dir, mfollowFile), &mfs); err != nil {
-		return nil, nil, err
-	}
-	for _, row := range mfs {
-		ds.MastodonFollowing[row.TwitterID] = row.Handles
-	}
-	var ars []activityRow
-	if err := readJSONL(filepath.Join(dir, activityFile), &ars); err != nil {
-		return nil, nil, err
-	}
-	for _, row := range ars {
-		ds.Activity[row.Domain] = row.Weeks
+	if len(ds.Instances) != m.Counts.Instances || len(ds.CollectedTweets) != m.Counts.Tweets || len(ds.Pairs) != m.Counts.Pairs {
+		return nil, nil, fmt.Errorf("store: loaded %d instances, %d tweets and %d pairs; manifest counts %d, %d and %d",
+			len(ds.Instances), len(ds.CollectedTweets), len(ds.Pairs), m.Counts.Instances, m.Counts.Tweets, m.Counts.Pairs)
 	}
 	return ds, &m, nil
 }
 
-// writeJSONL writes one JSON document per line, gzip-compressed, via an
-// atomic temp-file+rename.
-func writeJSONL[T any](path string, rows []T) error {
-	return atomicWriteFile(path, 0o644, func(w io.Writer) error {
-		gz := gzip.NewWriter(w)
-		bw := bufio.NewWriter(gz)
-		enc := json.NewEncoder(bw)
-		for i := range rows {
-			if err := enc.Encode(&rows[i]); err != nil {
-				return fmt.Errorf("store: encoding %s: %w", path, err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return gz.Close()
-	})
-}
-
-// readJSONL reads a gzip JSONL file into out (a pointer to a slice).
-func readJSONL[T any](path string, out *[]T) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+// check verifies a data file's bytes against its manifest record: the
+// name, the checksum, and members that tile the file in blocks of
+// blockRows rows.
+func (f *DataFile) check(name string, raw []byte) error {
+	sum := sha256.Sum256(raw)
+	switch {
+	case f.Name != name:
+		return fmt.Errorf("manifest lists %q in its place", f.Name)
+	case f.SHA256 != hex.EncodeToString(sum[:]):
+		return errors.New("checksum mismatch")
+	case f.Rows < 0 || len(f.Members) != memberCount(f.Rows):
+		return fmt.Errorf("%d members for %d rows", len(f.Members), f.Rows)
 	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		return fmt.Errorf("store: gunzip %s: %w", path, err)
-	}
-	defer gz.Close()
-	dec := json.NewDecoder(bufio.NewReader(gz))
-	for dec.More() {
-		var row T
-		if err := dec.Decode(&row); err != nil {
-			return fmt.Errorf("store: decoding %s: %w", path, err)
+	off := 0
+	for k, mem := range f.Members {
+		if mem.Rows != min(blockRows, f.Rows-k*blockRows) || mem.Bytes <= 0 || mem.Bytes > len(raw)-off || mem.JSONBytes < 0 {
+			return fmt.Errorf("member %d does not fit the file", k)
 		}
-		*out = append(*out, row)
+		off += mem.Bytes
+	}
+	if off != len(raw) {
+		return fmt.Errorf("members cover %d of %d bytes", off, len(raw))
 	}
 	return nil
+}
+
+// inflaters keeps gzip readers for Load, so their decompressors are
+// reused.
+var inflaters = sync.Pool{New: func() any { return new(gzip.Reader) }}
+
+// inflate decodes the gzip member data into rows [lo, lo+m.Rows) of t. It
+// reads the member to its end, so gzip checks its CRC-32 and length.
+func inflate(t table, data []byte, lo int, m Member) error {
+	zr := inflaters.Get().(*gzip.Reader)
+	defer inflaters.Put(zr)
+	br := bytes.NewReader(data)
+	if err := zr.Reset(br); err != nil {
+		return err
+	}
+	zr.Multistream(false)
+	cr := &countingReader{r: zr}
+	if err := t.decode(json.NewDecoder(cr), lo, m.Rows); err != nil {
+		return err
+	}
+	switch {
+	case br.Len() > 0:
+		return fmt.Errorf("%d bytes after the gzip member", br.Len())
+	case m.JSONBytes >= 0 && cr.n != m.JSONBytes:
+		return fmt.Errorf("%d bytes of JSON, manifest says %d", cr.n, m.JSONBytes)
+	}
+	return nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }

@@ -2,9 +2,15 @@ package store
 
 import (
 	"bytes"
+	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
-	"strconv"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -101,50 +107,319 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveAtByteIdentical saves one dataset twice with the same
-// timestamp: every file must come out byte for byte the same, including
-// those built from the dataset's maps, whose iteration order varies from
-// one range to the next.
+// TestSaveAtByteIdentical saves one dataset, whose files span several
+// gzip members, at GOMAXPROCS 1, 2 and 8: every file, the manifest
+// included, must come out byte for byte the same, including those built
+// from the dataset's maps, whose iteration order varies from one range
+// to the next. Each file's members must tile it.
 func TestSaveAtByteIdentical(t *testing.T) {
-	ds := sampleDataset()
+	ds := syntheticDataset(300, 130, 2)
 	at := time.Date(2022, 11, 1, 10, 0, 0, 0, time.UTC)
-	for i := 0; i < 40; i++ {
-		id := strconv.Itoa(1000 + i)
-		ds.TwitterTimelines[id] = &crawler.TwitterTimeline{State: crawler.StateOK,
-			Posts: []crawler.Post{{ID: id, Time: at, Text: "tweet " + id}}}
-		ds.MastodonTimelines[id] = &crawler.MastodonTimeline{State: crawler.StateInstanceDown}
-		ds.TwitterFollowees[id] = []crawler.FolloweeRef{{TwitterID: id, Username: "u" + id}}
-		ds.MastodonFollowing[id] = []string{"@u" + id + "@tiny.town"}
-		ds.Activity["i"+id+".social"] = []crawler.WeekActivity{{Week: at, Statuses: i}}
-	}
-	dirs := []string{t.TempDir(), t.TempDir()}
-	for _, dir := range dirs {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var dirs []string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		dir := t.TempDir()
 		if err := SaveAt(dir, ds, false, at); err != nil {
 			t.Fatal(err)
 		}
+		dirs = append(dirs, dir)
 	}
-	names := []string{manifestFile, instancesFile, tweetsFile, pairsFile, twitterTLFile,
-		mastoTLFile, followeeFile, mfollowFile, activityFile}
 	entries, err := os.ReadDir(dirs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(names) {
-		t.Fatalf("saved %d files, want %d", len(entries), len(names))
+	if len(entries) != len(fileNames) {
+		t.Fatalf("saved %d files, want %d", len(entries), len(fileNames))
 	}
-	for _, name := range names {
+	for _, name := range fileNames {
 		a, err := os.ReadFile(filepath.Join(dirs[0], name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dirs[1], name))
+		for _, dir := range dirs[1:] {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s differs between GOMAXPROCS 1 and %s", name, dir)
+			}
+		}
+	}
+
+	_, m, err := Load(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := map[string]int{}
+	for _, f := range m.Files {
+		fi, err := os.Stat(filepath.Join(dirs[0], f.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs between two saves", name)
+		size, rows := 0, 0
+		for _, mem := range f.Members {
+			size += mem.Bytes
+			rows += mem.Rows
+		}
+		if int64(size) != fi.Size() || rows != f.Rows {
+			t.Errorf("%s: members hold %d bytes and %d rows, file has %d and %d", f.Name, size, rows, fi.Size(), f.Rows)
+		}
+		members[f.Name] = len(f.Members)
+	}
+	if members[tweetsFile] < 3 || members[twitterTLFile] < 2 {
+		t.Fatalf("members per file %v: want at least 3 for tweets and 2 for Twitter timelines", members)
+	}
+}
+
+// fileNames lists every file of a dataset directory.
+var fileNames = []string{manifestFile, instancesFile, tweetsFile, pairsFile, twitterTLFile,
+	mastoTLFile, followeeFile, mfollowFile, activityFile}
+
+// datasetJSON is the dataset as JSON, for exact comparisons.
+func datasetJSON(t testing.TB, ds *crawler.Dataset) string {
+	b, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestLoadV1Fixture loads testdata/v1, written by the version 1 SaveAt
+// of sampleDataset: one gzip member per file and no files list.
+func TestLoadV1Fixture(t *testing.T) {
+	got, m, err := Load("testdata/v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != 1 || m.Files != nil {
+		t.Fatalf("manifest %+v, want a version 1 one", m)
+	}
+	if datasetJSON(t, got) != datasetJSON(t, sampleDataset()) {
+		t.Fatal("v1 fixture does not load as sampleDataset")
+	}
+}
+
+// TestLoadRejectsTornSave swaps in one data file from another save, as
+// a save cut short before its manifest would leave it.
+func TestLoadRejectsTornSave(t *testing.T) {
+	old, next := t.TempDir(), t.TempDir()
+	if err := Save(old, sampleDataset(), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(next, syntheticDataset(10, 2, 1), false); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(next, pairsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, pairsFile), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(old); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Load of a torn save: %v, want a checksum error", err)
+	}
+}
+
+// savedFiles returns the files of two saved datasets with the dataset
+// each must load as: the v1 fixture and a v2 save whose tweets span
+// three members.
+func savedFiles(t testing.TB) (v1, v2 map[string][]byte, v1want, v2want string) {
+	readDir := func(dir string) map[string][]byte {
+		files := map[string][]byte{}
+		for _, name := range fileNames {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = b
+		}
+		return files
+	}
+	ds := syntheticDataset(300, 20, 2)
+	dir := t.TempDir()
+	if err := SaveAt(dir, ds, false, time.Date(2022, 11, 1, 10, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	return readDir("testdata/v1"), readDir(dir), datasetJSON(t, sampleDataset()), datasetJSON(t, ds)
+}
+
+// writeDir writes files to a new directory, passing the manifest
+// through edit first unless edit is nil.
+func writeDir(t testing.TB, files map[string][]byte, edit func(*Manifest)) string {
+	dir := t.TempDir()
+	for name, b := range files {
+		if name == manifestFile && edit != nil {
+			var m Manifest
+			if err := json.Unmarshal(b, &m); err != nil {
+				t.Fatal(err)
+			}
+			edit(&m)
+			var err error
+			if b, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// damage copies the files src into a new directory with file name
+// damaged: it drops the last cut bytes of the file, or of an empty gzip
+// member put in its place when blank is set, and XORs the byte at off
+// with x. For a data file of a v2 save it then rewrites the file's
+// checksum in the manifest, so the member, CRC-32 and row checks are
+// what must catch the damage.
+func damage(t testing.TB, src map[string][]byte, name string, off uint32, x byte, cut uint32, blank bool) string {
+	data := bytes.Clone(src[name])
+	if blank {
+		var empty bytes.Buffer
+		if err := gzip.NewWriter(&empty).Close(); err != nil {
+			t.Fatal(err)
+		}
+		data = empty.Bytes()
+	}
+	data = data[:len(data)-min(int(cut), len(data))]
+	if len(data) > 0 {
+		data[int(off)%len(data)] ^= x
+	}
+	files := maps.Clone(src)
+	files[name] = data
+	if name == manifestFile {
+		return writeDir(t, files, nil)
+	}
+	return writeDir(t, files, func(m *Manifest) {
+		if f := entry(m, name); f != nil {
+			sum := sha256.Sum256(data)
+			f.SHA256 = hex.EncodeToString(sum[:])
+		}
+	})
+}
+
+// entry is m's record of the data file name, or nil.
+func entry(m *Manifest, name string) *DataFile {
+	if i := slices.IndexFunc(m.Files, func(f DataFile) bool { return f.Name == name }); i >= 0 {
+		return &m.Files[i]
+	}
+	return nil
+}
+
+// TestLoadChecksManifest changes one field of a v2 manifest at a time,
+// on the tweets file's three members where it names a file. Load must
+// refuse each.
+func TestLoadChecksManifest(t *testing.T) {
+	_, v2, _, _ := savedFiles(t)
+	tweets := func(m *Manifest) *DataFile { return entry(m, tweetsFile) }
+	for _, c := range []struct {
+		field string
+		edit  func(*Manifest)
+	}{
+		{"version", func(m *Manifest) { m.Version = 3 }},
+		{"counts", func(m *Manifest) { m.Counts.Tweets-- }},
+		{"name", func(m *Manifest) { tweets(m).Name = pairsFile }},
+		{"rows", func(m *Manifest) { tweets(m).Rows-- }},
+		{"sha256", func(m *Manifest) { tweets(m).SHA256 = m.Files[0].SHA256 }},
+		{"member bytes", func(m *Manifest) { tweets(m).Members[0].Bytes++; tweets(m).Members[1].Bytes-- }},
+		{"member json_bytes", func(m *Manifest) { tweets(m).Members[1].JSONBytes++ }},
+		{"member rows", func(m *Manifest) { tweets(m).Members[0].Rows--; tweets(m).Members[2].Rows++ }},
+	} {
+		if _, _, err := Load(writeDir(t, v2, c.edit)); err == nil {
+			t.Errorf("Load accepted a manifest with its %s changed", c.field)
+		}
+	}
+	if _, _, err := Load(writeDir(t, v2, func(*Manifest) {})); err != nil {
+		t.Fatalf("Load of the manifest re-encoded unchanged: %v", err)
+	}
+}
+
+// trailerDamage is what Load let through before it read every member to
+// its end and compared counts: a flipped CRC-32 byte, a flipped length
+// byte, a file cut before its 8-byte trailer and an empty gzip in the
+// file's place. back counts off from the end of the file.
+var trailerDamage = []struct {
+	back  int
+	x     byte
+	cut   uint32
+	blank bool
+}{{8, 0xff, 0, false}, {4, 0x01, 0, false}, {0, 0, 8, false}, {0, 0, 0, true}}
+
+func TestLoadRejectsTrailerDamage(t *testing.T) {
+	v1, v2, _, _ := savedFiles(t)
+	for _, c := range []struct {
+		src  map[string][]byte
+		name string
+	}{{v1, pairsFile}, {v2, tweetsFile}} {
+		for _, d := range trailerDamage {
+			dir := damage(t, c.src, c.name, uint32(len(c.src[c.name])-d.back), d.x, d.cut, d.blank)
+			if _, _, err := Load(dir); err == nil {
+				t.Errorf("%s with damage %+v loaded", c.name, d)
+			}
+		}
+	}
+}
+
+// TestLoadRejectsBytesAfterMember appends a byte to pairs.jsonl.gz.
+// In v2 the checksum is updated to match, with and without the last
+// member's size.
+func TestLoadRejectsBytesAfterMember(t *testing.T) {
+	v1, v2, _, _ := savedFiles(t)
+	for _, c := range []struct {
+		src  map[string][]byte
+		grow bool
+	}{{v1, false}, {v2, false}, {v2, true}} {
+		files := maps.Clone(c.src)
+		files[pairsFile] = append(bytes.Clone(c.src[pairsFile]), 0)
+		dir := writeDir(t, files, func(m *Manifest) {
+			if f := entry(m, pairsFile); f != nil {
+				sum := sha256.Sum256(files[pairsFile])
+				f.SHA256 = hex.EncodeToString(sum[:])
+				if c.grow {
+					f.Members[len(f.Members)-1].Bytes++
+				}
+			}
+		})
+		if _, m, err := Load(dir); err == nil {
+			t.Errorf("v%d pairs file with a trailing byte loaded (member grown: %v)", m.Version, c.grow)
+		}
+	}
+}
+
+// FuzzLoad damages one file, the manifest included, of the v1 fixture
+// or of a v2 save (see damage). Load must fail or return exactly the
+// saved dataset.
+func FuzzLoad(f *testing.F) {
+	v1, v2, v1want, v2want := savedFiles(f)
+	for _, c := range []struct {
+		isV2 bool
+		name string
+	}{{false, pairsFile}, {true, tweetsFile}} {
+		src := v1
+		if c.isV2 {
+			src = v2
+		}
+		for _, d := range trailerDamage {
+			f.Add(c.isV2, uint8(slices.Index(fileNames, c.name)), uint32(len(src[c.name])-d.back), d.x, d.cut, d.blank)
+		}
+	}
+	f.Fuzz(func(t *testing.T, isV2 bool, file uint8, off uint32, x byte, cut uint32, blank bool) {
+		src, want := v1, v1want
+		if isV2 {
+			src, want = v2, v2want
+		}
+		name := fileNames[int(file)%len(fileNames)]
+		if blank && !isV2 && !slices.Contains([]string{instancesFile, tweetsFile, pairsFile}, name) {
+			t.Skip("a v1 manifest counts no rows of this file, so a valid empty one cannot be told apart")
+		}
+		got, _, err := Load(damage(t, src, name, off, x, cut, blank))
+		if err == nil && datasetJSON(t, got) != want {
+			t.Fatalf("damaged %s loaded as a different dataset", name)
+		}
+	})
 }
 
 func TestLoadMissingDir(t *testing.T) {
