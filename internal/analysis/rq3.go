@@ -372,13 +372,25 @@ type HashtagTables struct {
 func countHashtags(workers, n int, posts func(i int) []crawler.Post) map[string]int {
 	counts := parallel.ReduceSharded(workers, n,
 		func(lo, hi int) map[string]int {
-			m := map[string]int{}
+			// Counting through pointers allocates once per distinct
+			// tag: m[string(tag)] does not allocate, an assignment does.
+			tally := map[string]*int{}
+			var arr [64]byte
 			for i := lo; i < hi; i++ {
 				for _, p := range posts(i) {
-					for _, h := range textkit.Hashtags(p.Text) {
-						m[h]++
+					for tag, j := textkit.NextHashtag(p.Text, 0, arr[:0]); j >= 0; tag, j = textkit.NextHashtag(p.Text, j, arr[:0]) {
+						if c := tally[string(tag)]; c != nil {
+							*c++
+						} else {
+							n := 1
+							tally[string(tag)] = &n
+						}
 					}
 				}
+			}
+			m := make(map[string]int, len(tally))
+			for h, c := range tally {
+				m[h] = *c
 			}
 			return m
 		},

@@ -18,12 +18,16 @@
 package birdsite
 
 import (
+	"cmp"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"flock/internal/ids"
+	"flock/internal/textkit"
 	"flock/internal/vclock"
 	"flock/internal/world"
 )
@@ -74,10 +78,15 @@ type bucket struct {
 
 // New indexes the world and returns the service. Indexing cost is paid
 // once; queries are posting-list intersections.
+//
+// The index is built in one serial pass over the corpus in (Time, ID)
+// order. Every word comes from the allocation-free textkit.NextWord, so a
+// token's key is allocated once, when it is first seen, and a position
+// is posted once per token per tweet by checking its list's last entry.
 func New(w *world.World) *Service {
 	s := &Service{
 		w:          w,
-		postings:   make(map[string][]int32),
+		tweets:     sortedTweets(w),
 		byUsername: make(map[string]*world.User, len(w.Users)),
 		byID:       make(map[string]*world.User, len(w.Users)),
 		buckets:    make(map[string]*bucket),
@@ -87,28 +96,57 @@ func New(w *world.World) *Service {
 		s.byUsername[strings.ToLower(u.Username)] = u
 		s.byID[u.TwitterID.String()] = u
 	}
+	ix := &indexer{ids: make(map[string]int32)}
+	// from[uid] is the id of uid's from: token, for users with tweets.
+	from := make([]int32, len(w.TweetsByUser))
 	for uid, tweets := range w.TweetsByUser {
-		for i := range tweets {
-			s.tweets = append(s.tweets, tweetRef{UserID: uid, Idx: i})
+		if len(tweets) > 0 {
+			from[uid] = ix.id([]byte("from:" + strings.ToLower(w.Users[uid].Username)))
 		}
 	}
-	sort.Slice(s.tweets, func(a, b int) bool {
-		ta, tb := s.get(s.tweets[a]), s.get(s.tweets[b])
-		if !ta.Time.Equal(tb.Time) {
-			return ta.Time.Before(tb.Time)
-		}
-		return ta.ID < tb.ID
-	})
 	for pos, ref := range s.tweets {
-		tw := s.get(ref)
-		for _, tok := range indexTokens(tw.Text) {
-			s.postings[tok] = append(s.postings[tok], int32(pos))
-		}
-		// from: operator support.
-		s.postings["from:"+strings.ToLower(s.w.Users[ref.UserID].Username)] = append(
-			s.postings["from:"+strings.ToLower(s.w.Users[ref.UserID].Username)], int32(pos))
+		ix.addText(s.get(ref).Text, int32(pos))
+		// Unconditional, after the text's tokens: a text that names
+		// from:<its author> posts the position twice.
+		ix.lists[from[ref.UserID]] = append(ix.lists[from[ref.UserID]], int32(pos))
+	}
+	s.postings = make(map[string][]int32, len(ix.keys))
+	for id, k := range ix.keys {
+		s.postings[k] = ix.lists[id]
 	}
 	return s
+}
+
+// sortedTweets lists every tweet of w by (Time, ID) ascending.
+// Time.UnixNano orders as Time.Before does for every time in years
+// 1678–2262, which holds all of a world's times.
+func sortedTweets(w *world.World) []tweetRef {
+	type keyed struct {
+		at  int64
+		id  ids.Snowflake
+		ref tweetRef
+	}
+	n := 0
+	for _, tweets := range w.TweetsByUser {
+		n += len(tweets)
+	}
+	ks := make([]keyed, 0, n)
+	for uid, tweets := range w.TweetsByUser {
+		for i := range tweets {
+			ks = append(ks, keyed{tweets[i].Time.UnixNano(), tweets[i].ID, tweetRef{UserID: uid, Idx: i}})
+		}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	refs := make([]tweetRef, len(ks))
+	for i, k := range ks {
+		refs[i] = k.ref
+	}
+	return refs
 }
 
 // SetLimits installs rate limits (tests and realistic crawls).
@@ -136,34 +174,60 @@ func (s *Service) get(ref tweetRef) *world.Tweet {
 // urlRe finds https?:// URLs for domain extraction at index time.
 var urlRe = regexp.MustCompile(`https?://([a-zA-Z0-9.-]+)(/[^\s]*)?`)
 
-// indexTokens produces the searchable tokens of a tweet: lowercase words,
-// #hashtags, and url:domain markers for every linked host.
-func indexTokens(text string) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(tok string) {
-		if tok != "" && !seen[tok] {
-			seen[tok] = true
-			out = append(out, tok)
+// indexCut is what the index strips from both ends of every word. Query
+// words are cut the same way, so a query can name every indexed token.
+var indexCut = textkit.NewCut(".,;:!?()[]\"'—", ".,;:!?()[]\"'—")
+
+// indexer accumulates posting lists. ids numbers the tokens densely in
+// first-seen order; keys and lists are indexed by that number.
+type indexer struct {
+	ids   map[string]int32
+	keys  []string
+	lists [][]int32
+}
+
+// id returns tok's number, allocating its key only when tok is new: the
+// lookup ix.ids[string(tok)] does not allocate.
+func (ix *indexer) id(tok []byte) int32 {
+	if id, ok := ix.ids[string(tok)]; ok {
+		return id
+	}
+	k := string(tok)
+	id := int32(len(ix.keys))
+	ix.ids[k] = id
+	ix.keys = append(ix.keys, k)
+	ix.lists = append(ix.lists, nil)
+	return id
+}
+
+// post adds pos to tok's list unless it is there already. Positions
+// arrive in ascending order, so a token posted for this tweet before is
+// its list's last entry.
+func (ix *indexer) post(tok []byte, pos int32) {
+	id := ix.id(tok)
+	if l := ix.lists[id]; len(l) == 0 || l[len(l)-1] != pos {
+		ix.lists[id] = append(l, pos)
+	}
+}
+
+// addText posts the searchable tokens of the tweet at pos: a url:domain
+// marker for every linked host, then every word of the text with its URLs
+// blanked out, a #hashtag as both "#tag" and "tag".
+func (ix *indexer) addText(text string, pos int32) {
+	// urlRe cannot match a text without "://", and few texts have one.
+	if strings.Contains(text, "://") {
+		for _, m := range urlRe.FindAllStringSubmatch(text, -1) {
+			ix.post([]byte("url:"+strings.ToLower(m[1])), pos)
+		}
+		text = urlRe.ReplaceAllString(text, " ")
+	}
+	var arr [64]byte
+	for w, i := textkit.NextWord(text, 0, indexCut, arr[:0]); i >= 0; w, i = textkit.NextWord(text, i, indexCut, arr[:0]) {
+		ix.post(w, pos)
+		if w[0] == '#' && len(w) > 1 {
+			ix.post(w[1:], pos)
 		}
 	}
-	for _, m := range urlRe.FindAllStringSubmatch(text, -1) {
-		add("url:" + strings.ToLower(m[1]))
-	}
-	clean := urlRe.ReplaceAllString(text, " ")
-	for _, f := range strings.Fields(strings.ToLower(clean)) {
-		f = strings.Trim(f, ".,;:!?()[]\"'—")
-		if f == "" {
-			continue
-		}
-		if strings.HasPrefix(f, "#") {
-			add(f)
-			add(strings.TrimPrefix(f, "#"))
-			continue
-		}
-		add(f)
-	}
-	return out
 }
 
 // Query grammar: clauses separated by OR; a clause is a conjunction of
@@ -180,8 +244,11 @@ type term struct {
 
 // parseQuery parses the operator subset. It is liberal: unknown syntax
 // degrades to keyword terms, like the real API's matching behaviour.
+// Keywords and a phrase's words are cut like the index's words; a word
+// that is nothing but cut characters adds no term.
 func parseQuery(q string) query {
 	var out query
+	var arr [64]byte
 	for _, clause := range splitTopOR(q) {
 		var terms []term
 		rest := strings.TrimSpace(clause)
@@ -198,11 +265,12 @@ func parseQuery(q string) query {
 				}
 				phrase := rest[1 : 1+end]
 				rest = rest[min(len(rest), end+2):]
-				words := strings.Fields(strings.ToLower(phrase))
-				for _, w := range words {
-					terms = append(terms, term{tok: strings.Trim(w, ".,;:!?")})
+				n := 0
+				for w, i := textkit.NextWord(phrase, 0, indexCut, arr[:0]); i >= 0; w, i = textkit.NextWord(phrase, i, indexCut, arr[:0]) {
+					terms = append(terms, term{tok: string(w)})
+					n++
 				}
-				if len(words) > 1 {
+				if n > 1 {
 					terms = append(terms, term{phrase: strings.ToLower(phrase)})
 				}
 				continue
@@ -214,15 +282,17 @@ func parseQuery(q string) query {
 			} else {
 				word, rest = rest[:sp], rest[sp+1:]
 			}
-			word = strings.ToLower(word)
+			lw := strings.ToLower(word)
 			switch {
-			case strings.HasPrefix(word, "url:"):
-				dom := strings.Trim(strings.TrimPrefix(word, "url:"), `"`)
+			case strings.HasPrefix(lw, "url:"):
+				dom := strings.Trim(strings.TrimPrefix(lw, "url:"), `"`)
 				terms = append(terms, term{tok: "url:" + dom})
-			case strings.HasPrefix(word, "from:"):
-				terms = append(terms, term{tok: word})
+			case strings.HasPrefix(lw, "from:"):
+				terms = append(terms, term{tok: lw})
 			default:
-				terms = append(terms, term{tok: strings.Trim(word, ".,;:!?")})
+				if w, i := textkit.NextWord(word, 0, indexCut, arr[:0]); i >= 0 {
+					terms = append(terms, term{tok: string(w)})
+				}
 			}
 		}
 		if len(terms) > 0 {

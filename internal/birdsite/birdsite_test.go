@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -385,6 +386,48 @@ func TestAnnouncementsDiscoverableViaSearch(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("announcement for %s on %s not found via url: search", u.Username, domain)
+	}
+}
+
+func TestSearchTrimsLikeIndex(t *testing.T) {
+	s, _ := setup(t)
+	for _, c := range []struct {
+		bare  string
+		forms []string
+	}{
+		{"mastodon", []string{"(mastodon)", "mastodon)", "[mastodon]", "'mastodon'", "—mastodon—", `"'mastodon'"`}},
+		{"mastodon OR fediverse", []string{"(mastodon OR fediverse)", "[mastodon OR 'fediverse']"}},
+	} {
+		want := s.search(parseQuery(c.bare), vclock.StudyStart, vclock.StudyEnd)
+		if len(want) == 0 {
+			t.Fatalf("%s: no results", c.bare)
+		}
+		for _, q := range c.forms {
+			if got := s.search(parseQuery(q), vclock.StudyStart, vclock.StudyEnd); !slices.Equal(got, want) {
+				t.Errorf("%s: %d results, want the %d of %s", q, len(got), len(want), c.bare)
+			}
+		}
+	}
+}
+
+// indexSink keeps BenchmarkIndexBuild's result live.
+var indexSink *Service
+
+// BenchmarkIndexBuild times New alone on the seed-99 300-migrant world,
+// the paper_300 benchmark workload's world. It loops to b.N rather than
+// on b.Loop, which in Go 1.24 times the first -cpu value at the previous
+// GOMAXPROCS.
+func BenchmarkIndexBuild(b *testing.B) {
+	cfg := world.DefaultConfig(300)
+	cfg.Seed = 99
+	w, err := world.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = New(w)
 	}
 }
 

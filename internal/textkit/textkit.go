@@ -12,6 +12,9 @@
 // The topic mix mirrors the paper's observation: Twitter content spans
 // Entertainment, Celebrities, Politics, Sports, Tech...; Mastodon content
 // in the study window is dominated by Fediverse/Migration discussion.
+//
+// The reading side is one allocation-free word scanner, NextWord, which
+// the search index, the toxicity scorer and hashtag counting share.
 package textkit
 
 import (
@@ -392,16 +395,26 @@ func (g *Generator) Bio(topic Topic, username, host string, withHandle bool) str
 	return b.String()
 }
 
-// Hashtags extracts the lowercase hashtags from a post.
-func Hashtags(text string) []string {
-	var out []string
-	for _, f := range strings.Fields(text) {
-		if strings.HasPrefix(f, "#") && len(f) > 1 {
-			tag := strings.ToLower(strings.TrimRight(f, ".,;:!?"))
-			if len(tag) > 1 {
-				out = append(out, tag)
-			}
+// hashtagCut strips trailing punctuation from a hashtag ("#tag," is #tag).
+var hashtagCut = NewCut("", ".,;:!?")
+
+// NextHashtag is the hashtag cursor over text, in the form of NextWord: it
+// returns the first lowercase hashtag at or after byte offset i, stripped
+// of trailing ".,;:!?", and the offset to resume from, or next < 0 when
+// text holds no more. A hashtag is a word that starts with '#' and has
+// more than one byte. tag lives in buf's storage (or a larger slice when
+// buf is too small) and is valid until the next call. To list a post's
+// hashtags:
+//
+//	var arr [64]byte
+//	for tag, i := NextHashtag(text, 0, arr[:0]); i >= 0; tag, i = NextHashtag(text, i, arr[:0]) {
+//		...
+//	}
+func NextHashtag(text string, i int, buf []byte) (tag []byte, next int) {
+	for {
+		tag, i = NextWord(text, i, hashtagCut, buf)
+		if i < 0 || len(tag) > 1 && tag[0] == '#' {
+			return tag, i
 		}
 	}
-	return out
 }

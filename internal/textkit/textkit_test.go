@@ -33,7 +33,7 @@ func TestPostDeterministic(t *testing.T) {
 func TestPostHashtagsFromTopicPool(t *testing.T) {
 	g := gen(2)
 	p := g.Post(PostOpts{Topic: TopicMigration, Hashtags: 3})
-	tags := Hashtags(p)
+	tags := hashtags(p)
 	if len(tags) == 0 {
 		t.Fatalf("no hashtags in %q", p)
 	}
@@ -143,7 +143,7 @@ func TestBioHandleEmbedding(t *testing.T) {
 }
 
 func TestHashtagsExtraction(t *testing.T) {
-	tags := Hashtags("leaving now #TwitterMigration, hello #Fediverse! plain words #")
+	tags := hashtags("leaving now #TwitterMigration, hello #Fediverse! plain words #")
 	if len(tags) != 2 {
 		t.Fatalf("tags = %v", tags)
 	}

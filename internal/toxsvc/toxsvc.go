@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -57,11 +56,19 @@ type AttributeScore struct {
 // but not by exact phrase matching.
 var lexicon = buildLexicon()
 
+// lexiconCut and scoreCut strip punctuation from the words of the phrase
+// pool and of a scored text.
+var (
+	lexiconCut = textkit.NewCut(".,!?", ".,!?")
+	scoreCut   = textkit.NewCut(".,!?;:", ".,!?;:")
+)
+
 func buildLexicon() map[string]float64 {
 	lex := map[string]float64{}
+	var arr [64]byte
 	for _, phrase := range textkit.ToxicPhrases() {
-		for _, w := range strings.Fields(strings.ToLower(phrase)) {
-			w = strings.Trim(w, ".,!?")
+		for b, i := textkit.NextWord(phrase, 0, lexiconCut, arr[:0]); i >= 0; b, i = textkit.NextWord(phrase, i, lexiconCut, arr[:0]) {
+			w := string(b)
 			switch w {
 			// Function words and common English words are excluded so
 			// ordinary posts don't trip the lexicon.
@@ -84,9 +91,9 @@ func buildLexicon() map[string]float64 {
 // tests can score without HTTP overhead when measuring the scorer itself.
 func Score(text string) float64 {
 	score := 0.03 + 0.04*jitter(text) // clean baseline
-	for _, w := range strings.Fields(strings.ToLower(text)) {
-		w = strings.Trim(w, ".,!?;:")
-		if wt, ok := lexicon[w]; ok {
+	var arr [64]byte
+	for w, i := textkit.NextWord(text, 0, scoreCut, arr[:0]); i >= 0; w, i = textkit.NextWord(text, i, scoreCut, arr[:0]) {
+		if wt, ok := lexicon[string(w)]; ok {
 			score += wt
 		}
 	}
