@@ -537,9 +537,9 @@ func BenchmarkAblationTailLatency(b *testing.B) {
 			cfg := mkCfg()
 			cfg.Hedge = httpkit.HedgePolicy{Percentile: 0.9, MinSamples: 8, BudgetFrac: 0.05, MinDelay: 5 * time.Millisecond}
 			cfg.Adaptive = crawler.AdaptivePolicy{Enabled: true}
-			c := crawl(b, cfg)
-			st = c.HTTPStats()
-			for _, l := range c.HostLimits() {
+			rep := crawl(b, cfg).Report()
+			st = rep.HTTPStats
+			for _, l := range rep.HostLimits {
 				if l > maxWin {
 					maxWin = l
 				}

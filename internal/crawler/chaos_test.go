@@ -11,10 +11,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +45,20 @@ func newSoakEnv(t testing.TB, nMigrants int, seed uint64) *soakEnv {
 	t.Helper()
 	cfg := world.DefaultConfig(nMigrants)
 	cfg.Seed = seed
+	return newSoakEnvFrom(t, cfg)
+}
+
+// sparseWorld is a 50-migrant world with a small population and few
+// posts, so a whole crawl of it is a few hundred small records.
+func sparseWorld() world.Config {
+	cfg := world.DefaultConfig(50)
+	cfg.PopulationFactor = 2
+	cfg.TweetsPerDay, cfg.StatusesPerDay = 0.05, 0.05
+	return cfg
+}
+
+func newSoakEnvFrom(t testing.TB, cfg world.Config) *soakEnv {
+	t.Helper()
 	w, err := world.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +443,8 @@ func TestChaosHedgedTailLatency(t *testing.T) {
 		t.Fatal("final run did not resume from the checkpoint")
 	}
 
-	stats := c.HTTPStats()
+	rep := c.Report()
+	stats := rep.HTTPStats
 	if stats.HedgesFired == 0 {
 		t.Fatalf("tail-heavy flagship never triggered a hedge: %+v", stats)
 	}
@@ -450,14 +467,9 @@ func TestChaosHedgedTailLatency(t *testing.T) {
 		t.Errorf("hedged run opened %d breakers, baseline %d", hedgedOpens, baseOpens)
 	}
 
-	// The adaptive limiter tracked per-host windows and the report
-	// carries both it and the hedge counters.
-	rep := c.Report()
+	// The adaptive limiter tracked per-host windows.
 	if len(rep.HostLimits) == 0 {
 		t.Error("adaptive limiter reported no per-host limits")
-	}
-	if rep.HTTPStats.HedgesFired != stats.HedgesFired {
-		t.Errorf("report hedge counter %d != client %d", rep.HTTPStats.HedgesFired, stats.HedgesFired)
 	}
 
 	// Hedging is semantically transparent: identical dataset bytes.
@@ -624,15 +636,35 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 // TestCheckpointV1BackwardCompat and TestCheckpointV2BackwardCompat
 // resume from checkpoint files written the way schemas v1 and v2 wrote
 // them, one gzip member holding one JSON value: v1 without the version
-// field and the health snapshot, v2 with both. Each must resume to the
-// dataset of an uninterrupted crawl and re-save under the current schema.
-func TestCheckpointV1BackwardCompat(t *testing.T) { testLegacyResume(t, 0) }
+// field and the health snapshot, v2 with both. Each is killed inside a
+// phase with done units and keeps them in that phase's own set, as those
+// schemas did: v1 mid-mapping (done_authors), v2 mid-activity
+// (done_activity). Each must load that set, resume to the dataset of an
+// uninterrupted crawl and re-save under the current schema.
+func TestCheckpointV1BackwardCompat(t *testing.T) { testLegacyResume(t, 0, 2, "done_authors") }
 
-func TestCheckpointV2BackwardCompat(t *testing.T) { testLegacyResume(t, 2) }
+func TestCheckpointV2BackwardCompat(t *testing.T) { testLegacyResume(t, 2, 6, "done_activity") }
 
-func testLegacyResume(t *testing.T, version int) {
-	const nMigrants, seed = 60, 9
-	refDS, err := crawler.New(newSoakEnv(t, nMigrants, seed).config()).Run(context.Background())
+// phaseKiller cancels the crawl after the n-th save of a progress at
+// phase, the phase before the one in progress.
+type phaseKiller struct {
+	crawler.Checkpoint
+	phase, n, seen int
+	cancel         context.CancelFunc
+}
+
+func (k *phaseKiller) Save(p *crawler.Progress) error {
+	err := k.Checkpoint.Save(p)
+	if p.Phase == k.phase {
+		if k.seen++; k.seen == k.n {
+			k.cancel()
+		}
+	}
+	return err
+}
+
+func testLegacyResume(t *testing.T, version, phase int, field string) {
+	refDS, err := crawler.New(newSoakEnvFrom(t, sparseWorld()).config()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,19 +673,17 @@ func testLegacyResume(t *testing.T, version int) {
 		t.Fatal(err)
 	}
 
-	// A mid-crawl progress: killed right after tweet collection, so the
-	// mapping phase is part done.
-	e := newSoakEnv(t, nMigrants, seed)
+	// A mid-crawl progress: killed after the phase's first periodic save,
+	// so the phase in progress has done units. Four workers leave it
+	// units still to run when the kill lands.
+	e := newSoakEnvFrom(t, sparseWorld())
 	mem := &crawler.MemCheckpoint{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := e.config()
-	cfg.Checkpoint = mem
-	cfg.Logf = func(format string, _ ...any) {
-		if strings.HasPrefix(format, "collected") {
-			cancel()
-		}
-	}
+	cfg.Concurrency = 4
+	cfg.Checkpoint = &phaseKiller{Checkpoint: mem, phase: phase, n: 2, cancel: cancel}
+	cfg.CheckpointEvery = 4
 	if _, err := crawler.New(cfg).Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("kill: err = %v, want context.Canceled", err)
 	}
@@ -661,13 +691,27 @@ func testLegacyResume(t *testing.T, version int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Version = version
+	if prog.Phase != phase || len(prog.Done) == 0 {
+		t.Fatalf("killed at phase %d with %d done units, want phase %d with some", prog.Phase, len(prog.Done), phase)
+	}
+	raw, err := json.Marshal(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	legacy[field] = legacy["done"]
+	delete(legacy, "done")
+	legacy["version"] = json.RawMessage(strconv.Itoa(version))
 	if version < 2 {
-		prog.Health = nil
+		delete(legacy, "version")
+		delete(legacy, "health")
 	}
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(prog); err != nil {
+	if err := json.NewEncoder(zw).Encode(legacy); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
@@ -676,6 +720,13 @@ func testLegacyResume(t *testing.T, version int) {
 	path := filepath.Join(t.TempDir(), "legacy.ckpt.gz")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	loaded, err := store.NewFileCheckpoint(path).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(loaded.Done, prog.Done) {
+		t.Fatalf("v%d file loaded %d done units, want its %d %s", version, len(loaded.Done), len(prog.Done), field)
 	}
 
 	cfg = e.config()

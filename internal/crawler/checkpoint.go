@@ -19,10 +19,12 @@ import (
 // health snapshot; they still load cleanly and resume with an empty
 // registry. v2 adds the persisted per-host health registry. v3 keeps the
 // v2 snapshot layout and lets a checkpoint follow the snapshot with the
-// Records applied since (see store.FileCheckpoint). Decoders refuse
-// versions newer than this constant rather than silently dropping fields
-// they do not understand.
-const ProgressVersion = 3
+// Records applied since (see store.FileCheckpoint). v4 replaces the four
+// per-phase done sets, and the timeline phases' use of the dataset as
+// theirs, with the one Done set; UnmarshalJSON reads v1–v3 snapshots
+// into it. Decoders refuse versions newer than this constant rather than
+// silently dropping fields they do not understand.
+const ProgressVersion = 4
 
 // The §3 pipeline's phases, in execution order. Progress.Phase holds the
 // highest phase that has fully completed, so a resumed crawl re-enters
@@ -75,8 +77,8 @@ type Record struct {
 }
 
 // Progress is the serializable crawl state a Checkpoint persists. It
-// carries the partial dataset plus the per-phase completion sets that let
-// a resumed Crawler.Run skip finished work. The zero value (via
+// carries the partial dataset plus the completion set that lets a
+// resumed Crawler.Run skip finished work. The zero value (via
 // newProgress) is a fresh crawl.
 type Progress struct {
 	// Version is the checkpoint schema version this progress was saved
@@ -94,15 +96,9 @@ type Progress struct {
 	// SeenTweets is the phase-2 dedup accumulator, keyed by tweet ID;
 	// cleared when the phase completes.
 	SeenTweets map[string]SeenTweet `json:"seen_tweets,omitempty"`
-	// DoneQueries marks phase-2 search queries that completed.
-	DoneQueries map[string]bool `json:"done_queries,omitempty"`
-	// DoneAuthors marks phase-3 authors that were mapped or skipped.
-	DoneAuthors map[string]bool `json:"done_authors,omitempty"`
-	// DoneFollowees marks phase-5 sampled users whose followee crawl
-	// finished (including terminal failures).
-	DoneFollowees map[string]bool `json:"done_followees,omitempty"`
-	// DoneActivity marks phase-6 instance domains that finished.
-	DoneActivity map[string]bool `json:"done_activity,omitempty"`
+	// Done marks the finished units of the phase in progress by key,
+	// failed ones included; cleared when the phase completes (schema v4).
+	Done map[string]bool `json:"done"`
 
 	// seq counts the records applied since the progress was created or
 	// decoded; journal holds the last len(journal) of them while
@@ -137,6 +133,54 @@ func (p *Progress) Clone() (*Progress, error) {
 	return out, nil
 }
 
+// UnmarshalJSON decodes a progress of any schema version. Before v4 the
+// tweets, mapping, followees and activity phases each kept their own
+// done set, and the timeline phases took the dataset's timelines as
+// theirs. Every version cleared a phase's set when the phase ended, so a
+// snapshot without a "done" set takes the one of the phase in progress.
+func (p *Progress) UnmarshalJSON(raw []byte) error {
+	type plain Progress
+	v := struct {
+		*plain
+		DoneQueries   map[string]bool `json:"done_queries"`
+		DoneAuthors   map[string]bool `json:"done_authors"`
+		DoneFollowees map[string]bool `json:"done_followees"`
+		DoneActivity  map[string]bool `json:"done_activity"`
+	}{plain: (*plain)(p)}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return err
+	}
+	if p.Done != nil {
+		return nil
+	}
+	switch d, next := p.Dataset, p.Phase+1; {
+	case next == phaseTweets:
+		p.Done = v.DoneQueries
+	case next == phaseMapping:
+		p.Done = v.DoneAuthors
+	case next == phaseTwitterTL && d != nil:
+		p.Done = keySet(d.TwitterTimelines)
+	case next == phaseMastoTL && d != nil:
+		p.Done = keySet(d.MastodonTimelines)
+	case next == phaseFollowees:
+		p.Done = v.DoneFollowees
+	case next == phaseActivity:
+		p.Done = v.DoneActivity
+	}
+	if p.Done == nil {
+		p.Done = map[string]bool{}
+	}
+	return nil
+}
+
+func keySet[V any](m map[string]V) map[string]bool {
+	set := make(map[string]bool, len(m))
+	for k := range m {
+		set[k] = true
+	}
+	return set
+}
+
 // normalize re-initializes nil maps (JSON round-trips drop empties).
 func (p *Progress) normalize() {
 	if p.Dataset == nil {
@@ -161,17 +205,8 @@ func (p *Progress) normalize() {
 	if p.SeenTweets == nil {
 		p.SeenTweets = map[string]SeenTweet{}
 	}
-	if p.DoneQueries == nil {
-		p.DoneQueries = map[string]bool{}
-	}
-	if p.DoneAuthors == nil {
-		p.DoneAuthors = map[string]bool{}
-	}
-	if p.DoneFollowees == nil {
-		p.DoneFollowees = map[string]bool{}
-	}
-	if p.DoneActivity == nil {
-		p.DoneActivity = map[string]bool{}
+	if p.Done == nil {
+		p.Done = map[string]bool{}
 	}
 }
 
@@ -192,8 +227,6 @@ func (p *Progress) Apply(r Record) error {
 	return nil
 }
 
-var errDuplicateUnit = errors.New("unit already complete")
-
 func (p *Progress) apply(r Record) error {
 	if r.Phase != p.Phase+1 {
 		return errors.New("out of phase")
@@ -202,11 +235,16 @@ func (p *Progress) apply(r Record) error {
 		return p.endPhase(r)
 	}
 	d := p.Dataset
+	if r.Phase == phaseToxicity {
+		// The scores a cancelled phase had fetched, keyless: the phase
+		// restarts and skips the posts they score.
+		return d.setScores(r.Scores)
+	}
+	if p.Done[r.Key] {
+		return errors.New("unit already complete")
+	}
 	switch r.Phase {
 	case phaseTweets:
-		if p.DoneQueries[r.Key] {
-			return errDuplicateUnit
-		}
 		for _, tw := range r.Tweets {
 			prev, dup := p.SeenTweets[tw.ID]
 			// Instance-link class wins on dedup: a tweet carrying a handle
@@ -217,57 +255,35 @@ func (p *Progress) apply(r Record) error {
 				p.SeenTweets[tw.ID] = SeenTweet{Tweet: tw, Class: r.Class}
 			}
 		}
-		p.DoneQueries[r.Key] = true
 	case phaseMapping:
-		if p.DoneAuthors[r.Key] {
-			return errDuplicateUnit
-		}
 		if r.Pair != nil {
 			d.Pairs = append(d.Pairs, *r.Pair)
 		}
-		p.DoneAuthors[r.Key] = true
 	case phaseTwitterTL:
 		if r.TwitterTL == nil {
 			return errors.New("no timeline")
-		}
-		if _, ok := d.TwitterTimelines[r.Key]; ok {
-			return errDuplicateUnit
 		}
 		d.TwitterTimelines[r.Key] = r.TwitterTL
 	case phaseMastoTL:
 		if r.MastodonTL == nil {
 			return errors.New("no timeline")
 		}
-		if _, ok := d.MastodonTimelines[r.Key]; ok {
-			return errDuplicateUnit
-		}
 		d.MastodonTimelines[r.Key] = r.MastodonTL
 	case phaseFollowees:
-		if p.DoneFollowees[r.Key] {
-			return errDuplicateUnit
-		}
 		if r.Followees != nil {
 			d.TwitterFollowees[r.Key] = *r.Followees
 		}
 		if r.Following != nil {
 			d.MastodonFollowing[r.Key] = *r.Following
 		}
-		p.DoneFollowees[r.Key] = true
 	case phaseActivity:
-		if p.DoneActivity[r.Key] {
-			return errDuplicateUnit
-		}
 		if r.Weeks != nil {
 			d.Activity[r.Key] = *r.Weeks
 		}
-		p.DoneActivity[r.Key] = true
-	case phaseToxicity:
-		// The scores a cancelled phase had fetched, keyless: the phase
-		// restarts and skips the posts they score.
-		return d.setScores(r.Scores)
 	default:
 		return errors.New("phase has no unit records")
 	}
+	p.Done[r.Key] = true
 	return nil
 }
 
@@ -304,15 +320,9 @@ func (p *Progress) endPhase(r Record) error {
 			return a.ID < b.ID
 		})
 		p.SeenTweets = map[string]SeenTweet{}
-		p.DoneQueries = map[string]bool{}
 	case phaseMapping:
 		sort.Slice(d.Pairs, func(i, j int) bool { return d.Pairs[i].TwitterID < d.Pairs[j].TwitterID })
-		p.DoneAuthors = map[string]bool{}
-	case phaseTwitterTL, phaseMastoTL:
-	case phaseFollowees:
-		p.DoneFollowees = map[string]bool{}
-	case phaseActivity:
-		p.DoneActivity = map[string]bool{}
+	case phaseTwitterTL, phaseMastoTL, phaseFollowees, phaseActivity:
 	case phaseToxicity:
 		if err := d.setScores(r.Scores); err != nil {
 			return err
@@ -320,6 +330,7 @@ func (p *Progress) endPhase(r Record) error {
 	default:
 		return errors.New("unknown phase")
 	}
+	p.Done = map[string]bool{}
 	p.Phase = r.Phase
 	return nil
 }
@@ -540,7 +551,7 @@ type CrawlReport struct {
 	// ActivityGaps lists instance domains dropped from the activity
 	// crawl.
 	ActivityGaps map[string]string
-	// SkippedQuarantined lists hosts the planner refused to schedule
+	// SkippedQuarantined lists hosts the planner refused to dial
 	// because the (possibly resumed) health registry had them
 	// quarantined, mapped to a short account of what was skipped. Units
 	// on these hosts also appear in the per-phase gap maps above; this
@@ -596,31 +607,22 @@ func (r *CrawlReport) Summary() string {
 type reportState struct {
 	mu                 sync.Mutex
 	resumed            bool
-	failedQueries      map[string]string
-	droppedAuthors     map[string]string
-	twitterTLFailures  map[string]string
-	mastoTLFailures    map[string]string
-	followeeGaps       map[string]string
-	activityGaps       map[string]string
-	skippedQuarantined map[string]int // host -> work units skipped
+	gaps               map[int]map[string]string // phase -> unit key -> error
+	skippedQuarantined map[string]int            // host -> work units skipped
 }
 
 func newReportState() *reportState {
-	return &reportState{
-		failedQueries:      map[string]string{},
-		droppedAuthors:     map[string]string{},
-		twitterTLFailures:  map[string]string{},
-		mastoTLFailures:    map[string]string{},
-		followeeGaps:       map[string]string{},
-		activityGaps:       map[string]string{},
-		skippedQuarantined: map[string]int{},
-	}
+	return &reportState{gaps: map[int]map[string]string{}, skippedQuarantined: map[string]int{}}
 }
 
-func (r *reportState) note(m map[string]string, key string, err error) {
+// note records a unit's gap; runPhase is its only caller.
+func (r *reportState) note(phase int, key string, err error) {
 	r.mu.Lock()
-	m[key] = err.Error()
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.gaps[phase] == nil {
+		r.gaps[phase] = map[string]string{}
+	}
+	r.gaps[phase][key] = err.Error()
 }
 
 // noteSkip counts one planner-skipped work unit against host.
@@ -636,22 +638,20 @@ func (r *reportState) noteSkip(host string) {
 func (c *Crawler) Report() *CrawlReport {
 	c.rep.mu.Lock()
 	defer c.rep.mu.Unlock()
-	cp := func(m map[string]string) map[string]string {
-		out := make(map[string]string, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
+	gaps := func(phase int) map[string]string {
+		out := make(map[string]string, len(c.rep.gaps[phase]))
+		maps.Copy(out, c.rep.gaps[phase])
 		return out
 	}
 	rep := &CrawlReport{
 		Resumed:                  c.rep.resumed,
 		Hosts:                    c.health.Snapshot(),
-		FailedQueries:            cp(c.rep.failedQueries),
-		DroppedAuthors:           cp(c.rep.droppedAuthors),
-		TwitterTimelineFailures:  cp(c.rep.twitterTLFailures),
-		MastodonTimelineFailures: cp(c.rep.mastoTLFailures),
-		FolloweeGaps:             cp(c.rep.followeeGaps),
-		ActivityGaps:             cp(c.rep.activityGaps),
+		FailedQueries:            gaps(phaseTweets),
+		DroppedAuthors:           gaps(phaseMapping),
+		TwitterTimelineFailures:  gaps(phaseTwitterTL),
+		MastodonTimelineFailures: gaps(phaseMastoTL),
+		FolloweeGaps:             gaps(phaseFollowees),
+		ActivityGaps:             gaps(phaseActivity),
 		SkippedQuarantined:       map[string]string{},
 		HTTPStats:                c.client.Stats(),
 		HostLimits:               c.lim.Limits(),

@@ -20,7 +20,7 @@ func TestMemCheckpointSnapshotsProgress(t *testing.T) {
 	ck := &MemCheckpoint{}
 	prog := newProgress()
 	prog.Phase = phaseTweets
-	prog.DoneQueries["mastodon"] = true
+	prog.Done["mastodon"] = true
 	if err := ck.Save(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestMemCheckpointSnapshotsProgress(t *testing.T) {
 	// Mutate the original after the save, as the tracker does between
 	// periodic saves.
 	prog.Phase = phaseActivity
-	prog.DoneQueries["#RIPTwitter"] = true
+	prog.Done["#RIPTwitter"] = true
 	prog.Dataset.Pairs = append(prog.Dataset.Pairs, AccountPair{TwitterID: "late"})
 
 	got, err := ck.Load()
@@ -38,8 +38,8 @@ func TestMemCheckpointSnapshotsProgress(t *testing.T) {
 	if got.Phase != phaseTweets {
 		t.Fatalf("saved snapshot phase = %d, want %d (live alias of caller's progress?)", got.Phase, phaseTweets)
 	}
-	if len(got.DoneQueries) != 1 || !got.DoneQueries["mastodon"] {
-		t.Fatalf("saved snapshot queries = %v, want only the pre-save entry", got.DoneQueries)
+	if len(got.Done) != 1 || !got.Done["mastodon"] {
+		t.Fatalf("saved snapshot queries = %v, want only the pre-save entry", got.Done)
 	}
 	if len(got.Dataset.Pairs) != 0 {
 		t.Fatalf("post-save pair leaked into snapshot: %+v", got.Dataset.Pairs)
@@ -47,12 +47,12 @@ func TestMemCheckpointSnapshotsProgress(t *testing.T) {
 
 	// Loads hand out isolated copies too: mutating one must not bleed
 	// into the stored snapshot or other loads.
-	got.DoneQueries["tampered"] = true
+	got.Done["tampered"] = true
 	again, err := ck.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.DoneQueries["tampered"] {
+	if again.Done["tampered"] {
 		t.Fatal("Load returned a shared copy; mutation bled across loads")
 	}
 }
@@ -69,7 +69,7 @@ func TestMemCheckpointConcurrentSaveLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			prog.DoneQueries[string(rune('a'+i%26))] = true
+			prog.Done[string(rune('a'+i%26))] = true
 			prog.Phase = i % phaseToxicity
 			if err := ck.Save(prog); err != nil {
 				t.Error(err)
@@ -89,7 +89,7 @@ func TestMemCheckpointConcurrentSaveLoad(t *testing.T) {
 				continue
 			}
 			n := 0
-			for q := range got.DoneQueries {
+			for q := range got.Done {
 				_ = q
 				n++
 			}

@@ -9,46 +9,60 @@
 // real endpoints (with real hosts and credentials) the same code would
 // crawl the real platforms.
 //
+// # Phases and units
+//
+// After the instance index, six phases are lists of work units: the
+// search queries, the collected authors, every pair's Twitter and
+// Mastodon timelines, the §3.3 followee sample and the activity domains.
+// A unit is a key plus a fetch that returns the unit's Record and its
+// gap, the terminal failure CrawlReport lists under the key. One runner
+// runs every such phase: it skips the keys already in Progress.Done and
+// schedules each key once, fans the units out over Concurrency workers,
+// writes every unit's record (with or without a gap) and ends the phase.
+// When the crawl's context is done as a fetch returns, the runner writes
+// neither the unit's record nor its gap: the phase fails with the
+// context error, and a resumed run fetches the unit again. The instance
+// index is one request whose failure is fatal, so it has no units.
+//
+// Toxicity scoring is not a runner phase. It has one request per post
+// and no unit keys or gaps: its End record carries every score, and a
+// cancelled phase writes a keyless record with the scores fetched so far
+// (-1 for the rest), so a resumed run skips the posts already scored.
+//
 // # Records
 //
 // The crawl changes its Progress only by applying Records
 // (Progress.Apply): one per completed work unit, and an End record that
 // closes each phase and advances Progress.Phase. A Checkpoint can thus
 // persist a snapshot plus the records applied since, and a resumed
-// progress replays them through the same function.
+// progress replays them through the same function. A unit record's key
+// joins Progress.Done, the one done set, and every End record clears it,
+// so it only ever holds units of the phase in progress.
 //
 //	phase        key         payload             Apply
 //	index        (End)       Instances           sets Dataset.Instances
 //	tweets       query       Class, Tweets       merges the tweets into
 //	                                             SeenTweets (instance-link
-//	                                             class wins); query done
+//	                                             class wins)
 //	tweets       (End)       -                   dedups SeenTweets into
 //	                                             sorted CollectedTweets;
-//	                                             clears SeenTweets and
-//	                                             DoneQueries
-//	mapping      author ID   Pair (nil: none)    appends the pair; author
-//	                                             done
-//	mapping      (End)       -                   sorts Pairs by Twitter ID;
-//	                                             clears DoneAuthors
+//	                                             clears SeenTweets
+//	mapping      author ID   Pair (nil: none)    appends the pair
+//	mapping      (End)       -                   sorts Pairs by Twitter ID
 //	twitter_tl   Twitter ID  TwitterTL           stores the timeline
 //	mastodon_tl  Twitter ID  MastodonTL          stores the timeline
 //	followees    Twitter ID  Followees,          stores each list present
 //	                         Following           (absent: failed or no
-//	                                             account); user done
-//	followees    (End)       -                   clears DoneFollowees
-//	activity     domain      Weeks (nil: gap)    stores the weeks; domain
-//	                                             done
-//	activity     (End)       -                   clears DoneActivity
+//	                                             account)
+//	activity     domain      Weeks (nil: gap)    stores the weeks
 //	toxicity     (none)      Scores              sets every timeline
 //	                                             post's score
 //	toxicity     (End)       Scores              sets every timeline
 //	                                             post's score
 //
-// The timeline phases' End records only advance the phase. The toxicity
-// phase keeps its per-post fan-out and writes no per-post records: its
-// End record carries all the scores, and a cancelled phase writes a
-// keyless record with the scores fetched so far (-1 for the rest), so a
-// resumed run skips the posts already scored.
+// A unit record whose key is already done is an error. The End records
+// of the timeline, followee and activity phases only clear Done and
+// advance the phase.
 package crawler
 
 import (

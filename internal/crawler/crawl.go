@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/url"
 	"sort"
 	"strings"
@@ -155,8 +156,8 @@ func New(cfg Config) *Crawler {
 		twHost:  hostOf(cfg.TwitterBase),
 		toxHost: hostOf(cfg.PerspectiveBase),
 		rep:     newReportState(),
+		plan:    &planner{gates: map[string]chan struct{}{}},
 	}
-	c.plan = newPlanner(c)
 	return c
 }
 
@@ -208,13 +209,37 @@ func waitPhase(ctx context.Context, g *httpkit.Group, phase string) error {
 // Health exposes the crawl's per-host breaker registry.
 func (c *Crawler) Health() *httpkit.HealthRegistry { return c.health }
 
-// HTTPStats snapshots the shared client's counters (requests, retries,
-// hedges fired/won, breaker short-circuits).
-func (c *Crawler) HTTPStats() httpkit.Stats { return c.client.Stats() }
+// unit is one resumable work unit of a keyed phase. fetch returns the
+// unit's record and its gap: a terminal failure the crawl report lists
+// under the unit's key. The record is written either way.
+type unit struct {
+	key   string
+	fetch func(ctx context.Context) (Record, error)
+}
 
-// HostLimits reports the adaptive limiter's current per-host windows
-// (nil when adaptation is off).
-func (c *Crawler) HostLimits() map[string]int { return c.lim.Limits() }
+// keyedPhases are the phases between the instance index and toxicity
+// scoring, in order. Each builds its units from the dataset so far, and
+// Run logs its line with count after it.
+var keyedPhases = []struct {
+	phase int
+	name  string
+	units func(*Crawler, *Dataset) []unit
+	line  string
+	count func(*Dataset) int
+}{
+	{phaseTweets, "tweet collection", (*Crawler).tweetQueries,
+		"collected %d tweets", func(d *Dataset) int { return len(d.CollectedTweets) }},
+	{phaseMapping, "account mapping", (*Crawler).authors,
+		"mapped %d account pairs", func(d *Dataset) int { return len(d.Pairs) }},
+	{phaseTwitterTL, "twitter timelines", (*Crawler).twitterTimelines,
+		"twitter timelines: %d", func(d *Dataset) int { return len(d.TwitterTimelines) }},
+	{phaseMastoTL, "mastodon timelines", (*Crawler).mastodonTimelines,
+		"mastodon timelines: %d", func(d *Dataset) int { return len(d.MastodonTimelines) }},
+	{phaseFollowees, "followee sample", (*Crawler).followeeSample,
+		"followee sample: %d users", func(d *Dataset) int { return len(d.TwitterFollowees) }},
+	{phaseActivity, "activity", (*Crawler).activityDomains,
+		"activity: %d instances", func(d *Dataset) int { return len(d.Activity) }},
+}
 
 // Run executes the full §3 pipeline and returns the dataset. With a
 // Checkpoint configured, progress persists across cancellation: calling
@@ -235,7 +260,8 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 		return nil, err
 	}
 
-	// Phase 1 (§3.1): instance index.
+	// Phase 1 (§3.1): instance index. Every later phase needs it, so its
+	// failure is fatal and it has no units.
 	if prog.Phase < phaseIndex {
 		instances, err := c.index.List(ctx)
 		if err != nil {
@@ -247,50 +273,18 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 	}
 	c.logf("index: %d instances", len(ds.Instances))
 
-	// Phase 2 (§3.1): tweet collection.
-	if prog.Phase < phaseTweets {
-		if err := c.collectTweets(ctx, t); err != nil {
-			return abort(err)
+	for _, ph := range keyedPhases {
+		// The hook fires on every run (including resumes) that still has
+		// timeline work left.
+		if ph.phase == phaseTwitterTL && c.cfg.BeforeTimelines != nil && prog.Phase < phaseMastoTL {
+			c.cfg.BeforeTimelines()
 		}
-	}
-	c.logf("collected %d tweets", len(ds.CollectedTweets))
-
-	// Phase 3 (§3.1): account mapping.
-	if prog.Phase < phaseMapping {
-		if err := c.mapAccounts(ctx, t); err != nil {
-			return abort(err)
+		if prog.Phase < ph.phase {
+			if err := c.runPhase(ctx, t, ph.phase, ph.name, ph.units(c, ds)); err != nil {
+				return abort(err)
+			}
 		}
-	}
-	c.logf("mapped %d account pairs", len(ds.Pairs))
-
-	// Phase 4 (§3.2): timelines on both platforms. The hook fires on
-	// every run (including resumes) that still has timeline work left.
-	if c.cfg.BeforeTimelines != nil && prog.Phase < phaseMastoTL {
-		c.cfg.BeforeTimelines()
-	}
-	if prog.Phase < phaseTwitterTL {
-		if err := c.crawlTwitterTimelines(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-	if prog.Phase < phaseMastoTL {
-		if err := c.crawlMastodonTimelines(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Phase 5 (§3.3): stratified followee sample.
-	if prog.Phase < phaseFollowees {
-		if err := c.crawlFollowees(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Phase 6 (§3.1, Fig. 3): weekly activity.
-	if prog.Phase < phaseActivity {
-		if err := c.crawlActivity(ctx, t); err != nil {
-			return abort(err)
-		}
+		c.logf(ph.line, ph.count(ds))
 	}
 
 	// Phase 7 (§6.3): toxicity scoring.
@@ -305,63 +299,72 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 	return ds, nil
 }
 
-// collectTweets runs the instance-link and keyword query families over
-// the collection window and dedups into ds.CollectedTweets. Each query
-// is one resumable work unit; a terminally failed query is recorded as a
-// coverage gap rather than failing the crawl.
-func (c *Crawler) collectTweets(ctx context.Context, t *tracker) error {
-	start, end := vclock.CollectionStart, vclock.CollectionEnd.Add(24*time.Hour)
-	type query struct {
-		q     string
-		class QueryClass
-	}
-	var queries []query
-	for _, inst := range t.prog.Dataset.Instances {
-		queries = append(queries, query{fmt.Sprintf("url:%q", inst.Name), ClassInstanceLink})
-	}
-	for _, kw := range c.cfg.Keywords {
-		queries = append(queries, query{kw, ClassKeyword})
-	}
-	// Snapshot the done set before scheduling (workers mutate the live
-	// one) and mark each query as it is scheduled, so a query listed
-	// twice runs once.
-	done := make(map[string]bool, len(t.prog.DoneQueries))
-	for q, ok := range t.prog.DoneQueries {
-		done[q] = ok
-	}
-
+// runPhase runs a keyed phase's units through one worker group, skipping
+// the ones the progress already has done, then ends the phase. It writes
+// each unit's record and notes its gap. A unit whose fetch returns after
+// ctx is done writes neither: the phase fails with the context error,
+// and a resumed run fetches the unit again.
+func (c *Crawler) runPhase(ctx context.Context, t *tracker, phase int, name string, units []unit) error {
+	// Copy the done set before scheduling (workers add to the live one)
+	// and mark each key as it is scheduled, so a key listed twice (a
+	// repeated keyword, two pairs sharing a Twitter ID) runs once.
+	done := maps.Clone(t.prog.Done)
 	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
-	for _, q := range queries {
-		q := q
-		if done[q.q] {
+	for _, u := range units {
+		if done[u.key] {
 			continue
 		}
-		done[q.q] = true
+		done[u.key] = true
 		g.Go(func(ctx context.Context) error {
-			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
-				return c.tw.SearchAll(ctx, q.q, start, end, c.cfg.MaxSearchPages)
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				c.rep.note(c.rep.failedQueries, q.q, err)
-				return t.record(Record{Phase: phaseTweets, Key: q.q})
+			rec, gap := u.fetch(ctx)
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			return t.record(Record{Phase: phaseTweets, Key: q.q, Class: q.class, Tweets: tweets})
+			if gap != nil {
+				c.rep.note(phase, u.key, gap)
+			}
+			rec.Phase, rec.Key = phase, u.key
+			return t.record(rec)
 		})
 	}
-	if err := waitPhase(ctx, g, "tweet collection"); err != nil {
+	if err := waitPhase(ctx, g, name); err != nil {
 		return err
 	}
-	return t.end(Record{Phase: phaseTweets})
+	return t.end(Record{Phase: phase})
 }
 
-// mapAccounts applies §3.1's hierarchical matching to every collected
-// author, then verifies each mapped handle against its instance. Each
-// author is one resumable work unit.
-func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
+// tweetQueries lists the §3.1 instance-link and keyword queries over the
+// collection window, one unit per query; the phase's End record dedups
+// their tweets into ds.CollectedTweets. A terminally failed query is a
+// coverage gap, not a failed crawl.
+func (c *Crawler) tweetQueries(ds *Dataset) []unit {
+	start, end := vclock.CollectionStart, vclock.CollectionEnd.Add(24*time.Hour)
+	search := func(q string, class QueryClass) unit {
+		return unit{q, func(ctx context.Context) (Record, error) {
+			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
+				return c.tw.SearchAll(ctx, q, start, end, c.cfg.MaxSearchPages)
+			})
+			if err != nil {
+				return Record{}, err
+			}
+			return Record{Class: class, Tweets: tweets}, nil
+		}}
+	}
+	var units []unit
+	for _, inst := range ds.Instances {
+		units = append(units, search(fmt.Sprintf("url:%q", inst.Name), ClassInstanceLink))
+	}
+	for _, kw := range c.cfg.Keywords {
+		units = append(units, search(kw, ClassKeyword))
+	}
+	return units
+}
+
+// authors lists one unit per collected author, in ID order: §3.1's
+// hierarchical matching, then a check of each mapped handle against its
+// instance. A unit's record has no pair when the author did not map or
+// the handle does not resolve.
+func (c *Crawler) authors(ds *Dataset) []unit {
 	known := match.KnownInstances{}
 	for _, inst := range ds.Instances {
 		known[strings.ToLower(inst.Name)] = true
@@ -376,31 +379,15 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 		authors = append(authors, a)
 	}
 	sort.Strings(authors)
-	done := make(map[string]bool, len(t.prog.DoneAuthors))
-	for a, ok := range t.prog.DoneAuthors {
-		done[a] = ok
-	}
-
-	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
-	for _, authorID := range authors {
-		authorID := authorID
-		if done[authorID] {
-			continue
-		}
-		g.Go(func(ctx context.Context) error {
-			markDone := func() error {
-				return t.record(Record{Phase: phaseMapping, Key: authorID})
-			}
+	units := make([]unit, len(authors))
+	for i, authorID := range authors {
+		units[i] = unit{authorID, func(ctx context.Context) (Record, error) {
 			user, err := underLimit(ctx, c, c.twHost, func() (*UserJSON, error) {
 				return c.tw.UserByID(ctx, authorID)
 			})
 			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
 				// Account gone between collection and mapping: skip.
-				c.rep.note(c.rep.droppedAuthors, authorID, err)
-				return markDone()
+				return Record{}, err
 			}
 			profile := match.Profile{
 				Username:    user.Username,
@@ -411,7 +398,7 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 			}
 			res, ok := match.Map(profile, byAuthor[authorID], known)
 			if !ok {
-				return markDone()
+				return Record{}, nil
 			}
 			pair := AccountPair{
 				TwitterID:        user.ID,
@@ -460,13 +447,9 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 					// We discovered the destination; normalize the pair
 					// so Handle is always the FIRST account.
 					oldHandle := handleFromURL(acc.AlsoKnownAs[0], usernameFromURL(acc.AlsoKnownAs[0]))
-					old, lerr := underPlan(ctx, c, strings.ToLower(oldHandle.Domain), func() (*MastoAccountJSON, error) {
+					if old, lerr := underPlan(ctx, c, strings.ToLower(oldHandle.Domain), func() (*MastoAccountJSON, error) {
 						return c.masto.Lookup(ctx, oldHandle.Domain, oldHandle.Username)
-					})
-					if lerr != nil && ctx.Err() != nil {
-						return ctx.Err()
-					}
-					if lerr == nil {
+					}); lerr == nil {
 						pair.Moved = &MovedRecord{
 							Handle:    res.Handle,
 							AccountID: acc.ID,
@@ -484,17 +467,12 @@ func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
 				}
 			} else if httpkit.IsStatus(lerr, 404) {
 				// Handle does not resolve: false-positive mapping, drop.
-				return markDone()
-			} else if ctx.Err() != nil {
-				return ctx.Err()
+				return Record{}, nil
 			}
-			return t.record(Record{Phase: phaseMapping, Key: authorID, Pair: &pair})
-		})
+			return Record{Pair: &pair}, nil
+		}}
 	}
-	if err := waitPhase(ctx, g, "account mapping"); err != nil {
-		return err
-	}
-	return t.end(Record{Phase: phaseMapping})
+	return units
 }
 
 // handleFromURL reconstructs a handle from an account URL plus username.
@@ -516,47 +494,21 @@ func usernameFromURL(u string) string {
 	return ""
 }
 
-// crawlTwitterTimelines fetches every pair's tweets with the §3.2
-// failure taxonomy. Presence in ds.TwitterTimelines is the resume
-// marker: every finished unit (including taxonomy failures) writes an
-// entry. A Twitter ID shared by two pairs is crawled once.
-func (c *Crawler) crawlTwitterTimelines(ctx context.Context, t *tracker) error {
+// twitterTimelines lists one unit per pair's Twitter ID: its tweets,
+// with the §3.2 failure taxonomy. Every unit records a timeline, a
+// taxonomy state included; only a transport failure is a gap.
+func (c *Crawler) twitterTimelines(ds *Dataset) []unit {
 	start, end := vclock.StudyStart, vclock.StudyEnd.Add(24*time.Hour)
-	ds := t.prog.Dataset
-	done := make(map[string]bool, len(ds.TwitterTimelines))
-	for id := range ds.TwitterTimelines {
-		done[id] = true
-	}
-	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
+	units := make([]unit, len(ds.Pairs))
 	for i := range ds.Pairs {
-		pair := &ds.Pairs[i]
-		if done[pair.TwitterID] {
-			continue
-		}
-		done[pair.TwitterID] = true
-		g.Go(func(ctx context.Context) error {
+		id := ds.Pairs[i].TwitterID
+		units[i] = unit{id, func(ctx context.Context) (Record, error) {
 			tl := &TwitterTimeline{State: StateOK}
 			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
-				return c.tw.Timeline(ctx, pair.TwitterID, start, end)
+				return c.tw.Timeline(ctx, id, start, end)
 			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				switch {
-				case httpkit.IsStatus(err, 404):
-					tl.State = StateDeleted
-				case httpkit.IsStatus(err, 403):
-					tl.State = StateSuspended
-				case httpkit.IsStatus(err, 401):
-					tl.State = StateProtected
-				default:
-					// Transport failure, not an account state: record the
-					// gap alongside the taxonomy bucket.
-					c.rep.note(c.rep.twitterTLFailures, pair.TwitterID, err)
-					tl.State = StateDeleted
-				}
-			} else {
+			switch {
+			case err == nil:
 				for _, tw := range tweets {
 					at, ok := parseTweetTime(tw.CreatedAt)
 					if !ok {
@@ -564,49 +516,32 @@ func (c *Crawler) crawlTwitterTimelines(ctx context.Context, t *tracker) error {
 					}
 					tl.Posts = append(tl.Posts, Post{ID: tw.ID, Time: at, Text: tw.Text, Source: tw.Source, Toxicity: -1})
 				}
+			case httpkit.IsStatus(err, 404):
+				tl.State = StateDeleted
+			case httpkit.IsStatus(err, 403):
+				tl.State = StateSuspended
+			case httpkit.IsStatus(err, 401):
+				tl.State = StateProtected
+			default:
+				// Transport failure, not an account state: record the gap
+				// alongside the taxonomy bucket.
+				tl.State = StateDeleted
+				return Record{TwitterTL: tl}, err
 			}
-			return t.record(Record{Phase: phaseTwitterTL, Key: pair.TwitterID, TwitterTL: tl})
-		})
+			return Record{TwitterTL: tl}, nil
+		}}
 	}
-	if err := waitPhase(ctx, g, "twitter timelines"); err != nil {
-		return err
-	}
-	if err := t.end(Record{Phase: phaseTwitterTL}); err != nil {
-		return err
-	}
-	c.logf("twitter timelines: %d", len(ds.TwitterTimelines))
-	return nil
+	return units
 }
 
-// crawlMastodonTimelines fetches every pair's statuses, spanning both
-// instances for moved accounts. Presence in ds.MastodonTimelines is the
-// resume marker. A Twitter ID shared by two pairs is crawled once.
-func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
-	done := make(map[string]bool, len(ds.MastodonTimelines))
-	for id := range ds.MastodonTimelines {
-		done[id] = true
-	}
-	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
+// mastodonTimelines lists one unit per pair's Twitter ID: its statuses,
+// spanning both instances for moved accounts. An unreachable account is
+// recorded instance-down, and a gap unless it is gone (404).
+func (c *Crawler) mastodonTimelines(ds *Dataset) []unit {
+	units := make([]unit, len(ds.Pairs))
 	for i := range ds.Pairs {
 		pair := &ds.Pairs[i]
-		if done[pair.TwitterID] {
-			continue
-		}
-		done[pair.TwitterID] = true
-		// Planner partition: pairs whose primary instance is quarantined
-		// are resolved up front — recorded as instance-down with a gap
-		// entry, never scheduled, never dialed.
-		if host := strings.ToLower(pair.Handle.Domain); c.plan.decide(host) == planSkip {
-			c.rep.noteSkip(host)
-			c.rep.note(c.rep.mastoTLFailures, pair.TwitterID, errQuarantineSkip)
-			if err := t.record(Record{Phase: phaseMastoTL, Key: pair.TwitterID, MastodonTL: &MastodonTimeline{State: StateInstanceDown}}); err != nil {
-				_ = g.Wait() // the record error is the one to report
-				return err
-			}
-			continue
-		}
-		g.Go(func(ctx context.Context) error {
+		units[i] = unit{pair.TwitterID, func(ctx context.Context) (Record, error) {
 			tl := &MastodonTimeline{State: StateOK}
 			fetch := func(domain, accountID string) error {
 				sts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoStatusJSON, error) {
@@ -642,30 +577,20 @@ func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error 
 					err = fetch(pair.Handle.Domain, acc.ID)
 				}
 			}
-			if err != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
+			sort.Slice(tl.Posts, func(a, b int) bool { return tl.Posts[a].Time.Before(tl.Posts[b].Time) })
 			switch {
-			case err != nil && httpkit.IsStatus(err, 404):
-				tl.State = StateInstanceDown // account vanished
 			case err != nil:
 				tl.State = StateInstanceDown
-				c.rep.note(c.rep.mastoTLFailures, pair.TwitterID, err)
+				if httpkit.IsStatus(err, 404) {
+					err = nil // account vanished: no gap
+				}
 			case len(tl.Posts) == 0:
 				tl.State = StateNoStatuses
 			}
-			sort.Slice(tl.Posts, func(a, b int) bool { return tl.Posts[a].Time.Before(tl.Posts[b].Time) })
-			return t.record(Record{Phase: phaseMastoTL, Key: pair.TwitterID, MastodonTL: tl})
-		})
+			return Record{MastodonTL: tl}, err
+		}}
 	}
-	if err := waitPhase(ctx, g, "mastodon timelines"); err != nil {
-		return err
-	}
-	if err := t.end(Record{Phase: phaseMastoTL}); err != nil {
-		return err
-	}
-	c.logf("mastodon timelines: %d", len(ds.MastodonTimelines))
-	return nil
+	return units
 }
 
 // stripHTML removes the <p> wrapper and entities from status content.
@@ -683,15 +608,12 @@ func stripHTML(s string) string {
 	return strings.TrimSpace(s)
 }
 
-// crawlFollowees implements §3.3: a stratified sample straddling the
+// followeeSample implements §3.3: a stratified sample straddling the
 // median followee count — half the sample from above the median, half
-// from below — then full followee crawls on both platforms. The sample
-// is a pure function of the mapped pairs, so a resumed run recomputes it
-// identically; DoneFollowees marks the units already crawled (failures
-// produce no dataset entry, hence the explicit set). A Twitter ID shared
-// by two sampled pairs is crawled once.
-func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
+// from below — then one unit per sampled user crawls its followees on
+// both platforms. The sample is a pure function of the mapped pairs, so
+// a resumed run recomputes it identically.
+func (c *Crawler) followeeSample(ds *Dataset) []unit {
 	// Eligible: pairs whose Twitter account is crawlable.
 	var eligible []*AccountPair
 	for i := range ds.Pairs {
@@ -699,9 +621,6 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 		if tl := ds.TwitterTimelines[p.TwitterID]; tl != nil && tl.State == StateOK {
 			eligible = append(eligible, p)
 		}
-	}
-	if len(eligible) == 0 {
-		return t.end(Record{Phase: phaseFollowees})
 	}
 	sort.Slice(eligible, func(i, j int) bool {
 		if eligible[i].TwitterFollowing != eligible[j].TwitterFollowing {
@@ -749,55 +668,36 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 		sampled = append(sampled, p)
 	}
 	sort.Slice(sampled, func(i, j int) bool { return sampled[i].TwitterID < sampled[j].TwitterID })
-	done := make(map[string]bool, len(t.prog.DoneFollowees))
-	for id, ok := range t.prog.DoneFollowees {
-		done[id] = ok
-	}
-
-	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
-	for _, p := range sampled {
-		p := p
-		if done[p.TwitterID] {
-			continue
-		}
-		done[p.TwitterID] = true
-		g.Go(func(ctx context.Context) error {
+	units := make([]unit, len(sampled))
+	for i, p := range sampled {
+		units[i] = unit{p.TwitterID, func(ctx context.Context) (Record, error) {
 			// One record per user: the followees (absent when the Twitter
 			// crawl failed) and the following (absent when there is no
 			// live Mastodon account or its crawl failed).
-			rec := Record{Phase: phaseFollowees, Key: p.TwitterID}
 			users, err := underLimit(ctx, c, c.twHost, func() ([]UserJSON, error) {
 				return c.tw.Following(ctx, p.TwitterID)
 			})
 			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				c.rep.note(c.rep.followeeGaps, p.TwitterID, err)
-				return t.record(rec)
+				return Record{}, err
 			}
 			refs := make([]FolloweeRef, 0, len(users))
 			for _, u := range users {
 				refs = append(refs, FolloweeRef{TwitterID: u.ID, Username: u.Username})
 			}
-			rec.Followees = &refs
+			rec := Record{Followees: &refs}
 			// Mastodon following of the live account.
 			domain, accID := p.Handle.Domain, p.MastodonAccountID
 			if p.Moved != nil {
 				domain, accID = p.Moved.Handle.Domain, p.Moved.AccountID
 			}
 			if accID == "" {
-				return t.record(rec)
+				return rec, nil
 			}
 			accounts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoAccountJSON, error) {
 				return c.masto.Following(ctx, domain, accID)
 			})
 			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				c.rep.note(c.rep.followeeGaps, p.TwitterID, err)
-				return t.record(rec)
+				return rec, err
 			}
 			handles := make([]string, 0, len(accounts))
 			for _, a := range accounts {
@@ -808,24 +708,16 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 				handles = append(handles, "@"+acct)
 			}
 			rec.Following = &handles
-			return t.record(rec)
-		})
+			return rec, nil
+		}}
 	}
-	if err := waitPhase(ctx, g, "followee sample"); err != nil {
-		return err
-	}
-	if err := t.end(Record{Phase: phaseFollowees}); err != nil {
-		return err
-	}
-	c.logf("followee sample: %d users", len(ds.TwitterFollowees))
-	return nil
+	return units
 }
 
-// crawlActivity fetches weekly activity for every instance that received
-// a mapped migrant. DoneActivity marks finished domains (down instances
-// drop out with a recorded gap).
-func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
+// activityDomains lists one unit per instance that received a mapped
+// migrant: its weekly activity. A down instance drops out of the panel
+// with a gap.
+func (c *Crawler) activityDomains(ds *Dataset) []unit {
 	domains := map[string]bool{}
 	for i := range ds.Pairs {
 		domains[ds.Pairs[i].Handle.Domain] = true
@@ -838,39 +730,14 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 		sorted = append(sorted, d)
 	}
 	sort.Strings(sorted)
-	done := make(map[string]bool, len(t.prog.DoneActivity))
-	for d, ok := range t.prog.DoneActivity {
-		done[d] = ok
-	}
-
-	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
-	for _, domain := range sorted {
-		domain := domain
-		if done[domain] {
-			continue
-		}
-		// Planner partition: quarantined instances drop out of the
-		// activity panel up front with a recorded gap, no dial spent.
-		if host := strings.ToLower(domain); c.plan.decide(host) == planSkip {
-			c.rep.noteSkip(host)
-			c.rep.note(c.rep.activityGaps, domain, errQuarantineSkip)
-			if err := t.record(Record{Phase: phaseActivity, Key: domain}); err != nil {
-				_ = g.Wait() // the record error is the one to report
-				return err
-			}
-			continue
-		}
-		g.Go(func(ctx context.Context) error {
+	units := make([]unit, len(sorted))
+	for i, domain := range sorted {
+		units[i] = unit{domain, func(ctx context.Context) (Record, error) {
 			acts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]ActivityJSON, error) {
 				return c.masto.Activity(ctx, domain)
 			})
 			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				// Down instances drop out of the activity panel.
-				c.rep.note(c.rep.activityGaps, domain, err)
-				return t.record(Record{Phase: phaseActivity, Key: domain})
+				return Record{}, err
 			}
 			weeks := make([]WeekActivity, 0, len(acts))
 			for _, a := range acts {
@@ -884,17 +751,10 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 				weeks = append(weeks, WeekActivity{Week: wk, Statuses: st, Logins: lg, Registrations: rg})
 			}
 			sort.Slice(weeks, func(i, j int) bool { return weeks[i].Week.Before(weeks[j].Week) })
-			return t.record(Record{Phase: phaseActivity, Key: domain, Weeks: &weeks})
-		})
+			return Record{Weeks: &weeks}, nil
+		}}
 	}
-	if err := waitPhase(ctx, g, "activity"); err != nil {
-		return err
-	}
-	if err := t.end(Record{Phase: phaseActivity}); err != nil {
-		return err
-	}
-	c.logf("activity: %d instances", len(ds.Activity))
-	return nil
+	return units
 }
 
 func atoiSafe(s string) (int, error) {

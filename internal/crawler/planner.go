@@ -8,29 +8,14 @@ import (
 	"flock/internal/httpkit"
 )
 
-// errQuarantineSkip marks a work unit the planner refused to schedule
+// errQuarantineSkip marks a work unit the planner refused to dial
 // because its host is quarantined. It lands in the per-phase gap maps
 // (so unit-level accounting stays complete) and rolls up into
 // CrawlReport.SkippedQuarantined.
 var errQuarantineSkip = errors.New("host quarantined, skipped by planner")
 
-// planDecision is the planner's verdict for one host.
-type planDecision int
-
-const (
-	// planFetch: healthy host, schedule normally.
-	planFetch planDecision = iota
-	// planProbe: past probation — admit requests one at a time (the
-	// limiter floor) until the host proves itself again.
-	planProbe
-	// planSkip: quarantined — do not dial; record the unit as skipped.
-	planSkip
-)
-
-// planner consults the crawl's health registry up front, before work
-// units are scheduled, so known-dead hosts (including ones learned by a
-// previous run and restored from the checkpoint) are partitioned out of
-// each phase instead of burning dials, retries and breaker probes.
+// planner holds the single-slot probe gates underPlan serializes
+// probation hosts through.
 //
 // Only fediverse instance hosts route through the planner. The core
 // services (Twitter archive, instance index, Perspective) are the
@@ -38,26 +23,8 @@ const (
 // all, so skipping them silently would convert an outage into a
 // plausible-looking empty dataset.
 type planner struct {
-	c     *Crawler
 	mu    sync.Mutex
 	gates map[string]chan struct{}
-}
-
-func newPlanner(c *Crawler) *planner {
-	return &planner{c: c, gates: map[string]chan struct{}{}}
-}
-
-// decide maps host health to a scheduling verdict.
-func (p *planner) decide(host string) planDecision {
-	h := p.c.health.Health(host)
-	switch {
-	case h.Quarantined:
-		return planSkip
-	case h.Probation:
-		return planProbe
-	default:
-		return planFetch
-	}
 }
 
 // gate returns host's single-slot probe gate, creating it on first use.
@@ -72,17 +39,21 @@ func (p *planner) gate(host string) chan struct{} {
 	return g
 }
 
-// underPlan routes one exchange through the planner's verdict for host:
-// planSkip returns errQuarantineSkip without dialing (and counts the
-// skip), planProbe serializes the exchange through the host's
-// single-slot gate, planFetch goes straight to the adaptive limiter.
+// underPlan routes one exchange through the health registry's verdict
+// for host, taken when the unit runs, so known-dead hosts (including
+// ones learned by a previous run and restored from the checkpoint) cost
+// no dials, retries or breaker probes. A quarantined host returns
+// errQuarantineSkip without dialing (and counts the skip); a host past
+// probation is admitted one exchange at a time through its probe gate
+// (the limiter floor) until it proves itself again; a healthy host goes
+// straight to the adaptive limiter.
 func underPlan[T any](ctx context.Context, c *Crawler, host string, fetch func() (T, error)) (T, error) {
 	var zero T
-	switch c.plan.decide(host) {
-	case planSkip:
+	switch h := c.health.Health(host); {
+	case h.Quarantined:
 		c.rep.noteSkip(host)
 		return zero, errQuarantineSkip
-	case planProbe:
+	case h.Probation:
 		g := c.plan.gate(host)
 		select {
 		case g <- struct{}{}:

@@ -1,0 +1,363 @@
+package crawler_test
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"maps"
+	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"flock/internal/crawler"
+	"flock/internal/store"
+)
+
+// journalCheckpoint keeps every record the crawl applies, in order: each
+// Save appends the records journaled since the last one and trims them.
+type journalCheckpoint struct {
+	seq  int
+	recs []crawler.Record
+}
+
+func (j *journalCheckpoint) Load() (*crawler.Progress, error) { return nil, nil }
+
+func (j *journalCheckpoint) Save(p *crawler.Progress) error {
+	recs, ok := p.Journal(j.seq)
+	if !ok {
+		return errors.New("journal lost records")
+	}
+	j.recs = append(j.recs, recs...)
+	j.seq = p.Seq()
+	p.TrimJournal(j.seq)
+	return nil
+}
+
+// FuzzApplyCommutes: within a phase, unit records commute. The journal
+// of one crawl of a sparse world, replayed with each phase's unit
+// records in a fuzzed order and checkpointed at a fuzzed point (the
+// prefix goes through Progress.Clone, the snapshot layout), yields the
+// crawl's dataset byte for byte. Units overlap only where two queries
+// return the same tweet, and the instance-link class wins whatever the
+// order; the End records' sorts join the rest.
+func FuzzApplyCommutes(f *testing.F) {
+	e := newSoakEnvFrom(f, sparseWorld())
+	jc := &journalCheckpoint{}
+	cfg := e.config()
+	cfg.ScoreToxicity = true
+	cfg.Checkpoint = jc
+	ds, err := crawler.New(cfg).Run(context.Background())
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, err := json.Marshal(ds)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Replay what a checkpoint would: the records as JSON decodes them.
+	raw, err := json.Marshal(jc.recs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var journal []crawler.Record
+	if err := json.Unmarshal(raw, &journal); err != nil {
+		f.Fatal(err)
+	}
+
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(len(journal)/2), []byte{7, 200, 13, 99, 1})
+	f.Add(uint16(len(journal)), []byte{255, 3, 254, 0, 128, 77})
+	f.Fuzz(func(t *testing.T, cut uint16, perm []byte) {
+		recs := shuffleUnits(journal, perm)
+		n := int(cut) % (len(recs) + 1)
+		p := &crawler.Progress{Version: crawler.ProgressVersion}
+		apply := func(recs []crawler.Record) {
+			for _, r := range recs {
+				if err := p.Apply(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		apply(recs[:n])
+		p, err := p.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply(recs[n:])
+		got, err := json.Marshal(p.Dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("replay cut at %d of %d records, order %x: dataset differs (%d bytes, want %d)", n, len(recs), perm, len(got), len(want))
+		}
+	})
+}
+
+// shuffleUnits permutes each run of unit records between End records
+// with swaps drawn from perm (no swaps when it is empty). Apply keeps a
+// timeline record's timeline, and the toxicity End scores its posts in
+// place, so the timelines are copied for each replay.
+func shuffleUnits(journal []crawler.Record, perm []byte) []crawler.Record {
+	recs := slices.Clone(journal)
+	k := 0
+	swap := func(n int) int {
+		if len(perm) == 0 {
+			return n - 1
+		}
+		b := perm[k%len(perm)]
+		k++
+		return int(b) % n
+	}
+	start := 0
+	for i := range recs {
+		if tl := recs[i].TwitterTL; tl != nil {
+			cp := *tl
+			cp.Posts = slices.Clone(tl.Posts)
+			recs[i].TwitterTL = &cp
+		}
+		if tl := recs[i].MastodonTL; tl != nil {
+			cp := *tl
+			cp.Posts = slices.Clone(tl.Posts)
+			recs[i].MastodonTL = &cp
+		}
+		if !recs[i].End {
+			continue
+		}
+		for j := i - 1; j > start; j-- {
+			s := start + swap(j-start+1)
+			recs[j], recs[s] = recs[s], recs[j]
+		}
+		start = i + 1
+	}
+	return recs
+}
+
+// cancelAt cancels the crawl when the n-th request of one endpoint class
+// starts, then passes every request on.
+type cancelAt struct {
+	next   *http.Client
+	class  string
+	n      int
+	cancel context.CancelFunc
+
+	mu   sync.Mutex
+	seen int
+}
+
+// endpointClass names the kind of request a URL path makes.
+func endpointClass(path string) string {
+	switch {
+	case strings.Contains(path, "/search/"):
+		return "search"
+	case strings.HasSuffix(path, "/following"):
+		return "following"
+	case strings.HasSuffix(path, "/tweets"), strings.HasSuffix(path, "/statuses"):
+		return "statuses"
+	case strings.HasSuffix(path, "/activity"):
+		return "activity"
+	case strings.HasPrefix(path, "/2/users/"), strings.HasSuffix(path, "/lookup"):
+		return "users"
+	}
+	return ""
+}
+
+func (d *cancelAt) Do(req *http.Request) (*http.Response, error) {
+	if endpointClass(req.URL.Path) == d.class {
+		d.mu.Lock()
+		d.seen++
+		if d.seen == d.n {
+			d.cancel()
+		}
+		d.mu.Unlock()
+	}
+	return d.next.Do(req)
+}
+
+// TestCancelledUnitsLeaveNoGap: a unit cut short by the crawl's
+// cancellation is not a coverage gap. Whichever kind of request the
+// cancel lands on, Run returns context.Canceled and the report lists no
+// unit that failed on it; a resumed run fetches those units again.
+func TestCancelledUnitsLeaveNoGap(t *testing.T) {
+	for _, class := range []string{"search", "users", "statuses", "following", "activity"} {
+		t.Run(class, func(t *testing.T) {
+			e := newSoakEnv(t, 60, 13)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := e.config()
+			cfg.HTTP = &cancelAt{next: e.http, class: class, n: 5, cancel: cancel}
+			c := crawler.New(cfg)
+			if _, err := c.Run(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			rep := c.Report()
+			for name, gaps := range map[string]map[string]string{
+				"FailedQueries":            rep.FailedQueries,
+				"DroppedAuthors":           rep.DroppedAuthors,
+				"TwitterTimelineFailures":  rep.TwitterTimelineFailures,
+				"MastodonTimelineFailures": rep.MastodonTimelineFailures,
+				"FolloweeGaps":             rep.FolloweeGaps,
+				"ActivityGaps":             rep.ActivityGaps,
+			} {
+				for key, msg := range gaps {
+					if strings.Contains(msg, "context canceled") {
+						t.Errorf("%s[%s] = %q: a cancelled unit was noted as a gap", name, key, msg)
+					}
+				}
+			}
+		})
+	}
+}
+
+// legacyDone reads a v3 checkpoint file as the v3 code wrote it and
+// returns the done keys of phase, the phase in progress: the snapshot's
+// set for it (or its timelines, for the timeline phases) when the
+// snapshot is in that phase, plus the keys of the frames' unit records
+// of it.
+func legacyDone(t *testing.T, raw []byte, phase int) map[string]bool {
+	t.Helper()
+	const trailer = 16
+	if len(raw) < trailer || string(raw[len(raw)-trailer:][:8]) != "flockck3" {
+		t.Fatal("not a v3 file")
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw[:len(raw)-trailer]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(zr)
+	var snap struct {
+		Version       int             `json:"version"`
+		Phase         int             `json:"phase"`
+		Done          json.RawMessage `json:"done"`
+		DoneQueries   map[string]bool `json:"done_queries"`
+		DoneAuthors   map[string]bool `json:"done_authors"`
+		DoneFollowees map[string]bool `json:"done_followees"`
+		DoneActivity  map[string]bool `json:"done_activity"`
+		Dataset       struct {
+			TwitterTimelines  map[string]json.RawMessage
+			MastodonTimelines map[string]json.RawMessage
+		} `json:"dataset"`
+	}
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 3 || snap.Done != nil {
+		t.Fatalf("snapshot version %d, done %s: not a v3 snapshot", snap.Version, snap.Done)
+	}
+	done := map[string]bool{}
+	if snap.Phase+1 == phase {
+		sets := map[int]map[string]bool{2: snap.DoneQueries, 3: snap.DoneAuthors, 6: snap.DoneFollowees, 7: snap.DoneActivity}
+		maps.Copy(done, sets[phase])
+		timelines := map[int]map[string]json.RawMessage{4: snap.Dataset.TwitterTimelines, 5: snap.Dataset.MastodonTimelines}
+		for id := range timelines[phase] {
+			done[id] = true
+		}
+	}
+	for {
+		var fr struct {
+			Records []crawler.Record `json:"records"`
+		}
+		if err := dec.Decode(&fr); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range fr.Records {
+			if r.Phase == phase && !r.End {
+				done[r.Key] = true
+			}
+		}
+	}
+	return done
+}
+
+// TestCheckpointV3Fixtures resumes from real v3 checkpoint files, written
+// by the v3 code and killed inside each phase that kept done units (see
+// testdata/README.md). Each must load with the done set of the phase in
+// progress, resume to the dataset of an uninterrupted crawl and re-save
+// under the current schema. Comparing datasets alone would not catch a
+// lost set in the timeline phases: fetching those timelines again
+// rewrites identical entries.
+func TestCheckpointV3Fixtures(t *testing.T) {
+	config := func(e *soakEnv) crawler.Config {
+		cfg := e.config()
+		cfg.Concurrency = 2
+		cfg.CheckpointEvery = 4
+		cfg.ScoreToxicity = true
+		return cfg
+	}
+	refDS, err := crawler.New(config(newSoakEnvFrom(t, sparseWorld()))).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(refDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []struct {
+		file  string
+		phase int // the phase in progress
+	}{
+		{"v3_tweets.ckpt.gz", 2},
+		{"v3_mapping.ckpt.gz", 3},
+		{"v3_twitter_tl.ckpt.gz", 4},
+		{"v3_mastodon_tl.ckpt.gz", 5},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy := legacyDone(t, raw, fx.phase)
+			if len(legacy) == 0 {
+				t.Fatal("fixture holds no done units")
+			}
+			path := filepath.Join(t.TempDir(), fx.file)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			prog, err := store.NewFileCheckpoint(path).Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.Phase+1 != fx.phase {
+				t.Fatalf("loaded at phase %d, want %d in progress", prog.Phase, fx.phase)
+			}
+			if !maps.Equal(prog.Done, legacy) {
+				t.Fatalf("Done = %v, want the legacy set %v", slices.Sorted(maps.Keys(prog.Done)), slices.Sorted(maps.Keys(legacy)))
+			}
+
+			cfg := config(newSoakEnvFrom(t, sparseWorld()))
+			cfg.Checkpoint = store.NewFileCheckpoint(path)
+			c := crawler.New(cfg)
+			ds, err := c.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Report().Resumed {
+				t.Fatal("did not resume")
+			}
+			got, err := json.Marshal(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("resume diverged from the uninterrupted crawl: %d bytes, want %d", len(got), len(want))
+			}
+			saved, err := store.NewFileCheckpoint(path).Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved.Version != crawler.ProgressVersion {
+				t.Fatalf("re-saved version %d, want %d", saved.Version, crawler.ProgressVersion)
+			}
+		})
+	}
+}

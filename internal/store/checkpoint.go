@@ -23,11 +23,12 @@ import (
 // then a rename), so a crash mid-save leaves the previous checkpoint
 // intact and a resumed crawl never sees a torn file.
 //
-// The file (schema v3) is a snapshot, then zero or more frames, then a
-// trailer:
+// The file (schemas v3 and v4) is a snapshot, then zero or more frames,
+// then a trailer:
 //
-//	snapshot  one gzip member: the crawler.Progress as JSON, in the
-//	          v1/v2 layout
+//	snapshot  one gzip member: the crawler.Progress as JSON (its schema
+//	          is crawler.ProgressVersion; Progress.UnmarshalJSON reads
+//	          every older one)
 //	frame     one gzip member: {"health": [...], "records": [...]}, the
 //	          records applied since the previous write and the health
 //	          registry export at save time
@@ -37,8 +38,8 @@ import (
 // Load decodes the snapshot and replays the frames' records through
 // crawler.Progress.Apply; the last frame's health export wins. v1 and v2
 // files are a bare snapshot with no frames and no trailer, read by the
-// same decoder. A v3 file cut anywhere, or with any byte changed, fails
-// to load rather than yield an older state.
+// same decoder. A v3 or later file cut anywhere, or with any byte
+// changed, fails to load rather than yield an older state.
 //
 // Compaction rule: a save appends one frame with the records not yet
 // written when it is given the journaling progress it wrote last and the
@@ -123,7 +124,7 @@ func decodeCheckpoint(raw []byte) (*crawler.Progress, error) {
 	if !sealed {
 		switch {
 		case prog.Version > legacyVersion:
-			return nil, errors.New("v3 snapshot without a trailer: file truncated")
+			return nil, fmt.Errorf("v%d snapshot without a trailer: file truncated", prog.Version)
 		case r.Len() > 0:
 			return nil, errors.New("trailing data after the snapshot")
 		}
@@ -153,7 +154,7 @@ func decodeCheckpoint(raw []byte) (*crawler.Progress, error) {
 	return prog, nil
 }
 
-// openTrailer splits a v3 trailer off raw and checks its CRC. A file
+// openTrailer splits the trailer off raw and checks its CRC. A file
 // without one (v1/v2) comes back whole with sealed false.
 func openTrailer(raw []byte) (body []byte, frames int, sealed bool, err error) {
 	if len(raw) < trailerLen || string(raw[len(raw)-trailerLen:][:len(trailerMagic)]) != trailerMagic {

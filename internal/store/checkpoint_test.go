@@ -36,9 +36,10 @@ func TestFileCheckpointRoundTrip(t *testing.T) {
 	}}
 	ds.TwitterTimelines["a1"] = &crawler.TwitterTimeline{State: crawler.StateOK}
 	want := &crawler.Progress{
-		Phase:       3,
-		Dataset:     ds,
-		DoneQueries: map[string]bool{"mastodon": true},
+		Version: crawler.ProgressVersion,
+		Phase:   3,
+		Dataset: ds,
+		Done:    map[string]bool{"a1": true},
 	}
 	if err := ck.Save(want); err != nil {
 		t.Fatal(err)
@@ -59,8 +60,8 @@ func TestFileCheckpointRoundTrip(t *testing.T) {
 	if tl := got.Dataset.TwitterTimelines["a1"]; tl == nil || tl.State != crawler.StateOK {
 		t.Fatalf("timeline lost: %+v", got.Dataset.TwitterTimelines)
 	}
-	if !got.DoneQueries["mastodon"] {
-		t.Fatalf("done set lost: %+v", got.DoneQueries)
+	if !got.Done["a1"] {
+		t.Fatalf("done set lost: %+v", got.Done)
 	}
 }
 
@@ -68,10 +69,10 @@ func TestFileCheckpointSaveIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "crawl.json.gz")
 	ck := NewFileCheckpoint(path)
-	if err := ck.Save(&crawler.Progress{Phase: 1}); err != nil {
+	if err := ck.Save(&crawler.Progress{Version: crawler.ProgressVersion, Phase: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Save(&crawler.Progress{Phase: 2}); err != nil {
+	if err := ck.Save(&crawler.Progress{Version: crawler.ProgressVersion, Phase: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// No temp droppings left behind.
@@ -98,9 +99,9 @@ func TestFileCheckpointSaveIsAtomic(t *testing.T) {
 // sizedProgress is a progress big enough that JSON decoding finishes
 // well before the gzip trailer.
 func sizedProgress() *crawler.Progress {
-	prog := &crawler.Progress{Phase: 2, Dataset: crawler.NewDataset(), DoneQueries: map[string]bool{}}
+	prog := &crawler.Progress{Version: crawler.ProgressVersion, Phase: 2, Dataset: crawler.NewDataset(), Done: map[string]bool{}}
 	for i := 0; i < 200; i++ {
-		prog.DoneQueries[string(rune('a'+i%26))+"-query-"+string(rune('0'+i%10))] = true
+		prog.Done[string(rune('a'+i%26))+"-query-"+string(rune('0'+i%10))] = true
 		prog.Dataset.CollectedTweets = append(prog.Dataset.CollectedTweets, crawler.CollectedTweet{
 			ID: "tweet-id-padding-padding-padding", AuthorID: "author", Text: "bye bye twitter",
 		})
@@ -289,8 +290,8 @@ func TestFileCheckpointFailedSaveKeepsRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualJSON(t, got, prog)
-	if len(got.DoneQueries) != 40 {
-		t.Fatalf("loaded %d queries, want all 40", len(got.DoneQueries))
+	if len(got.Done) != 40 {
+		t.Fatalf("loaded %d queries, want all 40", len(got.Done))
 	}
 }
 
@@ -367,13 +368,13 @@ func TestFileCheckpointLoadDetectsTruncation(t *testing.T) {
 	}
 }
 
-// legacyFile encodes prog the way schema v1 and v2 saved it: one gzip
-// member holding one JSON value.
-func legacyFile(t testing.TB, prog *crawler.Progress) []byte {
+// legacyFile encodes v the way schema v1 and v2 saved a progress: one
+// gzip member holding one JSON value.
+func legacyFile(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(prog); err != nil {
+	if err := json.NewEncoder(zw).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
@@ -387,11 +388,15 @@ func legacyFile(t testing.TB, prog *crawler.Progress) []byte {
 // its trailer checksum recomputed, so mutations reach the gzip members,
 // the JSON and the record replay behind the file checksum.
 func FuzzFileCheckpointLoad(f *testing.F) {
-	v2 := &crawler.Progress{Version: 2, Phase: 1, Dataset: crawler.NewDataset(), DoneQueries: map[string]bool{"mastodon": true}}
-	v2.Dataset.Instances = []crawler.IndexedInstance{{Name: "mastodon.social", Up: true}}
-	f.Add(legacyFile(f, v2))
+	// v2 files kept one done set per phase, and the timeline phases none:
+	// mid-mapping (with a stale set of the phase before), then mid-way
+	// through the Twitter timelines.
+	f.Add(legacyFile(f, json.RawMessage(`{"version":2,"phase":2,"dataset":{"Instances":[{"name":"mastodon.social","up":true}]},`+
+		`"done_queries":{"mastodon":true},"done_authors":{"a1":true,"a2":true}}`)))
 	_, framed := framedFile(f, NewFileCheckpoint(filepath.Join(f.TempDir(), "seed.json.gz")))
 	f.Add(framed)
+	f.Add(legacyFile(f, json.RawMessage(`{"version":2,"phase":3,"dataset":{"Pairs":[{"TwitterID":"a1"},{"TwitterID":"a2"}],`+
+		`"TwitterTimelines":{"a1":{"State":"ok","Posts":[{"ID":"p1","Toxicity":-1}]}}}}`)))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		inputs := [][]byte{raw}
 		if n := len(raw); n >= trailerLen && string(raw[n-trailerLen:n-8]) == trailerMagic {
@@ -423,7 +428,7 @@ func TestFileCheckpointClear(t *testing.T) {
 	if err := ck.Clear(); err != nil {
 		t.Fatalf("clear of missing checkpoint: %v", err)
 	}
-	if err := ck.Save(&crawler.Progress{Phase: 1}); err != nil {
+	if err := ck.Save(&crawler.Progress{Version: crawler.ProgressVersion, Phase: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Clear(); err != nil {
