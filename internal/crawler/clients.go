@@ -77,6 +77,7 @@ import (
 	"time"
 
 	"flock/internal/httpkit"
+	"flock/internal/toxsvc"
 )
 
 // fallbackDoer backs clients constructed without an explicit Doer. It is
@@ -326,22 +327,21 @@ func (i *IndexClient) List(ctx context.Context) ([]IndexedInstance, error) {
 	return resp.Instances, nil
 }
 
-// PerspectiveClient scores text toxicity over HTTP.
+// PerspectiveClient scores text toxicity over HTTP, speaking toxsvc's
+// wire shape.
 type PerspectiveClient struct {
 	Base string
 	HTTP httpkit.Doer
 }
 
-// Score returns the TOXICITY summary score of text.
+// Score returns the TOXICITY summary score of text. A reply without
+// that score is an error, like a failed exchange.
 func (p *PerspectiveClient) Score(ctx context.Context, text string) (float64, error) {
-	reqBody, err := json.Marshal(map[string]any{
-		"comment":             map[string]string{"text": text},
-		"requestedAttributes": map[string]any{"TOXICITY": map[string]any{}},
-	})
+	reqBody, err := toxsvc.MarshalRequest(text)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+"/v1alpha1/comments:analyze", bytes.NewReader(reqBody))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+toxsvc.Path, bytes.NewReader(reqBody))
 	if err != nil {
 		return 0, err
 	}
@@ -358,17 +358,14 @@ func (p *PerspectiveClient) Score(ctx context.Context, text string) (float64, er
 	if resp.StatusCode != http.StatusOK {
 		return 0, &httpkit.StatusError{Code: resp.StatusCode, URL: p.Base}
 	}
-	var out struct {
-		AttributeScores map[string]struct {
-			SummaryScore struct {
-				Value float64 `json:"value"`
-			} `json:"summaryScore"`
-		} `json:"attributeScores"`
-	}
+	var out toxsvc.Response
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return 0, err
 	}
-	return out.AttributeScores["TOXICITY"].SummaryScore.Value, nil
+	if out.AttributeScores.Toxicity == nil {
+		return 0, fmt.Errorf("crawler: %s replied without a TOXICITY score", p.Base)
+	}
+	return out.AttributeScores.Toxicity.SummaryScore.Value, nil
 }
 
 // parseUnix converts a unix-seconds string to a time.

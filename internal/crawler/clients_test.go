@@ -1,0 +1,66 @@
+package crawler
+
+import (
+	"context"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+
+	"flock/internal/memnet"
+	"flock/internal/randx"
+	"flock/internal/textkit"
+	"flock/internal/toxsvc"
+)
+
+// replyDoer answers every request with 200 and its body.
+type replyDoer string
+
+func (d replyDoer) Do(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(strings.NewReader(string(d))),
+		Request:    req,
+	}, nil
+}
+
+// TestPerspectiveScoreNeedsToxicity: a 200 reply without a TOXICITY
+// summary score is an error, so the post keeps -1 like any failed score
+// instead of a valid-looking 0.
+func TestPerspectiveScoreNeedsToxicity(t *testing.T) {
+	ctx := context.Background()
+	for _, body := range []string{
+		`{"attributeScores":{}}`,
+		`{}`,
+		`{"attributeScores":{"TOXICITY":null,"INSULT":{"summaryScore":{"value":0.9,"type":"PROBABILITY"}}}}`,
+	} {
+		p := &PerspectiveClient{Base: "https://" + toxsvc.Host, HTTP: replyDoer(body)}
+		if v, err := p.Score(ctx, "hello"); err == nil {
+			t.Errorf("reply %s: score %v, want an error", body, v)
+		}
+	}
+	p := &PerspectiveClient{Base: "https://" + toxsvc.Host, HTTP: replyDoer(`{"attributeScores":{"TOXICITY":{"summaryScore":{"value":0.25,"type":"PROBABILITY"}}}}`)}
+	if v, err := p.Score(ctx, "hello"); err != nil || v != 0.25 {
+		t.Fatalf("Score = %v, %v; want 0.25", v, err)
+	}
+}
+
+// BenchmarkPerspectiveScore scores one post per op through the crawl's
+// httpkit client and a memnet fabric to the toxsvc handler.
+func BenchmarkPerspectiveScore(b *testing.B) {
+	fab := memnet.NewFabric()
+	defer fab.Close()
+	if _, err := fab.Serve(context.Background(), toxsvc.Host, toxsvc.New(0).Handler()); err != nil {
+		b.Fatal(err)
+	}
+	tox := New(Config{PerspectiveBase: "https://" + toxsvc.Host, Transport: Transport{HTTP: fab.Client()}}).tox
+	text := textkit.NewGenerator(randx.New(1)).Post(textkit.PostOpts{Topic: textkit.TopicMigration, Hashtags: 2})
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := tox.Score(ctx, text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,10 +1,13 @@
 package httpkit
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,4 +255,49 @@ func TestDoBackoffLendsGroupSlot(t *testing.T) {
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// goid returns the calling goroutine's id, from the first line of its
+// stack trace ("goroutine 18 [running]:").
+func goid() string {
+	var buf [64]byte
+	line := buf[:runtime.Stack(buf[:], false)]
+	line, _, _ = bytes.Cut(bytes.TrimPrefix(line, []byte("goroutine ")), []byte(" "))
+	return string(line)
+}
+
+// TestGroupReusesWorkers: quick tasks run on at most tasksPerSlot*n
+// worker goroutines, not one goroutine each, and the workers are gone
+// once Wait returns.
+func TestGroupReusesWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := NewGroup(context.Background(), 1)
+	var mu sync.Mutex
+	ids := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		g.Go(func(context.Context) error {
+			id := goid()
+			mu.Lock()
+			ids[id] = true
+			mu.Unlock()
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) > tasksPerSlot {
+		t.Fatalf("200 tasks ran on %d goroutines, want at most %d", len(ids), tasksPerSlot)
+	}
+	// A worker leaves the WaitGroup as its last act, so it may still be
+	// exiting when Wait returns; give the runtime a moment to reap it.
+	// Goroutines of earlier tests may exit meanwhile, so fewer is fine.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Wait, %d before NewGroup", n, before)
+	}
+	t.Logf("200 tasks on %d goroutines", len(ids))
 }

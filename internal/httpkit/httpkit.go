@@ -550,26 +550,32 @@ func Paginate[T any](ctx context.Context, maxPages int, fetch FetchPage[T]) ([]T
 // error but letting the remaining tasks finish (a crawl wants maximal
 // coverage, not fail-fast); Wait joins them.
 //
-// The bound counts running tasks, not existing ones. Each task gets its
-// own context carrying its worker slot, and a task that waits for
-// anything other than its own exchange (a retry backoff, a per-host
-// window, a probe gate) waits through Idle, which lends the slot to
-// another task for the wait. So waits overlap with other tasks' work,
-// and a task holding a slot blocks on nothing but its own exchange:
-// whatever it waits for is held by a task that either runs or is itself
-// waiting without a slot.
+// Tasks run on worker goroutines that each take the next task when one
+// ends, so a phase of many short tasks does not start (and regrow the
+// stack of) a goroutine per task. The bound counts running tasks, not
+// existing ones. Each task gets a context carrying its worker slot, and
+// a task that waits for anything other than its own exchange (a retry
+// backoff, a per-host window, a probe gate) waits through Idle, which
+// lends the slot to another task for the wait. So waits overlap with
+// other tasks' work, and a task holding a slot blocks on nothing but its
+// own exchange: whatever it waits for is held by a task that either runs
+// or is itself waiting without a slot.
+//
+// Call Go only before Wait, and Wait once.
 type Group struct {
-	ctx   context.Context
-	run   chan struct{} // worker slots: one per running task
-	alive chan struct{} // one per existing task, running or waiting
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	errs  []error
+	ctx     context.Context
+	run     chan struct{}                    // worker slots: one per running task
+	workers chan struct{}                    // one per worker goroutine started
+	tasks   chan func(context.Context) error // hands a task to an idle worker
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	errs    []error
 }
 
-// tasksPerSlot caps the tasks that exist at once at this multiple of the
-// running bound, so a phase with far more work units than slots does not
-// start a goroutine per unit. Past 8x, crawl time stops improving.
+// tasksPerSlot caps the worker goroutines, and so the tasks that exist
+// at once, at this multiple of the running bound: each worker holds one
+// task, running or waiting, and a phase with far more work units than
+// slots reuses them. Past 8x, crawl time stops improving.
 const tasksPerSlot = 8
 
 // NewGroup returns a Group running at most n tasks at once. Each task's
@@ -578,32 +584,54 @@ func NewGroup(ctx context.Context, n int) *Group {
 	if n < 1 {
 		n = 1
 	}
-	return &Group{ctx: ctx, run: make(chan struct{}, n), alive: make(chan struct{}, tasksPerSlot*n)}
+	return &Group{
+		ctx:     ctx,
+		run:     make(chan struct{}, n),
+		workers: make(chan struct{}, tasksPerSlot*n),
+		tasks:   make(chan func(context.Context) error),
+	}
 }
 
-// Go schedules fn. It blocks while tasksPerSlot*n tasks exist; the task
-// itself starts once a worker slot is free.
+// Go schedules fn on an idle worker, or on a new one while fewer than
+// tasksPerSlot*n exist. It blocks while every worker holds a task, that
+// is while tasksPerSlot*n tasks exist; the task itself starts once a
+// worker slot is free.
 func (g *Group) Go(fn func(ctx context.Context) error) {
-	g.alive <- struct{}{}
-	g.wg.Add(1)
-	go func() {
-		defer func() {
-			<-g.alive
-			g.wg.Done()
-		}()
+	select {
+	case g.tasks <- fn:
+		return
+	default:
+	}
+	select {
+	case g.tasks <- fn:
+	case g.workers <- struct{}{}:
+		g.wg.Add(1)
+		go g.work(fn)
+	}
+}
+
+// work runs fn, then every task handed to it, until Wait closes tasks.
+// Its tasks share one context and slot: they run one after another, and
+// Idle gives the slot back before a task returns.
+func (g *Group) work(fn func(ctx context.Context) error) {
+	defer g.wg.Done()
+	ctx := context.WithValue(g.ctx, slotKey{}, &slot{run: g.run})
+	for ok := true; ok; fn, ok = <-g.tasks {
 		g.run <- struct{}{}
-		defer func() { <-g.run }()
-		if err := fn(context.WithValue(g.ctx, slotKey{}, &slot{run: g.run})); err != nil {
+		err := fn(ctx)
+		<-g.run
+		if err != nil {
 			g.mu.Lock()
 			g.errs = append(g.errs, err)
 			g.mu.Unlock()
 		}
-	}()
+	}
 }
 
-// Wait blocks until all scheduled tasks finish and returns the collected
-// errors joined (nil if none failed).
+// Wait blocks until all scheduled tasks finish and their workers exit,
+// and returns the collected errors joined (nil if none failed).
 func (g *Group) Wait() error {
+	close(g.tasks)
 	g.wg.Wait()
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -613,10 +641,11 @@ func (g *Group) Wait() error {
 // slotKey is the context key under which a Group task finds its slot.
 type slotKey struct{}
 
-// slot is one task's claim on its Group's worker slots.
+// slot is one worker's claim on its Group's worker slots, held by the
+// task it runs.
 type slot struct {
 	run  chan struct{}
-	idle bool // the slot is lent out; only the task's goroutine touches it
+	idle bool // the slot is lent out; only the worker's goroutine touches it
 }
 
 // Idle runs wait with the calling task's worker slot lent to another

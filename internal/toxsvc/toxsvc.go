@@ -5,6 +5,13 @@
 // limit, so the crawler-side client code matches real Perspective
 // integrations.
 //
+// Request and Response are the one wire shape of that exchange: the
+// crawler's Perspective client encodes its body with MarshalRequest and
+// decodes the reply into Response, and the handler decodes Request and
+// encodes Response. The requested attributes stay a map, so the handler
+// finds TOXICITY by an exact key match: a struct field would also match
+// "toxicity" and would read "TOXICITY": null as absent.
+//
 // Scoring is a transparent lexicon model: the toxic phrases the world
 // generator plants (see textkit.ToxicPhrases) decompose into a word
 // lexicon; a post's score grows with lexicon hits and is stable and
@@ -29,18 +36,38 @@ import (
 // Host is the hostname the scorer binds on the fabric.
 const Host = "perspective.test"
 
+// Path is the comments:analyze endpoint, relative to the service's base
+// URL.
+const Path = "/v1alpha1/comments:analyze"
+
 // Request is the comments:analyze request body subset.
 type Request struct {
-	Comment struct {
-		Text string `json:"text"`
-	} `json:"comment"`
+	Comment             Comment             `json:"comment"`
 	RequestedAttributes map[string]struct{} `json:"requestedAttributes"`
 	Languages           []string            `json:"languages,omitempty"`
 }
 
-// Response is the comments:analyze response subset.
+// Comment is the text a request scores.
+type Comment struct {
+	Text string `json:"text"`
+}
+
+// toxicityOnly is the attribute set MarshalRequest sends. It is only
+// ever encoded, never modified.
+var toxicityOnly = map[string]struct{}{"TOXICITY": {}}
+
+// MarshalRequest returns the body of a request that scores text for
+// TOXICITY alone.
+func MarshalRequest(text string) ([]byte, error) {
+	return json.Marshal(&Request{Comment: Comment{Text: text}, RequestedAttributes: toxicityOnly})
+}
+
+// Response is the comments:analyze response subset. The service scores
+// TOXICITY only; a reply without that score leaves Toxicity nil.
 type Response struct {
-	AttributeScores map[string]AttributeScore `json:"attributeScores"`
+	AttributeScores struct {
+		Toxicity *AttributeScore `json:"TOXICITY,omitempty"`
+	} `json:"attributeScores"`
 }
 
 // AttributeScore carries the summary score of one attribute.
@@ -158,7 +185,7 @@ func (s *Service) allow() bool {
 // Handler returns the HTTP handler.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1alpha1/comments:analyze", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+Path, func(w http.ResponseWriter, r *http.Request) {
 		if !s.allow() {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, `{"error":{"code":429,"status":"RESOURCE_EXHAUSTED"}}`, http.StatusTooManyRequests)
@@ -182,13 +209,13 @@ func (s *Service) Handler() http.Handler {
 			http.Error(w, `{"error":{"code":400,"message":"TOXICITY attribute required"}}`, http.StatusBadRequest)
 			return
 		}
-		var resp Response
-		score := AttributeScore{}
+		var score AttributeScore
 		score.SummaryScore.Value = Score(req.Comment.Text)
 		score.SummaryScore.Type = "PROBABILITY"
-		resp.AttributeScores = map[string]AttributeScore{"TOXICITY": score}
+		var resp Response
+		resp.AttributeScores.Toxicity = &score
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		_ = json.NewEncoder(w).Encode(&resp)
 	})
 	return mux
 }

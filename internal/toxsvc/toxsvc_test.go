@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"flock/internal/randx"
@@ -12,13 +13,15 @@ import (
 	"flock/internal/world"
 )
 
+// analyze posts a request scoring text for TOXICITY to the service at
+// url and returns the score and the status code.
 func analyze(t *testing.T, url, text string) (float64, int) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{
-		"comment":             map[string]string{"text": text},
-		"requestedAttributes": map[string]any{"TOXICITY": map[string]any{}},
-	})
-	resp, err := http.Post(url+"/v1alpha1/comments:analyze", "application/json", bytes.NewReader(body))
+	body, err := json.Marshal(Request{Comment: Comment{Text: text}, RequestedAttributes: map[string]struct{}{"TOXICITY": {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+Path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +33,10 @@ func analyze(t *testing.T, url, text string) (float64, int) {
 	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
 		t.Fatal(err)
 	}
-	return r.AttributeScores["TOXICITY"].SummaryScore.Value, 200
+	if r.AttributeScores.Toxicity == nil {
+		t.Fatal("200 reply without a TOXICITY score")
+	}
+	return r.AttributeScores.Toxicity.SummaryScore.Value, 200
 }
 
 func TestScoreSeparatesToxicFromClean(t *testing.T) {
@@ -118,34 +124,35 @@ func TestHTTPAnalyze(t *testing.T) {
 	}
 }
 
+// TestHTTPValidation pins the service's answer to raw bodies. The
+// requested attributes are a set of exact keys: a null TOXICITY value
+// still requests it, a lowercase key does not, and other attributes are
+// ignored.
 func TestHTTPValidation(t *testing.T) {
 	srv := httptest.NewServer(New(0).Handler())
 	defer srv.Close()
-	// Missing TOXICITY attribute.
-	body, _ := json.Marshal(map[string]any{
-		"comment":             map[string]string{"text": "x"},
-		"requestedAttributes": map[string]any{"SEVERE_TOXICITY": map[string]any{}},
-	})
-	resp, err := http.Post(srv.URL+"/v1alpha1/comments:analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d for missing attribute", resp.StatusCode)
-	}
-	// Empty text.
-	if _, code := analyze(t, srv.URL, ""); code != http.StatusBadRequest {
-		t.Fatalf("status %d for empty text", code)
-	}
-	// Bad JSON.
-	resp, err = http.Post(srv.URL+"/v1alpha1/comments:analyze", "application/json", bytes.NewReader([]byte("{")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d for bad json", resp.StatusCode)
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"valid", `{"comment":{"text":"x"},"requestedAttributes":{"TOXICITY":{}}}`, http.StatusOK},
+		{"missing TOXICITY", `{"comment":{"text":"x"},"requestedAttributes":{"SEVERE_TOXICITY":{}}}`, http.StatusBadRequest},
+		{"null TOXICITY", `{"comment":{"text":"x"},"requestedAttributes":{"TOXICITY":null}}`, http.StatusOK},
+		{"lowercase toxicity", `{"comment":{"text":"x"},"requestedAttributes":{"toxicity":{}}}`, http.StatusBadRequest},
+		{"extra INSULT", `{"comment":{"text":"x"},"requestedAttributes":{"TOXICITY":{},"INSULT":{}}}`, http.StatusOK},
+		{"empty text", `{"comment":{"text":""},"requestedAttributes":{"TOXICITY":{}}}`, http.StatusBadRequest},
+		{"bad JSON", `{`, http.StatusBadRequest},
+		// Past 1 MiB the body is cut, and the rest does not parse.
+		{"over 1 MiB", `{"comment":{"text":"` + strings.Repeat("x", 1<<20) + `"},"requestedAttributes":{"TOXICITY":{}}}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+Path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
 }
 
