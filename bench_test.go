@@ -9,9 +9,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// Ablation benchmarks at the bottom quantify the design choices called
-// out in DESIGN.md §5 (hierarchical matching, stratified sampling,
-// similarity/toxicity thresholds, client-side rate limiting).
+// Ablation benchmarks at the bottom quantify the reproduction's design
+// choices (hierarchical matching, stratified sampling, similarity and
+// toxicity thresholds, client-side rate limiting).
 package flock
 
 import (
@@ -86,7 +86,7 @@ func BenchmarkFig02TweetCollection(b *testing.B) {
 	res := benchResult(b)
 	var c *analysis.CollectionSeries
 	for i := 0; i < b.N; i++ {
-		c = analysis.CollectionFigure(res.Dataset)
+		c = analysis.Engine{}.CollectionFigure(res.Dataset)
 		_ = report.Fig2Collection(c)
 	}
 	pre, post := 0, 0
@@ -108,7 +108,7 @@ func BenchmarkFig03WeeklyActivity(b *testing.B) {
 	res := benchResult(b)
 	var a *analysis.ActivitySeries
 	for i := 0; i < b.N; i++ {
-		a = analysis.ActivityFigure(res.Dataset)
+		a = analysis.Engine{}.ActivityFigure(res.Dataset)
 		_ = report.Fig3Activity(a)
 	}
 	if len(a.Weeks) == 0 {
@@ -120,7 +120,7 @@ func BenchmarkFig04TopInstances(b *testing.B) {
 	res := benchResult(b)
 	var c *analysis.Centralization
 	for i := 0; i < b.N; i++ {
-		c = analysis.RQ1(res.Dataset)
+		c = analysis.Engine{}.RQ1(res.Dataset)
 		_ = report.Fig4TopInstances(c)
 	}
 	metric(b, "pre_takeover_accounts", 0.21, c.PreTakeoverAccountFrac)
@@ -130,7 +130,7 @@ func BenchmarkFig05TopShare(b *testing.B) {
 	res := benchResult(b)
 	var c *analysis.Centralization
 	for i := 0; i < b.N; i++ {
-		c = analysis.RQ1(res.Dataset)
+		c = analysis.Engine{}.RQ1(res.Dataset)
 		_ = report.Fig5TopShare(c)
 	}
 	metric(b, "top25_share", 0.96, c.Top25Share)
@@ -140,7 +140,7 @@ func BenchmarkFig06SizeQuantiles(b *testing.B) {
 	res := benchResult(b)
 	var c *analysis.Centralization
 	for i := 0; i < b.N; i++ {
-		c = analysis.RQ1(res.Dataset)
+		c = analysis.Engine{}.RQ1(res.Dataset)
 		_ = report.Fig6SizeQuantiles(c)
 	}
 	metric(b, "single_user_status_boost", 1.2114, c.SingleVsLargest.StatusBoost)
@@ -150,7 +150,7 @@ func BenchmarkFig07NetworkCDF(b *testing.B) {
 	res := benchResult(b)
 	var n *analysis.NetworkSizes
 	for i := 0; i < b.N; i++ {
-		n = analysis.SocialNetworkSizes(res.Dataset)
+		n = analysis.Engine{}.SocialNetworkSizes(res.Dataset)
 		_ = report.Fig7Networks(n)
 	}
 	// The preserved quantity is the cross-platform followee ratio
@@ -164,7 +164,7 @@ func BenchmarkFig08FolloweeMigration(b *testing.B) {
 	res := benchResult(b)
 	var c *analysis.Contagion
 	for i := 0; i < b.N; i++ {
-		c = analysis.RQ2Contagion(res.Dataset)
+		c = analysis.Engine{}.RQ2Contagion(res.Dataset)
 		_ = report.Fig8Contagion(c)
 	}
 	metric(b, "followees_migrated_mean", 0.0599, c.MeanFracMigrated)
@@ -175,7 +175,7 @@ func BenchmarkFig09SwitchChord(b *testing.B) {
 	res := benchResult(b)
 	var s *analysis.Switching
 	for i := 0; i < b.N; i++ {
-		s = analysis.RQ2Switching(res.Dataset)
+		s = analysis.Engine{}.RQ2Switching(res.Dataset)
 		_ = report.Fig9Chord(s)
 	}
 	metric(b, "switcher_frac", 0.0409, s.SwitcherFrac)
@@ -186,7 +186,7 @@ func BenchmarkFig10SwitchInfluence(b *testing.B) {
 	res := benchResult(b)
 	var s *analysis.Switching
 	for i := 0; i < b.N; i++ {
-		s = analysis.RQ2Switching(res.Dataset)
+		s = analysis.Engine{}.RQ2Switching(res.Dataset)
 		_ = report.Fig10SwitchInfluence(s)
 	}
 	metric(b, "followees_at_second", 0.4698, s.MeanFracSecond)
@@ -197,7 +197,7 @@ func BenchmarkFig11DailyActivity(b *testing.B) {
 	res := benchResult(b)
 	var d *analysis.DailyActivity
 	for i := 0; i < b.N; i++ {
-		d = analysis.Timelines(res.Dataset)
+		d = analysis.Engine{}.Timelines(res.Dataset)
 		_ = report.Fig11Daily(d)
 	}
 	if len(d.Days) != vclock.StudyDays {
@@ -209,7 +209,7 @@ func BenchmarkFig12Sources(b *testing.B) {
 	res := benchResult(b)
 	var s *analysis.Sources
 	for i := 0; i < b.N; i++ {
-		s = analysis.RQ3Sources(res.Dataset)
+		s = analysis.Engine{}.RQ3Sources(res.Dataset)
 		_ = report.Fig12Sources(s)
 	}
 	metric(b, "crossposter_users", 0.0573, s.CrossposterUserFrac)
@@ -219,7 +219,7 @@ func BenchmarkFig13CrossposterUsers(b *testing.B) {
 	res := benchResult(b)
 	var s *analysis.Sources
 	for i := 0; i < b.N; i++ {
-		s = analysis.RQ3Sources(res.Dataset)
+		s = analysis.Engine{}.RQ3Sources(res.Dataset)
 		_ = report.Fig13Crossposters(s)
 	}
 	max := 0
@@ -237,7 +237,7 @@ func BenchmarkFig14ContentSimilarity(b *testing.B) {
 	res := benchResult(b)
 	var o *analysis.Overlap
 	for i := 0; i < b.N; i++ {
-		o = analysis.RQ3Overlap(res.Dataset, analysis.OverlapOptions{MaxUsers: 100})
+		o = analysis.Engine{}.RQ3Overlap(res.Dataset, analysis.OverlapOptions{MaxUsers: 100})
 		_ = report.Fig14Overlap(o)
 	}
 	metric(b, "identical_mean", 0.0153, o.MeanIdentical)
@@ -248,7 +248,7 @@ func BenchmarkFig15Hashtags(b *testing.B) {
 	res := benchResult(b)
 	var h *analysis.HashtagTables
 	for i := 0; i < b.N; i++ {
-		h = analysis.RQ3Hashtags(res.Dataset)
+		h = analysis.Engine{}.RQ3Hashtags(res.Dataset)
 		_ = report.Fig15Hashtags(h)
 	}
 	if len(h.Mastodon) == 0 {
@@ -260,7 +260,7 @@ func BenchmarkFig16Toxicity(b *testing.B) {
 	res := benchResult(b)
 	var x *analysis.ToxicityResult
 	for i := 0; i < b.N; i++ {
-		x = analysis.RQ3Toxicity(res.Dataset, analysis.ToxicityOptions{ScoreFn: toxsvc.Score})
+		x = analysis.Engine{}.RQ3Toxicity(res.Dataset, analysis.ToxicityOptions{ScoreFn: toxsvc.Score})
 		_ = report.Fig16Toxicity(x)
 	}
 	metric(b, "tweet_toxicity", 0.0549, x.OverallTweetToxic)
@@ -273,7 +273,7 @@ func BenchmarkExtRetention(b *testing.B) {
 	res := benchResult(b)
 	var r *analysis.RetentionResult
 	for i := 0; i < b.N; i++ {
-		r = analysis.RQ4Retention(res.Dataset)
+		r = analysis.Engine{}.RQ4Retention(res.Dataset)
 		_ = report.Retention(r)
 	}
 	b.ReportMetric(r.RetainedFrac*1000, "retained_measured")
@@ -293,7 +293,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations ---
 
 // BenchmarkAblationMatcherStrategy compares the paper's hierarchical
 // matcher (exact-username guard on tweet-text matches) against the
@@ -383,7 +383,7 @@ func BenchmarkAblationSimThreshold(b *testing.B) {
 		b.Run(thName(th), func(b *testing.B) {
 			var o *analysis.Overlap
 			for i := 0; i < b.N; i++ {
-				o = analysis.RQ3Overlap(res.Dataset, analysis.OverlapOptions{Threshold: th, MaxUsers: 60})
+				o = analysis.Engine{}.RQ3Overlap(res.Dataset, analysis.OverlapOptions{Threshold: th, MaxUsers: 60})
 			}
 			metric(b, "similar_mean", 0.1657, o.MeanSimilar)
 		})
@@ -440,7 +440,7 @@ func BenchmarkAblationToxThreshold(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var x *analysis.ToxicityResult
 			for i := 0; i < b.N; i++ {
-				x = analysis.RQ3Toxicity(res.Dataset, analysis.ToxicityOptions{Threshold: th, ScoreFn: toxsvc.Score})
+				x = analysis.Engine{}.RQ3Toxicity(res.Dataset, analysis.ToxicityOptions{Threshold: th, ScoreFn: toxsvc.Score})
 			}
 			metric(b, "tweet_toxicity", 0.0549, x.OverallTweetToxic)
 		})

@@ -210,7 +210,7 @@ func TestRQ3OverlapMatchesDenseReference(t *testing.T) {
 	for _, maxUsers := range []int{0, 20} {
 		for _, th := range []float64{0.3, 0.5, 0.7, 0.9} {
 			opt := analysis.OverlapOptions{Threshold: th, MaxUsers: maxUsers}
-			got, err := json.Marshal(analysis.RQ3Overlap(ds, opt))
+			got, err := json.Marshal(analysis.Engine{}.RQ3Overlap(ds, opt))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ func main() {
 		}
 		counter.Pairs = append(counter.Pairs, ds.Pairs[i])
 	}
-	alt := analysis.RQ1(counter)
+	alt := analysis.Engine{}.RQ1(counter)
 	fmt.Println("counterfactual: without mastodon.social")
 	fmt.Printf("  users kept: %d of %d\n", len(counter.Pairs), len(ds.Pairs))
 	fmt.Printf("  top-25%% share: %s (with flagship: %s)\n",

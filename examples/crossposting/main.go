@@ -43,7 +43,7 @@ func main() {
 	// threshold? (§6.1 uses 0.7; lower thresholds admit more pairs.)
 	fmt.Println("similarity threshold sweep (Fig. 14 sensitivity):")
 	for _, th := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
-		o := analysis.RQ3Overlap(res.Dataset, analysis.OverlapOptions{Threshold: th})
+		o := analysis.Engine{}.RQ3Overlap(res.Dataset, analysis.OverlapOptions{Threshold: th})
 		fmt.Printf("  cos>=%.1f  similar mean %-8s completely different %s\n",
 			th, stats.Percent(o.MeanSimilar), stats.Percent(o.CompletelyDifferentFrac))
 	}
@@ -53,7 +53,7 @@ func main() {
 	// model the Perspective-style service uses.
 	fmt.Println("toxicity threshold sweep (Fig. 16 sensitivity):")
 	for _, th := range []float64{0.5, 0.8} {
-		x := analysis.RQ3Toxicity(res.Dataset, analysis.ToxicityOptions{
+		x := analysis.Engine{}.RQ3Toxicity(res.Dataset, analysis.ToxicityOptions{
 			Threshold: th,
 			ScoreFn:   toxsvc.Score,
 		})

@@ -48,7 +48,7 @@ func TestRQ1Basics(t *testing.T) {
 		{Name: "empty.example", Users: 800},
 		{Name: "alsoempty.example", Users: 2},
 	}
-	c := RQ1(ds)
+	c := Engine{}.RQ1(ds)
 	if c.InstancesReceiving != 2 {
 		t.Fatalf("receiving = %d", c.InstancesReceiving)
 	}
@@ -74,7 +74,7 @@ func TestRQ1Basics(t *testing.T) {
 }
 
 func TestRQ1EmptyDataset(t *testing.T) {
-	c := RQ1(crawler.NewDataset())
+	c := Engine{}.RQ1(crawler.NewDataset())
 	if c.InstancesReceiving != 0 || len(c.TopInstances) != 0 {
 		t.Fatal("empty dataset should produce empty result")
 	}
@@ -91,7 +91,7 @@ func TestSocialNetworkSizes(t *testing.T) {
 		p.MastodonFollowing = 3 * (i + 1)
 		ds.Pairs = append(ds.Pairs, p)
 	}
-	n := SocialNetworkSizes(ds)
+	n := Engine{}.SocialNetworkSizes(ds)
 	if n.MedianTwitterFollowers != 200 {
 		t.Fatalf("median tw followers %v", n.MedianTwitterFollowers)
 	}
@@ -117,7 +117,7 @@ func TestRQ2Contagion(t *testing.T) {
 		{TwitterID: "u2", Username: "user2"},
 		{TwitterID: "u99", Username: "stayer"},
 	}
-	c := RQ2Contagion(ds)
+	c := Engine{}.RQ2Contagion(ds)
 	if c.SampleSize != 1 {
 		t.Fatalf("sample size %d", c.SampleSize)
 	}
@@ -142,7 +142,7 @@ func TestRQ2ContagionFirstMover(t *testing.T) {
 	late := mkPair(1, "a.example", day(9))
 	ds.Pairs = append(ds.Pairs, ego, late)
 	ds.TwitterFollowees["u0"] = []crawler.FolloweeRef{{TwitterID: "u1", Username: "user1"}}
-	c := RQ2Contagion(ds)
+	c := Engine{}.RQ2Contagion(ds)
 	if c.UserFirstFrac != 1 {
 		t.Fatalf("first mover not detected: %v", c.UserFirstFrac)
 	}
@@ -171,7 +171,7 @@ func TestRQ2Switching(t *testing.T) {
 		{TwitterID: "u2", Username: "user2"},
 		{TwitterID: "u99", Username: "stayer"},
 	}
-	s := RQ2Switching(ds)
+	s := Engine{}.RQ2Switching(ds)
 	if s.Switchers != 1 || math.Abs(s.SwitcherFrac-0.2) > 1e-9 {
 		t.Fatalf("switchers %d frac %v", s.Switchers, s.SwitcherFrac)
 	}
@@ -209,7 +209,7 @@ func TestTimelinesBuckets(t *testing.T) {
 	mkTimelines(ds, "u0",
 		[]crawler.Post{{ID: "1", Time: at, Text: "x", Toxicity: -1}},
 		[]crawler.Post{{ID: "2", Time: at.Add(24 * time.Hour), Text: "y", Toxicity: -1}})
-	d := Timelines(ds)
+	d := Engine{}.Timelines(ds)
 	if d.Tweets[1] != 1 || d.Statuses[2] != 1 {
 		t.Fatalf("buckets wrong: %v %v", d.Tweets[:4], d.Statuses[:4])
 	}
@@ -228,7 +228,7 @@ func TestRQ3Sources(t *testing.T) {
 	mkTimelines(ds, "u1", []crawler.Post{
 		{ID: "5", Time: post, Text: "e", Source: "Twitter for iPhone", Toxicity: -1},
 	}, nil)
-	s := RQ3Sources(ds)
+	s := Engine{}.RQ3Sources(ds)
 	if s.CrossposterUserFrac != 0.5 {
 		t.Fatalf("crossposter user frac %v", s.CrossposterUserFrac)
 	}
@@ -265,7 +265,7 @@ func TestRQ3Overlap(t *testing.T) {
 			{ID: "2", Time: at, Text: tweetText, Toxicity: -1},                                      // identical
 			{ID: "3", Time: at, Text: "totally unrelated gardening words about soil", Toxicity: -1}, // different
 		})
-	o := RQ3Overlap(ds, OverlapOptions{})
+	o := Engine{}.RQ3Overlap(ds, OverlapOptions{})
 	if o.UsersCompared != 1 {
 		t.Fatalf("users compared %d", o.UsersCompared)
 	}
@@ -294,7 +294,7 @@ func TestRQ3OverlapIdenticalNeedsTheBestMatch(t *testing.T) {
 			{ID: "2", Time: at, Text: text, Toxicity: -1},
 		},
 		[]crawler.Post{{ID: "3", Time: at, Text: text, Toxicity: -1}})
-	o := RQ3Overlap(ds, OverlapOptions{})
+	o := Engine{}.RQ3Overlap(ds, OverlapOptions{})
 	if o.MeanIdentical != 0 || o.MeanSimilar != 1 {
 		t.Fatalf("identical %v, similar %v; want 0 and 1", o.MeanIdentical, o.MeanSimilar)
 	}
@@ -309,7 +309,7 @@ func TestRQ3OverlapMaxUsers(t *testing.T) {
 			[]crawler.Post{{ID: "t" + id, Time: at, Text: "hello world post", Toxicity: -1}},
 			[]crawler.Post{{ID: "s" + id, Time: at, Text: "different text entirely here", Toxicity: -1}})
 	}
-	o := RQ3Overlap(ds, OverlapOptions{MaxUsers: 2})
+	o := Engine{}.RQ3Overlap(ds, OverlapOptions{MaxUsers: 2})
 	if o.UsersCompared != 2 {
 		t.Fatalf("max users ignored: %d", o.UsersCompared)
 	}
@@ -321,7 +321,7 @@ func TestRQ3Hashtags(t *testing.T) {
 	mkTimelines(ds, "u0",
 		[]crawler.Post{{ID: "1", Time: at, Text: "match tonight #Football #football", Toxicity: -1}},
 		[]crawler.Post{{ID: "2", Time: at, Text: "hello #fediverse", Toxicity: -1}})
-	h := RQ3Hashtags(ds)
+	h := Engine{}.RQ3Hashtags(ds)
 	if len(h.Twitter) == 0 || h.Twitter[0].Key != "#football" || h.Twitter[0].Count != 2 {
 		t.Fatalf("twitter tags %v", h.Twitter)
 	}
@@ -344,7 +344,7 @@ func TestRQ3ToxicityWithScores(t *testing.T) {
 			{ID: "5", Time: at, Text: "e", Toxicity: 0.2},
 			{ID: "6", Time: at, Text: "f", Toxicity: 0.2},
 		})
-	x := RQ3Toxicity(ds, ToxicityOptions{})
+	x := Engine{}.RQ3Toxicity(ds, ToxicityOptions{})
 	if x.OverallTweetToxic != 0.5 {
 		t.Fatalf("tweet toxicity %v", x.OverallTweetToxic)
 	}
@@ -361,11 +361,11 @@ func TestRQ3ToxicityThreshold(t *testing.T) {
 	at := vclock.Takeover
 	mkTimelines(ds, "u0",
 		[]crawler.Post{{ID: "1", Time: at, Text: "a", Toxicity: 0.6}}, nil)
-	strict := RQ3Toxicity(ds, ToxicityOptions{Threshold: 0.8})
+	strict := Engine{}.RQ3Toxicity(ds, ToxicityOptions{Threshold: 0.8})
 	if strict.OverallTweetToxic != 0 {
 		t.Fatal("0.6 counted toxic at 0.8 threshold")
 	}
-	loose := RQ3Toxicity(ds, ToxicityOptions{Threshold: 0.5})
+	loose := Engine{}.RQ3Toxicity(ds, ToxicityOptions{Threshold: 0.5})
 	if loose.OverallTweetToxic != 1 {
 		t.Fatal("0.6 not toxic at 0.5 threshold")
 	}
@@ -377,12 +377,12 @@ func TestRQ3ToxicityScoreFn(t *testing.T) {
 	mkTimelines(ds, "u0",
 		[]crawler.Post{{ID: "1", Time: at, Text: "unscored", Toxicity: -1}}, nil)
 	// Without ScoreFn: skipped.
-	x := RQ3Toxicity(ds, ToxicityOptions{})
+	x := Engine{}.RQ3Toxicity(ds, ToxicityOptions{})
 	if x.ScoredTweets != 0 {
 		t.Fatal("unscored post counted")
 	}
 	// With ScoreFn: scored.
-	x = RQ3Toxicity(ds, ToxicityOptions{ScoreFn: func(string) float64 { return 0.9 }})
+	x = Engine{}.RQ3Toxicity(ds, ToxicityOptions{ScoreFn: func(string) float64 { return 0.9 }})
 	if x.ScoredTweets != 1 || x.OverallTweetToxic != 1 {
 		t.Fatalf("scorefn path: %+v", x)
 	}
@@ -396,7 +396,7 @@ func TestCollectionFigure(t *testing.T) {
 		{ID: "2", Time: at, Class: crawler.ClassKeyword},
 		{ID: "3", Time: at, Class: crawler.ClassKeyword},
 	}
-	c := CollectionFigure(ds)
+	c := Engine{}.CollectionFigure(ds)
 	d := vclock.Day(at)
 	if c.InstanceLinks[d] != 1 || c.Keywords[d] != 2 {
 		t.Fatalf("collection buckets: %d %d", c.InstanceLinks[d], c.Keywords[d])
@@ -414,7 +414,7 @@ func TestActivityFigure(t *testing.T) {
 	ds.Activity["b.example"] = []crawler.WeekActivity{
 		{Week: wk1, Registrations: 5, Logins: 5, Statuses: 5},
 	}
-	a := ActivityFigure(ds)
+	a := Engine{}.ActivityFigure(ds)
 	if len(a.Weeks) != 2 {
 		t.Fatalf("weeks %v", a.Weeks)
 	}

@@ -33,7 +33,7 @@ func TestRQ4Retention(t *testing.T) {
 	ds.TwitterTimelines["u3"] = &crawler.TwitterTimeline{State: crawler.StateOK}
 	ds.MastodonTimelines["u3"] = &crawler.MastodonTimeline{State: crawler.StateNoStatuses}
 
-	r := RQ4Retention(ds)
+	r := Engine{}.RQ4Retention(ds)
 	if r.Classified != 3 {
 		t.Fatalf("classified %d", r.Classified)
 	}
@@ -57,7 +57,7 @@ func TestRQ4Retention(t *testing.T) {
 }
 
 func TestRQ4RetentionEmpty(t *testing.T) {
-	r := RQ4Retention(crawler.NewDataset())
+	r := Engine{}.RQ4Retention(crawler.NewDataset())
 	if r.Classified != 0 || r.RetainedFrac != 0 {
 		t.Fatal("empty dataset retention")
 	}

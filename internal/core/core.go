@@ -23,7 +23,6 @@ import (
 	"flock/internal/birdsite"
 	"flock/internal/crawler"
 	"flock/internal/fediverse"
-	"flock/internal/httpkit"
 	"flock/internal/indexsvc"
 	"flock/internal/memnet"
 	"flock/internal/parallel"
@@ -35,41 +34,20 @@ import (
 type Config struct {
 	// World is the generative model configuration.
 	World world.Config
-	// Concurrency bounds the crawler's parallel fetches.
-	Concurrency int
-	// MaxSearchPages caps search pagination (0 = unlimited).
-	MaxSearchPages int
 	// ScoreToxicity runs the §6.3 Perspective pass over every post
 	// during the crawl (HTTP per post; the faithful but slower path).
 	ScoreToxicity bool
-	// ApplyOutages takes the world's down instances offline between
-	// mapping and timeline crawl, reproducing §3.2's 11.58% failure.
-	ApplyOutages bool
-	// OverlapMaxUsers caps the (quadratic) Fig. 14 comparison
-	// (0 = all users).
-	OverlapMaxUsers int
 	// AnalysisWorkers bounds the analysis engine's worker pool
 	// (<= 0: GOMAXPROCS). Results are byte-identical at any setting; the
 	// knob only trades wall-clock for cores.
 	AnalysisWorkers int
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
-	// Hedge enables tail-latency hedging on the crawl's shared HTTP
-	// client (zero value: off).
-	Hedge httpkit.HedgePolicy
-	// Adaptive sizes per-host concurrency windows from the crawl's
-	// health taxonomy (zero value: global bound only).
-	Adaptive crawler.AdaptivePolicy
 }
 
 // DefaultConfig returns a pipeline config for a world of nMigrants.
 func DefaultConfig(nMigrants int) Config {
-	return Config{
-		World:         world.DefaultConfig(nMigrants),
-		Concurrency:   8,
-		ScoreToxicity: true,
-		ApplyOutages:  true,
-	}
+	return Config{World: world.DefaultConfig(nMigrants), ScoreToxicity: true}
 }
 
 // Env is a running simulated internet: world + services on a fabric.
@@ -124,25 +102,18 @@ func (e *Env) Close() {
 	e.Fabric.Close()
 }
 
-// Crawl runs the paper's §3 methodology against the environment.
+// Crawl runs the paper's §3 methodology against the environment, eight
+// work units at a time. The world's down instances go offline between
+// mapping and the timeline crawl, reproducing §3.2's 11.58% failure.
 func (e *Env) Crawl(ctx context.Context, cfg Config) (*crawler.Dataset, error) {
 	c := crawler.New(crawler.Config{
 		TwitterBase:     "https://" + birdsite.Host,
 		IndexBase:       "https://" + indexsvc.Host,
 		PerspectiveBase: "https://" + toxsvc.Host,
-		Transport: crawler.Transport{
-			HTTP:        e.Client,
-			Concurrency: cfg.Concurrency,
-			Hedge:       cfg.Hedge,
-			Adaptive:    cfg.Adaptive,
-		},
-		MaxSearchPages: cfg.MaxSearchPages,
-		ScoreToxicity:  cfg.ScoreToxicity,
-		Logf:           cfg.Logf,
+		Transport:       crawler.Transport{HTTP: e.Client, Concurrency: 8},
+		ScoreToxicity:   cfg.ScoreToxicity,
+		Logf:            cfg.Logf,
 		BeforeTimelines: func() {
-			if !cfg.ApplyOutages {
-				return
-			}
 			e.Fedi.ApplyOutages(e.Fabric)
 			// Outages only affect new dials; drop pooled connections the
 			// way hours of real wall-clock time would.
@@ -200,7 +171,7 @@ func Analyze(ds *crawler.Dataset, cfg Config) *Result {
 	timed("daily", func() { res.Daily = eng.Timelines(ds) })
 	timed("sources", func() { res.Sources = eng.RQ3Sources(ds) })
 	timed("overlap", func() {
-		res.Overlap = eng.RQ3Overlap(ds, analysis.OverlapOptions{MaxUsers: cfg.OverlapMaxUsers})
+		res.Overlap = eng.RQ3Overlap(ds, analysis.OverlapOptions{})
 	})
 	timed("hashtags", func() { res.Hashtags = eng.RQ3Hashtags(ds) })
 	timed("toxicity", func() {

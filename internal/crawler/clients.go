@@ -73,21 +73,11 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"flock/internal/httpkit"
 	"flock/internal/toxsvc"
 )
-
-// fallbackDoer backs clients constructed without an explicit Doer. It is
-// a shared httpkit.Client with its own breaker registry rather than raw
-// http.DefaultClient, so even ad-hoc usage gets retries, per-host circuit
-// breaking and health-taxonomy accounting (the rawhttp analyzer in
-// internal/lint forbids the raw fallback).
-var fallbackDoer = sync.OnceValue(func() httpkit.Doer {
-	return httpkit.New(httpkit.WithBreaker(httpkit.NewHealthRegistry(httpkit.BreakerPolicy{})))
-})
 
 // TwitterClient wraps the Twitter v2 endpoints the crawl uses.
 type TwitterClient struct {
@@ -140,10 +130,9 @@ type userEnvelope struct {
 	Data *UserJSON `json:"data"`
 }
 
-// SearchAll drains the full-archive search for query in [start, end),
-// up to maxPages pages (0 = unlimited).
-func (t *TwitterClient) SearchAll(ctx context.Context, query string, start, end time.Time, maxPages int) ([]TweetJSON, error) {
-	return httpkit.Paginate(ctx, maxPages, func(ctx context.Context, token string) (httpkit.Page[TweetJSON], error) {
+// SearchAll drains the full-archive search for query in [start, end).
+func (t *TwitterClient) SearchAll(ctx context.Context, query string, start, end time.Time) ([]TweetJSON, error) {
+	return httpkit.Paginate(ctx, 0, func(ctx context.Context, token string) (httpkit.Page[TweetJSON], error) {
 		q := url.Values{}
 		q.Set("query", query)
 		q.Set("start_time", start.UTC().Format(time.RFC3339))
@@ -328,7 +317,8 @@ func (i *IndexClient) List(ctx context.Context) ([]IndexedInstance, error) {
 }
 
 // PerspectiveClient scores text toxicity over HTTP, speaking toxsvc's
-// wire shape.
+// wire shape. HTTP is required; the crawl passes its shared
+// httpkit.Client.
 type PerspectiveClient struct {
 	Base string
 	HTTP httpkit.Doer
@@ -346,11 +336,7 @@ func (p *PerspectiveClient) Score(ctx context.Context, text string) (float64, er
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	doer := p.HTTP
-	if doer == nil {
-		doer = fallbackDoer()
-	}
-	resp, err := doer.Do(req)
+	resp, err := p.HTTP.Do(req)
 	if err != nil {
 		return 0, err
 	}

@@ -48,11 +48,9 @@ type Transport struct {
 	// Adaptive sizes a per-host AIMD concurrency window under the global
 	// bound (zero value: global bound only).
 	Adaptive AdaptivePolicy
-	// Health is the per-host circuit-breaker registry shared by the
-	// crawl's HTTP clients. When nil, New creates one from Breaker.
-	Health *httpkit.HealthRegistry
-	// Breaker tunes the registry New creates when Health is nil; zero
-	// fields take httpkit.DefaultBreaker values.
+	// Breaker tunes the per-host circuit-breaker registry shared by the
+	// crawl's HTTP clients (see Crawler.Health); zero fields take
+	// httpkit.DefaultBreaker values.
 	Breaker httpkit.BreakerPolicy
 	// Clock is the time base for hedge digests and AIMD cooldowns; nil
 	// means vclock.Wall.
@@ -68,10 +66,6 @@ type Config struct {
 	// Transport holds the wire-level knobs (HTTP doer, concurrency,
 	// hedging, adaptive windows, breakers).
 	Transport
-	// MaxSearchPages caps pagination per search query (0 = unlimited).
-	MaxSearchPages int
-	// FolloweeSampleFrac is the §3.3 sample size (default 0.10).
-	FolloweeSampleFrac float64
 	// ScoreToxicity enables the §6.3 Perspective pass over every post.
 	ScoreToxicity bool
 	// Keywords overrides DefaultKeywords when non-nil.
@@ -122,19 +116,13 @@ func New(cfg Config) *Crawler {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 8
 	}
-	if cfg.FolloweeSampleFrac <= 0 {
-		cfg.FolloweeSampleFrac = 0.10
-	}
 	if cfg.Keywords == nil {
 		cfg.Keywords = DefaultKeywords
 	}
-	health := cfg.Health
-	if health == nil {
-		health = httpkit.NewHealthRegistry(cfg.Breaker)
-		if cfg.Clock != nil {
-			// Probation ages are computed against the crawl's clock.
-			health.SetClock(cfg.Clock)
-		}
+	health := httpkit.NewHealthRegistry(cfg.Breaker)
+	if cfg.Clock != nil {
+		// Probation ages are computed against the crawl's clock.
+		health.SetClock(cfg.Clock)
 	}
 	client := httpkit.New(
 		httpkit.WithDoer(cfg.HTTP),
@@ -342,7 +330,7 @@ func (c *Crawler) tweetQueries(ds *Dataset) []unit {
 	search := func(q string, class QueryClass) unit {
 		return unit{q, func(ctx context.Context) (Record, error) {
 			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
-				return c.tw.SearchAll(ctx, q, start, end, c.cfg.MaxSearchPages)
+				return c.tw.SearchAll(ctx, q, start, end)
 			})
 			if err != nil {
 				return Record{}, err
@@ -608,6 +596,10 @@ func stripHTML(s string) string {
 	return strings.TrimSpace(s)
 }
 
+// followeeSampleFrac is the §3.3 sample size: a tenth of the pairs whose
+// Twitter account is crawlable.
+const followeeSampleFrac = 0.10
+
 // followeeSample implements §3.3: a stratified sample straddling the
 // median followee count — half the sample from above the median, half
 // from below — then one unit per sampled user crawls its followees on
@@ -629,7 +621,7 @@ func (c *Crawler) followeeSample(ds *Dataset) []unit {
 		return eligible[i].TwitterID < eligible[j].TwitterID
 	})
 	n := len(eligible)
-	half := int(float64(n) * c.cfg.FolloweeSampleFrac / 2)
+	half := int(float64(n) * followeeSampleFrac / 2)
 	if half < 1 {
 		half = 1
 	}

@@ -33,59 +33,29 @@ type Limiter interface {
 	Limits() map[string]int
 }
 
-// AdaptivePolicy tunes the AIMD controller. The zero value disables
+// AdaptivePolicy turns the AIMD controller on. The zero value disables
 // adaptation (phases run under the global bound only).
 type AdaptivePolicy struct {
 	// Enabled turns per-host adaptation on.
 	Enabled bool
-	// MinPerHost floors the window so a backed-off host keeps probing
-	// (default 1).
-	MinPerHost int
-	// MaxPerHost caps the window (default: the crawl's global
-	// Concurrency bound).
-	MaxPerHost int
-	// Increase is the additive step credited per successful exchange,
-	// spread over the current window (default 1 — i.e. one extra slot
-	// per window's worth of successes, TCP-style).
-	Increase float64
-	// Decrease is the multiplicative factor applied on backpressure
-	// (default 0.5).
-	Decrease float64
-	// Cooldown spaces multiplicative decreases so one burst of 429s
-	// halves the window once, not once per response (default 50ms).
-	Cooldown time.Duration
-	// Initial is the starting window (default MaxPerHost: start
-	// optimistic, let backpressure carve hosts down).
-	Initial int
 }
 
-func (p AdaptivePolicy) withDefaults(globalBound int) AdaptivePolicy {
-	if p.MinPerHost <= 0 {
-		p.MinPerHost = 1
-	}
-	if p.MaxPerHost <= 0 {
-		p.MaxPerHost = globalBound
-	}
-	if p.MaxPerHost < p.MinPerHost {
-		p.MaxPerHost = p.MinPerHost
-	}
-	if p.Increase <= 0 {
-		p.Increase = 1
-	}
-	if p.Decrease <= 0 || p.Decrease >= 1 {
-		p.Decrease = 0.5
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = 50 * time.Millisecond
-	}
-	if p.Initial <= 0 {
-		p.Initial = p.MaxPerHost
-	}
-	if p.Initial < p.MinPerHost {
-		p.Initial = p.MinPerHost
-	}
-	return p
-}
+// The AIMD control law. A host's window starts at the crawl's global
+// Concurrency bound (start optimistic, let backpressure carve hosts
+// down) and stays between minPerHost and that bound.
+const (
+	// minPerHost floors the window so a backed-off host keeps probing.
+	minPerHost = 1
+	// aimdIncrease is the additive step credited per successful
+	// exchange, spread over the current window: one extra slot per
+	// window's worth of successes, TCP-style.
+	aimdIncrease = 1.0
+	// aimdDecrease is the multiplicative factor applied on backpressure.
+	aimdDecrease = 0.5
+	// aimdCooldown spaces multiplicative decreases so one burst of 429s
+	// halves the window once, not once per response.
+	aimdCooldown = 50 * time.Millisecond
+)
 
 // nopLimiter is the non-adaptive limiter: every acquire succeeds
 // immediately, leaving the global Group bound in charge.
@@ -117,16 +87,16 @@ func (w *hostWindow) broadcast() {
 // aimdLimiter implements Limiter with per-host AIMD windows stepped by
 // the HealthRegistry outcome stream.
 type aimdLimiter struct {
-	pol AdaptivePolicy
-	now vclock.NowFunc
+	bound int // the largest window: the global bound, at least minPerHost
+	now   vclock.NowFunc
 
 	mu    sync.Mutex
 	hosts map[string]*hostWindow
 }
 
 // NewAdaptiveLimiter builds an AIMD limiter and subscribes it to the
-// registry's outcome stream. globalBound seeds the default MaxPerHost;
-// now may be nil (vclock.Wall).
+// registry's outcome stream. globalBound is every host's initial and
+// largest window; now may be nil (vclock.Wall).
 func NewAdaptiveLimiter(pol AdaptivePolicy, health *httpkit.HealthRegistry, globalBound int, now vclock.NowFunc) Limiter {
 	if !pol.Enabled {
 		return nopLimiter{}
@@ -135,7 +105,7 @@ func NewAdaptiveLimiter(pol AdaptivePolicy, health *httpkit.HealthRegistry, glob
 		now = vclock.Wall
 	}
 	l := &aimdLimiter{
-		pol:   pol.withDefaults(globalBound),
+		bound: max(globalBound, minPerHost),
 		now:   now,
 		hosts: make(map[string]*hostWindow),
 	}
@@ -146,7 +116,7 @@ func NewAdaptiveLimiter(pol AdaptivePolicy, health *httpkit.HealthRegistry, glob
 func (l *aimdLimiter) window(host string) *hostWindow {
 	w, ok := l.hosts[host]
 	if !ok {
-		w = &hostWindow{limit: float64(l.pol.Initial), wake: make(chan struct{})}
+		w = &hostWindow{limit: float64(l.bound), wake: make(chan struct{})}
 		l.hosts[host] = w
 	}
 	return w
@@ -154,14 +124,7 @@ func (l *aimdLimiter) window(host string) *hostWindow {
 
 // effective is the integer window a host currently grants.
 func (l *aimdLimiter) effective(w *hostWindow) int {
-	n := int(math.Floor(w.limit))
-	if n < l.pol.MinPerHost {
-		n = l.pol.MinPerHost
-	}
-	if n > l.pol.MaxPerHost {
-		n = l.pol.MaxPerHost
-	}
-	return n
+	return min(max(int(math.Floor(w.limit)), minPerHost), l.bound)
 }
 
 func (l *aimdLimiter) Acquire(ctx context.Context, host string) (func(), error) {
@@ -233,16 +196,16 @@ func (l *aimdLimiter) observe(host string, kind httpkit.ErrorKind, success bool)
 	w := l.window(host)
 	switch {
 	case success:
-		if w.limit < float64(l.pol.MaxPerHost) {
-			step := l.pol.Increase / math.Max(1, math.Floor(w.limit))
-			w.limit = math.Min(float64(l.pol.MaxPerHost), w.limit+step)
+		if w.limit < float64(l.bound) {
+			step := aimdIncrease / math.Max(1, math.Floor(w.limit))
+			w.limit = math.Min(float64(l.bound), w.limit+step)
 			w.broadcast()
 		}
 	case backpressure(kind):
 		now := l.now()
-		if now.Sub(w.lastBackoff) >= l.pol.Cooldown {
+		if now.Sub(w.lastBackoff) >= aimdCooldown {
 			w.lastBackoff = now
-			w.limit = math.Max(float64(l.pol.MinPerHost), w.limit*l.pol.Decrease)
+			w.limit = math.Max(minPerHost, w.limit*aimdDecrease)
 		}
 	}
 }

@@ -18,10 +18,12 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestLimiter(t *testing.T, pol AdaptivePolicy, clk *fakeClock) (*aimdLimiter, *httpkit.HealthRegistry) {
+// newTestLimiter builds an enabled limiter whose windows start at, and
+// never exceed, globalBound.
+func newTestLimiter(t *testing.T, globalBound int, clk *fakeClock) (*aimdLimiter, *httpkit.HealthRegistry) {
 	t.Helper()
 	health := httpkit.NewHealthRegistry(httpkit.BreakerPolicy{})
-	lim := NewAdaptiveLimiter(pol, health, 8, clk.now)
+	lim := NewAdaptiveLimiter(AdaptivePolicy{Enabled: true}, health, globalBound, clk.now)
 	al, ok := lim.(*aimdLimiter)
 	if !ok {
 		t.Fatalf("enabled policy returned %T, want *aimdLimiter", lim)
@@ -46,15 +48,15 @@ func TestAdaptiveDisabledIsNop(t *testing.T) {
 
 func TestAdaptiveBackpressureAndRecovery(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	lim, health := newTestLimiter(t, AdaptivePolicy{Enabled: true, Cooldown: 50 * time.Millisecond}, clk)
+	lim, health := newTestLimiter(t, 8, clk)
 
 	const host = "busy.example"
 	if got := lim.Limits()[host]; got != 0 {
 		t.Fatalf("untouched host already has a window: %d", got)
 	}
 
-	// A burst of 429s within one cooldown halves the window once, not
-	// once per response.
+	// A burst of 429s within one cooldown (50ms) halves the window once,
+	// not once per response.
 	health.ReportFailure(host, httpkit.Kind429)
 	health.ReportFailure(host, httpkit.Kind429)
 	health.ReportFailure(host, httpkit.Kind429)
@@ -73,7 +75,7 @@ func TestAdaptiveBackpressureAndRecovery(t *testing.T) {
 	clk.advance(60 * time.Millisecond)
 	health.ReportFailure(host, httpkit.Kind429)
 	if got := lim.Limits()[host]; got != 1 {
-		t.Fatalf("window must floor at MinPerHost: %d", got)
+		t.Fatalf("window must floor at minPerHost: %d", got)
 	}
 
 	// Dial failures are the breaker's business, not load: no shrink —
@@ -93,13 +95,13 @@ func TestAdaptiveBackpressureAndRecovery(t *testing.T) {
 		health.ReportSuccess(host)
 	}
 	if got := lim.Limits()[host]; got != 8 {
-		t.Fatalf("window must cap at MaxPerHost: %d", got)
+		t.Fatalf("window must cap at the global bound: %d", got)
 	}
 }
 
 func TestAdaptiveAcquireBlocksAtWindow(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	lim, health := newTestLimiter(t, AdaptivePolicy{Enabled: true, Initial: 2, MaxPerHost: 2}, clk)
+	lim, health := newTestLimiter(t, 2, clk)
 
 	const host = "narrow.example"
 	r1, err := lim.Acquire(context.Background(), host)
@@ -175,28 +177,30 @@ func TestIdleWaitsDoNotDeadlock(t *testing.T) {
 	const host = "h.example"
 	for _, tc := range []struct {
 		name  string
-		setup func(*Config)
+		build func(Config) *Crawler
 	}{
-		{"adaptive window", func(cfg *Config) {
-			cfg.Adaptive = AdaptivePolicy{Enabled: true, MaxPerHost: 1}
+		{"adaptive window", func(cfg Config) *Crawler {
+			// The window is at most Concurrency, 1.
+			cfg.Adaptive = AdaptivePolicy{Enabled: true}
+			return New(cfg)
 		}},
-		{"probe gate", func(cfg *Config) {
+		{"probe gate", func(cfg Config) *Crawler {
 			// Past the quarantine threshold, last failure older than the
 			// probation age (1ns, so A's failure does not quarantine H
 			// again): the planner probes one exchange at a time.
-			cfg.Health = httpkit.NewHealthRegistry(httpkit.BreakerPolicy{Probation: time.Nanosecond})
-			cfg.Health.ImportHealth([]httpkit.HostHealth{{
+			cfg.Breaker = httpkit.BreakerPolicy{Probation: time.Nanosecond}
+			c := New(cfg)
+			c.Health().ImportHealth([]httpkit.HostHealth{{
 				Host:            host,
 				QuarantineOpens: httpkit.DefaultBreaker.QuarantineAfter,
 				LastFailure:     time.Now().Add(-time.Second),
 			}})
+			return c
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			doer := &failFirst{}
-			cfg := Config{Transport: Transport{HTTP: doer, Concurrency: 1}}
-			tc.setup(&cfg)
-			c := New(cfg)
+			c := tc.build(Config{Transport: Transport{HTTP: doer, Concurrency: 1}})
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			g := httpkit.NewGroup(ctx, 1)

@@ -229,21 +229,6 @@ func (s *Service) SetRateLimit(n int, window time.Duration) {
 	}
 }
 
-// Domains returns all served (claimed) instance domains.
-func (s *Service) Domains() []string {
-	out := make([]string, 0, len(s.byHost))
-	for d := range s.byHost {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AccountFor returns the account of a user on an instance (nil if none).
-func (s *Service) AccountFor(instID, userID int) *Account {
-	return s.accounts[[2]int{instID, userID}]
-}
-
 // RegisterAll serves every instance on the fabric. All instances start
 // reachable; apply the world's outages with ApplyOutages when the
 // simulated crawl reaches the timeline phase (the paper's instance

@@ -143,12 +143,12 @@ func TestClientShortCircuitsOpenHost(t *testing.T) {
 		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("refused")}
 	}}
 	reg := NewHealthRegistry(BreakerPolicy{FailureThreshold: 3, Cooldown: time.Hour})
-	c := &Client{
-		HTTP:   fd,
-		Health: reg,
-		Retry:  RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-		Sleep:  noSleep,
-	}
+	c := New(
+		WithDoer(fd),
+		WithBreaker(reg),
+		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}),
+		WithSleep(noSleep),
+	)
 	// Two requests x two attempts = 4 dial failures: breaker opens at 3.
 	for i := 0; i < 2; i++ {
 		req, _ := http.NewRequest("GET", "https://dead.example/x", nil)
@@ -183,7 +183,7 @@ func TestClientBreakerIsolatesHosts(t *testing.T) {
 		return respond(200, "ok", nil), nil
 	}}
 	reg := NewHealthRegistry(BreakerPolicy{FailureThreshold: 2, Cooldown: time.Hour})
-	c := &Client{HTTP: fd, Health: reg, Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}, Sleep: noSleep}
+	c := New(WithDoer(fd), WithBreaker(reg), WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}), WithSleep(noSleep))
 	req, _ := http.NewRequest("GET", "https://dead.example/", nil)
 	if _, err := c.Do(req); err == nil {
 		t.Fatal("want failure")
@@ -212,7 +212,7 @@ func TestClientSuccessClosesBreakerAfterCooldown(t *testing.T) {
 		return respond(200, "ok", nil), nil
 	}}
 	reg := NewHealthRegistry(BreakerPolicy{FailureThreshold: 1, Cooldown: 10 * time.Millisecond})
-	c := &Client{HTTP: fd, Health: reg, Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}, Sleep: noSleep}
+	c := New(WithDoer(fd), WithBreaker(reg), WithRetry(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}), WithSleep(noSleep))
 	req, _ := http.NewRequest("GET", "https://flap.example/", nil)
 	if _, err := c.Do(req); err == nil {
 		t.Fatal("want dial failure")
@@ -243,7 +243,7 @@ func TestDoRetriesBodyWithGetBody(t *testing.T) {
 		}
 		return respond(200, "ok", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: noSleep}
+	c := New(WithDoer(fd), WithSleep(noSleep))
 	// http.NewRequest sets GetBody for *strings.Reader.
 	req, _ := http.NewRequest("POST", "https://x.example/", strings.NewReader("payload"))
 	resp, err := c.Do(req)
@@ -261,7 +261,7 @@ func TestDoRefusesRetryWithoutGetBody(t *testing.T) {
 		io.Copy(io.Discard, req.Body)
 		return respond(503, "unavailable", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: noSleep}
+	c := New(WithDoer(fd), WithSleep(noSleep))
 	req, _ := http.NewRequest("POST", "https://x.example/", strings.NewReader("payload"))
 	req.GetBody = nil // e.g. a streaming body that cannot be replayed
 	_, err := c.Do(req)

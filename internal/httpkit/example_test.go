@@ -8,18 +8,38 @@ import (
 	"flock/internal/httpkit"
 )
 
+// busyThenOK answers 503 (retry at once) to its first two requests and
+// 200 to the rest.
+type busyThenOK struct{ calls int }
+
+func (d *busyThenOK) Do(*http.Request) (*http.Response, error) {
+	d.calls++
+	code := http.StatusOK
+	if d.calls <= 2 {
+		code = http.StatusServiceUnavailable
+	}
+	return &http.Response{StatusCode: code, Header: http.Header{"Retry-After": {"0"}}, Body: http.NoBody}, nil
+}
+
 // ExampleNew builds a crawl-ready client: retries with jittered backoff,
 // a shared rate limit, and per-host circuit breakers.
 func ExampleNew() {
 	health := httpkit.NewHealthRegistry(httpkit.DefaultBreaker)
 	client := httpkit.New(
+		httpkit.WithDoer(&busyThenOK{}),
 		httpkit.WithUserAgent("flock-crawler/1.0"),
 		httpkit.WithRetry(httpkit.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}),
 		httpkit.WithLimiter(httpkit.NewLimiter(10, 5)), // 10 req/s, burst 5
 		httpkit.WithBreaker(health),
 	)
-	_ = client // client.Do / client.GetJSON as usual
-	fmt.Println(client.Retry.MaxAttempts)
+	req, _ := http.NewRequest("GET", "https://mastodon.example/api/v1/instance", nil)
+	resp, err := client.Do(req) // two 503s, then the 200 on the last attempt
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	resp.Body.Close()
+	fmt.Println(client.Stats().Requests)
 	// Output: 3
 }
 

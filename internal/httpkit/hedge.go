@@ -116,10 +116,10 @@ func (d *latencyDigest) quantile(q float64) (time.Duration, bool) {
 
 // observeLatency records a successful exchange's duration for host.
 func (c *Client) observeLatency(host string, v time.Duration) {
-	if !c.Hedge.enabled() {
+	if !c.hedge.enabled() {
 		return
 	}
-	pol := c.Hedge.withDefaults()
+	pol := c.hedge.withDefaults()
 	c.mu.Lock()
 	if c.digests == nil {
 		c.digests = make(map[string]*latencyDigest)
@@ -150,7 +150,7 @@ func (c *Client) LatencyQuantile(host string, q float64) (time.Duration, bool) {
 // ok=false when the host is still cold (fewer than MinSamples
 // observations).
 func (c *Client) hedgeDelay(host string) (time.Duration, bool) {
-	pol := c.Hedge.withDefaults()
+	pol := c.hedge.withDefaults()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d := c.digests[host]
@@ -172,7 +172,7 @@ func (c *Client) hedgeDelay(host string) (time.Duration, bool) {
 // POSTs are never hedged — a duplicate write is not a latency
 // optimization, it is a correctness bug.
 func (c *Client) hedgeable(r *http.Request) bool {
-	if !c.Hedge.enabled() {
+	if !c.hedge.enabled() {
 		return false
 	}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -186,13 +186,13 @@ func (c *Client) hedgeable(r *http.Request) bool {
 // open or half-open breaker is already rationing requests; a hedge
 // would either be refused anyway or steal the half-open probe slot).
 func (c *Client) allowHedge(host string) bool {
-	if c.Health != nil && c.Health.State(host) != BreakerClosed {
+	if c.health != nil && c.health.State(host) != BreakerClosed {
 		c.mu.Lock()
 		c.hedgesDenied++
 		c.mu.Unlock()
 		return false
 	}
-	pol := c.Hedge.withDefaults()
+	pol := c.hedge.withDefaults()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if float64(c.hedges+1) > pol.BudgetFrac*float64(c.requests) {
@@ -261,10 +261,10 @@ func (c *Client) race(req *http.Request, host string, delay time.Duration) (*htt
 	launch(0, false)
 	inflight := 1
 
-	// The hedge trigger runs through c.sleep so tests with an injected
-	// Sleep control it; cancelling timerCtx reaps the goroutine once a
-	// result settles the race. It is not c.wait: the primary attempt
-	// still runs, so the task keeps its Group slot.
+	// The hedge trigger runs through c.sleep so tests that inject a
+	// sleep (WithSleep) control it; cancelling timerCtx reaps the
+	// goroutine once a result settles the race. It is not c.wait: the
+	// primary attempt still runs, so the task keeps its Group slot.
 	timerCtx, timerCancel := context.WithCancel(parent)
 	defer timerCancel()
 	timer := make(chan struct{})

@@ -273,10 +273,10 @@ func TestSubscribeSeesOutcomes(t *testing.T) {
 	}
 }
 
-// TestZeroValueClientStillWorks pins the one-release compat window for
-// struct-literal construction: the zero value behaves like New().
+// TestZeroValueClientStillWorks: the zero value, which outside this
+// package is the only Client literal that compiles, behaves like New().
 func TestZeroValueClientStillWorks(t *testing.T) {
-	c := &Client{HTTP: &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
+	c := &Client{doer: &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
 		return respond(200, "legacy", nil), nil
 	}}}
 	req, _ := http.NewRequest("GET", "https://h.example/", nil)
@@ -309,7 +309,7 @@ func TestOptionsCompose(t *testing.T) {
 		WithSleep(noSleep),
 		WithRand(func() float64 { return 0 }),
 	)
-	if c.Health != health || c.Retry.MaxAttempts != 2 || !c.Hedge.enabled() {
+	if c.health != health || c.retry.MaxAttempts != 2 || !c.hedge.enabled() {
 		t.Fatalf("options not applied: %+v", c)
 	}
 	req, _ := http.NewRequest("GET", "https://h.example/", nil)

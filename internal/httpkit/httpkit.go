@@ -161,42 +161,38 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 // Client wraps a Doer with pacing, retries, rate-limit awareness,
 // per-host circuit breaking and tail-latency hedging.
 //
-// Construct clients with New and functional options. The zero value
-// (and direct struct-literal construction) keeps working for one more
-// release so existing call sites migrate gradually, but the rawhttp
-// analyzer in internal/lint flags Client composite literals outside
-// this package; new code must go through New.
+// Construct clients with New and functional options. The fields are
+// unexported, so outside this package only the zero value compiles; it
+// behaves like New() (and the rawhttp analyzer in internal/lint flags
+// it there all the same).
 type Client struct {
-	// HTTP performs the requests; defaults to http.DefaultClient.
-	HTTP Doer
-	// Limiter paces requests client-side; nil means unpaced.
-	Limiter *Limiter
-	// Retry is the retry policy; zero value means DefaultRetry.
-	Retry RetryPolicy
-	// UserAgent is set on every request when non-empty.
-	UserAgent string
-	// Auth, when non-empty, is sent as the Authorization header
-	// ("Bearer <token>" for both platforms' APIs).
-	Auth string
-	// Rand supplies jitter in [0,1); defaults to a fixed mid value for
-	// reproducibility when nil.
-	Rand func() float64
-	// Sleep is the wait function, overridable in tests. Defaults to
-	// SleepContext.
-	Sleep func(context.Context, time.Duration) error
-	// Health, when non-nil, gates every request through the registry's
+	// doer performs the requests; nil means http.DefaultClient.
+	doer Doer
+	// limiter paces requests client-side; nil means unpaced.
+	limiter *Limiter
+	// retry is the retry policy; the zero value means DefaultRetry.
+	retry RetryPolicy
+	// userAgent and auth, when non-empty, are sent as the User-Agent and
+	// Authorization headers ("Bearer <token>" for both platforms' APIs).
+	userAgent, auth string
+	// rand supplies jitter in [0,1); nil means a fixed mid value, for
+	// reproducibility.
+	rand func() float64
+	// sleepFn is the wait function; nil means SleepContext.
+	sleepFn func(context.Context, time.Duration) error
+	// health, when non-nil, gates every request through the registry's
 	// per-host circuit breaker and records each outcome's error kind.
 	// Requests to a host with an open breaker fail fast with a
 	// *HostError wrapping ErrCircuitOpen instead of burning the retry
 	// budget against a dead host.
-	Health *HealthRegistry
-	// Hedge enables tail-latency hedging for idempotent GET/HEAD
-	// requests (see HedgePolicy). The zero value disables it.
-	Hedge HedgePolicy
-	// Clock supplies the time base for latency digests and Retry-After
+	health *HealthRegistry
+	// hedge enables tail-latency hedging for idempotent GET/HEAD
+	// requests (see HedgePolicy); the zero value disables it.
+	hedge HedgePolicy
+	// clock is the time base for latency digests and Retry-After
 	// arithmetic; nil means vclock.Wall. Virtual-time tests inject a
 	// vclock.Clock's Now so hedge percentiles replay deterministically.
-	Clock vclock.NowFunc
+	clock vclock.NowFunc
 
 	// stats
 	mu           sync.Mutex
@@ -239,31 +235,24 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-func (c *Client) doer() Doer {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 func (c *Client) policy() RetryPolicy {
-	if c.Retry.MaxAttempts <= 0 {
+	if c.retry.MaxAttempts <= 0 {
 		return DefaultRetry
 	}
-	return c.Retry
+	return c.retry
 }
 
 func (c *Client) rnd() float64 {
-	if c.Rand != nil {
-		return c.Rand()
+	if c.rand != nil {
+		return c.rand()
 	}
 	return 0.5
 }
 
-// sleep waits d with the injected Sleep, or SleepContext.
+// sleep waits d with the injected sleep function, or SleepContext.
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	if c.Sleep != nil {
-		return c.Sleep(ctx, d)
+	if c.sleepFn != nil {
+		return c.sleepFn(ctx, d)
 	}
 	return SleepContext(ctx, d)
 }
@@ -275,8 +264,8 @@ func (c *Client) wait(ctx context.Context, d time.Duration) error {
 }
 
 func (c *Client) now() time.Time {
-	if c.Clock != nil {
-		return c.Clock()
+	if c.clock != nil {
+		return c.clock()
 	}
 	return vclock.Wall()
 }
@@ -327,45 +316,49 @@ func retryable(code int) bool {
 // non-2xx handling stay in Do — and is the unit the hedging race
 // duplicates.
 func (c *Client) attempt(r *http.Request, host string) (*http.Response, error) {
-	if c.Health != nil {
-		if err := c.Health.Allow(host); err != nil {
+	if c.health != nil {
+		if err := c.health.Allow(host); err != nil {
 			c.mu.Lock()
 			c.shorts++
 			c.mu.Unlock()
 			return nil, err
 		}
 	}
-	if c.Limiter != nil {
-		if err := c.Limiter.Wait(r.Context()); err != nil {
+	if c.limiter != nil {
+		if err := c.limiter.Wait(r.Context()); err != nil {
 			return nil, err
 		}
 	}
-	if c.UserAgent != "" {
-		r.Header.Set("User-Agent", c.UserAgent)
+	if c.userAgent != "" {
+		r.Header.Set("User-Agent", c.userAgent)
 	}
-	if c.Auth != "" {
-		r.Header.Set("Authorization", c.Auth)
+	if c.auth != "" {
+		r.Header.Set("Authorization", c.auth)
 	}
 	c.mu.Lock()
 	c.requests++
 	c.mu.Unlock()
+	doer := c.doer
+	if doer == nil {
+		doer = http.DefaultClient
+	}
 	start := c.now()
-	resp, err := c.doer().Do(r)
+	resp, err := doer.Do(r)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Cancellation (caller or a settled hedge race) is not a
 			// host failure; don't feed it to the breaker.
 			return nil, r.Context().Err()
 		}
-		c.Health.ReportFailure(host, Classify(err, 0))
+		c.health.ReportFailure(host, Classify(err, 0))
 		return nil, err
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		c.observeLatency(host, c.now().Sub(start))
-		c.Health.ReportSuccess(host)
+		c.health.ReportSuccess(host)
 		return resp, nil
 	}
-	c.Health.ReportFailure(host, Classify(nil, resp.StatusCode))
+	c.health.ReportFailure(host, Classify(nil, resp.StatusCode))
 	if resp.StatusCode == http.StatusTooManyRequests {
 		c.mu.Lock()
 		c.limited++

@@ -44,12 +44,12 @@ func respond(code int, body string, hdr map[string]string) *http.Response {
 func noSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
 func TestDoSuccess(t *testing.T) {
-	c := &Client{
-		HTTP: &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
+	c := New(
+		WithDoer(&fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
 			return respond(200, "ok", nil), nil
-		}},
-		Sleep: noSleep,
-	}
+		}}),
+		WithSleep(noSleep),
+	)
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	resp, err := c.Do(req)
 	if err != nil {
@@ -72,7 +72,7 @@ func TestDoRetriesTransient5xx(t *testing.T) {
 		}
 		return respond(200, "finally", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: noSleep}
+	c := New(WithDoer(fd), WithSleep(noSleep))
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	resp, err := c.Do(req)
 	if err != nil {
@@ -97,10 +97,10 @@ func TestDoHonours429ResetHeader(t *testing.T) {
 		}
 		return respond(200, "ok", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: func(ctx context.Context, d time.Duration) error {
+	c := New(WithDoer(fd), WithSleep(func(ctx context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
-	}}
+	}))
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	resp, err := c.Do(req)
 	if err != nil {
@@ -126,10 +126,10 @@ func TestDoHonoursRetryAfterSeconds(t *testing.T) {
 		}
 		return respond(200, "ok", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: func(ctx context.Context, d time.Duration) error {
+	c := New(WithDoer(fd), WithSleep(func(ctx context.Context, d time.Duration) error {
 		slept = d
 		return nil
-	}}
+	}))
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	resp, err := c.Do(req)
 	if err != nil {
@@ -182,7 +182,7 @@ func TestDoTerminal404(t *testing.T) {
 	fd := &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
 		return respond(404, "not found", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: noSleep}
+	c := New(WithDoer(fd), WithSleep(noSleep))
 	req, _ := http.NewRequest("GET", "https://x.example/missing", nil)
 	_, err := c.Do(req)
 	if !IsStatus(err, 404) {
@@ -201,7 +201,7 @@ func TestDoExhaustsRetries(t *testing.T) {
 	fd := &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
 		return respond(500, "boom", nil), nil
 	}}
-	c := &Client{HTTP: fd, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}, Sleep: noSleep}
+	c := New(WithDoer(fd), WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}), WithSleep(noSleep))
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	_, err := c.Do(req)
 	if !IsStatus(err, 500) {
@@ -219,7 +219,7 @@ func TestDoNetworkErrorRetried(t *testing.T) {
 		}
 		return respond(200, "ok", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: noSleep}
+	c := New(WithDoer(fd), WithSleep(noSleep))
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	resp, err := c.Do(req)
 	if err != nil {
@@ -233,10 +233,10 @@ func TestDoContextCancelStopsRetry(t *testing.T) {
 		return respond(503, "", nil), nil
 	}}
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &Client{HTTP: fd, Sleep: func(ctx context.Context, d time.Duration) error {
+	c := New(WithDoer(fd), WithSleep(func(ctx context.Context, d time.Duration) error {
 		cancel()
 		return ctx.Err()
-	}}
+	}))
 	req, _ := http.NewRequestWithContext(ctx, "GET", "https://x.example/", nil)
 	_, err := c.Do(req)
 	if !errors.Is(err, context.Canceled) {
@@ -251,7 +251,7 @@ func TestAuthAndUserAgentHeaders(t *testing.T) {
 		gotUA = req.Header.Get("User-Agent")
 		return respond(200, "{}", nil), nil
 	}}
-	c := &Client{HTTP: fd, Auth: "Bearer token123", UserAgent: "flock/1.0", Sleep: noSleep}
+	c := New(WithDoer(fd), WithAuth("Bearer token123"), WithUserAgent("flock/1.0"), WithSleep(noSleep))
 	var out map[string]any
 	if err := c.GetJSON(context.Background(), "https://x.example/api", &out); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestGetJSONDecodes(t *testing.T) {
 	fd := &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
 		return respond(200, `{"name":"mastodon.social","users":100}`, nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: noSleep}
+	c := New(WithDoer(fd), WithSleep(noSleep))
 	var out struct {
 		Name  string `json:"name"`
 		Users int    `json:"users"`
@@ -282,7 +282,7 @@ func TestGetJSONBadJSON(t *testing.T) {
 	fd := &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
 		return respond(200, `{"name":`, nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: noSleep}
+	c := New(WithDoer(fd), WithSleep(noSleep))
 	var out map[string]any
 	if err := c.GetJSON(context.Background(), "https://x.example/", &out); err == nil {
 		t.Fatal("bad JSON decoded without error")
@@ -487,10 +487,10 @@ func TestDoClampsNegativeServerWait(t *testing.T) {
 		}
 		return respond(200, "ok", nil), nil
 	}}
-	c := &Client{HTTP: fd, Sleep: func(ctx context.Context, d time.Duration) error {
+	c := New(WithDoer(fd), WithSleep(func(ctx context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
-	}}
+	}))
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	resp, err := c.Do(req)
 	if err != nil {

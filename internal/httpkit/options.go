@@ -10,10 +10,10 @@ import (
 // Option configures a Client built by New.
 type Option func(*Client)
 
-// New builds a Client from functional options. This is the supported
-// construction path: the rawhttp analyzer flags Client composite
-// literals outside this package, so every crawler, service and test
-// assembles its client here where defaults stay in one place.
+// New builds a Client from functional options. It is the only way to
+// configure a Client: the fields are unexported, so every crawler,
+// service and test assembles its client here where defaults stay in one
+// place.
 func New(opts ...Option) *Client {
 	c := &Client{}
 	for _, opt := range opts {
@@ -24,36 +24,36 @@ func New(opts ...Option) *Client {
 
 // WithDoer sets the underlying transport (defaults to
 // http.DefaultClient when unset).
-func WithDoer(d Doer) Option { return func(c *Client) { c.HTTP = d } }
+func WithDoer(d Doer) Option { return func(c *Client) { c.doer = d } }
 
 // WithRetry sets the retry policy.
-func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.Retry = p } }
+func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.retry = p } }
 
 // WithLimiter sets the client-side token-bucket pacer.
-func WithLimiter(l *Limiter) Option { return func(c *Client) { c.Limiter = l } }
+func WithLimiter(l *Limiter) Option { return func(c *Client) { c.limiter = l } }
 
 // WithBreaker routes every request through the registry's per-host
 // circuit breakers.
-func WithBreaker(r *HealthRegistry) Option { return func(c *Client) { c.Health = r } }
+func WithBreaker(r *HealthRegistry) Option { return func(c *Client) { c.health = r } }
 
 // WithHedge enables tail-latency hedging with the given policy.
-func WithHedge(p HedgePolicy) Option { return func(c *Client) { c.Hedge = p } }
+func WithHedge(p HedgePolicy) Option { return func(c *Client) { c.hedge = p } }
 
 // WithClock sets the time base for latency digests and Retry-After
 // arithmetic (defaults to vclock.Wall).
-func WithClock(now vclock.NowFunc) Option { return func(c *Client) { c.Clock = now } }
+func WithClock(now vclock.NowFunc) Option { return func(c *Client) { c.clock = now } }
 
 // WithUserAgent sets the User-Agent header stamped on every request.
-func WithUserAgent(ua string) Option { return func(c *Client) { c.UserAgent = ua } }
+func WithUserAgent(ua string) Option { return func(c *Client) { c.userAgent = ua } }
 
 // WithAuth sets the Authorization header value sent on every request.
-func WithAuth(auth string) Option { return func(c *Client) { c.Auth = auth } }
+func WithAuth(auth string) Option { return func(c *Client) { c.auth = auth } }
 
 // WithSleep overrides the wait function used for backoff and hedge
 // timers (tests substitute an instant or virtual-time sleeper).
 func WithSleep(sleep func(context.Context, time.Duration) error) Option {
-	return func(c *Client) { c.Sleep = sleep }
+	return func(c *Client) { c.sleepFn = sleep }
 }
 
 // WithRand overrides the jitter source in [0,1) used by retry backoff.
-func WithRand(rnd func() float64) Option { return func(c *Client) { c.Rand = rnd } }
+func WithRand(rnd func() float64) Option { return func(c *Client) { c.rand = rnd } }

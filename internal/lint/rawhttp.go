@@ -19,10 +19,11 @@ var rawhttpFuncs = map[string]bool{"Get": true, "Post": true, "PostForm": true, 
 // exempt (they often drive httptest servers directly).
 //
 // It also forbids httpkit.Client composite literals everywhere outside
-// internal/httpkit, test files included: struct-literal construction
-// pins the zero-value compat surface and silently misses fields New
-// wires (hedging, clock injection). Construct clients with httpkit.New
-// and functional options.
+// internal/httpkit, test files included. The Client's fields are
+// unexported, so outside httpkit only the empty literal httpkit.Client{}
+// compiles; it silently misses everything New wires (breakers, hedging,
+// clock injection), so the rule still flags it. Construct clients with
+// httpkit.New and functional options.
 var RawHTTP = &analysis.Analyzer{
 	Name: "rawhttp",
 	Doc:  "forbid raw outbound HTTP (http.Get/Post, http.DefaultClient, http.Client literals) and httpkit.Client struct literals outside internal/httpkit",
@@ -67,7 +68,7 @@ var RawHTTP = &analysis.Analyzer{
 					pass.Reportf(n.Pos(), "http.%s issues an outbound request outside httpkit; route it through httpkit.Client so breakers and the health taxonomy account for it", sel)
 					return false
 				case sel == "DefaultClient":
-					pass.Reportf(n.Pos(), "http.DefaultClient bypasses the per-host circuit breakers; use an httpkit.Client (its nil-Doer fallback is breaker-wrapped)")
+					pass.Reportf(n.Pos(), "http.DefaultClient bypasses the per-host circuit breakers; use an httpkit.Client built with httpkit.WithBreaker")
 					return false
 				}
 				return true

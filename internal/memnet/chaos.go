@@ -2,12 +2,13 @@
 //
 // The paper's crawl survived a hostile network — 11.58% of Mastodon
 // timeline crawls failed because instances died mid-crawl (§3.2), and
-// both platforms throttle aggressively. The plain Fault knobs (FailEvery,
-// Latency) exercise single failure modes; the chaos engine composes the
-// full storm: probabilistic dial failures, scripted down/up flap windows,
-// latency jitter, mid-connection resets and byte-rate throttling
-// (slow-loris), all drawn from a randx-seeded stream so every chaos run
-// is reproducible from its seed.
+// both platforms throttle aggressively. The chaos engine is the fabric's
+// one fault injector. A ChaosSpec can set a single failure mode (a fixed
+// latency, a flap cycle) or compose the full storm: probabilistic dial
+// failures, scripted down/up flap windows, latency jitter,
+// mid-connection resets and byte-rate throttling (slow-loris), all drawn
+// from a randx-seeded stream so every chaos run is reproducible from its
+// seed.
 //
 // Determinism: every per-dial decision (fail? how much latency? will this
 // connection reset, and after how many bytes?) is derived from
@@ -98,8 +99,8 @@ type chaosHost struct {
 	stats ChaosStats
 }
 
-// hostSeed mixes the spec seed with the hostname so distinct hosts under
-// one storm seed draw distinct streams.
+// mixHostSeed mixes the spec seed with the hostname so distinct hosts
+// under one storm seed draw distinct streams.
 func mixHostSeed(seed uint64, host string) uint64 {
 	h := seed ^ 0xcbf29ce484222325
 	for i := 0; i < len(host); i++ {
@@ -190,8 +191,8 @@ func (c *chaosHost) snapshot() ChaosStats {
 }
 
 // SetChaos installs a chaos schedule for a host. Passing nil clears it.
-// Chaos composes with SetDown and SetFault: down wins, then legacy
-// faults, then the chaos plan.
+// A host marked down (SetDown) refuses dials before its schedule is
+// consulted.
 func (f *Fabric) SetChaos(host string, spec *ChaosSpec) {
 	host = canonical(host)
 	f.mu.Lock()

@@ -14,8 +14,9 @@
 //
 // The fabric supports the failure modes the paper's crawl encountered:
 // hosts can be taken down (11.58% of Mastodon timeline crawls failed with
-// "instance down", §3.2), and per-host latency and error injection let
-// tests exercise the retry/backoff paths in httpkit.
+// "instance down", §3.2), and a seeded per-host chaos schedule (SetChaos,
+// the fabric's one fault injector) lets tests exercise the retry, backoff,
+// breaker and hedging paths in httpkit.
 package memnet
 
 import (
@@ -46,29 +47,16 @@ type Fabric struct {
 	mu     sync.Mutex
 	hosts  map[string]*listener
 	down   map[string]bool
-	faults map[string]*Fault
 	chaos  map[string]*chaosHost
 	closed bool
-}
-
-// Fault configures failure injection for one host.
-type Fault struct {
-	// FailEvery makes every Nth dial fail with a transient error
-	// (0 disables).
-	FailEvery int
-	// Latency is added to every dial.
-	Latency time.Duration
-
-	dials int
 }
 
 // NewFabric returns an empty fabric.
 func NewFabric() *Fabric {
 	return &Fabric{
-		hosts:  make(map[string]*listener),
-		down:   make(map[string]bool),
-		faults: make(map[string]*Fault),
-		chaos:  make(map[string]*chaosHost),
+		hosts: make(map[string]*listener),
+		down:  make(map[string]bool),
+		chaos: make(map[string]*chaosHost),
 	}
 }
 
@@ -121,15 +109,6 @@ func (f *Fabric) DialContext(ctx context.Context, host string) (net.Conn, error)
 		return nil, &net.OpError{Op: "dial", Net: "memnet", Err: ErrHostDown}
 	}
 	l, ok := f.hosts[host]
-	var fault *Fault
-	if fl, has := f.faults[host]; has {
-		fl.dials++
-		if fl.FailEvery > 0 && fl.dials%fl.FailEvery == 0 {
-			f.mu.Unlock()
-			return nil, &net.OpError{Op: "dial", Net: "memnet", Err: errors.New("injected transient failure")}
-		}
-		fault = fl
-	}
 	ch := f.chaos[host]
 	f.mu.Unlock()
 	if !ok {
@@ -143,9 +122,6 @@ func (f *Fabric) DialContext(ctx context.Context, host string) (net.Conn, error)
 		if cerr != nil {
 			return nil, &net.OpError{Op: "dial", Net: "memnet", Err: cerr}
 		}
-	}
-	if fault != nil {
-		latency += fault.Latency
 	}
 	if latency > 0 {
 		select {
@@ -186,18 +162,7 @@ func (f *Fabric) IsDown(host string) bool {
 	return f.down[canonical(host)]
 }
 
-// SetFault installs failure injection for a host. Passing nil clears it.
-func (f *Fabric) SetFault(host string, fault *Fault) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if fault == nil {
-		delete(f.faults, canonical(host))
-		return
-	}
-	f.faults[canonical(host)] = fault
-}
-
-// Hosts returns the sorted-insensitive list of registered hostnames.
+// Hosts returns the registered hostnames, in no particular order.
 func (f *Fabric) Hosts() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()

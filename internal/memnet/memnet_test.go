@@ -132,7 +132,8 @@ func TestFaultInjection(t *testing.T) {
 			c.Close()
 		}
 	}()
-	f.SetFault("flaky.example", &Fault{FailEvery: 2})
+	// One dial up, one down: every second dial fails.
+	f.SetChaos("flaky.example", &ChaosSpec{FlapUpDials: 1, FlapDownDials: 1})
 	var fails int
 	for i := 0; i < 10; i++ {
 		c, err := f.DialContext(context.Background(), "flaky.example")
@@ -143,12 +144,15 @@ func TestFaultInjection(t *testing.T) {
 		c.Close()
 	}
 	if fails != 5 {
-		t.Fatalf("FailEvery=2 produced %d failures in 10 dials, want 5", fails)
+		t.Fatalf("a 1-up/1-down flap produced %d failures in 10 dials, want 5", fails)
 	}
-	f.SetFault("flaky.example", nil)
-	if c, err := f.DialContext(context.Background(), "flaky.example"); err != nil {
-		t.Fatalf("dial after clearing fault: %v", err)
-	} else {
+	// Two dials: the schedule, had it stayed, would refuse the second.
+	f.SetChaos("flaky.example", nil)
+	for i := 0; i < 2; i++ {
+		c, err := f.DialContext(context.Background(), "flaky.example")
+		if err != nil {
+			t.Fatalf("dial %d after clearing the schedule: %v", i, err)
+		}
 		c.Close()
 	}
 }
@@ -159,7 +163,7 @@ func TestDialContextCancel(t *testing.T) {
 	if _, err := f.Listen("slow.example"); err != nil {
 		t.Fatal(err)
 	}
-	f.SetFault("slow.example", &Fault{Latency: time.Minute})
+	f.SetChaos("slow.example", &ChaosSpec{Latency: time.Minute})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := f.DialContext(ctx, "slow.example")
