@@ -11,13 +11,11 @@
 //
 // Ablation benchmarks at the bottom quantify the reproduction's design
 // choices (hierarchical matching, stratified sampling, similarity and
-// toxicity thresholds, client-side rate limiting).
+// toxicity thresholds, tail-latency hedging, parallel analysis).
 package flock
 
 import (
 	"context"
-	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -394,40 +392,6 @@ func thName(th float64) string {
 	return "threshold_" + strings.ReplaceAll(strconv.FormatFloat(th, 'f', 1, 64), ".", "_")
 }
 
-// rateLimitedServer is an in-memory Doer enforcing a fixed-window rate
-// limit, standing in for an API edge.
-type rateLimitedServer struct {
-	mu       sync.Mutex
-	limit    int
-	window   time.Duration
-	winStart time.Time
-	count    int
-}
-
-func (s *rateLimitedServer) reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.winStart = time.Time{}
-	s.count = 0
-}
-
-func (s *rateLimitedServer) Do(req *http.Request) (*http.Response, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := time.Now()
-	if s.winStart.IsZero() || now.Sub(s.winStart) >= s.window {
-		s.winStart = now
-		s.count = 0
-	}
-	h := http.Header{}
-	if s.count >= s.limit {
-		h.Set("Retry-After", "0")
-		return &http.Response{StatusCode: 429, Header: h, Body: io.NopCloser(strings.NewReader(""))}, nil
-	}
-	s.count++
-	return &http.Response{StatusCode: 200, Header: h, Body: io.NopCloser(strings.NewReader("{}"))}, nil
-}
-
 // BenchmarkAblationToxThreshold sweeps the §6.3 toxicity cutoff (0.5 vs
 // the stricter 0.8 used by some prior work).
 func BenchmarkAblationToxThreshold(b *testing.B) {
@@ -445,39 +409,6 @@ func BenchmarkAblationToxThreshold(b *testing.B) {
 			metric(b, "tweet_toxicity", 0.0549, x.OverallTweetToxic)
 		})
 	}
-}
-
-// BenchmarkAblationRateLimit compares proactive client-side pacing
-// against purely reactive 429 handling when a server rate-limits: the
-// reactive client burns requests into 429s, the paced one does not.
-func BenchmarkAblationRateLimit(b *testing.B) {
-	fd := &rateLimitedServer{limit: 50, window: 100 * time.Millisecond}
-	mk := func(l *httpkit.Limiter) *httpkit.Client {
-		return httpkit.New(
-			httpkit.WithDoer(fd),
-			httpkit.WithLimiter(l),
-			httpkit.WithRetry(httpkit.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond}),
-			httpkit.WithSleep(func(ctx context.Context, d time.Duration) error { return ctx.Err() }),
-		)
-	}
-	run := func(c *httpkit.Client, n int) httpkit.Stats {
-		ctx := context.Background()
-		for i := 0; i < n; i++ {
-			var out map[string]any
-			_ = c.GetJSON(ctx, "https://api.example/x", &out)
-		}
-		return c.Stats()
-	}
-	var pacedStats, reactiveStats httpkit.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fd.reset()
-		pacedStats = run(mk(httpkit.NewLimiter(400, 10)), 200)
-		fd.reset()
-		reactiveStats = run(mk(nil), 200)
-	}
-	b.ReportMetric(float64(pacedStats.RateLimited), "paced_429s")
-	b.ReportMetric(float64(reactiveStats.RateLimited), "reactive_429s")
 }
 
 // BenchmarkAblationTailLatency quantifies the tail-at-scale design: a

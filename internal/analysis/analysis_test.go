@@ -193,9 +193,6 @@ func TestRQ2Switching(t *testing.T) {
 	if math.Abs(s.MeanFracSecondBefore-1.0) > 1e-9 {
 		t.Fatalf("frac second before %v", s.MeanFracSecondBefore)
 	}
-	if got := s.TopSwitchTargets(1); len(got) != 1 || got[0].Key != "topic.example" {
-		t.Fatalf("top targets %v", got)
-	}
 }
 
 func mkTimelines(ds *crawler.Dataset, id string, tweets, statuses []crawler.Post) {

@@ -406,17 +406,6 @@ func (e Engine) RQ2Switching(ds *crawler.Dataset) *Switching {
 	return out
 }
 
-// TopSwitchTargets returns the most common destination domains in the
-// chord, for the Fig. 9 narrative ("users move from flagship to
-// topic-specific instances").
-func (s *Switching) TopSwitchTargets(k int) []stats.FreqCount {
-	counts := map[string]int{}
-	for _, f := range s.Chord.TopFlows(0) {
-		counts[f.To] += f.Count
-	}
-	return stats.TopK(counts, k)
-}
-
 // domainIsPersonal is a heuristic used in reporting: personal servers in
 // the simulation use the owner's name with a ".page" suffix.
 func domainIsPersonal(domain string) bool {

@@ -11,8 +11,7 @@
 //   - GET /2/users/:id/following — followees, paginated (§3.3)
 //
 // Response shapes follow the v2 API closely enough that the crawler code
-// reads like real Twitter client code. The service enforces per-endpoint
-// rate limits, returning 429 with x-rate-limit-reset, and reproduces the
+// reads like real Twitter client code. The service reproduces the
 // account-state failures the paper hit: suspended (403), deleted (404),
 // protected (401) accounts.
 package birdsite
@@ -23,12 +22,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"flock/internal/ids"
 	"flock/internal/textkit"
-	"flock/internal/vclock"
 	"flock/internal/world"
 )
 
@@ -46,34 +43,12 @@ type Service struct {
 	// user directory.
 	byUsername map[string]*world.User
 	byID       map[string]*world.User
-
-	// rate limiting (nil = unlimited).
-	mu      sync.Mutex
-	buckets map[string]*bucket
-	limits  Limits
-	now     vclock.NowFunc
 }
 
 // tweetRef locates one tweet in the world.
 type tweetRef struct {
 	UserID int
 	Idx    int // index within TweetsByUser[UserID]
-}
-
-// Limits configures per-endpoint rate limits as requests per window.
-// Zero values disable limiting for that endpoint.
-type Limits struct {
-	SearchPerWindow    int
-	UsersPerWindow     int
-	FollowingPerWindow int
-	TimelinePerWindow  int
-	Window             time.Duration
-}
-
-// bucket is a fixed-window counter.
-type bucket struct {
-	windowStart time.Time
-	count       int
 }
 
 // New indexes the world and returns the service. Indexing cost is paid
@@ -89,8 +64,6 @@ func New(w *world.World) *Service {
 		tweets:     sortedTweets(w),
 		byUsername: make(map[string]*world.User, len(w.Users)),
 		byID:       make(map[string]*world.User, len(w.Users)),
-		buckets:    make(map[string]*bucket),
-		now:        vclock.Wall,
 	}
 	for _, u := range w.Users {
 		s.byUsername[strings.ToLower(u.Username)] = u
@@ -147,24 +120,6 @@ func sortedTweets(w *world.World) []tweetRef {
 		refs[i] = k.ref
 	}
 	return refs
-}
-
-// SetLimits installs rate limits (tests and realistic crawls).
-func (s *Service) SetLimits(l Limits) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limits = l
-}
-
-// SetClock replaces the service's clock (rate-limit windows and reset
-// epochs). nil restores the wall clock.
-func (s *Service) SetClock(now vclock.NowFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now == nil {
-		now = vclock.Wall
-	}
-	s.now = now
 }
 
 func (s *Service) get(ref tweetRef) *world.Tweet {

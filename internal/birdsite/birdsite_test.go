@@ -337,27 +337,6 @@ func TestFollowingPagination(t *testing.T) {
 	}
 }
 
-func TestRateLimit429(t *testing.T) {
-	w, err := world.Generate(world.DefaultConfig(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(w)
-	s.SetLimits(Limits{SearchPerWindow: 2, Window: time.Hour})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	var last *http.Response
-	for i := 0; i < 3; i++ {
-		last = getJSON(t, srv.URL, "/2/tweets/search/all?query=mastodon", nil)
-	}
-	if last.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third request status = %d, want 429", last.StatusCode)
-	}
-	if last.Header.Get("x-rate-limit-reset") == "" {
-		t.Fatal("429 missing x-rate-limit-reset header")
-	}
-}
-
 func TestSearchMissingQuery400(t *testing.T) {
 	_, srv := setup(t)
 	resp := getJSON(t, srv.URL, "/2/tweets/search/all", nil)

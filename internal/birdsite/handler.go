@@ -89,40 +89,10 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// allow enforces the fixed-window rate limit for an endpoint class.
-func (s *Service) allow(class string, perWindow int) (ok bool, reset time.Time) {
-	if perWindow <= 0 {
-		return true, time.Time{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	win := s.limits.Window
-	if win <= 0 {
-		win = 15 * time.Minute
-	}
-	b := s.buckets[class]
-	now := s.now()
-	if b == nil || now.Sub(b.windowStart) >= win {
-		b = &bucket{windowStart: now}
-		s.buckets[class] = b
-	}
-	if b.count >= perWindow {
-		return false, b.windowStart.Add(win)
-	}
-	b.count++
-	return true, time.Time{}
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func rateLimited(w http.ResponseWriter, reset time.Time) {
-	w.Header().Set("x-rate-limit-remaining", "0")
-	w.Header().Set("x-rate-limit-reset", strconv.FormatInt(reset.Unix(), 10))
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{"title": "Too Many Requests"})
 }
 
 func (s *Service) userDTO(u *world.User) *UserDTO {
@@ -161,10 +131,6 @@ func (s *Service) lookupByID(idStr string) *world.User {
 }
 
 func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if ok, reset := s.allow("search", s.limits.SearchPerWindow); !ok {
-		rateLimited(w, reset)
-		return
-	}
 	qs := r.URL.Query()
 	rawQ := qs.Get("query")
 	if rawQ == "" {
@@ -218,10 +184,6 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleUserByUsername(w http.ResponseWriter, r *http.Request) {
-	if ok, reset := s.allow("users", s.limits.UsersPerWindow); !ok {
-		rateLimited(w, reset)
-		return
-	}
 	u, ok := s.byUsername[strings.ToLower(r.PathValue("username"))]
 	if !ok || u.Deleted {
 		writeJSON(w, http.StatusNotFound, UserResponse{Errs: []APIErr{{Title: "Not Found Error", Detail: "user not found", Type: "https://api.twitter.com/2/problems/resource-not-found"}}})
@@ -235,10 +197,6 @@ func (s *Service) handleUserByUsername(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleUserByID(w http.ResponseWriter, r *http.Request) {
-	if ok, reset := s.allow("users", s.limits.UsersPerWindow); !ok {
-		rateLimited(w, reset)
-		return
-	}
 	u := s.lookupByID(r.PathValue("id"))
 	if u == nil || u.Deleted {
 		writeJSON(w, http.StatusNotFound, UserResponse{Errs: []APIErr{{Title: "Not Found Error", Type: "https://api.twitter.com/2/problems/resource-not-found"}}})
@@ -252,10 +210,6 @@ func (s *Service) handleUserByID(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	if ok, reset := s.allow("timeline", s.limits.TimelinePerWindow); !ok {
-		rateLimited(w, reset)
-		return
-	}
 	u := s.lookupByID(r.PathValue("id"))
 	if u == nil || u.Deleted {
 		writeJSON(w, http.StatusNotFound, UserResponse{Errs: []APIErr{{Title: "Not Found Error", Type: "https://api.twitter.com/2/problems/resource-not-found"}}})
@@ -316,10 +270,6 @@ func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleFollowing(w http.ResponseWriter, r *http.Request) {
-	if ok, reset := s.allow("following", s.limits.FollowingPerWindow); !ok {
-		rateLimited(w, reset)
-		return
-	}
 	u := s.lookupByID(r.PathValue("id"))
 	if u == nil || u.Deleted {
 		writeJSON(w, http.StatusNotFound, UserResponse{Errs: []APIErr{{Title: "Not Found Error", Type: "https://api.twitter.com/2/problems/resource-not-found"}}})

@@ -565,17 +565,6 @@ type CrawlReport struct {
 	HostLimits map[string]int
 }
 
-// Quarantined returns the hosts the registry quarantined during the run.
-func (r *CrawlReport) Quarantined() []string {
-	var out []string
-	for _, h := range r.Hosts {
-		if h.Quarantined {
-			out = append(out, h.Host)
-		}
-	}
-	return out
-}
-
 // GapCount totals the terminally failed work units.
 func (r *CrawlReport) GapCount() int {
 	return len(r.FailedQueries) + len(r.DroppedAuthors) +

@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"fmt"
+	"html"
 	"maps"
 	"net/url"
 	"sort"
@@ -581,19 +582,16 @@ func (c *Crawler) mastodonTimelines(ds *Dataset) []unit {
 	return units
 }
 
-// stripHTML removes the <p> wrapper and entities from status content.
+// stripHTML removes the <p> wrapper and line breaks from status content,
+// then decodes its entities in one pass, which inverts the
+// html.EscapeString the server renders text with: an escaped "&lt;"
+// stays "&lt;".
 func stripHTML(s string) string {
 	s = strings.ReplaceAll(s, "<p>", "")
 	s = strings.ReplaceAll(s, "</p>", "\n")
 	s = strings.ReplaceAll(s, "<br>", "\n")
 	s = strings.ReplaceAll(s, "<br/>", "\n")
-	s = strings.ReplaceAll(s, "&amp;", "&")
-	s = strings.ReplaceAll(s, "&lt;", "<")
-	s = strings.ReplaceAll(s, "&gt;", ">")
-	s = strings.ReplaceAll(s, "&#39;", "'")
-	s = strings.ReplaceAll(s, "&#34;", `"`)
-	s = strings.ReplaceAll(s, "&quot;", `"`)
-	return strings.TrimSpace(s)
+	return strings.TrimSpace(html.UnescapeString(s))
 }
 
 // followeeSampleFrac is the §3.3 sample size: a tenth of the pairs whose

@@ -5,10 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"html"
 	"math"
 	"net/http"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"flock/internal/birdsite"
 	"flock/internal/fediverse"
@@ -443,4 +445,32 @@ func TestDatasetSameAtAnyConcurrency(t *testing.T) {
 			t.Fatalf("concurrency %d: dataset differs from concurrency 1 (%d vs %d bytes)", n, len(got), len(want))
 		}
 	}
+}
+
+// FuzzStripHTML checks that stripHTML inverts the fediverse's status
+// rendering, "<p>" + html.EscapeString(text) + "</p>", up to surrounding
+// whitespace: text that itself spells an entity must come back as
+// written, not decoded a second time.
+func FuzzStripHTML(f *testing.F) {
+	for _, text := range []string{
+		"plain status text",
+		"a &lt; b",
+		"x &gt; y",
+		"it&#39;s",
+		"say &#34;hi&#34;",
+		"&quot;quoted&quot;",
+		"&amp;amp;",
+		"tom & jerry <3 'quotes' \"double\"",
+		"  padded <p>tags</p> inside  ",
+	} {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		if !utf8.ValidString(text) {
+			t.Skip()
+		}
+		if got, want := stripHTML("<p>"+html.EscapeString(text)+"</p>"), strings.TrimSpace(text); got != want {
+			t.Fatalf("stripHTML of %q = %q, want %q", text, got, want)
+		}
+	})
 }

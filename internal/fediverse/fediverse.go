@@ -24,11 +24,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"flock/internal/memnet"
-	"flock/internal/vclock"
 	"flock/internal/world"
 )
 
@@ -75,17 +73,6 @@ type Service struct {
 	byHost map[string]*instanceState
 	// accounts indexed by (instance, user) for cross-linking.
 	accounts map[[2]int]*Account
-
-	mu      sync.Mutex
-	buckets map[string]*bucket
-	limit   int // requests per window per instance (0 = off)
-	window  time.Duration
-	now     vclock.NowFunc
-}
-
-type bucket struct {
-	start time.Time
-	count int
 }
 
 // New builds the serving state from the world.
@@ -94,9 +81,6 @@ func New(w *world.World) *Service {
 		w:        w,
 		byHost:   make(map[string]*instanceState),
 		accounts: make(map[[2]int]*Account),
-		buckets:  make(map[string]*bucket),
-		window:   5 * time.Minute,
-		now:      vclock.Wall,
 	}
 	for _, inst := range w.Instances {
 		st := &instanceState{
@@ -199,34 +183,6 @@ func (s *Service) buildFederated(i int) {
 		}
 		return sa.ID < sb.ID
 	})
-}
-
-// SetClock replaces the service's clock (rate-limit windows and reset
-// headers). nil restores the wall clock.
-func (s *Service) SetClock(now vclock.NowFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now == nil {
-		now = vclock.Wall
-	}
-	s.now = now
-}
-
-// clock reads the service clock under the mutex.
-func (s *Service) clock() vclock.NowFunc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
-
-// SetRateLimit enables per-instance rate limiting: n requests per window.
-func (s *Service) SetRateLimit(n int, window time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limit = n
-	if window > 0 {
-		s.window = window
-	}
 }
 
 // RegisterAll serves every instance on the fabric. All instances start

@@ -9,10 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"flock/internal/memnet"
-	"flock/internal/vclock"
 	"flock/internal/world"
 )
 
@@ -360,37 +358,6 @@ func TestDownInstanceUnreachable(t *testing.T) {
 	}
 }
 
-func TestRateLimit(t *testing.T) {
-	w, err := world.Generate(world.DefaultConfig(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(w)
-	s.SetRateLimit(3, time.Minute)
-	f := memnet.NewFabric()
-	defer f.Close()
-	if _, err := s.RegisterAll(context.Background(), f); err != nil {
-		t.Fatal(err)
-	}
-	c := f.Client()
-	var last *http.Response
-	for i := 0; i < 4; i++ {
-		resp, err := c.Get("https://mastodon.social/api/v1/instance")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		last = resp
-	}
-	if last.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("4th request status %d, want 429", last.StatusCode)
-	}
-	if last.Header.Get("Retry-After") == "" {
-		t.Fatal("429 missing Retry-After")
-	}
-}
-
 func TestSwitcherStatusesSplitAcrossInstances(t *testing.T) {
 	setup(t)
 	var switcher *world.User
@@ -447,11 +414,4 @@ func TestSwitcherStatusesSplitAcrossInstances(t *testing.T) {
 	if n1+n2 != len(fw.StatusesByUser[switcher.ID]) {
 		t.Fatalf("split %d+%d != %d", n1, n2, len(fw.StatusesByUser[switcher.ID]))
 	}
-}
-
-func TestWeeksCovered(t *testing.T) {
-	if WeeksCovered() < 8 {
-		t.Fatalf("WeeksCovered = %d", WeeksCovered())
-	}
-	_ = vclock.StudyDays
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"flock/internal/vclock"
 	"flock/internal/world"
 )
 
@@ -80,8 +79,7 @@ func (s *Service) Handler() http.Handler {
 
 type instHandler func(w http.ResponseWriter, r *http.Request, st *instanceState)
 
-// withInstance resolves the Host header to an instance and applies rate
-// limiting.
+// withInstance resolves the Host header to an instance.
 func (s *Service) withInstance(h instHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		host := strings.ToLower(r.Host)
@@ -93,34 +91,8 @@ func (s *Service) withInstance(h instHandler) http.HandlerFunc {
 			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown instance " + host})
 			return
 		}
-		if !s.allow(host) {
-			w.Header().Set("X-RateLimit-Remaining", "0")
-			w.Header().Set("X-RateLimit-Reset", s.clock()().Add(s.window).UTC().Format(timeLayout))
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.window.Seconds())))
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "Too many requests"})
-			return
-		}
 		h(w, r, st)
 	}
-}
-
-func (s *Service) allow(host string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.limit <= 0 {
-		return true
-	}
-	b := s.buckets[host]
-	now := s.now()
-	if b == nil || now.Sub(b.start) >= s.window {
-		b = &bucket{start: now}
-		s.buckets[host] = b
-	}
-	if b.count >= s.limit {
-		return false
-	}
-	b.count++
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -379,10 +351,4 @@ func clampLimit(v string, def, max int) int {
 		return max
 	}
 	return n
-}
-
-// WeeksCovered reports the study weeks the activity endpoint spans, a
-// convenience for tests and the crawler's sanity checks.
-func WeeksCovered() int {
-	return vclock.Week(vclock.StudyEnd) - vclock.Week(vclock.StudyStart) + 1
 }

@@ -7,7 +7,7 @@
 // in-degree (preferential attachment), strong topical communities (users
 // follow within their interest community far more than across), and
 // reciprocity. graph provides a deterministic generator with those knobs
-// plus the ego-network queries the analysis needs.
+// plus the followee and follower queries the analysis needs.
 package graph
 
 import (
@@ -136,60 +136,6 @@ func (g *Graph) Compact(workers int) {
 	})
 }
 
-// Metrics summarizes the graph's structure; every field is an integer
-// count or a ratio of integer counts, so parallel computation is
-// trivially deterministic.
-type Metrics struct {
-	Nodes int
-	Edges int
-	// ReciprocalEdges counts ordered pairs (u,v) where both u->v and
-	// v->u exist (each mutual pair contributes 2).
-	ReciprocalEdges int
-	// Isolated counts nodes with neither followers nor followees.
-	Isolated     int
-	MaxOutDegree int
-	MaxInDegree  int
-	MeanOut      float64
-}
-
-// nodeMetric is the per-node slot of ComputeMetrics.
-type nodeMetric struct {
-	outDeg, inDeg, recip int
-}
-
-// ComputeMetrics scans every node's adjacency on a bounded worker pool
-// (<= 0: GOMAXPROCS) and folds the per-node slots serially in node
-// order, so the result is identical at any parallelism level.
-func (g *Graph) ComputeMetrics(workers int) Metrics {
-	slots := parallel.MapSlice(workers, g.n, func(u int) nodeMetric {
-		m := nodeMetric{outDeg: len(g.out[u]), inDeg: len(g.in[u])}
-		for _, v := range g.out[u] {
-			if g.HasEdge(int(v), u) {
-				m.recip++
-			}
-		}
-		return m
-	})
-	mt := Metrics{Nodes: g.n}
-	for _, m := range slots {
-		mt.Edges += m.outDeg
-		mt.ReciprocalEdges += m.recip
-		if m.outDeg == 0 && m.inDeg == 0 {
-			mt.Isolated++
-		}
-		if m.outDeg > mt.MaxOutDegree {
-			mt.MaxOutDegree = m.outDeg
-		}
-		if m.inDeg > mt.MaxInDegree {
-			mt.MaxInDegree = m.inDeg
-		}
-	}
-	if g.n > 0 {
-		mt.MeanOut = float64(mt.Edges) / float64(g.n)
-	}
-	return mt
-}
-
 // Config parameterizes the social graph generator.
 type Config struct {
 	// N is the number of nodes.
@@ -206,12 +152,6 @@ type Config struct {
 	IntraBias float64
 	// Reciprocity is the probability that adding u->v also adds v->u.
 	Reciprocity float64
-}
-
-// DefaultConfig mirrors observed microblogging structure: strong
-// communities, mean out-degree in the hundreds when scaled.
-func DefaultConfig(n int) Config {
-	return Config{N: n, Communities: 12, MeanOut: 30, IntraBias: 0.8, Reciprocity: 0.25}
 }
 
 // Generate builds a graph per cfg, deterministically from rng. It also
@@ -300,51 +240,4 @@ func logMean(m float64) float64 {
 		m = 1
 	}
 	return math.Log(m)
-}
-
-// EgoStats summarizes a node's ego network against a predicate, the exact
-// shape of the paper's Fig. 8 quantities.
-type EgoStats struct {
-	// Followees is the ego's out-degree.
-	Followees int
-	// Matching is how many followees satisfy the predicate.
-	Matching int
-}
-
-// Fraction returns Matching/Followees (0 when the ego follows no one).
-func (e EgoStats) Fraction() float64 {
-	if e.Followees == 0 {
-		return 0
-	}
-	return float64(e.Matching) / float64(e.Followees)
-}
-
-// Ego evaluates pred over u's followees.
-func (g *Graph) Ego(u int, pred func(v int) bool) EgoStats {
-	st := EgoStats{Followees: g.OutDegree(u)}
-	for _, v := range g.out[u] {
-		if pred(int(v)) {
-			st.Matching++
-		}
-	}
-	return st
-}
-
-// CommonFollowees returns how many followees u and w share.
-func (g *Graph) CommonFollowees(u, w int) int {
-	a, b := g.out[u], g.out[w]
-	i, j, common := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			common++
-			i++
-			j++
-		}
-	}
-	return common
 }

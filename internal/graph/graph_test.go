@@ -103,6 +103,17 @@ func TestGenerateMeanOutDegree(t *testing.T) {
 	if mean < 10 || mean > 50 {
 		t.Fatalf("mean out-degree = %v, want around 20-ish", mean)
 	}
+	mutual := 0
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Followees(u) {
+			if g.HasEdge(int(v), u) {
+				mutual++
+			}
+		}
+	}
+	if mutual == 0 {
+		t.Fatal("generator with Reciprocity=0.2 produced no mutual edges")
+	}
 }
 
 func TestGenerateHeavyTail(t *testing.T) {
@@ -148,39 +159,6 @@ func TestGenerateCommunityBias(t *testing.T) {
 	}
 }
 
-func TestEgo(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
-	migrated := map[int]bool{1: true, 3: true}
-	st := g.Ego(0, func(v int) bool { return migrated[v] })
-	if st.Followees != 3 || st.Matching != 2 {
-		t.Fatalf("ego stats %+v", st)
-	}
-	if st.Fraction() != 2.0/3.0 {
-		t.Fatalf("fraction = %v", st.Fraction())
-	}
-	empty := g.Ego(4, func(int) bool { return true })
-	if empty.Fraction() != 0 {
-		t.Fatal("empty ego fraction should be 0")
-	}
-}
-
-func TestCommonFollowees(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
-	g.AddEdge(0, 4)
-	g.AddEdge(1, 3)
-	g.AddEdge(1, 4)
-	g.AddEdge(1, 5)
-	g.SortAdjacency()
-	if got := g.CommonFollowees(0, 1); got != 2 {
-		t.Fatalf("common = %d", got)
-	}
-}
-
 func TestSortAdjacency(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 3)
@@ -201,15 +179,6 @@ func BenchmarkGenerate(b *testing.B) {
 		if _, _, err := Generate(cfg, randx.New(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkEgo(b *testing.B) {
-	g, _, _ := Generate(Config{N: 5000, Communities: 12, MeanOut: 20, IntraBias: 0.8, Reciprocity: 0.25}, randx.New(1))
-	pred := func(v int) bool { return v%7 == 0 }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Ego(i%g.N(), pred)
 	}
 }
 
@@ -278,44 +247,5 @@ func TestAddEdgeAfterCompactDoesNotCorruptNeighbors(t *testing.T) {
 	}
 	if g.OutDegree(0) != 3 || !g.HasEdge(0, 3) {
 		t.Fatal("post-compact AddEdge lost")
-	}
-}
-
-func TestComputeMetricsDeterministicAcrossWorkers(t *testing.T) {
-	g, _, err := Generate(DefaultConfig(500), randx.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := g.ComputeMetrics(1)
-	if want.Edges != g.Edges() {
-		t.Fatalf("metrics edges %d != %d", want.Edges, g.Edges())
-	}
-	if want.ReciprocalEdges%2 != 0 {
-		t.Fatalf("reciprocal edge count must be even, got %d", want.ReciprocalEdges)
-	}
-	if want.ReciprocalEdges == 0 {
-		t.Fatal("generator with Reciprocity=0.25 produced no mutual edges")
-	}
-	for _, w := range []int{2, 4, 8} {
-		if got := g.ComputeMetrics(w); got != want {
-			t.Fatalf("workers=%d metrics %+v != %+v", w, got, want)
-		}
-	}
-}
-
-func TestComputeMetricsSmall(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.Compact(1)
-	m := g.ComputeMetrics(4)
-	if m.Edges != 2 || m.ReciprocalEdges != 2 || m.Isolated != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	if m.MaxOutDegree != 1 || m.MaxInDegree != 1 {
-		t.Fatalf("degree maxima = %+v", m)
-	}
-	if empty := New(0).ComputeMetrics(4); empty.Nodes != 0 || empty.MeanOut != 0 {
-		t.Fatalf("empty metrics = %+v", empty)
 	}
 }

@@ -21,15 +21,14 @@ func (d *busyThenOK) Do(*http.Request) (*http.Response, error) {
 	return &http.Response{StatusCode: code, Header: http.Header{"Retry-After": {"0"}}, Body: http.NoBody}, nil
 }
 
-// ExampleNew builds a crawl-ready client: retries with jittered backoff,
-// a shared rate limit, and per-host circuit breakers.
+// ExampleNew builds a crawl-ready client: retries with capped exponential
+// backoff that honours Retry-After, and per-host circuit breakers.
 func ExampleNew() {
 	health := httpkit.NewHealthRegistry(httpkit.DefaultBreaker)
 	client := httpkit.New(
 		httpkit.WithDoer(&busyThenOK{}),
 		httpkit.WithUserAgent("flock-crawler/1.0"),
 		httpkit.WithRetry(httpkit.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}),
-		httpkit.WithLimiter(httpkit.NewLimiter(10, 5)), // 10 req/s, burst 5
 		httpkit.WithBreaker(health),
 	)
 	req, _ := http.NewRequest("GET", "https://mastodon.example/api/v1/instance", nil)

@@ -292,7 +292,7 @@ func TestZeroValueClientStillWorks(t *testing.T) {
 
 func TestOptionsCompose(t *testing.T) {
 	fd := &fakeDoer{fn: func(_ int, req *http.Request) (*http.Response, error) {
-		if req.Header.Get("User-Agent") != "ua/1" || req.Header.Get("Authorization") != "Bearer tok" {
+		if req.Header.Get("User-Agent") != "ua/1" {
 			t.Errorf("headers not stamped: %v", req.Header)
 		}
 		return respond(200, "ok", nil), nil
@@ -301,13 +301,10 @@ func TestOptionsCompose(t *testing.T) {
 	c := New(
 		WithDoer(fd),
 		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}),
-		WithLimiter(NewLimiter(0, 1)),
 		WithBreaker(health),
 		WithHedge(DefaultHedge),
 		WithUserAgent("ua/1"),
-		WithAuth("Bearer tok"),
 		WithSleep(noSleep),
-		WithRand(func() float64 { return 0 }),
 	)
 	if c.health != health || c.retry.MaxAttempts != 2 || !c.hedge.enabled() {
 		t.Fatalf("options not applied: %+v", c)

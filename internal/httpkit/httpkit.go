@@ -5,11 +5,10 @@
 // returns 429 with x-rate-limit-reset in unix seconds; Mastodon returns
 // 429 with Retry-After or an ISO 8601 X-RateLimit-Reset) and flaky
 // instances (timeouts, transient 5xx, dead hosts). httpkit packages the
-// standard responses to both — client-side token-bucket pacing, reactive
-// backoff that honours server reset headers, capped exponential retry
-// with jitter — behind a small Client, plus cursor/max_id pagination
-// iterators and a concurrency group for fan-out crawls that bounds the
-// running tasks, not the waiting ones.
+// standard responses to both — reactive backoff that honours server reset
+// headers and capped exponential retry — behind a small Client, plus
+// cursor/max_id pagination iterators and a concurrency group for fan-out
+// crawls that bounds the running tasks, not the waiting ones.
 package httpkit
 
 import (
@@ -20,7 +19,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,87 +58,18 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (also caps server-requested waits).
 	MaxDelay time.Duration
-	// JitterFrac adds up to this fraction of random extra delay, spreading
-	// synchronized retries apart. 0 disables jitter.
-	JitterFrac float64
 }
 
 // DefaultRetry is a sane crawl policy: 4 attempts, 250ms base, 30s cap.
-var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 250 * time.Millisecond, MaxDelay: 30 * time.Second, JitterFrac: 0.2}
+var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 250 * time.Millisecond, MaxDelay: 30 * time.Second}
 
 // delay computes the backoff before attempt i (1-based retry index).
-func (p RetryPolicy) delay(i int, rnd func() float64) time.Duration {
+func (p RetryPolicy) delay(i int) time.Duration {
 	d := time.Duration(float64(p.BaseDelay) * math.Pow(2, float64(i-1)))
 	if d > p.MaxDelay {
 		d = p.MaxDelay
 	}
-	if p.JitterFrac > 0 && rnd != nil {
-		d += time.Duration(rnd() * p.JitterFrac * float64(d))
-	}
 	return d
-}
-
-// Limiter is a token-bucket rate limiter. A zero-value Limiter is
-// unlimited. It is safe for concurrent use.
-type Limiter struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	now    func() time.Time
-	sleep  func(context.Context, time.Duration) error
-}
-
-// NewLimiter returns a limiter allowing rate requests per second with the
-// given burst. rate <= 0 means unlimited.
-func NewLimiter(rate float64, burst int) *Limiter {
-	if burst < 1 {
-		burst = 1
-	}
-	return &Limiter{rate: rate, burst: float64(burst), tokens: float64(burst)}
-}
-
-func (l *Limiter) clockNow() time.Time {
-	if l.now != nil {
-		return l.now()
-	}
-	return time.Now()
-}
-
-func (l *Limiter) doSleep(ctx context.Context, d time.Duration) error {
-	if l.sleep != nil {
-		return l.sleep(ctx, d)
-	}
-	return SleepContext(ctx, d)
-}
-
-// Wait blocks until a token is available or ctx is done.
-func (l *Limiter) Wait(ctx context.Context) error {
-	if l == nil || l.rate <= 0 {
-		return ctx.Err()
-	}
-	for {
-		l.mu.Lock()
-		now := l.clockNow()
-		if !l.last.IsZero() {
-			l.tokens += now.Sub(l.last).Seconds() * l.rate
-			if l.tokens > l.burst {
-				l.tokens = l.burst
-			}
-		}
-		l.last = now
-		if l.tokens >= 1 {
-			l.tokens--
-			l.mu.Unlock()
-			return nil
-		}
-		need := (1 - l.tokens) / l.rate
-		l.mu.Unlock()
-		if err := l.doSleep(ctx, time.Duration(need*float64(time.Second))); err != nil {
-			return err
-		}
-	}
 }
 
 // SleepContext sleeps for d or until ctx is done, whichever comes first.
@@ -158,8 +87,8 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Client wraps a Doer with pacing, retries, rate-limit awareness,
-// per-host circuit breaking and tail-latency hedging.
+// Client wraps a Doer with retries, rate-limit awareness, per-host
+// circuit breaking and tail-latency hedging.
 //
 // Construct clients with New and functional options. The fields are
 // unexported, so outside this package only the zero value compiles; it
@@ -168,16 +97,10 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 type Client struct {
 	// doer performs the requests; nil means http.DefaultClient.
 	doer Doer
-	// limiter paces requests client-side; nil means unpaced.
-	limiter *Limiter
 	// retry is the retry policy; the zero value means DefaultRetry.
 	retry RetryPolicy
-	// userAgent and auth, when non-empty, are sent as the User-Agent and
-	// Authorization headers ("Bearer <token>" for both platforms' APIs).
-	userAgent, auth string
-	// rand supplies jitter in [0,1); nil means a fixed mid value, for
-	// reproducibility.
-	rand func() float64
+	// userAgent, when non-empty, is sent as the User-Agent header.
+	userAgent string
 	// sleepFn is the wait function; nil means SleepContext.
 	sleepFn func(context.Context, time.Duration) error
 	// health, when non-nil, gates every request through the registry's
@@ -242,13 +165,6 @@ func (c *Client) policy() RetryPolicy {
 	return c.retry
 }
 
-func (c *Client) rnd() float64 {
-	if c.rand != nil {
-		return c.rand()
-	}
-	return 0.5
-}
-
 // sleep waits d with the injected sleep function, or SleepContext.
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	if c.sleepFn != nil {
@@ -310,8 +226,8 @@ func retryable(code int) bool {
 	return false
 }
 
-// attempt performs one wire exchange: breaker admission, pacing,
-// header stamping, the round trip, latency observation and health
+// attempt performs one wire exchange: breaker admission, header
+// stamping, the round trip, latency observation and health
 // reporting. It returns the response whatever its status — retry and
 // non-2xx handling stay in Do — and is the unit the hedging race
 // duplicates.
@@ -324,16 +240,8 @@ func (c *Client) attempt(r *http.Request, host string) (*http.Response, error) {
 			return nil, err
 		}
 	}
-	if c.limiter != nil {
-		if err := c.limiter.Wait(r.Context()); err != nil {
-			return nil, err
-		}
-	}
 	if c.userAgent != "" {
 		r.Header.Set("User-Agent", c.userAgent)
-	}
-	if c.auth != "" {
-		r.Header.Set("Authorization", c.auth)
 	}
 	c.mu.Lock()
 	c.requests++
@@ -379,7 +287,7 @@ func (c *Client) send(r *http.Request, host string) (*http.Response, error) {
 	return c.attempt(r, host)
 }
 
-// Do performs req with pacing, retries, per-host circuit breaking and
+// Do performs req with retries, per-host circuit breaking and
 // (when configured) tail-latency hedging. The caller owns the response
 // body on success. Non-2xx terminal responses become *StatusError;
 // requests refused by an open breaker return a *HostError wrapping
@@ -432,7 +340,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			}
 			lastErr = err
 			if attempt < policy.MaxAttempts {
-				if werr := c.wait(req.Context(), policy.delay(attempt, c.rnd)); werr != nil {
+				if werr := c.wait(req.Context(), policy.delay(attempt)); werr != nil {
 					return nil, werr
 				}
 				continue
@@ -447,7 +355,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 		if retryable(resp.StatusCode) && attempt < policy.MaxAttempts {
 			d, ok := retryAfter(resp, c.now())
 			if !ok {
-				d = policy.delay(attempt, c.rnd)
+				d = policy.delay(attempt)
 			}
 			if d < 0 {
 				d = 0
@@ -491,19 +399,9 @@ func (c *Client) GetJSON(ctx context.Context, u string, out any) error {
 // Raw http.Client construction is confined to httpkit (the rawhttp
 // analyzer in internal/lint enforces this) so that every outbound request
 // path in the codebase is assembled in one place and can be wrapped with
-// pacing, retries and per-host circuit breaking.
+// retries and per-host circuit breaking.
 func NewHTTPClient(rt http.RoundTripper, timeout time.Duration) *http.Client {
 	return &http.Client{Transport: rt, Timeout: timeout}
-}
-
-// BuildURL assembles scheme://host/path?query from parts, escaping query
-// values.
-func BuildURL(scheme, host, path string, query url.Values) string {
-	u := url.URL{Scheme: scheme, Host: host, Path: path}
-	if len(query) > 0 {
-		u.RawQuery = query.Encode()
-	}
-	return u.String()
 }
 
 // Page is one page of a paginated fetch: the decoded items plus the token

@@ -29,9 +29,6 @@ func WithDoer(d Doer) Option { return func(c *Client) { c.doer = d } }
 // WithRetry sets the retry policy.
 func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.retry = p } }
 
-// WithLimiter sets the client-side token-bucket pacer.
-func WithLimiter(l *Limiter) Option { return func(c *Client) { c.limiter = l } }
-
 // WithBreaker routes every request through the registry's per-host
 // circuit breakers.
 func WithBreaker(r *HealthRegistry) Option { return func(c *Client) { c.health = r } }
@@ -46,14 +43,8 @@ func WithClock(now vclock.NowFunc) Option { return func(c *Client) { c.clock = n
 // WithUserAgent sets the User-Agent header stamped on every request.
 func WithUserAgent(ua string) Option { return func(c *Client) { c.userAgent = ua } }
 
-// WithAuth sets the Authorization header value sent on every request.
-func WithAuth(auth string) Option { return func(c *Client) { c.auth = auth } }
-
 // WithSleep overrides the wait function used for backoff and hedge
 // timers (tests substitute an instant or virtual-time sleeper).
 func WithSleep(sleep func(context.Context, time.Duration) error) Option {
 	return func(c *Client) { c.sleepFn = sleep }
 }
-
-// WithRand overrides the jitter source in [0,1) used by retry backoff.
-func WithRand(rnd func() float64) Option { return func(c *Client) { c.rand = rnd } }

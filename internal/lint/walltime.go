@@ -7,8 +7,9 @@ import (
 )
 
 // walltimePkgs are the simulated-service and persistence packages that
-// must read time from an injected vclock.NowFunc / vclock.Clock so whole
-// universes replay deterministically at any speed.
+// must read time through vclock (vclock.Wall or an injected
+// vclock.NowFunc) so whole universes replay deterministically at any
+// speed.
 var walltimePkgs = []string{
 	"fediverse", "birdsite", "toxsvc", "trendsvc", "indexsvc", "world", "store",
 }
@@ -18,9 +19,8 @@ var walltimePkgs = []string{
 var walltimeFuncs = map[string]bool{"Now": true, "Since": true, "Sleep": true}
 
 // Walltime forbids time.Now/time.Since/time.Sleep in simulated-service
-// packages. Those packages take a vclock.NowFunc (defaulting to
-// vclock.Wall, the one sanctioned wall-clock gateway), so tests and
-// replays can drive them from a virtual clock.
+// packages. Those packages read time through vclock.Wall, the one
+// sanctioned wall-clock gateway, so a virtual clock can replace it.
 var Walltime = &analysis.Analyzer{
 	Name: "walltime",
 	Doc:  "forbid wall-clock reads (time.Now/Since/Sleep) in simulated-service packages; inject a vclock.NowFunc instead",

@@ -20,8 +20,6 @@ package match
 import (
 	"regexp"
 	"strings"
-
-	"flock/internal/parallel"
 )
 
 // Handle is a parsed Mastodon handle.
@@ -33,11 +31,6 @@ type Handle struct {
 // String renders the canonical @user@domain form.
 func (h Handle) String() string {
 	return "@" + h.Username + "@" + h.Domain
-}
-
-// ProfileURL renders the https://domain/@user form.
-func (h Handle) ProfileURL() string {
-	return "https://" + h.Domain + "/@" + h.Username
 }
 
 // Source records which §3.1 path produced a mapping.
@@ -145,30 +138,6 @@ func Map(p Profile, tweets []string, known KnownInstances) (Result, bool) {
 		}
 	}
 	return Result{}, false
-}
-
-// Account is one MapBatch input: a profile plus its collected tweets.
-type Account struct {
-	Profile Profile
-	Tweets  []string
-}
-
-// BatchResult is one MapBatch output slot.
-type BatchResult struct {
-	Result
-	OK bool
-}
-
-// MapBatch applies Map to every account on a bounded worker pool
-// (parallel.Workers semantics) and returns results in input order:
-// out[i] is exactly what Map(accounts[i].Profile, accounts[i].Tweets,
-// known) returns, regardless of scheduling. Extraction is regexp-heavy
-// and per-account independent, so the batch form scales near-linearly.
-func MapBatch(workers int, accounts []Account, known KnownInstances) []BatchResult {
-	return parallel.MapSlice(workers, len(accounts), func(i int) BatchResult {
-		res, ok := Map(accounts[i].Profile, accounts[i].Tweets, known)
-		return BatchResult{Result: res, OK: ok}
-	})
 }
 
 // MapLoose is the ablation variant without the exact-username guard: any

@@ -6,7 +6,7 @@
 // randx wraps a splitmix64 core (fast, well distributed, trivially
 // splittable) and layers the distributions the generative model needs:
 // Zipf (instance popularity), Poisson (post counts), lognormal (follower
-// counts), power law (degree tails), Bernoulli and weighted choice.
+// counts), Bernoulli and weighted choice.
 //
 // The package deliberately does not use math/rand's global state; each
 // Source is an independent value and Sources can be split hierarchically
@@ -158,26 +158,6 @@ func (s *Source) Poisson(mean float64) int {
 	return int(v)
 }
 
-// Pareto returns a Pareto (type I) variate with minimum xm and shape alpha.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("randx: Pareto requires positive xm and alpha")
-	}
-	return xm / math.Pow(1-s.Float64(), 1/alpha)
-}
-
-// Geometric returns the number of failures before the first success for a
-// Bernoulli(p) process, p in (0, 1].
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("randx: Geometric with non-positive p")
-	}
-	return int(math.Floor(math.Log(1-s.Float64()) / math.Log(1-p)))
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -283,24 +263,4 @@ func (w *Weighted) Sample(s *Source) int {
 // Pick returns a uniformly chosen element of xs. It panics on empty input.
 func Pick[T any](s *Source, xs []T) T {
 	return xs[s.Intn(len(xs))]
-}
-
-// SampleK returns k distinct indices drawn uniformly from [0, n) in
-// selection order. If k >= n it returns a full permutation.
-func SampleK(s *Source, n, k int) []int {
-	if k >= n {
-		return s.Perm(n)
-	}
-	// Floyd's algorithm.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
-		t := s.Intn(j + 1)
-		if _, ok := chosen[t]; ok {
-			t = j
-		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
 }

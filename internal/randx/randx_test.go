@@ -192,32 +192,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	s := New(29)
-	for i := 0; i < 1000; i++ {
-		if v := s.Pareto(5, 2); v < 5 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
-	}
-}
-
-func TestGeometric(t *testing.T) {
-	s := New(31)
-	if s.Geometric(1) != 0 {
-		t.Fatal("Geometric(1) != 0")
-	}
-	const n = 100000
-	total := 0
-	for i := 0; i < n; i++ {
-		total += s.Geometric(0.25)
-	}
-	// Mean of failures before success is (1-p)/p = 3.
-	got := float64(total) / n
-	if math.Abs(got-3) > 0.1 {
-		t.Fatalf("Geometric(0.25) mean = %v, want 3", got)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		s := New(seed)
@@ -326,36 +300,6 @@ func TestPick(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("Pick covered %d of 3 elements", len(seen))
-	}
-}
-
-func TestSampleKDistinct(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := New(seed)
-		n := 10 + int(seed%90)
-		k := int(seed % uint64(n))
-		got := SampleK(s, n, k)
-		if k < n && len(got) != k {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, v := range got {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleKFull(t *testing.T) {
-	got := SampleK(New(1), 5, 10)
-	if len(got) != 5 {
-		t.Fatalf("SampleK(k>=n) returned %d elements, want 5", len(got))
 	}
 }
 

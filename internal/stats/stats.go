@@ -88,45 +88,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Describe summarizes a sample.
-type Summary struct {
-	N             int
-	Mean, Median  float64
-	Min, Max      float64
-	P25, P75, P90 float64
-	StdDev        float64
-}
-
-// Describe computes a Summary. An empty input returns the zero Summary.
-func Describe(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	e := NewECDF(samples)
-	var sum, sum2 float64
-	for _, v := range samples {
-		sum += v
-		sum2 += v * v
-	}
-	n := float64(len(samples))
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		N:      len(samples),
-		Mean:   mean,
-		Median: e.Median(),
-		Min:    e.sorted[0],
-		Max:    e.sorted[len(e.sorted)-1],
-		P25:    e.Quantile(0.25),
-		P75:    e.Quantile(0.75),
-		P90:    e.Quantile(0.90),
-		StdDev: math.Sqrt(variance),
-	}
-}
-
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(samples []float64) float64 {
 	if len(samples) == 0 {
@@ -147,48 +108,13 @@ func Median(samples []float64) float64 {
 	return NewECDF(samples).Median()
 }
 
-// TopShare computes the paper's Fig. 5 curve: for each fraction p of the
-// largest groups (by count, descending), the fraction of the total mass
-// they hold. steps controls the curve resolution (e.g. 100 gives 1%
-// increments). counts are per-group sizes (e.g. users per instance).
-func TopShare(counts []int, steps int) []Point {
-	if len(counts) == 0 || steps <= 0 {
-		return nil
-	}
-	sorted := make([]int, len(counts))
-	copy(sorted, counts)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	total := 0
-	for _, c := range sorted {
-		total += c
-	}
-	if total == 0 {
-		return nil
-	}
-	// Prefix sums.
-	prefix := make([]int, len(sorted)+1)
-	for i, c := range sorted {
-		prefix[i+1] = prefix[i] + c
-	}
-	pts := make([]Point, 0, steps)
-	for s := 1; s <= steps; s++ {
-		frac := float64(s) / float64(steps)
-		k := int(math.Ceil(frac * float64(len(sorted))))
-		if k < 1 {
-			k = 1
-		}
-		if k > len(sorted) {
-			k = len(sorted)
-		}
-		pts = append(pts, Point{X: frac, Y: float64(prefix[k]) / float64(total)})
-	}
-	return pts
-}
-
-// TopShareBy generalizes TopShare: groups are ranked descending by a
-// separate key (e.g. instance size from the index) while the curve
-// accumulates a different mass (e.g. migrated users). Fig. 5 ranks
-// instances by user count and plots the share of migrated users.
+// TopShareBy computes the paper's Fig. 5 curve: groups are ranked
+// descending by rank (e.g. instance size from the index) and, for each
+// fraction p of the top-ranked groups, the curve gives the fraction of
+// the total mass (e.g. migrated users) they hold. steps controls the
+// curve resolution (e.g. 100 gives 1% increments). Passing the same
+// counts as rank and mass gives the plain top-share (Lorenz-style)
+// concentration curve.
 func TopShareBy(rank, mass []int, steps int) []Point {
 	if len(rank) != len(mass) {
 		panic("stats: TopShareBy length mismatch")
@@ -225,23 +151,6 @@ func TopShareBy(rank, mass []int, steps int) []Point {
 		pts = append(pts, Point{X: frac, Y: float64(prefix[k]) / float64(total)})
 	}
 	return pts
-}
-
-// ShareOfTopFraction returns the fraction of total mass held by the top
-// frac of groups (frac in (0,1]).
-func ShareOfTopFraction(counts []int, frac float64) float64 {
-	pts := TopShare(counts, 1000)
-	if pts == nil {
-		return 0
-	}
-	idx := int(math.Ceil(frac*1000)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(pts) {
-		idx = len(pts) - 1
-	}
-	return pts[idx].Y
 }
 
 // Gini computes the Gini coefficient of the counts (0 = perfectly even,
@@ -372,32 +281,6 @@ func (c *Chord) Total() int {
 	return t
 }
 
-// Outflow returns total flow leaving label.
-func (c *Chord) Outflow(label string) int {
-	i, ok := c.index[label]
-	if !ok {
-		return 0
-	}
-	t := 0
-	for _, v := range c.Flows[i] {
-		t += v
-	}
-	return t
-}
-
-// Inflow returns total flow entering label.
-func (c *Chord) Inflow(label string) int {
-	j, ok := c.index[label]
-	if !ok {
-		return 0
-	}
-	t := 0
-	for _, row := range c.Flows {
-		t += row[j]
-	}
-	return t
-}
-
 // TopFlows returns the k largest (from, to, count) edges, deterministic
 // order (count desc, then labels).
 func (c *Chord) TopFlows(k int) []ChordFlow {
@@ -433,13 +316,4 @@ type ChordFlow struct {
 // Percent formats a fraction as the paper prints them ("96.00%").
 func Percent(frac float64) string {
 	return fmt.Sprintf("%.2f%%", frac*100)
-}
-
-// Ints converts an int slice to float64 for the ECDF helpers.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = float64(v)
-	}
-	return out
 }

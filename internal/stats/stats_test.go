@@ -111,25 +111,6 @@ func TestPoints(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	s := Describe([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 {
-		t.Fatalf("%+v", s)
-	}
-	if math.Abs(s.StdDev-2) > 1e-9 {
-		t.Fatalf("stddev = %v", s.StdDev)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("min/max %v/%v", s.Min, s.Max)
-	}
-}
-
-func TestDescribeEmpty(t *testing.T) {
-	if s := Describe(nil); s.N != 0 {
-		t.Fatal("empty describe")
-	}
-}
-
 func TestMeanMedian(t *testing.T) {
 	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Fatal("empty helpers")
@@ -149,7 +130,7 @@ func TestTopShareConcentration(t *testing.T) {
 	for i := 0; i < 99; i++ {
 		counts = append(counts, 1)
 	}
-	pts := TopShare(counts, 100)
+	pts := TopShareBy(counts, counts, 100)
 	if len(pts) != 100 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -172,7 +153,7 @@ func TestTopShareMonotone(t *testing.T) {
 			counts[i] = int(v)
 			total += int(v)
 		}
-		pts := TopShare(counts, 50)
+		pts := TopShareBy(counts, counts, 50)
 		if total == 0 {
 			return pts == nil
 		}
@@ -217,14 +198,6 @@ func TestTopShareByMismatchPanics(t *testing.T) {
 		}
 	}()
 	TopShareBy([]int{1}, []int{1, 2}, 10)
-}
-
-func TestShareOfTopFraction(t *testing.T) {
-	counts := []int{96, 1, 1, 1} // top 25% of 4 groups = biggest group
-	got := ShareOfTopFraction(counts, 0.25)
-	if math.Abs(got-96.0/99.0) > 1e-9 {
-		t.Fatalf("share = %v", got)
-	}
 }
 
 func TestGini(t *testing.T) {
@@ -325,17 +298,11 @@ func TestChord(t *testing.T) {
 	if c.Total() != 7 {
 		t.Fatalf("total = %d", c.Total())
 	}
-	if c.Outflow("mastodon.social") != 6 {
-		t.Fatalf("outflow = %d", c.Outflow("mastodon.social"))
-	}
-	if c.Inflow("sigmoid.social") != 5 {
-		t.Fatalf("inflow = %d", c.Inflow("sigmoid.social"))
-	}
 	top := c.TopFlows(2)
 	if len(top) != 2 || top[0].Count != 4 || top[0].To != "sigmoid.social" {
 		t.Fatalf("top flows %v", top)
 	}
-	if c.Flow("unknown", "x") != 0 || c.Outflow("unknown") != 0 || c.Inflow("unknown") != 0 {
+	if c.Flow("unknown", "x") != 0 || c.Flow("mastodon.social", "unknown") != 0 {
 		t.Fatal("unknown labels should be zero")
 	}
 }
@@ -364,13 +331,6 @@ func TestPercent(t *testing.T) {
 	}
 }
 
-func TestInts(t *testing.T) {
-	out := Ints([]int{1, 2})
-	if len(out) != 2 || out[1] != 2.0 {
-		t.Fatal("Ints")
-	}
-}
-
 func TestTopShareRealistic(t *testing.T) {
 	// Zipf-ish instance sizes: verify the "top 25% hold ~95%+" shape the
 	// paper reports is measurable by this code.
@@ -379,7 +339,7 @@ func TestTopShareRealistic(t *testing.T) {
 		counts = append(counts, int(10000/math.Pow(float64(i), 1.5))+1)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	share := ShareOfTopFraction(counts, 0.25)
+	share := TopShareBy(counts, counts, 100)[24].Y
 	if share < 0.8 {
 		t.Fatalf("top-25%% share of zipf sizes = %v, want > 0.8", share)
 	}
@@ -403,7 +363,7 @@ func BenchmarkTopShare(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TopShare(counts, 100)
+		TopShareBy(counts, counts, 100)
 	}
 }
 

@@ -255,11 +255,3 @@ func (f *FileCheckpoint) write(prog *crawler.Progress, keep int, member []byte, 
 	prog.TrimJournal(f.seq)
 	return nil
 }
-
-// Clear removes the checkpoint file (missing is fine).
-func (f *FileCheckpoint) Clear() error {
-	if err := os.Remove(f.Path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: clear checkpoint: %w", err)
-	}
-	return nil
-}

@@ -421,20 +421,3 @@ func FuzzFileCheckpointLoad(f *testing.F) {
 		}
 	})
 }
-
-func TestFileCheckpointClear(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crawl.json.gz")
-	ck := NewFileCheckpoint(path)
-	if err := ck.Clear(); err != nil {
-		t.Fatalf("clear of missing checkpoint: %v", err)
-	}
-	if err := ck.Save(&crawler.Progress{Version: crawler.ProgressVersion, Phase: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	if prog, err := ck.Load(); err != nil || prog != nil {
-		t.Fatalf("checkpoint survived clear: %+v, %v", prog, err)
-	}
-}

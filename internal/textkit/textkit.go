@@ -142,11 +142,6 @@ var topics = map[Topic]topicData{
 	},
 }
 
-// HashtagsFor returns the hashtag pool of a topic.
-func HashtagsFor(t Topic) []string {
-	return topics[t].hashtags
-}
-
 // toxicPhrases are appended to posts flagged toxic by the world model.
 // They are deliberately mild but lexically distinctive so the scoring
 // service (internal/toxsvc) can recover the signal; see that package for
@@ -232,11 +227,6 @@ type PostOpts struct {
 	Hashtags int
 	// Toxic plants a toxic phrase in the post.
 	Toxic bool
-	// MentionHandle, when non-empty, injects "@handle" into the text.
-	MentionHandle string
-	// URL, when non-empty, is appended (e.g. a Mastodon profile link in a
-	// migration announcement tweet).
-	URL string
 }
 
 // Post generates one post.
@@ -278,10 +268,6 @@ func (g *Generator) Post(o PostOpts) string {
 	b.WriteString(randx.Pick(g.rng, tailTimes))
 	b.WriteString(" ")
 	b.WriteString(randx.Pick(g.rng, tailMoods))
-	if o.MentionHandle != "" {
-		b.WriteString(" @")
-		b.WriteString(o.MentionHandle)
-	}
 	if o.Toxic {
 		b.WriteString(". ")
 		b.WriteString(randx.Pick(g.rng, toxicPhrases))
@@ -297,10 +283,6 @@ func (g *Generator) Post(o PostOpts) string {
 			b.WriteString(" ")
 			b.WriteString(tag)
 		}
-	}
-	if o.URL != "" {
-		b.WriteString(" ")
-		b.WriteString(o.URL)
 	}
 	return b.String()
 }
@@ -365,32 +347,6 @@ func (g *Generator) MigrationAnnouncement(style int, username, host string) stri
 	if g.rng.Bool(0.4) {
 		b.WriteString(" ")
 		b.WriteString(randx.Pick(g.rng, tags))
-	}
-	return b.String()
-}
-
-// Bio generates an account bio; withHandle embeds the Mastodon handle in
-// it (the §3.1 metadata match path).
-func (g *Generator) Bio(topic Topic, username, host string, withHandle bool) string {
-	td := topics[topic]
-	var b strings.Builder
-	b.WriteString("posting about ")
-	b.WriteString(randx.Pick(g.rng, td.nouns))
-	b.WriteString(" and ")
-	b.WriteString(randx.Pick(g.rng, td.nouns))
-	b.WriteString(". views my own.")
-	if withHandle {
-		if g.rng.Bool(0.5) {
-			b.WriteString(" @")
-			b.WriteString(username)
-			b.WriteString("@")
-			b.WriteString(host)
-		} else {
-			b.WriteString(" https://")
-			b.WriteString(host)
-			b.WriteString("/@")
-			b.WriteString(username)
-		}
 	}
 	return b.String()
 }

@@ -311,30 +311,6 @@ func Identical(a, b string) bool {
 	return Canonical(a) == Canonical(b)
 }
 
-// Class is the paper's three-way post relationship (§6.1, Fig. 14).
-type Class int
-
-const (
-	// Different: cosine below threshold.
-	Different Class = iota
-	// Similar: cosine at or above threshold but not identical.
-	Similar
-	// IdenticalClass: exact content match.
-	IdenticalClass
-)
-
-// Classify labels the relationship between a Mastodon status and a tweet
-// using threshold (pass DefaultThreshold for the paper's setting).
-func Classify(status, tweet string, threshold float64) Class {
-	if Identical(status, tweet) {
-		return IdenticalClass
-	}
-	if Similarity(status, tweet) >= threshold {
-		return Similar
-	}
-	return Different
-}
-
 // Index holds the embeddings of a set of texts, one row per text, so a
 // user's whole timeline is embedded once and then scanned once per query
 // (the Fig. 14 computation is quadratic per user).

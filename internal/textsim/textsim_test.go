@@ -109,28 +109,16 @@ func TestIdentical(t *testing.T) {
 
 func TestClassify(t *testing.T) {
 	tweet := "Excited to share our new measurement study of the fediverse migration!"
-	if c := Classify(tweet, tweet, DefaultThreshold); c != IdenticalClass {
-		t.Fatalf("class = %v", c)
+	if !Identical(tweet, tweet) {
+		t.Fatal("a post is not identical to itself")
 	}
 	para := "Excited to share our brand new measurement study of the big fediverse migration"
-	if c := Classify(para, tweet, DefaultThreshold); c != Similar {
-		t.Fatalf("paraphrase class = %v (sim=%v)", c, Similarity(para, tweet))
+	if Identical(para, tweet) || Similarity(para, tweet) < DefaultThreshold {
+		t.Fatalf("paraphrase not similar: identical=%v sim=%v", Identical(para, tweet), Similarity(para, tweet))
 	}
 	other := "Good morning everyone, coffee time"
-	if c := Classify(other, tweet, DefaultThreshold); c != Different {
-		t.Fatalf("unrelated class = %v", c)
-	}
-}
-
-func TestClassifyThresholdSweep(t *testing.T) {
-	a := "the migration to mastodon is accelerating rapidly this month"
-	b := "the migration to mastodon is accelerating very rapidly"
-	s := Similarity(a, b)
-	if Classify(a, b, s+0.01) != Different {
-		t.Fatal("above-similarity threshold should classify Different")
-	}
-	if Classify(a, b, s-0.01) != Similar {
-		t.Fatal("below-similarity threshold should classify Similar")
+	if Identical(other, tweet) || Similarity(other, tweet) >= DefaultThreshold {
+		t.Fatalf("unrelated post counts as similar: sim=%v", Similarity(other, tweet))
 	}
 }
 

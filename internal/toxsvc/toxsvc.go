@@ -145,23 +145,11 @@ type Service struct {
 	qps      int
 	winStart time.Time
 	winCount int
-	now      vclock.NowFunc
 }
 
 // New returns a scorer allowing qps requests per second (0 = unlimited).
 func New(qps int) *Service {
-	return &Service{qps: qps, now: vclock.Wall}
-}
-
-// SetClock replaces the service's clock (QPS windowing). nil restores the
-// wall clock.
-func (s *Service) SetClock(now vclock.NowFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now == nil {
-		now = vclock.Wall
-	}
-	s.now = now
+	return &Service{qps: qps}
 }
 
 func (s *Service) allow() bool {
@@ -170,7 +158,7 @@ func (s *Service) allow() bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
+	now := vclock.Wall()
 	if now.Sub(s.winStart) >= time.Second {
 		s.winStart = now
 		s.winCount = 0

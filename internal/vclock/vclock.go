@@ -49,11 +49,6 @@ func DayStart(d int) time.Time {
 	return StudyStart.Add(time.Duration(d) * 24 * time.Hour)
 }
 
-// InStudy reports whether t falls within [StudyStart, StudyEnd+24h).
-func InStudy(t time.Time) bool {
-	return !t.Before(StudyStart) && t.Before(StudyEnd.Add(24*time.Hour))
-}
-
 // Week returns the ISO-like week index of t counted from the Monday on or
 // before StudyStart. Mastodon's activity endpoint reports weekly buckets;
 // we anchor weeks the same way so the crawler's numbers line up.

@@ -25,24 +25,6 @@ func TestDayStartRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInStudy(t *testing.T) {
-	cases := []struct {
-		t    time.Time
-		want bool
-	}{
-		{StudyStart, true},
-		{StudyStart.Add(-time.Second), false},
-		{StudyEnd.Add(23 * time.Hour), true},
-		{StudyEnd.Add(25 * time.Hour), false},
-		{Takeover, true},
-	}
-	for _, c := range cases {
-		if got := InStudy(c.t); got != c.want {
-			t.Errorf("InStudy(%s) = %v, want %v", c.t, got, c.want)
-		}
-	}
-}
-
 func TestWeekAnchoredOnMonday(t *testing.T) {
 	if WeekStart(0).Weekday() != time.Monday {
 		t.Fatal("week anchor is not a Monday")

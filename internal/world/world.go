@@ -363,15 +363,6 @@ type World struct {
 	MigrantsPerInstance []int
 }
 
-// MigrantUsers returns the migrated *User values.
-func (w *World) MigrantUsers() []*User {
-	out := make([]*User, len(w.Migrants))
-	for i, idx := range w.Migrants {
-		out[i] = w.Users[idx]
-	}
-	return out
-}
-
 // InstanceByDomain finds an instance by domain (nil if unknown).
 func (w *World) InstanceByDomain(domain string) *Instance {
 	for _, inst := range w.Instances {

@@ -434,10 +434,17 @@ func TestContagionSignal(t *testing.T) {
 	w := getWorld(t)
 	var fracs []float64
 	for _, u := range w.Migrants {
-		st := w.Graph.Ego(u, func(v int) bool { return w.Users[v].Migrated })
-		if st.Followees > 0 {
-			fracs = append(fracs, st.Fraction())
+		followees := w.Graph.Followees(u)
+		if len(followees) == 0 {
+			continue
 		}
+		migrated := 0
+		for _, v := range followees {
+			if w.Users[v].Migrated {
+				migrated++
+			}
+		}
+		fracs = append(fracs, float64(migrated)/float64(len(followees)))
 	}
 	mean := stats.Mean(fracs)
 	base := float64(len(w.Migrants)) / float64(len(w.Users))
@@ -472,19 +479,6 @@ func TestInstanceDomainsUnique(t *testing.T) {
 			t.Fatalf("duplicate domain %q", inst.Domain)
 		}
 		seen[inst.Domain] = true
-	}
-}
-
-func TestMigrantUsersHelper(t *testing.T) {
-	w := getWorld(t)
-	mu := w.MigrantUsers()
-	if len(mu) != len(w.Migrants) {
-		t.Fatal("MigrantUsers length mismatch")
-	}
-	for _, u := range mu {
-		if !u.Migrated {
-			t.Fatal("non-migrant in MigrantUsers")
-		}
 	}
 }
 
