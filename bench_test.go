@@ -486,8 +486,9 @@ func BenchmarkAblationTailLatency(b *testing.B) {
 // BenchmarkAblationParallelAnalysis quantifies the deterministic
 // parallel analysis engine: the full RQ hot path (centralization,
 // contagion, the quadratic Fig. 14 similarity scan, toxicity,
-// retention) serially, then on the kernels at 1/2/4/8 workers. Results
-// are byte-identical across all variants (see
+// retention) serially, then at 1/2/4/8 workers. Of these passes only
+// the similarity scan and toxicity fan out; the rest are serial loops
+// at every setting. Results are byte-identical across all variants (see
 // TestAnalysisDeterministicAcrossWorkers); only wall-clock and
 // allocations move.
 func BenchmarkAblationParallelAnalysis(b *testing.B) {

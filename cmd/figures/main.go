@@ -28,7 +28,7 @@ func main() {
 	migrants := flag.Int("migrants", 500, "world size when no -data is given")
 	seed := flag.Uint64("seed", 1, "world seed when no -data is given")
 	fig := flag.String("fig", "all", `figure number 1-16 or "all"`)
-	workers := flag.Int("workers", 0, "analysis worker pool size (0 = GOMAXPROCS); results are identical at any setting")
+	workers := flag.Int("workers", 0, "worker pool of the overlap, toxicity and hashtag passes (0 = GOMAXPROCS); results are identical at any setting")
 	timing := flag.Bool("timing", false, "log per-analysis elapsed wall-clock to stderr")
 	flag.Parse()
 

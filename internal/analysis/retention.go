@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"flock/internal/crawler"
-	"flock/internal/parallel"
 	"flock/internal/stats"
 	"flock/internal/vclock"
 )
@@ -35,46 +34,34 @@ type RetentionResult struct {
 // RetentionWindow is the end-of-study activity window, in days.
 const RetentionWindow = 14
 
-// retention classes for the per-user fold.
-const (
-	retSilent = iota
-	retRetained
-	retReturned
-	retLapsed
-)
-
 // RQ4Retention computes the retention extension over crawled timelines.
 func (e Engine) RQ4Retention(ds *crawler.Dataset) *RetentionResult {
 	out := &RetentionResult{DailyActiveUsers: make([]int, vclock.StudyDays)}
 	cutoff := vclock.StudyEnd.Add(-time.Duration(RetentionWindow-1) * 24 * time.Hour)
 
-	ids := sortedKeys(ds.MastodonTimelines)
-	type userRow struct {
-		class      int
-		activeDays [vclock.StudyDays]bool
-		daysActive float64
-	}
-	slots := parallel.MapSlice(e.Workers, len(ids), func(i int) userRow {
-		id := ids[i]
+	var retained, returned, lapsed int
+	var daysActive []float64
+	// seen[d] is 1 + the index of the last user counted on day d, so a
+	// user counts once per day.
+	var seen [vclock.StudyDays]int
+	for i, id := range sortedKeys(ds.MastodonTimelines) {
 		mtl := ds.MastodonTimelines[id]
 		if mtl.State != crawler.StateOK || len(mtl.Posts) == 0 {
-			return userRow{class: retSilent}
+			continue // silent: excluded from the rates
 		}
-		var r userRow
 		days := 0
 		mastodonLate := false
 		for _, p := range mtl.Posts {
-			if d := vclock.Day(p.Time); d >= 0 && d < vclock.StudyDays {
-				if !r.activeDays[d] {
-					r.activeDays[d] = true
-					days++
-				}
+			if d := vclock.Day(p.Time); d >= 0 && d < vclock.StudyDays && seen[d] != i+1 {
+				seen[d] = i + 1
+				days++
+				out.DailyActiveUsers[d]++
 			}
 			if !p.Time.Before(cutoff) {
 				mastodonLate = true
 			}
 		}
-		r.daysActive = float64(days)
+		daysActive = append(daysActive, float64(days))
 		twitterLate := false
 		if ttl := ds.TwitterTimelines[id]; ttl != nil && ttl.State == crawler.StateOK {
 			for _, p := range ttl.Posts {
@@ -86,34 +73,11 @@ func (e Engine) RQ4Retention(ds *crawler.Dataset) *RetentionResult {
 		}
 		switch {
 		case mastodonLate:
-			r.class = retRetained
-		case twitterLate:
-			r.class = retReturned
-		default:
-			r.class = retLapsed
-		}
-		return r
-	})
-
-	var retained, returned, lapsed int
-	var daysActive []float64
-	for i := range slots {
-		r := &slots[i]
-		switch r.class {
-		case retSilent:
-			continue
-		case retRetained:
 			retained++
-		case retReturned:
+		case twitterLate:
 			returned++
-		case retLapsed:
+		default:
 			lapsed++
-		}
-		daysActive = append(daysActive, r.daysActive)
-		for d := range r.activeDays {
-			if r.activeDays[d] {
-				out.DailyActiveUsers[d]++
-			}
 		}
 	}
 	out.Classified = retained + returned + lapsed

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flock/internal/crawler"
-	"flock/internal/parallel"
 	"flock/internal/stats"
 	"flock/internal/vclock"
 )
@@ -74,69 +73,41 @@ type Centralization struct {
 	Gini float64
 }
 
-// rq1Partial is the per-shard accumulator of the RQ1 pair scan: only
-// commutative integer counters, so merge order cannot matter.
-type rq1Partial struct {
-	perInstance  map[string]*InstanceCount
-	pre          int
-	verified     int
-	sameUsername int
-}
-
 // RQ1 computes the centralization results.
 func (e Engine) RQ1(ds *crawler.Dataset) *Centralization {
 	out := &Centralization{}
-
-	// Migrants per final instance, split by account-creation time.
-	agg := parallel.ReduceSharded(e.Workers, len(ds.Pairs),
-		func(lo, hi int) rq1Partial {
-			part := rq1Partial{perInstance: map[string]*InstanceCount{}}
-			for i := lo; i < hi; i++ {
-				p := &ds.Pairs[i]
-				domain := p.FinalDomain()
-				c := part.perInstance[domain]
-				if c == nil {
-					c = &InstanceCount{Domain: domain}
-					part.perInstance[domain] = c
-				}
-				isPre := p.MastodonVerified && p.MastodonCreatedAt.Before(vclock.Takeover)
-				if isPre {
-					c.Pre++
-					part.pre++
-				} else {
-					c.Post++
-				}
-				if p.Verified {
-					part.verified++
-				}
-				if p.SameUsername {
-					part.sameUsername++
-				}
-			}
-			return part
-		},
-		func(a, b rq1Partial) rq1Partial {
-			for domain, c := range b.perInstance {
-				if ac := a.perInstance[domain]; ac != nil {
-					ac.Pre += c.Pre
-					ac.Post += c.Post
-				} else {
-					a.perInstance[domain] = c
-				}
-			}
-			a.pre += b.pre
-			a.verified += b.verified
-			a.sameUsername += b.sameUsername
-			return a
-		})
 	n := len(ds.Pairs)
 	if n == 0 {
 		return out
 	}
-	perInstance := agg.perInstance
-	out.PreTakeoverAccountFrac = float64(agg.pre) / float64(n)
-	out.VerifiedFrac = float64(agg.verified) / float64(n)
-	out.SameUsernameFrac = float64(agg.sameUsername) / float64(n)
+
+	// Migrants per final instance, split by account-creation time.
+	perInstance := map[string]*InstanceCount{}
+	pre, verified, sameUsername := 0, 0, 0
+	for i := range ds.Pairs {
+		p := &ds.Pairs[i]
+		domain := p.FinalDomain()
+		c := perInstance[domain]
+		if c == nil {
+			c = &InstanceCount{Domain: domain}
+			perInstance[domain] = c
+		}
+		if p.MastodonVerified && p.MastodonCreatedAt.Before(vclock.Takeover) {
+			c.Pre++
+			pre++
+		} else {
+			c.Post++
+		}
+		if p.Verified {
+			verified++
+		}
+		if p.SameUsername {
+			sameUsername++
+		}
+	}
+	out.PreTakeoverAccountFrac = float64(pre) / float64(n)
+	out.VerifiedFrac = float64(verified) / float64(n)
+	out.SameUsernameFrac = float64(sameUsername) / float64(n)
 	out.InstancesReceiving = len(perInstance)
 
 	counts := make([]InstanceCount, 0, len(perInstance))
@@ -198,105 +169,80 @@ func (e Engine) RQ1(ds *crawler.Dataset) *Centralization {
 	}
 	out.Gini = stats.Gini(massOnly)
 
-	out.computeBuckets(e, ds, perInstance)
+	out.computeBuckets(ds, perInstance)
 	return out
 }
 
 // computeBuckets builds the Fig. 6 quantile CDFs over the §4 cohort:
 // users who joined after the acquisition with accounts at least 30 days
 // old at crawl time.
-func (c *Centralization) computeBuckets(e Engine, ds *crawler.Dataset, perInstance map[string]*InstanceCount) {
-	type userRow struct {
-		ok        bool
-		size      int // instance migrant count
-		followers float64
-		followees float64
-		statuses  float64
+func (c *Centralization) computeBuckets(ds *crawler.Dataset, perInstance map[string]*InstanceCount) {
+	type member struct {
+		p    *crawler.AccountPair
+		size int // migrants on the user's instance
 	}
-	// Eligibility and row extraction fan out per pair; the filter fold
-	// below runs serially in pair order so rows keep a stable order.
-	slots := parallel.MapSlice(e.Workers, len(ds.Pairs), func(i int) userRow {
+	// Bucket 0: single-user instances; buckets 1..4: size quartiles of
+	// the rest. Both keep pair order.
+	var singles, rest []member
+	for i := range ds.Pairs {
 		p := &ds.Pairs[i]
-		if !p.MastodonVerified {
-			return userRow{}
-		}
-		if p.MastodonCreatedAt.Before(vclock.Takeover) {
-			return userRow{} // §4: joined after the acquisition
-		}
-		if vclock.CrawlTime.Sub(p.MastodonCreatedAt) < 30*24*time.Hour {
-			return userRow{} // §4: at least 30 days old for a fair comparison
+		if !p.MastodonVerified || p.MastodonCreatedAt.Before(vclock.Takeover) ||
+			vclock.CrawlTime.Sub(p.MastodonCreatedAt) < 30*24*time.Hour {
+			continue // §4: joined after the acquisition, at least 30 days old
 		}
 		ic := perInstance[p.FinalDomain()]
 		if ic == nil {
-			return userRow{}
+			continue
 		}
-		return userRow{
-			ok:        true,
-			size:      ic.Total(),
-			followers: float64(p.MastodonFollowers),
-			followees: float64(p.MastodonFollowing),
-			statuses:  float64(p.MastodonStatuses),
-		}
-	})
-	var rows []userRow
-	for _, r := range slots {
-		if r.ok {
-			rows = append(rows, r)
+		if m := (member{p, ic.Total()}); m.size == 1 {
+			singles = append(singles, m)
+		} else {
+			rest = append(rest, m)
 		}
 	}
-	if len(rows) == 0 {
+	if len(singles)+len(rest) == 0 {
 		return
 	}
-	// Bucket 0: single-user instances; buckets 1..4: size quartiles of
-	// the rest.
-	var singles []userRow
-	var rest []userRow
-	for _, r := range rows {
-		if r.size == 1 {
-			singles = append(singles, r)
-		} else {
-			rest = append(rest, r)
-		}
-	}
-	mk := func(label string, rs []userRow, instSet map[int]bool) SizeBucket {
+	// A bucket's Instances counts its distinct instance sizes, not its
+	// domains, so it undercounts; fixing that changes the goldens.
+	mk := func(label string, ms []member, sizes map[int]bool) SizeBucket {
 		var fol, fee, st []float64
-		for _, r := range rs {
-			fol = append(fol, r.followers)
-			fee = append(fee, r.followees)
-			st = append(st, r.statuses)
+		for _, m := range ms {
+			fol = append(fol, float64(m.p.MastodonFollowers))
+			fee = append(fee, float64(m.p.MastodonFollowing))
+			st = append(st, float64(m.p.MastodonStatuses))
 		}
 		return SizeBucket{
 			Label:     label,
-			Instances: len(instSet),
-			Users:     len(rs),
+			Instances: len(sizes),
+			Users:     len(ms),
 			Followers: stats.NewECDF(fol),
 			Followees: stats.NewECDF(fee),
 			Statuses:  stats.NewECDF(st),
 		}
 	}
-	singleInst := map[int]bool{}
-	for range singles {
-		singleInst[1] = true
+	singleSizes := map[int]bool{}
+	if len(singles) > 0 {
+		singleSizes[1] = true
 	}
-	c.Buckets = append(c.Buckets, mk("single-user", singles, singleInst))
+	c.Buckets = append(c.Buckets, mk("single-user", singles, singleSizes))
 	if len(rest) > 0 {
 		sizesF := make([]float64, len(rest))
-		for i, r := range rest {
-			sizesF[i] = float64(r.size)
+		for i, m := range rest {
+			sizesF[i] = float64(m.size)
 		}
-		buckets := stats.QuantileBuckets(sizesF, 4)
-		grouped := make([][]userRow, 4)
-		instSets := make([]map[int]bool, 4)
-		for i := range instSets {
-			instSets[i] = map[int]bool{}
+		grouped := make([][]member, 4)
+		sizes := make([]map[int]bool, 4)
+		for i := range sizes {
+			sizes[i] = map[int]bool{}
 		}
-		for i, b := range buckets {
+		for i, b := range stats.QuantileBuckets(sizesF, 4) {
 			grouped[b] = append(grouped[b], rest[i])
-			instSets[b][rest[i].size] = true
+			sizes[b][rest[i].size] = true
 		}
 		labels := []string{"q1 (smallest)", "q2", "q3", "q4 (largest)"}
 		for i, g := range grouped {
-			c.Buckets = append(c.Buckets, mk(labels[i], g, instSets[i]))
+			c.Buckets = append(c.Buckets, mk(labels[i], g, sizes[i]))
 		}
 	}
 	// Single vs largest quantile boosts.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"flock/internal/crawler"
-	"flock/internal/parallel"
 	"flock/internal/stats"
 	"flock/internal/vclock"
 )
@@ -36,58 +35,34 @@ type NetworkSizes struct {
 // SocialNetworkSizes computes Fig. 7 over all verified pairs.
 func (e Engine) SocialNetworkSizes(ds *crawler.Dataset) *NetworkSizes {
 	out := &NetworkSizes{}
-	type row struct {
-		ok                 bool
-		twF, twE, mF, mE   float64
-		noTwF, noTwE, noMF bool
-		noME, moreM        bool
-	}
-	slots := parallel.MapSlice(e.Workers, len(ds.Pairs), func(i int) row {
-		p := &ds.Pairs[i]
-		if !p.MastodonVerified {
-			return row{}
-		}
-		return row{
-			ok:    true,
-			twF:   float64(p.TwitterFollowers),
-			twE:   float64(p.TwitterFollowing),
-			mF:    float64(p.MastodonFollowers),
-			mE:    float64(p.MastodonFollowing),
-			noTwF: p.TwitterFollowers == 0,
-			noTwE: p.TwitterFollowing == 0,
-			noMF:  p.MastodonFollowers == 0,
-			noME:  p.MastodonFollowing == 0,
-			moreM: p.MastodonFollowers > p.TwitterFollowers,
-		}
-	})
 	var twF, twE, mF, mE []float64
 	var noTwF, noTwE, noMF, noME, moreM int
-	n := 0
-	for _, r := range slots {
-		if !r.ok {
+	for i := range ds.Pairs {
+		p := &ds.Pairs[i]
+		if !p.MastodonVerified {
 			continue
 		}
-		n++
-		twF = append(twF, r.twF)
-		twE = append(twE, r.twE)
-		mF = append(mF, r.mF)
-		mE = append(mE, r.mE)
-		if r.noTwF {
+		twF = append(twF, float64(p.TwitterFollowers))
+		twE = append(twE, float64(p.TwitterFollowing))
+		mF = append(mF, float64(p.MastodonFollowers))
+		mE = append(mE, float64(p.MastodonFollowing))
+		if p.TwitterFollowers == 0 {
 			noTwF++
 		}
-		if r.noTwE {
+		if p.TwitterFollowing == 0 {
 			noTwE++
 		}
-		if r.noMF {
+		if p.MastodonFollowers == 0 {
 			noMF++
 		}
-		if r.noME {
+		if p.MastodonFollowing == 0 {
 			noME++
 		}
-		if r.moreM {
+		if p.MastodonFollowers > p.TwitterFollowers {
 			moreM++
 		}
 	}
+	n := len(twF)
 	if n == 0 {
 		return out
 	}
@@ -136,94 +111,54 @@ func (e Engine) RQ2Contagion(ds *crawler.Dataset) *Contagion {
 	out := &Contagion{}
 	pairs := ds.PairByTwitterID()
 
+	var fracMigrated, fracBefore, fracSame []float64
+	var none, first, last, sameTotal, sameOnSocial int
 	// Sorted user IDs make the per-user fold order (and hence every
 	// float accumulation below) independent of Go map iteration order.
-	ids := sortedKeys(ds.TwitterFollowees)
-
-	type egoRow struct {
-		ok            bool
-		followees     int
-		fracMigrated  float64
-		migrated      int
-		fracBefore    float64
-		fracSame      float64
-		anyBefore     bool
-		anyAfter      bool
-		sameColocated bool
-		myDomain      string
-	}
-	slots := parallel.MapSlice(e.Workers, len(ids), func(i int) egoRow {
-		userID := ids[i]
+	for _, userID := range sortedKeys(ds.TwitterFollowees) {
 		followees := ds.TwitterFollowees[userID]
 		me := pairs[userID]
 		if me == nil || !me.MastodonVerified {
-			return egoRow{}
+			continue
 		}
-		r := egoRow{ok: true, followees: len(followees)}
+		out.SampleSize++
+		out.FolloweeEdges += len(followees)
 		if len(followees) == 0 {
-			return r
+			continue
 		}
-		migrated := 0
-		before := 0
-		sameInst := 0
+		migrated, before, sameInst := 0, 0, 0
 		myDomain := me.FinalDomain()
-		myJoin := me.MastodonCreatedAt
 		for _, f := range followees {
 			fp := pairs[f.TwitterID]
 			if fp == nil || !fp.MastodonVerified {
 				continue
 			}
 			migrated++
-			if fp.MastodonCreatedAt.Before(myJoin) {
+			if fp.MastodonCreatedAt.Before(me.MastodonCreatedAt) {
 				before++
-				r.anyBefore = true
-			} else {
-				r.anyAfter = true
 			}
 			if fp.FinalDomain() == myDomain {
 				sameInst++
 			}
 		}
-		r.fracMigrated = float64(migrated) / float64(len(followees))
-		r.migrated = migrated
-		if migrated > 0 {
-			r.fracBefore = float64(before) / float64(migrated)
-			r.fracSame = float64(sameInst) / float64(migrated)
-			r.sameColocated = sameInst > 0
-			r.myDomain = myDomain
-		}
-		return r
-	})
-
-	var fracMigrated, fracBefore, fracSame []float64
-	var none, first, last int
-	sameByDomain := map[string]int{}
-	sameTotal := 0
-	for _, r := range slots {
-		if !r.ok {
-			continue
-		}
-		out.SampleSize++
-		out.FolloweeEdges += r.followees
-		if r.followees == 0 {
-			continue
-		}
-		fracMigrated = append(fracMigrated, r.fracMigrated)
-		if r.migrated == 0 {
+		fracMigrated = append(fracMigrated, float64(migrated)/float64(len(followees)))
+		if migrated == 0 {
 			none++
 			continue
 		}
-		fracBefore = append(fracBefore, r.fracBefore)
-		fracSame = append(fracSame, r.fracSame)
-		if !r.anyBefore {
+		fracBefore = append(fracBefore, float64(before)/float64(migrated))
+		fracSame = append(fracSame, float64(sameInst)/float64(migrated))
+		if before == 0 {
 			first++ // user migrated before every migrating followee
 		}
-		if !r.anyAfter {
-			last++
+		if before == migrated {
+			last++ // every migrating followee went first
 		}
-		if r.sameColocated {
-			sameByDomain[r.myDomain]++
+		if sameInst > 0 {
 			sameTotal++
+			if myDomain == "mastodon.social" {
+				sameOnSocial++
+			}
 		}
 	}
 	out.FracMigrated = stats.NewECDF(fracMigrated)
@@ -238,7 +173,7 @@ func (e Engine) RQ2Contagion(ds *crawler.Dataset) *Contagion {
 		out.UserLastFrac = float64(last) / float64(out.SampleSize)
 	}
 	if sameTotal > 0 {
-		out.MastodonSocialShareOfSame = float64(sameByDomain["mastodon.social"]) / float64(sameTotal)
+		out.MastodonSocialShareOfSame = float64(sameOnSocial) / float64(sameTotal)
 	}
 	return out
 }
@@ -307,7 +242,9 @@ func (e Engine) RQ2Switching(ds *crawler.Dataset) *Switching {
 		bigDomains[ranked[i].d] = true
 	}
 
-	var switchers []*crawler.AccountPair
+	// One pass over the switchers in pair order: the Fig. 9 flows, then
+	// each switcher's Fig. 10 ego network.
+	var fFirst, fSecond, fSecondBefore []float64
 	postTakeover := 0
 	fromBig := 0
 	for i := range ds.Pairs {
@@ -315,7 +252,7 @@ func (e Engine) RQ2Switching(ds *crawler.Dataset) *Switching {
 		if p.Moved == nil {
 			continue
 		}
-		switchers = append(switchers, p)
+		out.Switchers++
 		out.Chord.Add(p.Handle.Domain, p.Moved.Handle.Domain, 1)
 		if vclock.PostTakeover(p.Moved.MovedAt) {
 			postTakeover++
@@ -323,29 +260,11 @@ func (e Engine) RQ2Switching(ds *crawler.Dataset) *Switching {
 		if bigDomains[p.Handle.Domain] && !bigDomains[p.Moved.Handle.Domain] {
 			fromBig++
 		}
-	}
-	out.Switchers = len(switchers)
-	out.SwitcherFrac = float64(len(switchers)) / float64(len(ds.Pairs))
-	if len(switchers) > 0 {
-		out.PostTakeoverFrac = float64(postTakeover) / float64(len(switchers))
-		out.FlagshipToTopicalFrac = float64(fromBig) / float64(len(switchers))
-	}
-
-	// Fig. 10: ego networks of switchers, one slot per switcher.
-	type egoRow struct {
-		hasEgo          bool
-		migrated        int
-		fFirst, fSecond float64
-		hasSecond       bool
-		fSecondBefore   float64
-	}
-	slots := parallel.MapSlice(e.Workers, len(switchers), func(i int) egoRow {
-		p := switchers[i]
 		followees, ok := ds.TwitterFollowees[p.TwitterID]
 		if !ok {
-			return egoRow{}
+			continue
 		}
-		r := egoRow{hasEgo: true}
+		out.SwitchersWithEgo++
 		migrated, onFirst, onSecond, secondBefore := 0, 0, 0, 0
 		for _, f := range followees {
 			fp := pairs[f.TwitterID]
@@ -371,31 +290,19 @@ func (e Engine) RQ2Switching(ds *crawler.Dataset) *Switching {
 				}
 			}
 		}
-		r.migrated = migrated
-		if migrated > 0 {
-			r.fFirst = float64(onFirst) / float64(migrated)
-			r.fSecond = float64(onSecond) / float64(migrated)
-			if onSecond > 0 {
-				r.hasSecond = true
-				r.fSecondBefore = float64(secondBefore) / float64(onSecond)
-			}
-		}
-		return r
-	})
-	var fFirst, fSecond, fSecondBefore []float64
-	for _, r := range slots {
-		if !r.hasEgo {
+		if migrated == 0 {
 			continue
 		}
-		out.SwitchersWithEgo++
-		if r.migrated == 0 {
-			continue
+		fFirst = append(fFirst, float64(onFirst)/float64(migrated))
+		fSecond = append(fSecond, float64(onSecond)/float64(migrated))
+		if onSecond > 0 {
+			fSecondBefore = append(fSecondBefore, float64(secondBefore)/float64(onSecond))
 		}
-		fFirst = append(fFirst, r.fFirst)
-		fSecond = append(fSecond, r.fSecond)
-		if r.hasSecond {
-			fSecondBefore = append(fSecondBefore, r.fSecondBefore)
-		}
+	}
+	out.SwitcherFrac = float64(out.Switchers) / float64(len(ds.Pairs))
+	if out.Switchers > 0 {
+		out.PostTakeoverFrac = float64(postTakeover) / float64(out.Switchers)
+		out.FlagshipToTopicalFrac = float64(fromBig) / float64(out.Switchers)
 	}
 	out.FracFirst = stats.NewECDF(fFirst)
 	out.FracSecond = stats.NewECDF(fSecond)

@@ -26,38 +26,6 @@ type DailyActivity struct {
 	Statuses []int
 }
 
-// dayCounts is a fixed-size per-shard histogram over study days; shard
-// merges are elementwise integer adds (commutative).
-type dayCounts [vclock.StudyDays]int
-
-func (a *dayCounts) add(b *dayCounts) {
-	for d := range a {
-		a[d] += b[d]
-	}
-}
-
-// countTimelineDays histograms posts over study days, sharded across
-// workers; posts(i) yields the i-th user's timeline in id-sorted order.
-func countTimelineDays(workers, n int, posts func(i int) []crawler.Post) *dayCounts {
-	out := parallel.ReduceSharded(workers, n,
-		func(lo, hi int) *dayCounts {
-			var c dayCounts
-			for i := lo; i < hi; i++ {
-				for _, p := range posts(i) {
-					if d := vclock.Day(p.Time); d >= 0 && d < vclock.StudyDays {
-						c[d]++
-					}
-				}
-			}
-			return &c
-		},
-		func(a, b *dayCounts) *dayCounts { a.add(b); return a })
-	if out == nil {
-		out = &dayCounts{}
-	}
-	return out
-}
-
 // Timelines computes Fig. 11 over the crawled timelines.
 func (e Engine) Timelines(ds *crawler.Dataset) *DailyActivity {
 	out := &DailyActivity{
@@ -68,16 +36,20 @@ func (e Engine) Timelines(ds *crawler.Dataset) *DailyActivity {
 	for d := 0; d < vclock.StudyDays; d++ {
 		out.Days[d] = vclock.FormatDay(vclock.DayStart(d))
 	}
-	twIDs := sortedKeys(ds.TwitterTimelines)
-	msIDs := sortedKeys(ds.MastodonTimelines)
-	tweets := countTimelineDays(e.Workers, len(twIDs), func(i int) []crawler.Post {
-		return ds.TwitterTimelines[twIDs[i]].Posts
-	})
-	statuses := countTimelineDays(e.Workers, len(msIDs), func(i int) []crawler.Post {
-		return ds.MastodonTimelines[msIDs[i]].Posts
-	})
-	copy(out.Tweets, tweets[:])
-	copy(out.Statuses, statuses[:])
+	for _, id := range sortedKeys(ds.TwitterTimelines) {
+		for _, p := range ds.TwitterTimelines[id].Posts {
+			if d := vclock.Day(p.Time); d >= 0 && d < vclock.StudyDays {
+				out.Tweets[d]++
+			}
+		}
+	}
+	for _, id := range sortedKeys(ds.MastodonTimelines) {
+		for _, p := range ds.MastodonTimelines[id].Posts {
+			if d := vclock.Day(p.Time); d >= 0 && d < vclock.StudyDays {
+				out.Statuses[d]++
+			}
+		}
+	}
 	return out
 }
 
@@ -114,15 +86,6 @@ type Sources struct {
 	DailyCrossposterUsers []int
 }
 
-// sourcesPartial is the per-shard accumulator of the source scan: counts
-// and user sets only, merged by addition and union (commutative).
-type sourcesPartial struct {
-	counts            map[string]*SourceCount
-	crossUsers        map[string]bool
-	dailyUsers        []map[string]bool
-	usersWithTimeline int
-}
-
 // RQ3Sources computes the tweet-source results.
 func (e Engine) RQ3Sources(ds *crawler.Dataset) *Sources {
 	out := &Sources{
@@ -130,76 +93,47 @@ func (e Engine) RQ3Sources(ds *crawler.Dataset) *Sources {
 		DailyCrossposterUsers: make([]int, vclock.StudyDays),
 	}
 	ids := sortedKeys(ds.TwitterTimelines)
-	agg := parallel.ReduceSharded(e.Workers, len(ids),
-		func(lo, hi int) sourcesPartial {
-			part := sourcesPartial{
-				counts:     map[string]*SourceCount{},
-				crossUsers: map[string]bool{},
-				dailyUsers: make([]map[string]bool, vclock.StudyDays),
-			}
-			for i := lo; i < hi; i++ {
-				userID := ids[i]
-				tl := ds.TwitterTimelines[userID]
-				if tl.State != crawler.StateOK {
-					continue
-				}
-				part.usersWithTimeline++
-				for _, p := range tl.Posts {
-					c := part.counts[p.Source]
-					if c == nil {
-						c = &SourceCount{Name: p.Source}
-						part.counts[p.Source] = c
-					}
-					if vclock.PostTakeover(p.Time) {
-						c.Post++
-					} else {
-						c.Pre++
-					}
-					if CrossposterSources[p.Source] {
-						part.crossUsers[userID] = true
-						if d := vclock.Day(p.Time); d >= 0 && d < vclock.StudyDays {
-							if part.dailyUsers[d] == nil {
-								part.dailyUsers[d] = map[string]bool{}
-							}
-							part.dailyUsers[d][userID] = true
-						}
-					}
-				}
-			}
-			return part
-		},
-		func(a, b sourcesPartial) sourcesPartial {
-			for name, c := range b.counts {
-				if ac := a.counts[name]; ac != nil {
-					ac.Pre += c.Pre
-					ac.Post += c.Post
-				} else {
-					a.counts[name] = c
-				}
-			}
-			for u := range b.crossUsers {
-				a.crossUsers[u] = true
-			}
-			for d, users := range b.dailyUsers {
-				if users == nil {
-					continue
-				}
-				if a.dailyUsers[d] == nil {
-					a.dailyUsers[d] = users
-					continue
-				}
-				for u := range users {
-					a.dailyUsers[d][u] = true
-				}
-			}
-			a.usersWithTimeline += b.usersWithTimeline
-			return a
-		})
-	if agg.counts == nil {
-		return out
+	if len(ids) == 0 {
+		return out // Top30 stays null; timelines without posts give []
 	}
-	rows := make([]SourceCount, 0, len(agg.counts))
-	for _, c := range agg.counts {
+	counts := map[string]*SourceCount{}
+	crossUsers, usersWithTimeline := 0, 0
+	// seen[d] is 1 + the index of the last user counted on day d, so a
+	// bridge user counts once per day.
+	var seen [vclock.StudyDays]int
+	for i, userID := range ids {
+		tl := ds.TwitterTimelines[userID]
+		if tl.State != crawler.StateOK {
+			continue
+		}
+		usersWithTimeline++
+		crossposter := false
+		for _, p := range tl.Posts {
+			c := counts[p.Source]
+			if c == nil {
+				c = &SourceCount{Name: p.Source}
+				counts[p.Source] = c
+			}
+			if vclock.PostTakeover(p.Time) {
+				c.Post++
+			} else {
+				c.Pre++
+			}
+			if !CrossposterSources[p.Source] {
+				continue
+			}
+			crossposter = true
+			if d := vclock.Day(p.Time); d >= 0 && d < vclock.StudyDays && seen[d] != i+1 {
+				seen[d] = i + 1
+				out.DailyCrossposterUsers[d]++
+			}
+		}
+		if crossposter {
+			crossUsers++
+		}
+	}
+	rows := make([]SourceCount, 0, len(counts))
+	for _, c := range counts {
 		rows = append(rows, *c)
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -214,15 +148,12 @@ func (e Engine) RQ3Sources(ds *crawler.Dataset) *Sources {
 	}
 	out.Top30 = rows
 	for name := range CrossposterSources {
-		if c, ok := agg.counts[name]; ok {
+		if c, ok := counts[name]; ok {
 			out.CrossposterGrowth[name] = c.Growth()
 		}
 	}
-	if agg.usersWithTimeline > 0 {
-		out.CrossposterUserFrac = float64(len(agg.crossUsers)) / float64(agg.usersWithTimeline)
-	}
-	for d, users := range agg.dailyUsers {
-		out.DailyCrossposterUsers[d] = len(users)
+	if usersWithTimeline > 0 {
+		out.CrossposterUserFrac = float64(crossUsers) / float64(usersWithTimeline)
 	}
 	return out
 }
@@ -559,32 +490,17 @@ func (e Engine) CollectionFigure(ds *crawler.Dataset) *CollectionSeries {
 	for d := 0; d < vclock.StudyDays; d++ {
 		out.Days[d] = vclock.FormatDay(vclock.DayStart(d))
 	}
-	type pair struct{ links, keywords dayCounts }
-	agg := parallel.ReduceSharded(e.Workers, len(ds.CollectedTweets),
-		func(lo, hi int) *pair {
-			var p pair
-			for i := lo; i < hi; i++ {
-				ct := &ds.CollectedTweets[i]
-				d := vclock.Day(ct.Time)
-				if d < 0 || d >= vclock.StudyDays {
-					continue
-				}
-				if ct.Class == crawler.ClassInstanceLink {
-					p.links[d]++
-				} else {
-					p.keywords[d]++
-				}
-			}
-			return &p
-		},
-		func(a, b *pair) *pair {
-			a.links.add(&b.links)
-			a.keywords.add(&b.keywords)
-			return a
-		})
-	if agg != nil {
-		copy(out.InstanceLinks, agg.links[:])
-		copy(out.Keywords, agg.keywords[:])
+	for i := range ds.CollectedTweets {
+		ct := &ds.CollectedTweets[i]
+		d := vclock.Day(ct.Time)
+		if d < 0 || d >= vclock.StudyDays {
+			continue
+		}
+		if ct.Class == crawler.ClassInstanceLink {
+			out.InstanceLinks[d]++
+		} else {
+			out.Keywords[d]++
+		}
 	}
 	return out
 }

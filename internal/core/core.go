@@ -25,7 +25,6 @@ import (
 	"flock/internal/fediverse"
 	"flock/internal/indexsvc"
 	"flock/internal/memnet"
-	"flock/internal/parallel"
 	"flock/internal/toxsvc"
 	"flock/internal/world"
 )
@@ -37,9 +36,10 @@ type Config struct {
 	// ScoreToxicity runs the §6.3 Perspective pass over every post
 	// during the crawl (HTTP per post; the faithful but slower path).
 	ScoreToxicity bool
-	// AnalysisWorkers bounds the analysis engine's worker pool
-	// (<= 0: GOMAXPROCS). Results are byte-identical at any setting; the
-	// knob only trades wall-clock for cores.
+	// AnalysisWorkers bounds the worker pool of the analysis passes
+	// that fan out: overlap, toxicity and hashtags (<= 0: GOMAXPROCS).
+	// Results are byte-identical at any setting; the knob only trades
+	// wall-clock for cores.
 	AnalysisWorkers int
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -155,13 +155,13 @@ func Analyze(ds *crawler.Dataset, cfg Config) *Result {
 	}
 	eng := analysis.Engine{Workers: cfg.AnalysisWorkers}
 	res := &Result{Dataset: ds, Coverage: ds.Coverage()}
-	// Each pass runs under a timer so cfg.Logf (cmd/figures -workers)
+	// Each pass runs under a timer so cfg.Logf (cmd/figures -timing)
 	// can report where analysis wall-clock goes.
 	timed := func(name string, fn func()) {
 		start := time.Now()
 		fn()
 		if cfg.Logf != nil {
-			cfg.Logf("analysis %-10s %8s (workers=%d)", name, time.Since(start).Round(time.Microsecond), parallel.Workers(cfg.AnalysisWorkers))
+			cfg.Logf("analysis %-10s %8s", name, time.Since(start).Round(time.Microsecond))
 		}
 	}
 	timed("rq1", func() { res.RQ1 = eng.RQ1(ds) })

@@ -475,7 +475,7 @@ type tracker struct {
 // time. Caller holds t.mu.
 func (t *tracker) snapshotHealth() {
 	if t.health != nil {
-		t.prog.Health = t.health.Export()
+		t.prog.Health = t.health.Snapshot()
 	}
 }
 

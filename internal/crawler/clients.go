@@ -214,12 +214,12 @@ type MastoAccountJSON struct {
 	AlsoKnownAs    []string          `json:"also_known_as"`
 }
 
-// MastoStatusJSON mirrors the status entity.
+// MastoStatusJSON holds the fields of the status entity that the crawl
+// reads; the decoder skips the rest, the embedded account included.
 type MastoStatusJSON struct {
-	ID        string           `json:"id"`
-	CreatedAt string           `json:"created_at"`
-	Content   string           `json:"content"`
-	Account   MastoAccountJSON `json:"account"`
+	ID        string `json:"id"`
+	CreatedAt string `json:"created_at"`
+	Content   string `json:"content"`
 }
 
 // ActivityJSON mirrors the weekly activity entity (string-typed counts).

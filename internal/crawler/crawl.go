@@ -53,9 +53,6 @@ type Transport struct {
 	// crawl's HTTP clients (see Crawler.Health); zero fields take
 	// httpkit.DefaultBreaker values.
 	Breaker httpkit.BreakerPolicy
-	// Clock is the time base for hedge digests and AIMD cooldowns; nil
-	// means vclock.Wall.
-	Clock vclock.NowFunc
 }
 
 // Config parameterizes a crawl.
@@ -121,17 +118,12 @@ func New(cfg Config) *Crawler {
 		cfg.Keywords = DefaultKeywords
 	}
 	health := httpkit.NewHealthRegistry(cfg.Breaker)
-	if cfg.Clock != nil {
-		// Probation ages are computed against the crawl's clock.
-		health.SetClock(cfg.Clock)
-	}
 	client := httpkit.New(
 		httpkit.WithDoer(cfg.HTTP),
 		httpkit.WithUserAgent("flock-crawler/1.0"),
 		httpkit.WithRetry(httpkit.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}),
 		httpkit.WithBreaker(health),
 		httpkit.WithHedge(cfg.Hedge),
-		httpkit.WithClock(cfg.Clock),
 	)
 	c := &Crawler{
 		cfg:     cfg,
@@ -141,7 +133,7 @@ func New(cfg Config) *Crawler {
 		index:   &IndexClient{Base: cfg.IndexBase, C: client},
 		tox:     &PerspectiveClient{Base: cfg.PerspectiveBase, HTTP: client},
 		health:  health,
-		lim:     NewAdaptiveLimiter(cfg.Adaptive, health, cfg.Concurrency, cfg.Clock),
+		lim:     NewAdaptiveLimiter(cfg.Adaptive, health, cfg.Concurrency, vclock.Wall),
 		twHost:  hostOf(cfg.TwitterBase),
 		toxHost: hostOf(cfg.PerspectiveBase),
 		rep:     newReportState(),

@@ -168,9 +168,7 @@ func (s *Service) buildFederated(i int) {
 		}
 	}
 	for f := range subscribed {
-		fu := s.w.Users[f]
 		for idx, status := range s.w.StatusesByUser[f] {
-			_ = fu
 			if status.InstanceID != i {
 				st.federated = append(st.federated, statusRef{UserID: f, Idx: idx})
 			}

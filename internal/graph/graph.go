@@ -13,15 +13,14 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
-	"flock/internal/parallel"
 	"flock/internal/randx"
 )
 
 // Graph is a directed graph over nodes 0..N-1. Edge u->v means "u follows
 // v". Adjacency is kept both ways so follower and followee queries are
-// O(degree). After Compact, both directions live in CSR (compressed
+// O(degree). After SortAdjacency, both directions live in CSR (compressed
 // sparse row) layout: one flat edge array per direction with per-node
 // offset views, so whole-graph scans walk contiguous memory instead of
 // chasing one heap allocation per node.
@@ -30,8 +29,8 @@ type Graph struct {
 	out  [][]int32 // out[u] = sorted followees of u (view into csrOut when packed)
 	in   [][]int32 // in[v] = sorted followers of v (view into csrIn when packed)
 	outS []map[int32]struct{}
-	// csrOut/csrIn back the adjacency views after Compact; nil while the
-	// graph is still in per-node append mode.
+	// csrOut/csrIn back the adjacency views after SortAdjacency; nil
+	// while the graph is still in per-node append mode.
 	csrOut []int32
 	csrIn  []int32
 }
@@ -99,20 +98,14 @@ func (g *Graph) Edges() int {
 	return t
 }
 
-// SortAdjacency sorts all adjacency lists ascending and packs them into
-// CSR layout, giving deterministic iteration order independent of
-// insertion order. Equivalent to Compact(0).
-func (g *Graph) SortAdjacency() { g.Compact(0) }
-
-// Compact sorts every adjacency list ascending (fanning nodes out over
-// workers; <= 0 means GOMAXPROCS) and repacks both directions into CSR
-// layout. The per-node views keep their API: Followees/Followers return
-// slices as before, now aliasing the flat arrays. Views are capped at
-// their CSR segment, so a later AddEdge on a packed node reallocates
-// that node's list instead of clobbering its neighbor's segment. The
-// result is independent of the worker count: each node's list is sorted
-// in isolation and lands at an offset determined only by degrees.
-func (g *Graph) Compact(workers int) {
+// SortAdjacency sorts every adjacency list ascending and packs both
+// directions into CSR layout, giving deterministic iteration order
+// independent of insertion order. The per-node views keep their API:
+// Followees/Followers return slices as before, now aliasing the flat
+// arrays. Views are capped at their CSR segment, so a later AddEdge on a
+// packed node reallocates that node's list instead of clobbering its
+// neighbor's segment.
+func (g *Graph) SortAdjacency() {
 	pack := func(adj [][]int32) []int32 {
 		total := 0
 		for _, l := range adj {
@@ -122,18 +115,13 @@ func (g *Graph) Compact(workers int) {
 		for u, l := range adj {
 			lo := len(flat)
 			flat = append(flat, l...)
+			slices.Sort(flat[lo:])
 			adj[u] = flat[lo:len(flat):len(flat)]
 		}
 		return flat
 	}
 	g.csrOut = pack(g.out)
 	g.csrIn = pack(g.in)
-	parallel.ForEach(workers, g.n, func(u int) {
-		l := g.out[u]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-		l = g.in[u]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	})
 }
 
 // Config parameterizes the social graph generator.

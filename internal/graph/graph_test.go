@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -187,40 +188,22 @@ func TestCompactPreservesAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Generate already compacted; rebuild an uncompacted twin to diff.
+	// Generate already packed; rebuild an unpacked twin to diff, adding
+	// the edges in descending order so that packing has to sort them.
 	twin := New(g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Followees(u) {
-			twin.AddEdge(u, int(v))
+	for u := g.N() - 1; u >= 0; u-- {
+		f := g.Followees(u)
+		for i := len(f) - 1; i >= 0; i-- {
+			twin.AddEdge(u, int(f[i]))
 		}
 	}
-	for _, w := range []int{1, 2, 8} {
-		twin2 := New(g.N())
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Followees(u) {
-				twin2.AddEdge(u, int(v))
-			}
+	twin.SortAdjacency()
+	for u := 0; u < g.N(); u++ {
+		if a, b := g.Followees(u), twin.Followees(u); !slices.Equal(a, b) {
+			t.Fatalf("node %d followees %v != %v", u, b, a)
 		}
-		twin2.Compact(w)
-		for u := 0; u < g.N(); u++ {
-			a, b := g.Followees(u), twin2.Followees(u)
-			if len(a) != len(b) {
-				t.Fatalf("workers=%d node %d followee count %d != %d", w, u, len(b), len(a))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("workers=%d node %d slot %d: %d != %d", w, u, i, b[i], a[i])
-				}
-			}
-			fa, fb := g.Followers(u), twin2.Followers(u)
-			if len(fa) != len(fb) {
-				t.Fatalf("workers=%d node %d follower count differs", w, u)
-			}
-			for i := range fa {
-				if fa[i] != fb[i] {
-					t.Fatalf("workers=%d node %d follower slot %d differs", w, u, i)
-				}
-			}
+		if a, b := g.Followers(u), twin.Followers(u); !slices.Equal(a, b) {
+			t.Fatalf("node %d followers %v != %v", u, b, a)
 		}
 	}
 }
@@ -231,7 +214,7 @@ func TestAddEdgeAfterCompactDoesNotCorruptNeighbors(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 3)
-	g.Compact(1)
+	g.SortAdjacency()
 	before := append([]int32(nil), g.Followees(1)...)
 	// Appending to node 0's packed view must not overwrite node 1's
 	// segment in the shared flat array.

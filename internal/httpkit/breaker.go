@@ -123,7 +123,7 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 }
 
 // HostHealth is a snapshot of one host's breaker and error taxonomy.
-// It is also the registry's persistence schema (Export/ImportHealth):
+// It is also the registry's persistence schema (Snapshot/ImportHealth):
 // the JSON form rides inside crawl checkpoints, so field tags are part
 // of the checkpoint's v2 wire format.
 type HostHealth struct {
@@ -206,19 +206,6 @@ func NewHealthRegistry(policy BreakerPolicy) *HealthRegistry {
 		hosts:  make(map[string]*hostState),
 		now:    vclock.Wall,
 	}
-}
-
-// SetClock swaps the registry's time base (default vclock.Wall).
-// Cooldowns and quarantine probation ages are read through it, so a
-// crawl replayed under a virtual clock keeps deterministic breaker
-// behavior. Install the clock before traffic flows.
-func (r *HealthRegistry) SetClock(now vclock.NowFunc) {
-	if r == nil || now == nil {
-		return
-	}
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
 }
 
 func (r *HealthRegistry) host(host string) *hostState {
@@ -390,7 +377,10 @@ func (r *HealthRegistry) Health(host string) HostHealth {
 	return r.snapshotLocked(host, h)
 }
 
-// Snapshot returns every tracked host's health, sorted by host.
+// Snapshot returns every tracked host's health, sorted by host. It is
+// the registry's persisted form: ImportHealth on a fresh registry
+// reconstructs breaker positions, quarantine ages and the error taxonomy
+// from it.
 func (r *HealthRegistry) Snapshot() []HostHealth {
 	if r == nil {
 		return nil
@@ -417,15 +407,7 @@ func (r *HealthRegistry) Quarantined() []string {
 	return out
 }
 
-// Export returns the registry's full state for persistence (e.g.
-// alongside a crawl checkpoint), sorted by host. The snapshot is
-// self-contained: ImportHealth on a fresh registry reconstructs
-// breaker positions, quarantine ages and the error taxonomy.
-func (r *HealthRegistry) Export() []HostHealth {
-	return r.Snapshot()
-}
-
-// ImportHealth seeds the registry from a persisted Export snapshot,
+// ImportHealth seeds the registry from a persisted Snapshot,
 // replacing any existing state for the same hosts. Open and half-open
 // breakers import as open with the cooldown anchored at the last
 // failure, so a stale snapshot admits a half-open probe on first Allow

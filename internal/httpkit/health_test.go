@@ -38,7 +38,7 @@ func TestHealthExportImportRoundTrip(t *testing.T) {
 	r.ReportSuccess("ok.test")
 
 	// Persist through JSON, the same wire format checkpoints use.
-	raw, err := json.Marshal(r.Export())
+	raw, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestHealthExportImportRoundTrip(t *testing.T) {
 
 	// Compare the JSON forms: time.Time round-trips to UTC wall-clock,
 	// so struct equality would trip on location metadata, not state.
-	got, err := json.Marshal(r2.Export())
+	got, err := json.Marshal(r2.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

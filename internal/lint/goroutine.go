@@ -13,8 +13,7 @@ import (
 // results — unsynchronized float accumulation, map iteration races,
 // completion-order-dependent output — and how work escapes the kernels'
 // panic propagation and bounded pools. Analysis and simulation code must
-// express parallelism through parallel.ForEach / MapSlice /
-// ReduceSharded instead. Test files are exempt (tests legitimately spawn
+// express parallelism through parallel.MapSlice / ReduceSharded instead. Test files are exempt (tests legitimately spawn
 // helpers and servers); deliberate exceptions carry
 // `//lint:allow goroutine <reason>`.
 var Goroutine = &analysis.Analyzer{
@@ -27,7 +26,7 @@ var Goroutine = &analysis.Analyzer{
 		eachFile(pass, false, func(f *ast.File) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					pass.Reportf(g.Pos(), "naked go statement outside the concurrency packages; route fan-out through parallel.ForEach/MapSlice/ReduceSharded so pooling, panic propagation and deterministic merges apply")
+					pass.Reportf(g.Pos(), "naked go statement outside the concurrency packages; route fan-out through parallel.MapSlice/ReduceSharded so pooling, panic propagation and deterministic merges apply")
 				}
 				return true
 			})

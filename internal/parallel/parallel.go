@@ -7,7 +7,7 @@
 // Every combinator guarantees that its result is a pure function of
 // (n, the per-index callbacks) — never of the worker count, the
 // scheduler's interleaving, or which goroutine happened to process which
-// index. The guarantee rests on three rules:
+// index. The guarantee rests on two rules:
 //
 //  1. MapSlice writes each index's result into its own pre-allocated
 //     slot, so output order is index order regardless of completion
@@ -21,10 +21,6 @@
 //     Even a non-commutative merge (floating-point sums, ordered
 //     appends) therefore sees the exact same operand sequence at any
 //     parallelism level.
-//
-//  3. ForEach requires its body to touch only per-index state (slot
-//     writes, atomics on commutative integer counters); it makes no
-//     ordering promise between indexes, only completion-before-return.
 //
 // Scheduling is dynamic (workers pull chunks off a shared atomic
 // cursor), so a skewed workload — e.g. the quadratic per-user loop of
@@ -132,13 +128,6 @@ func run(workers, tasks int, fn func(task int)) {
 	if panicV != nil {
 		panic(fmt.Sprintf("parallel: worker panicked: %v", panicV))
 	}
-}
-
-// ForEach calls fn(i) for every i in [0, n) on a pool of at most workers
-// goroutines (Workers semantics). It returns once every call has
-// completed. fn must only touch state owned by its index.
-func ForEach(workers, n int, fn func(i int)) {
-	run(workers, n, fn)
 }
 
 // MapSlice evaluates fn over [0, n) and returns the results in index

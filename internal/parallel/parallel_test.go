@@ -18,30 +18,20 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-func TestForEachVisitsEveryIndexOnce(t *testing.T) {
-	for _, w := range workerSweep {
-		const n = 1000
-		seen := make([]atomic.Int32, n)
-		ForEach(w, n, func(i int) { seen[i].Add(1) })
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("workers=%d index %d visited %d times", w, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachEmpty(t *testing.T) {
-	ForEach(4, 0, func(int) { t.Fatal("called on empty range") })
-	ForEach(4, -3, func(int) { t.Fatal("called on negative range") })
-}
-
 func TestMapSliceOrderPreserved(t *testing.T) {
 	for _, w := range workerSweep {
-		got := MapSlice(w, 257, func(i int) int { return i * i })
+		const n = 257
+		calls := make([]atomic.Int32, n)
+		got := MapSlice(w, n, func(i int) int {
+			calls[i].Add(1)
+			return i * i
+		})
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d slot %d = %d", w, i, v)
+			}
+			if c := calls[i].Load(); c != 1 {
+				t.Fatalf("workers=%d index %d called %d times", w, i, c)
 			}
 		}
 	}
@@ -146,10 +136,11 @@ func TestPanicPropagates(t *testing.T) {
 			t.Fatal("worker panic not propagated")
 		}
 	}()
-	ForEach(4, 100, func(i int) {
+	MapSlice(4, 100, func(i int) int {
 		if i == 37 {
 			panic("boom")
 		}
+		return i
 	})
 }
 
@@ -159,22 +150,5 @@ func TestPanicPropagatesSerial(t *testing.T) {
 			t.Fatal("serial panic not propagated")
 		}
 	}()
-	ForEach(1, 10, func(i int) { panic("boom") })
-}
-
-func BenchmarkForEach(b *testing.B) {
-	work := func(i int) {
-		s := 0.0
-		for k := 0; k < 200; k++ {
-			s += math.Sqrt(float64(i + k))
-		}
-		_ = s
-	}
-	for _, w := range []int{1, 4} {
-		b.Run(map[int]string{1: "serial", 4: "workers_4"}[w], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ForEach(w, 10000, work)
-			}
-		})
-	}
+	MapSlice(1, 10, func(i int) int { panic("boom") })
 }

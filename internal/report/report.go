@@ -397,66 +397,40 @@ func Summary(res *core.Result) string {
 	return b.String()
 }
 
+// figures renders the paper's figures, indexed by figure number (1-16).
+var figures = [...]func(*core.Result) string{
+	1:  func(*core.Result) string { return Fig1Trends() },
+	2:  func(r *core.Result) string { return Fig2Collection(r.Collection) },
+	3:  func(r *core.Result) string { return Fig3Activity(r.Activity) },
+	4:  func(r *core.Result) string { return Fig4TopInstances(r.RQ1) },
+	5:  func(r *core.Result) string { return Fig5TopShare(r.RQ1) },
+	6:  func(r *core.Result) string { return Fig6SizeQuantiles(r.RQ1) },
+	7:  func(r *core.Result) string { return Fig7Networks(r.Networks) },
+	8:  func(r *core.Result) string { return Fig8Contagion(r.Contagion) },
+	9:  func(r *core.Result) string { return Fig9Chord(r.Switching) },
+	10: func(r *core.Result) string { return Fig10SwitchInfluence(r.Switching) },
+	11: func(r *core.Result) string { return Fig11Daily(r.Daily) },
+	12: func(r *core.Result) string { return Fig12Sources(r.Sources) },
+	13: func(r *core.Result) string { return Fig13Crossposters(r.Sources) },
+	14: func(r *core.Result) string { return Fig14Overlap(r.Overlap) },
+	15: func(r *core.Result) string { return Fig15Hashtags(r.Hashtags) },
+	16: func(r *core.Result) string { return Fig16Toxicity(r.Toxicity) },
+}
+
 // All renders every figure plus the summary.
 func All(res *core.Result) string {
-	sections := []string{
-		Fig1Trends(),
-		Fig2Collection(res.Collection),
-		Fig3Activity(res.Activity),
-		Fig4TopInstances(res.RQ1),
-		Fig5TopShare(res.RQ1),
-		Fig6SizeQuantiles(res.RQ1),
-		Fig7Networks(res.Networks),
-		Fig8Contagion(res.Contagion),
-		Fig9Chord(res.Switching),
-		Fig10SwitchInfluence(res.Switching),
-		Fig11Daily(res.Daily),
-		Fig12Sources(res.Sources),
-		Fig13Crossposters(res.Sources),
-		Fig14Overlap(res.Overlap),
-		Fig15Hashtags(res.Hashtags),
-		Fig16Toxicity(res.Toxicity),
-		Retention(res.Retention),
-		Summary(res),
+	var sections []string
+	for _, fig := range figures[1:] {
+		sections = append(sections, fig(res))
 	}
+	sections = append(sections, Retention(res.Retention), Summary(res))
 	return strings.Join(sections, "\n")
 }
 
 // Figure renders one numbered figure (1-16). Unknown numbers return "".
 func Figure(res *core.Result, n int) string {
-	switch n {
-	case 1:
-		return Fig1Trends()
-	case 2:
-		return Fig2Collection(res.Collection)
-	case 3:
-		return Fig3Activity(res.Activity)
-	case 4:
-		return Fig4TopInstances(res.RQ1)
-	case 5:
-		return Fig5TopShare(res.RQ1)
-	case 6:
-		return Fig6SizeQuantiles(res.RQ1)
-	case 7:
-		return Fig7Networks(res.Networks)
-	case 8:
-		return Fig8Contagion(res.Contagion)
-	case 9:
-		return Fig9Chord(res.Switching)
-	case 10:
-		return Fig10SwitchInfluence(res.Switching)
-	case 11:
-		return Fig11Daily(res.Daily)
-	case 12:
-		return Fig12Sources(res.Sources)
-	case 13:
-		return Fig13Crossposters(res.Sources)
-	case 14:
-		return Fig14Overlap(res.Overlap)
-	case 15:
-		return Fig15Hashtags(res.Hashtags)
-	case 16:
-		return Fig16Toxicity(res.Toxicity)
+	if n < 1 || n >= len(figures) {
+		return ""
 	}
-	return ""
+	return figures[n](res)
 }
