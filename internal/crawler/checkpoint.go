@@ -412,7 +412,8 @@ func (p *Progress) TrimJournal(seq int) {
 // crawl's worker goroutines (calls are serialized by the crawler). The
 // crawler's progress journals its records (Progress.Journal); Save may
 // persist just the records since its last write, and should TrimJournal
-// what it has made durable.
+// what it has made durable. Load may remember the file it read, so that
+// Save of the progress it returned appends to that file.
 type Checkpoint interface {
 	Load() (*Progress, error)
 	Save(*Progress) error

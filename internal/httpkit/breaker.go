@@ -256,6 +256,19 @@ func (r *HealthRegistry) allow(host string) error {
 	}
 }
 
+// refusesFor reports whether host's breaker is open and will still be
+// open d from now, so that Allow would then refuse the host. A half-open
+// breaker reports false: the probe in flight may close it.
+func (r *HealthRegistry) refusesFor(host string, d time.Duration) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h, ok := r.hosts[host]
+	return ok && h.state == BreakerOpen && r.now().Add(d).Before(h.openedAt.Add(r.policy.Cooldown))
+}
+
 // State returns host's current breaker state without consuming a
 // half-open probe slot (unlike Allow). Hedging consults it before
 // spending budget on a host the breaker is already rationing.

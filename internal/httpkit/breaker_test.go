@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,65 @@ func TestClientShortCircuitsOpenHost(t *testing.T) {
 	}
 	if h := reg.Health("dead.example"); h.State != BreakerOpen {
 		t.Fatalf("health %+v", h)
+	}
+}
+
+// TestRetrySkipsBackoffBeforeRefusal: a retry backoff that the host's
+// open breaker outlasts is not slept, and the retry is refused as it
+// would be after the sleep. Each sleep advances the registry's clock.
+func TestRetrySkipsBackoffBeforeRefusal(t *testing.T) {
+	dialErr := &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("refused")}
+	dial := func(int, *http.Request) (*http.Response, error) { return nil, dialErr }
+	unavailable := func(int, *http.Request) (*http.Response, error) { return respond(503, "down", nil), nil }
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		fn     func(int, *http.Request) (*http.Response, error)
+		policy BreakerPolicy
+		sleeps []time.Duration
+		want   Stats
+		opened bool // the error says the circuit opened
+	}{
+		// The second failure opens the breaker for 30 s, so the 100 ms
+		// backoff would end with it still open.
+		{"opens", dial, BreakerPolicy{FailureThreshold: 2}, []time.Duration{50 * ms}, Stats{Requests: 2, Retries: 2, ShortCircuits: 1}, true},
+		// Still closed after the second failure.
+		{"closed", dial, BreakerPolicy{FailureThreshold: 3}, []time.Duration{50 * ms, 100 * ms}, Stats{Requests: 3, Retries: 2}, false},
+		// The cooldown ends before the backoff does, so the retry goes
+		// out as the half-open probe.
+		{"cooldown", dial, BreakerPolicy{FailureThreshold: 2, Cooldown: 80 * ms}, []time.Duration{50 * ms, 100 * ms}, Stats{Requests: 3, Retries: 2}, false},
+		// A retryable status opens the breaker just the same.
+		{"status", unavailable, BreakerPolicy{FailureThreshold: 1}, nil, Stats{Requests: 1, Retries: 1, ShortCircuits: 1}, true},
+	} {
+		reg, now := testRegistry(tc.policy)
+		var sleeps []time.Duration
+		c := New(
+			WithDoer(&fakeDoer{fn: tc.fn}),
+			WithBreaker(reg),
+			WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * ms, MaxDelay: time.Second}),
+			WithSleep(func(ctx context.Context, d time.Duration) error {
+				sleeps = append(sleeps, d)
+				*now = now.Add(d)
+				return ctx.Err()
+			}),
+		)
+		req, _ := http.NewRequest("GET", "https://dead.example/x", nil)
+		_, err := c.Do(req)
+		if err == nil {
+			t.Fatalf("%s: want an error", tc.name)
+		}
+		if wraps := IsStatus(err, 503) || errors.Is(err, dialErr); !wraps {
+			t.Errorf("%s: err = %v, want it to wrap the failure", tc.name, err)
+		}
+		if opened := strings.Contains(err.Error(), "circuit opened"); opened != tc.opened {
+			t.Errorf("%s: err = %v, circuit opened = %v, want %v", tc.name, err, opened, tc.opened)
+		}
+		if !slices.Equal(sleeps, tc.sleeps) {
+			t.Errorf("%s: slept %v, want %v", tc.name, sleeps, tc.sleeps)
+		}
+		if s := c.Stats(); s != tc.want {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, s, tc.want)
+		}
 	}
 }
 

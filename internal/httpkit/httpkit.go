@@ -173,9 +173,15 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	return SleepContext(ctx, d)
 }
 
-// wait sleeps out a retry backoff. Inside a Group task the task's
-// worker slot goes to another task meanwhile (see Idle).
-func (c *Client) wait(ctx context.Context, d time.Duration) error {
+// wait sleeps out a retry backoff before the next attempt on host. Inside
+// a Group task the task's worker slot goes to another task meanwhile
+// (see Idle). When host's breaker is open and still will be when the
+// backoff ends, it does not sleep: the breaker refuses the retry either
+// way.
+func (c *Client) wait(ctx context.Context, host string, d time.Duration) error {
+	if c.health.refusesFor(host, d) {
+		return nil
+	}
 	return Idle(ctx, func() error { return c.sleep(ctx, d) })
 }
 
@@ -291,7 +297,8 @@ func (c *Client) send(r *http.Request, host string) (*http.Response, error) {
 // (when configured) tail-latency hedging. The caller owns the response
 // body on success. Non-2xx terminal responses become *StatusError;
 // requests refused by an open breaker return a *HostError wrapping
-// ErrCircuitOpen.
+// ErrCircuitOpen. A retry backoff that the host's open breaker would
+// outlast is not slept: the retry goes straight to its refusal.
 //
 // Body-bearing requests are only retried when req.GetBody can supply a
 // fresh copy (http.NewRequest sets it for common in-memory readers); a
@@ -340,7 +347,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			}
 			lastErr = err
 			if attempt < policy.MaxAttempts {
-				if werr := c.wait(req.Context(), policy.delay(attempt)); werr != nil {
+				if werr := c.wait(req.Context(), host, policy.delay(attempt)); werr != nil {
 					return nil, werr
 				}
 				continue
@@ -363,7 +370,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			if d > policy.MaxDelay {
 				d = policy.MaxDelay
 			}
-			if werr := c.wait(req.Context(), d); werr != nil {
+			if werr := c.wait(req.Context(), host, d); werr != nil {
 				return nil, werr
 			}
 			lastErr = &StatusError{Code: resp.StatusCode, URL: req.URL.String(), Body: string(body)}

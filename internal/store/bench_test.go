@@ -1,6 +1,10 @@
 package store
 
 import (
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,4 +115,58 @@ func BenchmarkSaveLoad(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFileCheckpointSave times one mid-phase checkpoint save at
+// resume_150's shape: a frame of 32 Twitter-timeline records of 150 posts
+// each, appended to a file that already holds about 1 MB, the snapshot
+// of a crawl part-way through the Twitter-timeline phase. Each iteration
+// restores that file and loads it outside the timer.
+func BenchmarkFileCheckpointSave(b *testing.B) {
+	const batch = 32
+	ds := syntheticDataset(3000, 160, 150)
+	timelines := ds.TwitterTimelines
+	ids := slices.Sorted(maps.Keys(timelines))
+	ds.TwitterTimelines = map[string]*crawler.TwitterTimeline{}
+	ds.MastodonTimelines = map[string]*crawler.MastodonTimeline{}
+	ds.TwitterFollowees = map[string][]crawler.FolloweeRef{}
+	ds.MastodonFollowing = map[string][]string{}
+	ds.Activity = map[string][]crawler.WeekActivity{}
+	apply := func(prog *crawler.Progress, ids []string) {
+		for _, id := range ids {
+			if err := prog.Apply(crawler.Record{Phase: 4, Key: id, TwitterTL: timelines[id]}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	prog := &crawler.Progress{Version: crawler.ProgressVersion, Phase: 3, Dataset: ds}
+	apply(prog, ids[:len(ids)-batch])
+	path := filepath.Join(b.TempDir(), "crawl.ckpt.gz")
+	if err := NewFileCheckpoint(path).Save(prog); err != nil {
+		b.Fatal(err)
+	}
+	base, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		if err := os.WriteFile(path, base, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		ck := NewFileCheckpoint(path)
+		prog, err := ck.Load()
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog.StartJournal()
+		apply(prog, ids[len(ids)-batch:])
+		b.StartTimer()
+		if err := ck.Save(prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(base))/1e6, "base_MB")
 }

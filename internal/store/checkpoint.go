@@ -41,16 +41,21 @@ import (
 // same decoder. A v3 or later file cut anywhere, or with any byte
 // changed, fails to load rather than yield an older state.
 //
-// Compaction rule: a save appends one frame with the records not yet
-// written when it is given the journaling progress it wrote last and the
-// frames written since the last snapshot, compressed, weigh no more than
-// that snapshot. Otherwise it writes a fresh snapshot: on a first save,
-// for a loaded or hand-built progress, and once the frames outweigh the
-// snapshot. The file thus stays under about two snapshots, and a save
-// costs about the work done since the last one. Each write rewrites the
-// file from the compressed bytes kept in memory and compresses only the
-// new frame or snapshot. A failed write leaves that state as it was, so
-// the next save writes the same records again.
+// Saves only append. A save appends one frame, the records applied since
+// the previous write, when the checkpoint holds the file state of the
+// progress it is given: the journaling progress it wrote or loaded last.
+// Otherwise (a first save, any other progress, or one that does not
+// journal) it writes a fresh snapshot. Load adopts the file it read when
+// the file is sealed and its snapshot's Version is
+// crawler.ProgressVersion, so a resumed crawl appends to that file; a
+// file of an older schema gets one fresh snapshot on its first save. A
+// progress returned by Load must therefore change only through
+// crawler.Progress.Apply, or its frames miss the change. The file holds
+// the first snapshot plus each record once. Each write rewrites the file
+// from the compressed bytes kept in memory and compresses only the new
+// member, at gzip.BestSpeed because the crawl waits for it. A failed
+// write leaves that state as it was, so the next save writes the same
+// records again.
 type FileCheckpoint struct {
 	Path string
 
@@ -58,15 +63,13 @@ type FileCheckpoint struct {
 	zw *gzip.Writer // reused for every member
 	// buf receives each new member before it joins data.
 	buf bytes.Buffer
-	// The state of the last successful write: the progress it wrote, the
-	// progress's Seq at the time, the file bytes before the trailer with
-	// their CRC-32, the snapshot's share of those bytes and the frame
-	// count.
+	// The state of the last successful write or adopted Load: the
+	// progress written or returned, the progress's Seq at the time, the
+	// file bytes before the trailer with their CRC-32 and the frame count.
 	last   *crawler.Progress
 	seq    int
 	data   []byte
 	crc    uint32
-	snap   int
 	frames int
 }
 
@@ -90,7 +93,9 @@ func NewFileCheckpoint(path string) *FileCheckpoint {
 }
 
 // Load reads the last saved progress. A missing file is not an error: it
-// returns (nil, nil), meaning "fresh crawl".
+// returns (nil, nil), meaning "fresh crawl". A sealed file of the current
+// schema becomes the checkpoint's file state, so saves of the returned
+// progress append to it.
 func (f *FileCheckpoint) Load() (*crawler.Progress, error) {
 	raw, err := os.ReadFile(f.Path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -99,59 +104,67 @@ func (f *FileCheckpoint) Load() (*crawler.Progress, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open checkpoint: %w", err)
 	}
-	prog, err := decodeCheckpoint(raw)
+	prog, body, frames, err := decodeCheckpoint(raw)
 	if err != nil {
 		return nil, fmt.Errorf("store: checkpoint %s: %w", f.Path, err)
+	}
+	if body != nil && prog.Version == crawler.ProgressVersion {
+		f.mu.Lock()
+		f.last, f.seq = prog, prog.Seq()
+		f.data, f.crc, f.frames = body, crc32.ChecksumIEEE(body), frames
+		f.mu.Unlock()
 	}
 	return prog, nil
 }
 
-// decodeCheckpoint parses a checkpoint file (see FileCheckpoint).
-func decodeCheckpoint(raw []byte) (*crawler.Progress, error) {
+// decodeCheckpoint parses a checkpoint file (see FileCheckpoint). For a
+// sealed file it also returns the bytes before the trailer and the frame
+// count; body is nil for a v1 or v2 file.
+func decodeCheckpoint(raw []byte) (prog *crawler.Progress, body []byte, frames int, err error) {
 	body, frames, sealed, err := openTrailer(raw)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	r := bytes.NewReader(body)
 	zr, err := gzip.NewReader(r)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	prog := &crawler.Progress{}
+	prog = &crawler.Progress{}
 	if err := readMember(zr, prog); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, nil, 0, fmt.Errorf("snapshot: %w", err)
 	}
 	if !sealed {
 		switch {
 		case prog.Version > legacyVersion:
-			return nil, fmt.Errorf("v%d snapshot without a trailer: file truncated", prog.Version)
+			return nil, nil, 0, fmt.Errorf("v%d snapshot without a trailer: file truncated", prog.Version)
 		case r.Len() > 0:
-			return nil, errors.New("trailing data after the snapshot")
+			return nil, nil, 0, errors.New("trailing data after the snapshot")
 		}
-		return prog, nil
+		return prog, nil, 0, nil
 	}
 	n := 0
 	for ; ; n++ {
 		if err := zr.Reset(r); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", n, err)
+			return nil, nil, 0, fmt.Errorf("frame %d: %w", n, err)
 		}
 		var fr frame
 		if err := readMember(zr, &fr); err != nil {
-			return nil, fmt.Errorf("frame %d: %w", n, err)
+			return nil, nil, 0, fmt.Errorf("frame %d: %w", n, err)
 		}
 		for _, rec := range fr.Records {
 			if err := prog.Apply(rec); err != nil {
-				return nil, fmt.Errorf("frame %d: %w", n, err)
+				return nil, nil, 0, fmt.Errorf("frame %d: %w", n, err)
 			}
 		}
 		prog.Health = fr.Health
 	}
 	if n != frames {
-		return nil, fmt.Errorf("%d frames, trailer says %d", n, frames)
+		return nil, nil, 0, fmt.Errorf("%d frames, trailer says %d", n, frames)
 	}
-	return prog, nil
+	return prog, body, frames, nil
 }
 
 // openTrailer splits the trailer off raw and checks its CRC. A file
@@ -181,39 +194,33 @@ func readMember(zr *gzip.Reader, v any) error {
 	return nil
 }
 
-// Save persists the progress: one more frame or a fresh snapshot, by the
-// compaction rule (see FileCheckpoint).
+// Save persists the progress: one more frame, or a fresh snapshot when
+// the checkpoint holds no file state for prog (see FileCheckpoint).
 func (f *FileCheckpoint) Save(prog *crawler.Progress) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := os.MkdirAll(filepath.Dir(f.Path), 0o755); err != nil {
 		return fmt.Errorf("store: checkpoint dir: %w", err)
 	}
-	if prog == f.last && len(f.data)-f.snap <= f.snap {
-		if recs, ok := prog.Journal(f.seq); ok {
-			member, err := f.compress(frame{Health: prog.Health, Records: recs})
-			if err != nil {
-				return err
-			}
-			return f.write(prog, len(f.data), member, f.frames+1)
+	if recs, ok := prog.Journal(f.seq); ok && prog == f.last {
+		member, err := f.compress(frame{Health: prog.Health, Records: recs})
+		if err != nil {
+			return err
 		}
+		return f.write(prog, len(f.data), member, f.frames+1)
 	}
 	member, err := f.compress(prog)
 	if err != nil {
 		return err
 	}
-	if err := f.write(prog, 0, member, 0); err != nil {
-		return err
-	}
-	f.snap = len(member)
-	return nil
+	return f.write(prog, 0, member, 0)
 }
 
 // compress encodes v as JSON into one gzip member, in f.buf.
 func (f *FileCheckpoint) compress(v any) ([]byte, error) {
 	f.buf.Reset()
 	if f.zw == nil {
-		f.zw = gzip.NewWriter(&f.buf)
+		f.zw, _ = gzip.NewWriterLevel(&f.buf, gzip.BestSpeed) // a valid level cannot fail
 	} else {
 		f.zw.Reset(&f.buf)
 	}

@@ -209,43 +209,45 @@ func mustEqualJSON(t testing.TB, got, want *crawler.Progress) {
 	}
 }
 
-// TestFileCheckpointCompacts: once the frames outweigh the snapshot, the
-// next save writes a fresh snapshot with no frames.
-func TestFileCheckpointCompacts(t *testing.T) {
+// readTrailer reads the checkpoint file at path and returns its bytes
+// before the trailer and its frame count; the file must be sealed.
+func readTrailer(t testing.TB, path string) (body []byte, frames int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, frames, sealed, err := openTrailer(raw)
+	if err != nil || !sealed {
+		t.Fatalf("trailer: sealed=%v, err=%v", sealed, err)
+	}
+	return body, frames
+}
+
+// TestFileCheckpointAppendsFrames: after a progress's first snapshot,
+// every save of it appends one frame and leaves the bytes of the earlier
+// saves as they were.
+func TestFileCheckpointAppendsFrames(t *testing.T) {
 	ck := NewFileCheckpoint(filepath.Join(t.TempDir(), "crawl.json.gz"))
 	prog := &crawler.Progress{Version: crawler.ProgressVersion, Dataset: crawler.NewDataset()}
 	prog.StartJournal()
 	if err := prog.Apply(crawler.Record{Phase: 1, End: true}); err != nil {
 		t.Fatal(err)
 	}
-	frames := func() int {
-		raw, err := os.ReadFile(ck.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, n, _, err := openTrailer(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	compacted := false
+	var prev []byte
 	for batch := 0; batch < 10; batch++ {
 		applyQueries(t, prog, batch, 20)
-		want := 0 // a first save, or frames outweighing the snapshot
-		if ck.last != nil && len(ck.data)-ck.snap <= ck.snap {
-			want = frames() + 1
-		}
-		compacted = compacted || ck.last != nil && want == 0
 		if err := ck.Save(prog); err != nil {
 			t.Fatal(err)
 		}
-		if got := frames(); got != want {
-			t.Fatalf("save %d left %d frames, want %d", batch, got, want)
+		body, frames := readTrailer(t, ck.Path)
+		if frames != batch {
+			t.Fatalf("save %d left %d frames, want %d", batch, frames, batch)
 		}
-	}
-	if !compacted {
-		t.Fatal("ten saves never compacted")
+		if !bytes.HasPrefix(body, prev) {
+			t.Fatalf("save %d rewrote the bytes of the saves before it", batch)
+		}
+		prev = body
 	}
 	if _, ok := prog.Journal(0); ok {
 		t.Fatal("written records were not trimmed from the journal")
@@ -255,6 +257,74 @@ func TestFileCheckpointCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualJSON(t, got, prog)
+}
+
+// resumeSave loads the checkpoint file at path through a fresh
+// FileCheckpoint, applies one batch of queries to the progress it
+// returns, or to a copy of it when other is set, and saves that.
+func resumeSave(t testing.TB, path string, other bool) *crawler.Progress {
+	t.Helper()
+	ck := NewFileCheckpoint(path)
+	prog, err := ck.Load()
+	if err == nil && other {
+		prog, err = prog.Clone()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.StartJournal()
+	applyQueries(t, prog, 9, 10)
+	if err := ck.Save(prog); err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestFileCheckpointResumeAppends: the first save after Load appends a
+// frame to the sealed current-schema file Load read. A file of an older
+// schema, or a save of another progress, gets a fresh snapshot.
+func TestFileCheckpointResumeAppends(t *testing.T) {
+	_, framed := framedFile(t, NewFileCheckpoint(filepath.Join(t.TempDir(), "framed.json.gz")))
+	atPhase1 := func(version int) *crawler.Progress {
+		return &crawler.Progress{Version: version, Phase: 1, Dataset: crawler.NewDataset()}
+	}
+	v3 := NewFileCheckpoint(filepath.Join(t.TempDir(), "v3.json.gz"))
+	if err := v3.Save(atPhase1(3)); err != nil {
+		t.Fatal(err)
+	}
+	v3raw, err := os.ReadFile(v3.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		raw    []byte
+		other  bool
+		frames int
+	}{
+		{"framed", framed, false, 4},
+		{"v2", legacyFile(t, atPhase1(legacyVersion)), false, 0},
+		{"v3", v3raw, false, 0},
+		{"other progress", framed, true, 0},
+	} {
+		path := filepath.Join(t.TempDir(), "crawl.json.gz")
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		prog := resumeSave(t, path, tc.other)
+		body, frames := readTrailer(t, path)
+		if frames != tc.frames {
+			t.Fatalf("%s: %d frames after the resumed save, want %d", tc.name, frames, tc.frames)
+		}
+		if old := tc.raw[:len(tc.raw)-trailerLen]; tc.frames > 0 && !bytes.HasPrefix(body, old) {
+			t.Fatalf("%s: the resumed save rewrote the loaded file", tc.name)
+		}
+		got, err := NewFileCheckpoint(path).Load()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mustEqualJSON(t, got, prog)
+	}
 }
 
 // TestFileCheckpointFailedSaveKeepsRecords: a save that fails leaves the
@@ -297,17 +367,26 @@ func TestFileCheckpointFailedSaveKeepsRecords(t *testing.T) {
 
 // corruptionInputs are the checkpoint files the corruption tests run on:
 // a v2 file, whose only integrity check is the gzip member's CRC-32 and
-// length, a bare v3 snapshot and a v3 snapshot with three frames.
+// length, a bare v3 snapshot, a v3 snapshot with three frames, and that
+// file once a fresh checkpoint loaded it and appended a fourth.
 func corruptionInputs(t *testing.T) map[string][]byte {
 	legacy := sizedProgress()
 	legacy.Version = legacyVersion
+	_, framed := framedFile(t, NewFileCheckpoint(filepath.Join(t.TempDir(), "b.json.gz")))
+	appended := filepath.Join(t.TempDir(), "c.json.gz")
+	if err := os.WriteFile(appended, framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumeSave(t, appended, false)
+	raw, err := os.ReadFile(appended)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string][]byte{
 		"legacy":   legacyFile(t, legacy),
 		"snapshot": saveSized(t, NewFileCheckpoint(filepath.Join(t.TempDir(), "a.json.gz"))),
-		"framed": func() []byte {
-			_, raw := framedFile(t, NewFileCheckpoint(filepath.Join(t.TempDir(), "b.json.gz")))
-			return raw
-		}(),
+		"framed":   framed,
+		"appended": raw,
 	}
 }
 
@@ -319,10 +398,12 @@ func TestFileCheckpointLoadDetectsTailCorruption(t *testing.T) {
 		// member (legacy) or the trailer's frame count (v3). The payload
 		// still decodes; only the checksums can notice.
 		flips := []int{len(raw) - 6}
-		if name == "framed" {
-			// And one in the middle of the middle frame.
+		if name == "framed" || name == "appended" {
+			// And one in the middle of each frame.
 			ends := memberEnds(t, raw)
-			flips = append(flips, (ends[1]+ends[2])/2)
+			for i := 1; i < len(ends); i++ {
+				flips = append(flips, (ends[i-1]+ends[i])/2)
+			}
 		}
 		for _, at := range flips {
 			bad := append([]byte(nil), raw...)
@@ -342,7 +423,7 @@ func TestFileCheckpointLoadDetectsTruncation(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "crawl.json.gz")
 		ck := NewFileCheckpoint(path)
 		cuts := []int{4, len(raw) / 2, len(raw) - 5}
-		if name == "framed" {
+		if name == "framed" || name == "appended" {
 			// Every member boundary, exactly and one byte either side.
 			for _, end := range memberEnds(t, raw) {
 				cuts = append(cuts, end-1, end, end+1)
@@ -361,7 +442,7 @@ func TestFileCheckpointLoadDetectsTruncation(t *testing.T) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := map[string]int{"legacy": 2, "snapshot": 2, "framed": 1}[name]
+		want := map[string]int{"legacy": 2, "snapshot": 2, "framed": 1, "appended": 1}[name]
 		if prog, err := ck.Load(); err != nil || prog == nil || prog.Phase != want {
 			t.Fatalf("%s: intact checkpoint failed to load: %+v, %v", name, prog, err)
 		}
@@ -384,9 +465,11 @@ func legacyFile(t testing.TB, v any) []byte {
 }
 
 // FuzzFileCheckpointLoad: Load never panics, and any file it accepts
-// saves and loads back to the same JSON. Each input is also tried with
-// its trailer checksum recomputed, so mutations reach the gzip members,
-// the JSON and the record replay behind the file checksum.
+// saves and loads back to the same JSON, both as a fresh snapshot and
+// resumed: loaded through a FileCheckpoint and saved again, which
+// appends to a sealed file of the current schema. Each input is also
+// tried with its trailer checksum recomputed, so mutations reach the gzip
+// members, the JSON and the record replay behind the file checksum.
 func FuzzFileCheckpointLoad(f *testing.F) {
 	// v2 files kept one done set per phase, and the timeline phases none:
 	// mid-mapping (with a stale set of the phase before), then mid-way
@@ -405,7 +488,7 @@ func FuzzFileCheckpointLoad(f *testing.F) {
 			inputs = append(inputs, sealed)
 		}
 		for _, in := range inputs {
-			prog, err := decodeCheckpoint(in)
+			prog, body, _, err := decodeCheckpoint(in)
 			if err != nil {
 				continue
 			}
@@ -416,6 +499,31 @@ func FuzzFileCheckpointLoad(f *testing.F) {
 			again, err := ck.Load()
 			if err != nil {
 				t.Fatalf("saved progress does not load: %v", err)
+			}
+			mustEqualJSON(t, again, prog)
+
+			ck = NewFileCheckpoint(filepath.Join(t.TempDir(), "resume.json.gz"))
+			if err := os.WriteFile(ck.Path, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ck.Load()
+			if err != nil {
+				t.Fatalf("accepted file does not load: %v", err)
+			}
+			loaded.StartJournal()
+			if err := ck.Save(loaded); err != nil {
+				t.Fatalf("loaded progress does not save: %v", err)
+			}
+			raw, err := os.ReadFile(ck.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body != nil && prog.Version == crawler.ProgressVersion && !bytes.HasPrefix(raw, body) {
+				t.Fatal("the save after Load rewrote the sealed file it read")
+			}
+			again, err = NewFileCheckpoint(ck.Path).Load()
+			if err != nil {
+				t.Fatalf("resumed save does not load: %v", err)
 			}
 			mustEqualJSON(t, again, prog)
 		}
