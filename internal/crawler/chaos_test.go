@@ -467,9 +467,9 @@ func TestChaosHedgedTailLatency(t *testing.T) {
 		t.Errorf("hedged run opened %d breakers, baseline %d", hedgedOpens, baseOpens)
 	}
 
-	// The adaptive limiter tracked per-host windows.
+	// The host gate tracked per-host windows.
 	if len(rep.HostLimits) == 0 {
-		t.Error("adaptive limiter reported no per-host limits")
+		t.Error("host gate reported no per-host limits")
 	}
 
 	// Hedging is semantically transparent: identical dataset bytes.
@@ -499,14 +499,14 @@ func copyFile(t *testing.T, src, dst string) {
 // resumed run. The target instance fails every dial (so the fabric's
 // Dials counter records each attempt), the crawl is killed after the
 // mapping phase has quarantined it, and three resume legs check the
-// planner from different angles:
+// host gate from different angles:
 //
 //  1. health resume on: zero new dials, host named in SkippedQuarantined,
 //     its pairs resolved as instance-down;
 //  2. -no-health-resume: the registry starts empty, so the crawl re-dials
 //     and re-learns the dead host;
 //  3. probation expired: the host decays to probe-able and is dialed
-//     again (at the limiter floor) instead of being banned forever.
+//     again (one probe at a time) instead of being banned forever.
 func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	e := newSoakEnv(t, 120, 31)
 
@@ -563,7 +563,7 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	copyFile(t, path, noResumePath)
 	copyFile(t, path, probePath)
 
-	// Leg 1: resume with health restore. The planner must partition the
+	// Leg 1: resume with health restore. The gate must partition the
 	// target out of every remaining phase — not one more dial.
 	c := crawler.New(mkCfg(path))
 	ds, err := c.Run(context.Background())
@@ -612,13 +612,13 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	}
 	if c2.Report().SkippedQuarantined[target] != "" {
 		// Quarantine can re-form mid-run (that is the point of the
-		// planner), but it must come from fresh observations: the run
+		// gate), but it must come from fresh observations: the run
 		// above re-dialed, so this is only informational.
 		t.Logf("no-health-resume leg re-quarantined %s from fresh failures", target)
 	}
 
 	// Leg 3: probation expired. The imported quarantine has aged out, so
-	// the planner probes the host instead of skipping it.
+	// the gate probes the host instead of skipping it.
 	cfg3 := mkCfg(probePath)
 	cfg3.Breaker.Probation = time.Nanosecond
 	c3 := crawler.New(cfg3)

@@ -536,8 +536,9 @@ func (t *tracker) flush() error {
 type CrawlReport struct {
 	// Resumed is true when the run continued from a checkpoint.
 	Resumed bool
-	// Hosts is the health registry snapshot: breaker state, quarantine
-	// flag and error counts per host touched by the crawl.
+	// Hosts is the health registry snapshot, sorted by host: breaker
+	// state, quarantine flag and error counts per host touched by the
+	// crawl.
 	Hosts []httpkit.HostHealth
 	// FailedQueries lists phase-2 search queries that failed terminally.
 	FailedQueries map[string]string
@@ -552,7 +553,7 @@ type CrawlReport struct {
 	// ActivityGaps lists instance domains dropped from the activity
 	// crawl.
 	ActivityGaps map[string]string
-	// SkippedQuarantined lists hosts the planner refused to dial
+	// SkippedQuarantined lists hosts the host gate refused to dial
 	// because the (possibly resumed) health registry had them
 	// quarantined, mapped to a short account of what was skipped. Units
 	// on these hosts also appear in the per-phase gap maps above; this
@@ -561,8 +562,8 @@ type CrawlReport struct {
 	// HTTPStats is the shared client's counter snapshot: requests,
 	// retries, hedges fired/won/denied, breaker short-circuits.
 	HTTPStats httpkit.Stats
-	// HostLimits is the adaptive limiter's final per-host concurrency
-	// window (nil when adaptation is off).
+	// HostLimits is the host gate's final per-host AIMD window (nil
+	// when adaptation is off).
 	HostLimits map[string]int
 }
 
@@ -615,7 +616,7 @@ func (r *reportState) note(phase int, key string, err error) {
 	r.gaps[phase][key] = err.Error()
 }
 
-// noteSkip counts one planner-skipped work unit against host.
+// noteSkip counts one work unit the host gate skipped against host.
 func (r *reportState) noteSkip(host string) {
 	r.mu.Lock()
 	r.skippedQuarantined[host]++
@@ -644,7 +645,7 @@ func (c *Crawler) Report() *CrawlReport {
 		ActivityGaps:             gaps(phaseActivity),
 		SkippedQuarantined:       map[string]string{},
 		HTTPStats:                c.client.Stats(),
-		HostLimits:               c.lim.Limits(),
+		HostLimits:               c.gate.Limits(),
 	}
 	for host, units := range c.rep.skippedQuarantined {
 		opens := 0
@@ -656,7 +657,6 @@ func (c *Crawler) Report() *CrawlReport {
 		}
 		rep.SkippedQuarantined[host] = fmt.Sprintf("quarantined after %d breaker opens; %d work units skipped", opens, units)
 	}
-	sort.Slice(rep.Hosts, func(i, j int) bool { return rep.Hosts[i].Host < rep.Hosts[j].Host })
 	return rep
 }
 
@@ -682,7 +682,7 @@ func (c *Crawler) begin() (*tracker, error) {
 		}
 		prog.normalize()
 		// Seed the registry with the persisted health snapshot so the
-		// planner skips hosts quarantined before the kill. v1 files carry
+		// host gate skips hosts quarantined before the kill. v1 files carry
 		// no snapshot and resume with an empty registry.
 		if !c.cfg.NoHealthResume && len(prog.Health) > 0 {
 			c.health.ImportHealth(prog.Health)

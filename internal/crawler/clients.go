@@ -94,7 +94,8 @@ type TweetJSON struct {
 	Source    string `json:"source"`
 }
 
-// UserJSON mirrors the v2 user payload.
+// UserJSON holds the fields of the v2 user payload that the crawl
+// reads; the decoder skips the rest.
 type UserJSON struct {
 	ID            string `json:"id"`
 	Name          string `json:"name"`
@@ -103,12 +104,10 @@ type UserJSON struct {
 	Location      string `json:"location"`
 	URL           string `json:"url"`
 	Verified      bool   `json:"verified"`
-	Protected     bool   `json:"protected"`
 	CreatedAt     string `json:"created_at"`
 	PublicMetrics struct {
 		Followers int `json:"followers_count"`
 		Following int `json:"following_count"`
-		Tweets    int `json:"tweet_count"`
 	} `json:"public_metrics"`
 }
 
@@ -132,7 +131,7 @@ type userEnvelope struct {
 
 // SearchAll drains the full-archive search for query in [start, end).
 func (t *TwitterClient) SearchAll(ctx context.Context, query string, start, end time.Time) ([]TweetJSON, error) {
-	return httpkit.Paginate(ctx, 0, func(ctx context.Context, token string) (httpkit.Page[TweetJSON], error) {
+	return httpkit.Paginate(ctx, func(ctx context.Context, token string) (httpkit.Page[TweetJSON], error) {
 		q := url.Values{}
 		q.Set("query", query)
 		q.Set("start_time", start.UTC().Format(time.RFC3339))
@@ -163,7 +162,7 @@ func (t *TwitterClient) UserByID(ctx context.Context, id string) (*UserJSON, err
 
 // Timeline drains a user's tweets in [start, end).
 func (t *TwitterClient) Timeline(ctx context.Context, id string, start, end time.Time) ([]TweetJSON, error) {
-	return httpkit.Paginate(ctx, 0, func(ctx context.Context, token string) (httpkit.Page[TweetJSON], error) {
+	return httpkit.Paginate(ctx, func(ctx context.Context, token string) (httpkit.Page[TweetJSON], error) {
 		q := url.Values{}
 		q.Set("start_time", start.UTC().Format(time.RFC3339))
 		q.Set("end_time", end.UTC().Format(time.RFC3339))
@@ -181,7 +180,7 @@ func (t *TwitterClient) Timeline(ctx context.Context, id string, start, end time
 
 // Following drains a user's followees.
 func (t *TwitterClient) Following(ctx context.Context, id string) ([]UserJSON, error) {
-	return httpkit.Paginate(ctx, 0, func(ctx context.Context, token string) (httpkit.Page[UserJSON], error) {
+	return httpkit.Paginate(ctx, func(ctx context.Context, token string) (httpkit.Page[UserJSON], error) {
 		q := url.Values{}
 		q.Set("max_results", "1000")
 		if token != "" {
@@ -240,43 +239,37 @@ func (m *MastodonClient) Lookup(ctx context.Context, domain, username string) (*
 	return &acc, nil
 }
 
-// Statuses drains an account's statuses via max_id pagination.
+// Statuses drains an account's statuses via max_id pagination: each
+// page's last status ID is the next page's max_id.
 func (m *MastodonClient) Statuses(ctx context.Context, domain, accountID string) ([]MastoStatusJSON, error) {
-	var out []MastoStatusJSON
-	maxID := ""
-	for {
-		u := "https://" + domain + "/api/v1/accounts/" + url.PathEscape(accountID) + "/statuses?limit=40"
+	base := "https://" + domain + "/api/v1/accounts/" + url.PathEscape(accountID) + "/statuses?limit=40"
+	return httpkit.Paginate(ctx, func(ctx context.Context, maxID string) (httpkit.Page[MastoStatusJSON], error) {
+		u := base
 		if maxID != "" {
 			u += "&max_id=" + maxID
 		}
 		var page []MastoStatusJSON
-		if err := m.C.GetJSON(ctx, u, &page); err != nil {
-			return out, err
+		if err := m.C.GetJSON(ctx, u, &page); err != nil || len(page) == 0 {
+			return httpkit.Page[MastoStatusJSON]{}, err
 		}
-		if len(page) == 0 {
-			return out, nil
-		}
-		out = append(out, page...)
-		maxID = page[len(page)-1].ID
-	}
+		return httpkit.Page[MastoStatusJSON]{Items: page, Next: page[len(page)-1].ID}, nil
+	})
 }
 
-// Following drains an account's followees via offset cursors.
+// Following drains an account's followees via offset cursors, carried
+// between pages as decimal strings.
 func (m *MastodonClient) Following(ctx context.Context, domain, accountID string) ([]MastoAccountJSON, error) {
-	var out []MastoAccountJSON
-	offset := 0
-	for {
+	return httpkit.Paginate(ctx, func(ctx context.Context, next string) (httpkit.Page[MastoAccountJSON], error) {
+		// The first page's token is "", which reads as offset 0; every
+		// later token is one this function made.
+		offset, _ := strconv.Atoi(next)
 		u := fmt.Sprintf("https://%s/api/v1/accounts/%s/following?limit=80&max_id=%d", domain, url.PathEscape(accountID), offset)
 		var page []MastoAccountJSON
-		if err := m.C.GetJSON(ctx, u, &page); err != nil {
-			return out, err
+		if err := m.C.GetJSON(ctx, u, &page); err != nil || len(page) == 0 {
+			return httpkit.Page[MastoAccountJSON]{}, err
 		}
-		if len(page) == 0 {
-			return out, nil
-		}
-		out = append(out, page...)
-		offset += 80
-	}
+		return httpkit.Page[MastoAccountJSON]{Items: page, Next: strconv.Itoa(offset + 80)}, nil
+	})
 }
 
 // Activity fetches the weekly activity series.
@@ -305,10 +298,7 @@ type IndexedInstance struct {
 // List fetches the complete instance index.
 func (i *IndexClient) List(ctx context.Context) ([]IndexedInstance, error) {
 	var resp struct {
-		Instances  []IndexedInstance `json:"instances"`
-		Pagination struct {
-			NextPage string `json:"next_page"`
-		} `json:"pagination"`
+		Instances []IndexedInstance `json:"instances"`
 	}
 	if err := i.C.GetJSON(ctx, i.Base+"/api/1.0/instances/list?count=0", &resp); err != nil {
 		return nil, err

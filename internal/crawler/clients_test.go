@@ -5,8 +5,11 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"flock/internal/httpkit"
 	"flock/internal/memnet"
 	"flock/internal/randx"
 	"flock/internal/textkit"
@@ -43,6 +46,39 @@ func TestPerspectiveScoreNeedsToxicity(t *testing.T) {
 	p := &PerspectiveClient{Base: "https://" + toxsvc.Host, HTTP: replyDoer(`{"attributeScores":{"TOXICITY":{"summaryScore":{"value":0.25,"type":"PROBABILITY"}}}}`)}
 	if v, err := p.Score(ctx, "hello"); err != nil || v != 0.25 {
 		t.Fatalf("Score = %v, %v; want 0.25", v, err)
+	}
+}
+
+// countingDoer answers every request with 200 and its body until the
+// request's context is done, counting the requests.
+type countingDoer struct {
+	body  string
+	calls atomic.Int64
+}
+
+func (d *countingDoer) Do(req *http.Request) (*http.Response, error) {
+	d.calls.Add(1)
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
+	return replyDoer(d.body).Do(req)
+}
+
+// TestStatusesRepeatedMaxID: a server that answers every page with the
+// same status would send the same max_id forever; the drain stops with
+// an error on the second page instead of running until the context
+// ends.
+func TestStatusesRepeatedMaxID(t *testing.T) {
+	doer := &countingDoer{body: `[{"id":"5","created_at":"2022-11-01T00:00:00Z","content":"<p>hi</p>"}]`}
+	m := &MastodonClient{C: httpkit.New(httpkit.WithDoer(doer))}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	sts, err := m.Statuses(ctx, "mastodon.example", "1")
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("Statuses = %d statuses, err %v, ctx %v; want an error before the deadline", len(sts), err, ctx.Err())
+	}
+	if n := doer.calls.Load(); n != 2 {
+		t.Fatalf("%d requests, want 2", n)
 	}
 }
 

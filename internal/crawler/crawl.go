@@ -39,9 +39,9 @@ type Transport struct {
 	// network).
 	HTTP httpkit.Doer
 	// Concurrency bounds the crawl's running work units (default 8). A
-	// unit waiting out a retry backoff, a host's adaptive window or a
-	// probe gate does not count against it; at most 8x as many units
-	// exist at once (see httpkit.Group).
+	// unit waiting out a retry backoff or at the host gate does not
+	// count against it; at most 8x as many units exist at once (see
+	// httpkit.Group).
 	Concurrency int
 	// Hedge enables tail-latency hedging on the crawl's shared client
 	// (zero value: off).
@@ -99,8 +99,7 @@ type Crawler struct {
 	index   *IndexClient
 	tox     *PerspectiveClient
 	health  *httpkit.HealthRegistry
-	lim     Limiter
-	plan    *planner
+	gate    *hostGate
 	twHost  string
 	toxHost string
 	rep     *reportState
@@ -108,8 +107,8 @@ type Crawler struct {
 
 // New builds a Crawler. All service clients share ONE httpkit client —
 // so the hedge budget, latency digests and per-host health registry are
-// global across the crawl — plus an adaptive per-host limiter when
-// cfg.Adaptive is enabled.
+// global across the crawl — and one host gate that admits every
+// exchange (see under).
 func New(cfg Config) *Crawler {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 8
@@ -133,11 +132,10 @@ func New(cfg Config) *Crawler {
 		index:   &IndexClient{Base: cfg.IndexBase, C: client},
 		tox:     &PerspectiveClient{Base: cfg.PerspectiveBase, HTTP: client},
 		health:  health,
-		lim:     NewAdaptiveLimiter(cfg.Adaptive, health, cfg.Concurrency, vclock.Wall),
+		gate:    newHostGate(cfg.Adaptive, health, cfg.Concurrency, vclock.Wall),
 		twHost:  hostOf(cfg.TwitterBase),
 		toxHost: hostOf(cfg.PerspectiveBase),
 		rep:     newReportState(),
-		plan:    &planner{gates: map[string]chan struct{}{}},
 	}
 	return c
 }
@@ -149,21 +147,6 @@ func hostOf(base string) string {
 		return strings.ToLower(u.Hostname())
 	}
 	return strings.ToLower(base)
-}
-
-// underLimit runs fetch inside the adaptive limiter's window for host.
-// Every fan-out phase routes its per-target exchanges through here so a
-// backed-off host slows only its own work units: a unit waiting for the
-// window lends its worker slot to another unit meanwhile, so it does not
-// count against Concurrency.
-func underLimit[T any](ctx context.Context, c *Crawler, host string, fetch func() (T, error)) (T, error) {
-	release, err := c.lim.Acquire(ctx, host)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer release()
-	return fetch()
 }
 
 func (c *Crawler) logf(format string, args ...any) {
@@ -322,7 +305,7 @@ func (c *Crawler) tweetQueries(ds *Dataset) []unit {
 	start, end := vclock.CollectionStart, vclock.CollectionEnd.Add(24*time.Hour)
 	search := func(q string, class QueryClass) unit {
 		return unit{q, func(ctx context.Context) (Record, error) {
-			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
+			tweets, err := under(ctx, c, c.twHost, func() ([]TweetJSON, error) {
 				return c.tw.SearchAll(ctx, q, start, end)
 			})
 			if err != nil {
@@ -363,7 +346,7 @@ func (c *Crawler) authors(ds *Dataset) []unit {
 	units := make([]unit, len(authors))
 	for i, authorID := range authors {
 		units[i] = unit{authorID, func(ctx context.Context) (Record, error) {
-			user, err := underLimit(ctx, c, c.twHost, func() (*UserJSON, error) {
+			user, err := under(ctx, c, c.twHost, func() (*UserJSON, error) {
 				return c.tw.UserByID(ctx, authorID)
 			})
 			if err != nil {
@@ -401,7 +384,7 @@ func (c *Crawler) authors(ds *Dataset) []unit {
 			//    pointing forward);
 			//  - we found the DESTINATION account (its also_known_as
 			//    alias points backwards at the first instance).
-			if acc, lerr := underPlan(ctx, c, strings.ToLower(res.Handle.Domain), func() (*MastoAccountJSON, error) {
+			if acc, lerr := under(ctx, c, res.Handle.Domain, func() (*MastoAccountJSON, error) {
 				return c.masto.Lookup(ctx, res.Handle.Domain, res.Handle.Username)
 			}); lerr == nil {
 				pair.MastodonVerified = true
@@ -428,7 +411,7 @@ func (c *Crawler) authors(ds *Dataset) []unit {
 					// We discovered the destination; normalize the pair
 					// so Handle is always the FIRST account.
 					oldHandle := handleFromURL(acc.AlsoKnownAs[0], usernameFromURL(acc.AlsoKnownAs[0]))
-					if old, lerr := underPlan(ctx, c, strings.ToLower(oldHandle.Domain), func() (*MastoAccountJSON, error) {
+					if old, lerr := under(ctx, c, oldHandle.Domain, func() (*MastoAccountJSON, error) {
 						return c.masto.Lookup(ctx, oldHandle.Domain, oldHandle.Username)
 					}); lerr == nil {
 						pair.Moved = &MovedRecord{
@@ -485,7 +468,7 @@ func (c *Crawler) twitterTimelines(ds *Dataset) []unit {
 		id := ds.Pairs[i].TwitterID
 		units[i] = unit{id, func(ctx context.Context) (Record, error) {
 			tl := &TwitterTimeline{State: StateOK}
-			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
+			tweets, err := under(ctx, c, c.twHost, func() ([]TweetJSON, error) {
 				return c.tw.Timeline(ctx, id, start, end)
 			})
 			switch {
@@ -525,7 +508,7 @@ func (c *Crawler) mastodonTimelines(ds *Dataset) []unit {
 		units[i] = unit{pair.TwitterID, func(ctx context.Context) (Record, error) {
 			tl := &MastodonTimeline{State: StateOK}
 			fetch := func(domain, accountID string) error {
-				sts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoStatusJSON, error) {
+				sts, err := under(ctx, c, domain, func() ([]MastoStatusJSON, error) {
 					return c.masto.Statuses(ctx, domain, accountID)
 				})
 				if err != nil {
@@ -549,7 +532,7 @@ func (c *Crawler) mastodonTimelines(ds *Dataset) []unit {
 			} else {
 				// Unverified pair: try a fresh lookup (it may have failed
 				// transiently during mapping).
-				acc, lerr := underPlan(ctx, c, strings.ToLower(pair.Handle.Domain), func() (*MastoAccountJSON, error) {
+				acc, lerr := under(ctx, c, pair.Handle.Domain, func() (*MastoAccountJSON, error) {
 					return c.masto.Lookup(ctx, pair.Handle.Domain, pair.Handle.Username)
 				})
 				if lerr != nil {
@@ -656,7 +639,7 @@ func (c *Crawler) followeeSample(ds *Dataset) []unit {
 			// One record per user: the followees (absent when the Twitter
 			// crawl failed) and the following (absent when there is no
 			// live Mastodon account or its crawl failed).
-			users, err := underLimit(ctx, c, c.twHost, func() ([]UserJSON, error) {
+			users, err := under(ctx, c, c.twHost, func() ([]UserJSON, error) {
 				return c.tw.Following(ctx, p.TwitterID)
 			})
 			if err != nil {
@@ -675,7 +658,7 @@ func (c *Crawler) followeeSample(ds *Dataset) []unit {
 			if accID == "" {
 				return rec, nil
 			}
-			accounts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoAccountJSON, error) {
+			accounts, err := under(ctx, c, domain, func() ([]MastoAccountJSON, error) {
 				return c.masto.Following(ctx, domain, accID)
 			})
 			if err != nil {
@@ -715,7 +698,7 @@ func (c *Crawler) activityDomains(ds *Dataset) []unit {
 	units := make([]unit, len(sorted))
 	for i, domain := range sorted {
 		units[i] = unit{domain, func(ctx context.Context) (Record, error) {
-			acts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]ActivityJSON, error) {
+			acts, err := under(ctx, c, domain, func() ([]ActivityJSON, error) {
 				return c.masto.Activity(ctx, domain)
 			})
 			if err != nil {
@@ -761,7 +744,7 @@ func (c *Crawler) scoreToxicity(ctx context.Context, t *tracker) error {
 			continue
 		}
 		g.Go(func(ctx context.Context) error {
-			v, err := underLimit(ctx, c, c.toxHost, func() (float64, error) {
+			v, err := under(ctx, c, c.toxHost, func() (float64, error) {
 				return c.tox.Score(ctx, post.Text)
 			})
 			if err != nil {

@@ -1,4 +1,11 @@
-// Adaptive per-host concurrency for the crawl fan-out.
+// Per-host admission for the crawl's exchanges.
+//
+// Every exchange a work unit has with a host passes one gate, which
+// does three things. It skips quarantined fediverse instances, as the
+// paper's crawlers skipped dead instances (§3.2). It lets a host on
+// probation through one exchange at a time until the host proves
+// itself again. And with AdaptivePolicy on, it holds each host to its
+// own AIMD window.
 //
 // A single global Concurrency bound treats mastodon.social and a
 // struggling single-user instance identically: either the big host is
@@ -6,32 +13,23 @@
 // gives every host its own window, stepped by the outcome stream the
 // HealthRegistry already classifies — additive increase while a host
 // answers 2xx, multiplicative decrease on 429/5xx/breaker-open — the
-// same control law TCP uses to share a bottleneck fairly. Fan-out
-// phases acquire a slot for the target host before each exchange; the
-// global Group bound still caps the work units running at once, and a
-// unit waiting here for its host lends its Group slot to another unit
+// same control law TCP uses to share a bottleneck fairly. The global
+// Group bound still caps the work units running at once, and a unit
+// waiting at the gate for its host lends its Group slot to another unit
 // (httpkit.Idle).
 package crawler
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
 	"flock/internal/httpkit"
 	"flock/internal/vclock"
 )
-
-// Limiter bounds in-flight requests per target host. Acquire blocks
-// until the host has a free slot (or ctx is done) and returns the
-// release for that slot.
-type Limiter interface {
-	Acquire(ctx context.Context, host string) (release func(), err error)
-	// Limits reports the current per-host concurrency windows, for
-	// observability; nil when the limiter does not adapt.
-	Limits() map[string]int
-}
 
 // AdaptivePolicy turns the AIMD controller on. The zero value disables
 // adaptation (phases run under the global bound only).
@@ -57,99 +55,149 @@ const (
 	aimdCooldown = 50 * time.Millisecond
 )
 
-// nopLimiter is the non-adaptive limiter: every acquire succeeds
-// immediately, leaving the global Group bound in charge.
-type nopLimiter struct{}
+// errQuarantineSkip marks a work unit the gate refused to dial because
+// its host is quarantined. It lands in the per-phase gap maps (so
+// unit-level accounting stays complete) and rolls up into
+// CrawlReport.SkippedQuarantined.
+var errQuarantineSkip = errors.New("host quarantined, skipped by planner")
 
-func (nopLimiter) Acquire(ctx context.Context, host string) (func(), error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// under runs fetch as one exchange with host, admitted by the crawl's
+// host gate.
+//
+// For a fediverse instance it first reads the health registry's
+// verdict, taken when the unit runs, so known-dead hosts (including
+// ones learned by a previous run and restored from the checkpoint) cost
+// no dials, retries or breaker probes. A quarantined host returns
+// errQuarantineSkip without dialing (and counts the skip); a host past
+// probation is admitted one exchange at a time, as a probe, until it
+// proves itself again.
+//
+// The crawl's own backends (the Twitter archive and Perspective) are
+// never skipped or probed: if they are down the crawl cannot proceed at
+// all, so skipping them silently would convert an outage into a
+// plausible-looking empty dataset. The instance index, the third
+// backend, is one fetch outside the gate.
+func under[T any](ctx context.Context, c *Crawler, host string, fetch func() (T, error)) (T, error) {
+	var zero T
+	host = strings.ToLower(host)
+	probe := false
+	if host != c.twHost && host != c.toxHost {
+		switch h := c.health.Health(host); {
+		case h.Quarantined:
+			c.rep.noteSkip(host)
+			return zero, errQuarantineSkip
+		case h.Probation:
+			probe = true
+		}
 	}
-	return func() {}, nil
+	release, err := c.gate.acquire(ctx, host, probe)
+	if err != nil {
+		return zero, err
+	}
+	defer release()
+	return fetch()
 }
 
-func (nopLimiter) Limits() map[string]int { return nil }
-
-// hostWindow is one host's live AIMD state.
-type hostWindow struct {
-	limit       float64 // current window (fractional between steps)
-	inflight    int
-	lastBackoff time.Time
-	wake        chan struct{} // closed+replaced on any slot/window change
-}
-
-// broadcast wakes every Acquire waiting on this host.
-func (w *hostWindow) broadcast() {
-	close(w.wake)
-	w.wake = make(chan struct{})
-}
-
-// aimdLimiter implements Limiter with per-host AIMD windows stepped by
-// the HealthRegistry outcome stream.
-type aimdLimiter struct {
-	bound int // the largest window: the global bound, at least minPerHost
-	now   vclock.NowFunc
+// hostGate admits exchanges per host: one probe at a time, and with
+// adaptation on, no more exchanges than the host's AIMD window, stepped
+// by the HealthRegistry outcome stream.
+type hostGate struct {
+	adaptive bool
+	bound    int // the largest window: the global bound, at least minPerHost
+	now      vclock.NowFunc
 
 	mu    sync.Mutex
 	hosts map[string]*hostWindow
 }
 
-// NewAdaptiveLimiter builds an AIMD limiter and subscribes it to the
-// registry's outcome stream. globalBound is every host's initial and
-// largest window; now may be nil (vclock.Wall).
-func NewAdaptiveLimiter(pol AdaptivePolicy, health *httpkit.HealthRegistry, globalBound int, now vclock.NowFunc) Limiter {
-	if !pol.Enabled {
-		return nopLimiter{}
-	}
-	if now == nil {
-		now = vclock.Wall
-	}
-	l := &aimdLimiter{
-		bound: max(globalBound, minPerHost),
-		now:   now,
-		hosts: make(map[string]*hostWindow),
-	}
-	health.Subscribe(l.observe)
-	return l
+// hostWindow is one host's admission state.
+type hostWindow struct {
+	limit       float64 // AIMD window (fractional between steps)
+	inflight    int     // exchanges admitted under the lock, not yet released
+	probing     bool    // a probe is in flight
+	lastBackoff time.Time
+	wake        chan struct{} // made when an admission waits; closed on a release or window growth
 }
 
-func (l *aimdLimiter) window(host string) *hostWindow {
-	w, ok := l.hosts[host]
+// wakeAll wakes every admission waiting on this host.
+func (w *hostWindow) wakeAll() {
+	if w.wake != nil {
+		close(w.wake)
+		w.wake = nil
+	}
+}
+
+// newHostGate builds the crawl's gate. With adaptation on it subscribes
+// to the registry's outcome stream; globalBound is every host's initial
+// and largest window.
+func newHostGate(pol AdaptivePolicy, health *httpkit.HealthRegistry, globalBound int, now vclock.NowFunc) *hostGate {
+	g := &hostGate{
+		adaptive: pol.Enabled,
+		bound:    max(globalBound, minPerHost),
+		now:      now,
+		hosts:    make(map[string]*hostWindow),
+	}
+	if pol.Enabled {
+		health.Subscribe(g.observe)
+	}
+	return g
+}
+
+func (g *hostGate) window(host string) *hostWindow {
+	w, ok := g.hosts[host]
 	if !ok {
-		w = &hostWindow{limit: float64(l.bound), wake: make(chan struct{})}
-		l.hosts[host] = w
+		w = &hostWindow{limit: float64(g.bound)}
+		g.hosts[host] = w
 	}
 	return w
 }
 
 // effective is the integer window a host currently grants.
-func (l *aimdLimiter) effective(w *hostWindow) int {
-	return min(max(int(math.Floor(w.limit)), minPerHost), l.bound)
+func (g *hostGate) effective(w *hostWindow) int {
+	return min(max(int(math.Floor(w.limit)), minPerHost), g.bound)
 }
 
-func (l *aimdLimiter) Acquire(ctx context.Context, host string) (func(), error) {
-	l.mu.Lock()
-	for {
+// acquire admits one exchange with host and returns its release, which
+// is safe to call twice. A probe waits while another probe on host is
+// in flight; with adaptation on, every exchange waits while host's
+// in-flight count has reached its window. With adaptation off, an
+// exchange that is not a probe takes no lock and never waits.
+func (g *hostGate) acquire(ctx context.Context, host string, probe bool) (func(), error) {
+	if !g.adaptive && !probe {
 		if err := ctx.Err(); err != nil {
-			l.mu.Unlock()
 			return nil, err
 		}
-		w := l.window(host)
-		if w.inflight < l.effective(w) {
+		return func() {}, nil
+	}
+	g.mu.Lock()
+	for {
+		if err := ctx.Err(); err != nil {
+			g.mu.Unlock()
+			return nil, err
+		}
+		w := g.window(host)
+		if !(probe && w.probing) && !(g.adaptive && w.inflight >= g.effective(w)) {
 			w.inflight++
-			l.mu.Unlock()
+			w.probing = w.probing || probe
+			g.mu.Unlock()
 			var once sync.Once
 			return func() {
 				once.Do(func() {
-					l.mu.Lock()
+					g.mu.Lock()
 					w.inflight--
-					w.broadcast()
-					l.mu.Unlock()
+					if probe {
+						w.probing = false
+					}
+					w.wakeAll()
+					g.mu.Unlock()
 				})
 			}, nil
 		}
+		if w.wake == nil {
+			w.wake = make(chan struct{})
+		}
 		wake := w.wake
-		l.mu.Unlock()
+		g.mu.Unlock()
 		// The wait is for another unit's exchange, so it must not hold a
 		// worker slot: that unit may need one to finish its retries.
 		if err := httpkit.Idle(ctx, func() error {
@@ -162,16 +210,21 @@ func (l *aimdLimiter) Acquire(ctx context.Context, host string) (func(), error) 
 		}); err != nil {
 			return nil, err
 		}
-		l.mu.Lock()
+		g.mu.Lock()
 	}
 }
 
-func (l *aimdLimiter) Limits() map[string]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]int, len(l.hosts))
-	for host, w := range l.hosts {
-		out[host] = l.effective(w)
+// Limits reports the current per-host windows, for observability; nil
+// when adaptation is off.
+func (g *hostGate) Limits() map[string]int {
+	if !g.adaptive {
+		return nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make(map[string]int, len(g.hosts))
+	for host, w := range g.hosts {
+		out[host] = g.effective(w)
 	}
 	return out
 }
@@ -190,19 +243,19 @@ func backpressure(kind httpkit.ErrorKind) bool {
 }
 
 // observe is the HealthListener: AIMD steps per recorded outcome.
-func (l *aimdLimiter) observe(host string, kind httpkit.ErrorKind, success bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	w := l.window(host)
+func (g *hostGate) observe(host string, kind httpkit.ErrorKind, success bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	w := g.window(host)
 	switch {
 	case success:
-		if w.limit < float64(l.bound) {
+		if w.limit < float64(g.bound) {
 			step := aimdIncrease / math.Max(1, math.Floor(w.limit))
-			w.limit = math.Min(float64(l.bound), w.limit+step)
-			w.broadcast()
+			w.limit = math.Min(float64(g.bound), w.limit+step)
+			w.wakeAll()
 		}
 	case backpressure(kind):
-		now := l.now()
+		now := g.now()
 		if now.Sub(w.lastBackoff) >= aimdCooldown {
 			w.lastBackoff = now
 			w.limit = math.Max(minPerHost, w.limit*aimdDecrease)

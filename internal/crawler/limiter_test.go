@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"flock/internal/birdsite"
 	"flock/internal/httpkit"
 )
 
@@ -18,31 +20,34 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// newTestLimiter builds an enabled limiter whose windows start at, and
-// never exceed, globalBound.
-func newTestLimiter(t *testing.T, globalBound int, clk *fakeClock) (*aimdLimiter, *httpkit.HealthRegistry) {
+// newTestLimiter builds an adaptive host gate whose windows start at,
+// and never exceed, globalBound.
+func newTestLimiter(t *testing.T, globalBound int, clk *fakeClock) (*hostGate, *httpkit.HealthRegistry) {
 	t.Helper()
 	health := httpkit.NewHealthRegistry(httpkit.BreakerPolicy{})
-	lim := NewAdaptiveLimiter(AdaptivePolicy{Enabled: true}, health, globalBound, clk.now)
-	al, ok := lim.(*aimdLimiter)
-	if !ok {
-		t.Fatalf("enabled policy returned %T, want *aimdLimiter", lim)
-	}
-	return al, health
+	return newHostGate(AdaptivePolicy{Enabled: true}, health, globalBound, clk.now), health
 }
 
 func TestAdaptiveDisabledIsNop(t *testing.T) {
-	lim := NewAdaptiveLimiter(AdaptivePolicy{}, nil, 8, nil)
-	if _, ok := lim.(nopLimiter); !ok {
-		t.Fatalf("disabled policy returned %T, want nopLimiter", lim)
+	g := newHostGate(AdaptivePolicy{}, nil, 8, nil)
+	// With adaptation off an exchange that is not a probe is admitted at
+	// once, however many are in flight, and leaves no per-host state.
+	var releases []func()
+	for i := 0; i < 20; i++ {
+		release, err := g.acquire(context.Background(), "any.host", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases = append(releases, release)
 	}
-	release, err := lim.Acquire(context.Background(), "any.host")
-	if err != nil {
-		t.Fatal(err)
+	for _, release := range releases {
+		release()
 	}
-	release()
-	if lim.Limits() != nil {
-		t.Fatal("nop limiter reported limits")
+	if len(g.hosts) != 0 {
+		t.Fatalf("disabled gate kept state for %d hosts", len(g.hosts))
+	}
+	if g.Limits() != nil {
+		t.Fatal("disabled gate reported limits")
 	}
 }
 
@@ -104,18 +109,18 @@ func TestAdaptiveAcquireBlocksAtWindow(t *testing.T) {
 	lim, health := newTestLimiter(t, 2, clk)
 
 	const host = "narrow.example"
-	r1, err := lim.Acquire(context.Background(), host)
+	r1, err := lim.acquire(context.Background(), host, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := lim.Acquire(context.Background(), host)
+	r2, err := lim.acquire(context.Background(), host, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Third slot: blocked until a release.
 	acquired := make(chan func(), 1)
 	go func() {
-		r, err := lim.Acquire(context.Background(), host)
+		r, err := lim.acquire(context.Background(), host, false)
 		if err != nil {
 			t.Error(err)
 		}
@@ -137,18 +142,18 @@ func TestAdaptiveAcquireBlocksAtWindow(t *testing.T) {
 	r2()
 
 	// Other hosts are unaffected by this host's window.
-	r3, err := lim.Acquire(context.Background(), "other.example")
+	r3, err := lim.acquire(context.Background(), "other.example", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r3()
 
 	// A cancelled context aborts a blocked acquire.
-	a, _ := lim.Acquire(context.Background(), host)
-	b, _ := lim.Acquire(context.Background(), host)
+	a, _ := lim.acquire(context.Background(), host, false)
+	b, _ := lim.acquire(context.Background(), host, false)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := lim.Acquire(ctx, host); err == nil {
+	if _, err := lim.acquire(ctx, host, false); err == nil {
 		t.Fatal("acquire beyond the window with expiring ctx returned no error")
 	}
 	a()
@@ -169,8 +174,8 @@ func (f *failFirst) Do(*http.Request) (*http.Response, error) {
 }
 
 // TestIdleWaitsDoNotDeadlock: one worker slot, and host H admits one
-// exchange at a time, through an adaptive window of 1 or a probation
-// probe gate. Task A holds H, fails once and backs off; task B, let in
+// exchange at a time, through an adaptive window of 1 or as a probe on
+// probation. Task A holds H, fails once and backs off; task B, let in
 // by A's backoff, waits for H. A must get a worker slot back to retry,
 // so B's wait must not keep the one slot.
 func TestIdleWaitsDoNotDeadlock(t *testing.T) {
@@ -187,7 +192,7 @@ func TestIdleWaitsDoNotDeadlock(t *testing.T) {
 		{"probe gate", func(cfg Config) *Crawler {
 			// Past the quarantine threshold, last failure older than the
 			// probation age (1ns, so A's failure does not quarantine H
-			// again): the planner probes one exchange at a time.
+			// again): the gate admits one probe at a time.
 			cfg.Breaker = httpkit.BreakerPolicy{Probation: time.Nanosecond}
 			c := New(cfg)
 			c.Health().ImportHealth([]httpkit.HostHealth{{
@@ -206,7 +211,7 @@ func TestIdleWaitsDoNotDeadlock(t *testing.T) {
 			g := httpkit.NewGroup(ctx, 1)
 			for i := 0; i < 2; i++ {
 				g.Go(func(ctx context.Context) error {
-					_, err := underPlan(ctx, c, host, func() (struct{}, error) {
+					_, err := under(ctx, c, host, func() (struct{}, error) {
 						var out struct{}
 						return out, c.client.GetJSON(ctx, "https://"+host+"/x", &out)
 					})
@@ -220,5 +225,130 @@ func TestIdleWaitsDoNotDeadlock(t *testing.T) {
 				t.Fatalf("%d requests, want 3 (A's failure and retry, B's exchange)", n)
 			}
 		})
+	}
+}
+
+// TestHostGateProbeRules: a probe waits for the host's other probe, and
+// with adaptation on for a slot in the host's window; an exchange that
+// is not a probe never waits for a probe.
+func TestHostGateProbeRules(t *testing.T) {
+	const host = "h.example"
+	acquireAsync := func(ctx context.Context, g *hostGate, probe bool) chan error {
+		done := make(chan error, 1)
+		go func() {
+			release, err := g.acquire(ctx, host, probe)
+			if err == nil {
+				release()
+			}
+			done <- err
+		}()
+		return done
+	}
+	blocked := func(done chan error) bool {
+		select {
+		case <-done:
+			return false
+		case <-time.After(20 * time.Millisecond):
+			return true
+		}
+	}
+
+	t.Run("adaptation off", func(t *testing.T) {
+		g := newHostGate(AdaptivePolicy{}, nil, 8, nil)
+		first, err := g.acquire(context.Background(), host, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := acquireAsync(context.Background(), g, true)
+		if !blocked(second) {
+			t.Fatal("second probe admitted while the first holds")
+		}
+		plain, err := g.acquire(context.Background(), host, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain()
+		first()
+		select {
+		case err := <-second:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("release did not wake the waiting probe")
+		}
+		if g.Limits() != nil {
+			t.Fatal("disabled gate reported limits")
+		}
+	})
+
+	t.Run("adaptation on", func(t *testing.T) {
+		g, _ := newTestLimiter(t, 2, &fakeClock{t: time.Unix(1_700_000_000, 0)})
+		a, err := g.acquire(context.Background(), host, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := g.acquire(context.Background(), host, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		probe := acquireAsync(ctx, g, true)
+		if !blocked(probe) {
+			t.Fatal("probe admitted past a full window of 2")
+		}
+		cancel()
+		select {
+		case err := <-probe:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("cancel did not abort the waiting probe")
+		}
+		a()
+		if blocked(acquireAsync(context.Background(), g, true)) {
+			t.Fatal("probe not admitted into a freed slot")
+		}
+		b()
+	})
+}
+
+// TestBackendNeverSkipped: the registry's quarantine verdict skips a
+// fediverse instance without a dial, but never the crawl's own Twitter
+// backend, whose outage must fail the crawl, not empty it.
+func TestBackendNeverSkipped(t *testing.T) {
+	const domain = "dead.example"
+	c := New(Config{TwitterBase: "https://" + birdsite.Host})
+	var imported []httpkit.HostHealth
+	for _, h := range []string{birdsite.Host, domain} {
+		imported = append(imported, httpkit.HostHealth{
+			Host:            h,
+			QuarantineOpens: httpkit.DefaultBreaker.QuarantineAfter,
+			LastFailure:     time.Now(),
+		})
+	}
+	c.Health().ImportHealth(imported)
+	for _, h := range []string{birdsite.Host, domain} {
+		if !c.Health().Health(h).Quarantined {
+			t.Fatalf("%s not quarantined after import", h)
+		}
+	}
+
+	ctx := context.Background()
+	calls := 0
+	fetch := func() (int, error) { calls++; return 1, nil }
+	if v, err := under(ctx, c, birdsite.Host, fetch); err != nil || v != 1 || calls != 1 {
+		t.Fatalf("backend: under = %d, %v after %d fetches; want 1, nil after 1", v, err, calls)
+	}
+	if _, err := under(ctx, c, strings.ToUpper(domain), fetch); !errors.Is(err, errQuarantineSkip) {
+		t.Fatalf("quarantined instance: err = %v, want errQuarantineSkip", err)
+	}
+	if calls != 1 {
+		t.Fatalf("quarantined instance was fetched (%d fetches)", calls)
+	}
+	skipped := c.Report().SkippedQuarantined
+	if _, ok := skipped[domain]; !ok || len(skipped) != 1 {
+		t.Fatalf("SkippedQuarantined = %v, want only %s", skipped, domain)
 	}
 }

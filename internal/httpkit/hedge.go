@@ -188,18 +188,18 @@ func (c *Client) hedgeable(r *http.Request) bool {
 func (c *Client) allowHedge(host string) bool {
 	if c.health != nil && c.health.State(host) != BreakerClosed {
 		c.mu.Lock()
-		c.hedgesDenied++
+		c.stats.HedgesDenied++
 		c.mu.Unlock()
 		return false
 	}
 	pol := c.hedge.withDefaults()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if float64(c.hedges+1) > pol.BudgetFrac*float64(c.requests) {
-		c.hedgesDenied++
+	if float64(c.stats.HedgesFired+1) > pol.BudgetFrac*float64(c.stats.Requests) {
+		c.stats.HedgesDenied++
 		return false
 	}
-	c.hedges++
+	c.stats.HedgesFired++
 	return true
 }
 
@@ -283,7 +283,7 @@ func (c *Client) race(req *http.Request, host string, delay time.Duration) (*htt
 				// First success wins; cancel and drain the loser.
 				if res.hedge {
 					c.mu.Lock()
-					c.hedgeWins++
+					c.stats.HedgeWins++
 					c.mu.Unlock()
 					cancels[0]()
 				} else if cancels[1] != nil {

@@ -217,7 +217,7 @@ func TestHedgeSkipsNonClosedBreaker(t *testing.T) {
 		WithHedge(HedgePolicy{Percentile: 0.5, MinSamples: 1, BudgetFrac: 1.0}),
 	)
 	c.mu.Lock()
-	c.requests = 100 // plenty of budget
+	c.stats.Requests = 100 // plenty of budget
 	c.mu.Unlock()
 	if c.allowHedge("h.example") {
 		t.Fatal("hedge allowed against an open breaker")

@@ -7,8 +7,10 @@
 // instances (timeouts, transient 5xx, dead hosts). httpkit packages the
 // standard responses to both — reactive backoff that honours server reset
 // headers and capped exponential retry — behind a small Client, plus
-// cursor/max_id pagination iterators and a concurrency group for fan-out
-// crawls that bounds the running tasks, not the waiting ones.
+// one pagination loop (Paginate) that drains cursor, max_id and offset
+// endpoints alike and stops on a repeated cursor, and a concurrency
+// group for fan-out crawls that bounds the running tasks, not the
+// waiting ones.
 package httpkit
 
 import (
@@ -117,17 +119,10 @@ type Client struct {
 	// vclock.Clock's Now so hedge percentiles replay deterministically.
 	clock vclock.NowFunc
 
-	// stats
-	mu           sync.Mutex
-	requests     int
-	retries      int
-	limited      int
-	shorts       int
-	dropped      int
-	hedges       int
-	hedgeWins    int
-	hedgesDenied int
-	digests      map[string]*latencyDigest
+	// mu guards the counters and the per-host latency digests.
+	mu      sync.Mutex
+	stats   Stats
+	digests map[string]*latencyDigest
 }
 
 // Stats reports counters accumulated by the client.
@@ -146,16 +141,7 @@ type Stats struct {
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		Requests:       c.requests,
-		Retries:        c.retries,
-		RateLimited:    c.limited,
-		ShortCircuits:  c.shorts,
-		RetriesDropped: c.dropped,
-		HedgesFired:    c.hedges,
-		HedgeWins:      c.hedgeWins,
-		HedgesDenied:   c.hedgesDenied,
-	}
+	return c.stats
 }
 
 func (c *Client) policy() RetryPolicy {
@@ -241,7 +227,7 @@ func (c *Client) attempt(r *http.Request, host string) (*http.Response, error) {
 	if c.health != nil {
 		if err := c.health.Allow(host); err != nil {
 			c.mu.Lock()
-			c.shorts++
+			c.stats.ShortCircuits++
 			c.mu.Unlock()
 			return nil, err
 		}
@@ -250,7 +236,7 @@ func (c *Client) attempt(r *http.Request, host string) (*http.Response, error) {
 		r.Header.Set("User-Agent", c.userAgent)
 	}
 	c.mu.Lock()
-	c.requests++
+	c.stats.Requests++
 	c.mu.Unlock()
 	doer := c.doer
 	if doer == nil {
@@ -275,7 +261,7 @@ func (c *Client) attempt(r *http.Request, host string) (*http.Response, error) {
 	c.health.ReportFailure(host, Classify(nil, resp.StatusCode))
 	if resp.StatusCode == http.StatusTooManyRequests {
 		c.mu.Lock()
-		c.limited++
+		c.stats.RateLimited++
 		c.mu.Unlock()
 	}
 	return resp, nil
@@ -316,12 +302,12 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 				// retry would send an empty payload. Surface the original
 				// failure instead.
 				c.mu.Lock()
-				c.dropped++
+				c.stats.RetriesDropped++
 				c.mu.Unlock()
 				return nil, fmt.Errorf("httpkit: %s %s: cannot retry consumed request body (no GetBody): %w", req.Method, req.URL, lastErr)
 			}
 			c.mu.Lock()
-			c.retries++
+			c.stats.Retries++
 			c.mu.Unlock()
 		}
 		r := req.Clone(req.Context())
@@ -418,16 +404,17 @@ type Page[T any] struct {
 	Next  string
 }
 
-// FetchPage is the page-fetching callback used by Paginate.
-type FetchPage[T any] func(ctx context.Context, pageToken string) (Page[T], error)
-
-// Paginate drains a cursor-paginated endpoint, calling fetch until the
-// next token is empty or maxPages is reached (0 = unlimited). It returns
-// all items in order.
-func Paginate[T any](ctx context.Context, maxPages int, fetch FetchPage[T]) ([]T, error) {
+// Paginate drains a cursor-paginated endpoint: it calls fetch with the
+// empty token, then with each page's Next, until a page's Next is
+// empty, and returns all items in order. A token that an earlier page
+// already returned would repeat pages without end, so Paginate stops
+// there with an error; on that error, as on a failed fetch, it returns
+// the items fetched so far.
+func Paginate[T any](ctx context.Context, fetch func(ctx context.Context, token string) (Page[T], error)) ([]T, error) {
 	var out []T
+	seen := map[string]bool{}
 	token := ""
-	for page := 0; maxPages == 0 || page < maxPages; page++ {
+	for {
 		p, err := fetch(ctx, token)
 		if err != nil {
 			return out, err
@@ -436,12 +423,12 @@ func Paginate[T any](ctx context.Context, maxPages int, fetch FetchPage[T]) ([]T
 		if p.Next == "" {
 			return out, nil
 		}
-		if p.Next == token {
-			return out, fmt.Errorf("httpkit: pagination stuck on token %q", token)
+		if seen[p.Next] {
+			return out, fmt.Errorf("httpkit: pagination stuck on token %q", p.Next)
 		}
+		seen[p.Next] = true
 		token = p.Next
 	}
-	return out, nil
 }
 
 // Group runs tasks with bounded concurrency, collecting every task's
@@ -453,7 +440,7 @@ func Paginate[T any](ctx context.Context, maxPages int, fetch FetchPage[T]) ([]T
 // stack of) a goroutine per task. The bound counts running tasks, not
 // existing ones. Each task gets a context carrying its worker slot, and
 // a task that waits for anything other than its own exchange (a retry
-// backoff, a per-host window, a probe gate) waits through Idle, which
+// backoff, the crawler's per-host gate) waits through Idle, which
 // lends the slot to another task for the wait. So waits overlap with
 // other tasks' work, and a task holding a slot blocks on nothing but its
 // own exchange: whatever it waits for is held by a task that either runs

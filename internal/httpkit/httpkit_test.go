@@ -295,7 +295,7 @@ func TestPaginate(t *testing.T) {
 		"p2": {Items: []int{3}, Next: "p3"},
 		"p3": {Items: []int{4, 5}, Next: ""},
 	}
-	got, err := Paginate(context.Background(), 0, func(_ context.Context, tok string) (Page[int], error) {
+	got, err := Paginate(context.Background(), func(_ context.Context, tok string) (Page[int], error) {
 		return pages[tok], nil
 	})
 	if err != nil {
@@ -306,22 +306,8 @@ func TestPaginate(t *testing.T) {
 	}
 }
 
-func TestPaginateMaxPages(t *testing.T) {
-	calls := 0
-	got, err := Paginate(context.Background(), 2, func(_ context.Context, tok string) (Page[int], error) {
-		calls++
-		return Page[int]{Items: []int{calls}, Next: fmt.Sprintf("p%d", calls)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 || len(got) != 2 {
-		t.Fatalf("calls=%d items=%v", calls, got)
-	}
-}
-
 func TestPaginateStuckToken(t *testing.T) {
-	_, err := Paginate(context.Background(), 0, func(_ context.Context, tok string) (Page[int], error) {
+	_, err := Paginate(context.Background(), func(_ context.Context, tok string) (Page[int], error) {
 		return Page[int]{Next: "same"}, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "stuck") {
@@ -330,7 +316,7 @@ func TestPaginateStuckToken(t *testing.T) {
 }
 
 func TestPaginatePartialOnError(t *testing.T) {
-	got, err := Paginate(context.Background(), 0, func(_ context.Context, tok string) (Page[int], error) {
+	got, err := Paginate(context.Background(), func(_ context.Context, tok string) (Page[int], error) {
 		if tok == "" {
 			return Page[int]{Items: []int{1}, Next: "p2"}, nil
 		}
@@ -432,20 +418,21 @@ func TestDoClampsNegativeServerWait(t *testing.T) {
 }
 
 func TestPaginateStuckTokenCycle(t *testing.T) {
-	// A two-token cycle (a -> b -> a) is not caught by the equal-token
-	// guard, but maxPages still bounds it.
+	// A two-token cycle (a -> b -> a) repeats a token an earlier page
+	// returned, not the one just before it: the third page's "a" stops
+	// the drain with the items fetched so far.
 	calls := 0
-	_, err := Paginate(context.Background(), 10, func(_ context.Context, tok string) (Page[int], error) {
+	got, err := Paginate(context.Background(), func(_ context.Context, tok string) (Page[int], error) {
 		calls++
 		if tok == "a" {
-			return Page[int]{Next: "b"}, nil
+			return Page[int]{Items: []int{calls}, Next: "b"}, nil
 		}
-		return Page[int]{Next: "a"}, nil
+		return Page[int]{Items: []int{calls}, Next: "a"}, nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "stuck") {
+		t.Fatalf("err = %v, want the stuck-token error", err)
 	}
-	if calls != 10 {
-		t.Fatalf("cycle ran %d pages, want capped at 10", calls)
+	if calls != 3 || fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("cycle ran %d pages and kept %v, want 3 pages and [1 2 3]", calls, got)
 	}
 }
