@@ -13,10 +13,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -31,44 +33,45 @@ import (
 	"flock/internal/fediverse"
 	"flock/internal/httpkit"
 	"flock/internal/indexsvc"
-	"flock/internal/randx"
+	"flock/internal/memnet"
 	"flock/internal/store"
 	"flock/internal/toxsvc"
 	"flock/internal/trendsvc"
 	"flock/internal/world"
 )
 
-// chaosMiddleware injects seeded, per-host HTTP faults into a handler:
-// each request to a Host gets a deterministic decision stream (seed x
-// host x request index), failing with 503 or delaying the response. It
-// is the TCP-facing sibling of the memnet conn-level chaos engine, so
-// external crawlers can be soak-tested against the same §3.2 instance
-// failures the in-process tests use.
-func chaosMiddleware(seed uint64, pFail float64, maxDelay time.Duration, pTail float64, tailDelay time.Duration, next http.Handler) http.Handler {
+// chaosMiddleware injects seeded, per-host HTTP faults into a handler
+// through memnet's fault schedule, the one the in-process fabric uses:
+// each Host gets its own memnet.Schedule under spec, which decides
+// every request from the request itself (method, URI, body digest and
+// attempt number), never from arrival order. A refusal is answered with
+// a 503 and a delay is slept before serving, so external crawlers can
+// be soak-tested against the same §3.2 instance failures the
+// in-process tests use.
+func chaosMiddleware(spec memnet.ChaosSpec, next http.Handler) http.Handler {
 	var mu sync.Mutex
-	reqs := map[string]int{}
+	schedules := map[string]*memnet.Schedule{}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		n := reqs[r.Host]
-		reqs[r.Host] = n + 1
-		mu.Unlock()
-		hostSeed := seed
-		for _, b := range []byte(r.Host) {
-			hostSeed = (hostSeed ^ uint64(b)) * 0x100000001b3
+		s := schedules[r.Host]
+		if s == nil {
+			s = memnet.NewSchedule(r.Host, spec)
+			schedules[r.Host] = s
 		}
-		rng := randx.New(hostSeed).SplitN("req", n)
-		if rng.Bool(pFail) {
+		mu.Unlock()
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, "reading request body", http.StatusBadRequest)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		delay, err := s.Next(r.Method, r.RequestURI, body)
+		if err != nil {
 			http.Error(w, "chaos: injected failure", http.StatusServiceUnavailable)
 			return
 		}
-		if maxDelay > 0 {
-			time.Sleep(time.Duration(rng.Float64() * float64(maxDelay)))
-		}
-		// The tail draw is separate from the uniform jitter: a small
-		// fraction of requests stall hard, the bimodal shape hedged
-		// requests (httpkit.WithHedge) are built to cut.
-		if pTail > 0 && tailDelay > 0 && rng.Bool(pTail) {
-			time.Sleep(tailDelay)
+		if httpkit.SleepContext(r.Context(), delay) != nil {
+			return
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -192,7 +195,13 @@ func main() {
 	// All fediverse instances behind one port; dispatch is by Host.
 	fediHandler := http.Handler(fediverse.New(w).Handler())
 	if *chaosSeed != 0 {
-		fediHandler = chaosMiddleware(*chaosSeed, *chaosFail, *chaosDelay, *chaosTail, *chaosTailDelay, fediHandler)
+		fediHandler = chaosMiddleware(memnet.ChaosSpec{
+			Seed:         *chaosSeed,
+			PDialFail:    *chaosFail,
+			Jitter:       *chaosDelay,
+			PSlowReq:     *chaosTail,
+			SlowReqDelay: *chaosTailDelay,
+		}, fediHandler)
 		log.Printf("chaos on: seed=%d fail=%.2f max-delay=%v tail=%.2f tail-delay=%v (fediverse port only)",
 			*chaosSeed, *chaosFail, *chaosDelay, *chaosTail, *chaosTailDelay)
 	}

@@ -59,8 +59,9 @@ type Env struct {
 	stops  []func()
 }
 
-// NewEnv generates the world and brings every service up. ctx is the
-// parent lifecycle for service shutdown (see memnet.Fabric.Serve).
+// NewEnv generates the world and binds every service to a fresh
+// fabric. ctx is passed on to memnet.Fabric.Serve, which does not use
+// it.
 func NewEnv(ctx context.Context, cfg world.Config) (*Env, error) {
 	w, err := world.Generate(cfg)
 	if err != nil {
@@ -113,14 +114,7 @@ func (e *Env) Crawl(ctx context.Context, cfg Config) (*crawler.Dataset, error) {
 		Transport:       crawler.Transport{HTTP: e.Client, Concurrency: 8},
 		ScoreToxicity:   cfg.ScoreToxicity,
 		Logf:            cfg.Logf,
-		BeforeTimelines: func() {
-			e.Fedi.ApplyOutages(e.Fabric)
-			// Outages only affect new dials; drop pooled connections the
-			// way hours of real wall-clock time would.
-			if tr, ok := e.Client.Transport.(*http.Transport); ok {
-				tr.CloseIdleConnections()
-			}
-		},
+		BeforeTimelines: func() { e.Fedi.ApplyOutages(e.Fabric) },
 	})
 	return c.Run(ctx)
 }

@@ -11,10 +11,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -257,6 +260,145 @@ func TestChaosSoak(t *testing.T) {
 	t.Logf("coverage %.4f, %d dead hosts, %d chaos events", reachable, len(storm.Dead), injected)
 }
 
+// benchStorm is bench/workloads.go's chaosStorm, the storm chaos_300
+// crawls through; bench is its own module, so the test keeps a copy.
+// Populated instances die smallest first until 5% of migrants sit on
+// dead hosts; the flagship gets tail stalls, and the rest are dealt
+// round-robin, in size order, into flapping, lossy, throttled and
+// jittered cohorts.
+func benchStorm(w *world.World, seed uint64) *memnet.Storm {
+	rng := randx.New(seed).Split("storm")
+	type load struct {
+		domain string
+		n      int
+	}
+	loads := make([]load, 0, len(w.Instances))
+	total := 0
+	for i, inst := range w.Instances {
+		loads = append(loads, load{inst.Domain, w.MigrantsPerInstance[i]})
+		total += w.MigrantsPerInstance[i]
+	}
+	sort.Slice(loads, func(i, j int) bool {
+		if loads[i].n != loads[j].n {
+			return loads[i].n < loads[j].n
+		}
+		return loads[i].domain < loads[j].domain
+	})
+	storm := &memnet.Storm{Specs: map[string]*memnet.ChaosSpec{}}
+	dead := map[string]bool{}
+	killed := 0
+	for _, l := range loads {
+		if l.n == 0 || l.domain == "mastodon.social" {
+			continue
+		}
+		if killed+l.n > total*5/100 {
+			break
+		}
+		storm.Dead = append(storm.Dead, l.domain)
+		dead[l.domain] = true
+		killed += l.n
+	}
+	i := 0
+	for _, l := range loads {
+		spec := &memnet.ChaosSpec{Seed: rng.Uint64()}
+		switch {
+		case dead[l.domain]:
+			continue
+		case l.domain == "mastodon.social":
+			spec.PSlowReq, spec.SlowReqDelay = 0.05, 100*time.Millisecond
+		case i%4 == 0:
+			spec.FlapUpDials, spec.FlapDownDials = 12, 2
+		case i%4 == 1:
+			spec.PDialFail = 0.15
+		case i%4 == 2:
+			spec.BytesPerSec, spec.Latency = 1<<20, time.Millisecond
+		default:
+			spec.Latency, spec.Jitter = time.Millisecond, 3*time.Millisecond
+		}
+		if l.domain != "mastodon.social" {
+			i++
+		}
+		storm.Specs[l.domain] = spec
+	}
+	return storm
+}
+
+// gapKeys lists each phase's failed unit keys, sorted. The error texts
+// are left out: a dead host's unit fails either by running out of
+// retries or on an open breaker, whichever the timing gives.
+func gapKeys(rep *crawler.CrawlReport) map[string][]string {
+	out := map[string][]string{}
+	for phase, gaps := range map[string]map[string]string{
+		"queries":   rep.FailedQueries,
+		"authors":   rep.DroppedAuthors,
+		"twitterTL": rep.TwitterTimelineFailures,
+		"mastoTL":   rep.MastodonTimelineFailures,
+		"followees": rep.FolloweeGaps,
+		"activity":  rep.ActivityGaps,
+	} {
+		out[phase] = slices.Sorted(maps.Keys(gaps))
+	}
+	return out
+}
+
+// TestChaosDatasetSameAtAnyConcurrency: under chaos_300's storm, with
+// its hedging and AIMD windows, the dataset and each phase's gap keys
+// do not depend on the worker count, because every fault is decided by
+// the request it hits and its attempt number. Faults decided per dial
+// split world 1 at 300 migrants (a lossy host's retries drew other
+// dials at 8 workers) and world 8 at 150.
+func TestChaosDatasetSameAtAnyConcurrency(t *testing.T) {
+	worlds := []struct {
+		migrants int
+		seed     uint64
+		workers  []int
+	}{
+		{300, 1, []int{1, 2, 8}},
+		{150, 8, []int{1, 8}},
+		{150, 2, []int{1, 8}},
+		{150, 3, []int{1, 8}},
+		{150, 5, []int{1, 8}},
+		{150, 13, []int{1, 8}},
+	}
+	for _, wc := range worlds {
+		t.Run(fmt.Sprintf("world%d_%d", wc.seed, wc.migrants), func(t *testing.T) {
+			var want []byte
+			var wantGaps map[string][]string
+			for _, n := range wc.workers {
+				e := newSoakEnv(t, wc.migrants, wc.seed)
+				benchStorm(e.w, wc.seed).Apply(e.fab)
+				cfg := e.config()
+				cfg.Concurrency = n
+				cfg.Hedge = httpkit.HedgePolicy{Percentile: 0.90, BudgetFrac: 0.05}
+				cfg.Adaptive = crawler.AdaptivePolicy{Enabled: true}
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+				c := crawler.New(cfg)
+				ds, err := c.Run(ctx)
+				cancel()
+				if err != nil {
+					t.Fatalf("concurrency %d: %v", n, err)
+				}
+				got, err := json.Marshal(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gaps := gapKeys(c.Report())
+				t.Logf("concurrency %d: %d bytes, MastodonDown %d", n, len(got), ds.Coverage().MastodonDown)
+				if want == nil {
+					want, wantGaps = got, gaps
+					continue
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("concurrency %d: dataset differs from concurrency %d (%d vs %d bytes)", n, wc.workers[0], len(got), len(want))
+				}
+				if !reflect.DeepEqual(gaps, wantGaps) {
+					t.Errorf("concurrency %d: gap keys %v, want %v", n, gaps, wantGaps)
+				}
+			}
+		})
+	}
+}
+
 // TestCheckpointResumeConvergesToSameDataset kills the crawl twice at
 // phase boundaries (via the Logf hook) and resumes from the on-disk
 // checkpoint each time. The final dataset must be byte-identical to an
@@ -496,10 +638,10 @@ func copyFile(t *testing.T, src, dst string) {
 
 // TestQuarantinePlannerSkipsAcrossResume is the tentpole's end-to-end
 // proof: a host quarantined before a kill must not be re-dialed by the
-// resumed run. The target instance fails every dial (so the fabric's
-// Dials counter records each attempt), the crawl is killed after the
-// mapping phase has quarantined it, and three resume legs check the
-// host gate from different angles:
+// resumed run. The target instance refuses every request (so the
+// fabric's Requests counter records each attempt), the crawl is killed
+// after the mapping phase has quarantined it, and three resume legs
+// check the host gate from different angles:
 //
 //  1. health resume on: zero new dials, host named in SkippedQuarantined,
 //     its pairs resolved as instance-down;
@@ -554,7 +696,7 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	if h := cKill.Health().Health(target); !h.Quarantined {
 		t.Fatalf("target %s not quarantined before kill: %+v", target, h)
 	}
-	dialsAtKill := e.fab.ChaosStats(target).Dials
+	dialsAtKill := e.fab.ChaosStats(target).Requests
 	if dialsAtKill == 0 {
 		t.Fatalf("target %s was never dialed during the kill leg", target)
 	}
@@ -574,7 +716,7 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	if !rep.Resumed {
 		t.Fatal("resume leg did not resume from the checkpoint")
 	}
-	if got := e.fab.ChaosStats(target).Dials; got != dialsAtKill {
+	if got := e.fab.ChaosStats(target).Requests; got != dialsAtKill {
 		t.Fatalf("resumed run re-dialed quarantined host %s: %d dials, was %d at kill", target, got, dialsAtKill)
 	}
 	if rep.SkippedQuarantined[target] == "" {
@@ -606,7 +748,7 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	if _, err := c2.Run(context.Background()); err != nil {
 		t.Fatalf("no-health-resume leg: %v", err)
 	}
-	afterLeg1 := e.fab.ChaosStats(target).Dials
+	afterLeg1 := e.fab.ChaosStats(target).Requests
 	if afterLeg1 <= dialsAtKill {
 		t.Fatalf("no-health-resume leg never re-dialed %s (%d dials)", target, afterLeg1)
 	}
@@ -625,7 +767,7 @@ func TestQuarantinePlannerSkipsAcrossResume(t *testing.T) {
 	if _, err := c3.Run(context.Background()); err != nil {
 		t.Fatalf("probation leg: %v", err)
 	}
-	if got := e.fab.ChaosStats(target).Dials; got <= afterLeg1 {
+	if got := e.fab.ChaosStats(target).Requests; got <= afterLeg1 {
 		t.Fatalf("probation-expired leg never probed %s (%d dials)", target, got)
 	}
 	if c3.Report().SkippedQuarantined[target] != "" {

@@ -424,12 +424,8 @@ func TestDatasetSameAtAnyConcurrency(t *testing.T) {
 		cfg := e.config()
 		cfg.Concurrency = n
 		cfg.ScoreToxicity = true
-		cfg.BeforeTimelines = func() {
-			e.fedi.ApplyOutages(e.fab)
-			e.http.CloseIdleConnections()
-		}
+		cfg.BeforeTimelines = func() { e.fedi.ApplyOutages(e.fab) }
 		ds, err := New(cfg).Run(context.Background())
-		e.http.CloseIdleConnections()
 		e.fab.Close()
 		if err != nil {
 			t.Fatalf("concurrency %d: %v", n, err)

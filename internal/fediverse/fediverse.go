@@ -183,11 +183,13 @@ func (s *Service) buildFederated(i int) {
 	})
 }
 
-// RegisterAll serves every instance on the fabric. All instances start
+// RegisterAll binds every instance to the fabric. All instances start
 // reachable; apply the world's outages with ApplyOutages when the
 // simulated crawl reaches the timeline phase (the paper's instance
-// deaths happened between discovery and timeline crawl, §3.2). It
-// returns a stop function.
+// deaths happened between discovery and timeline crawl, §3.2); an
+// outage applies to the next request, like a host that stops
+// answering. ctx is passed on to memnet.Fabric.Serve, which does not
+// use it. It returns a stop function that unbinds every instance.
 func (s *Service) RegisterAll(ctx context.Context, f *memnet.Fabric) (stop func(), err error) {
 	handler := s.Handler()
 	var stops []func()

@@ -348,11 +348,6 @@ func TestDownInstanceUnreachable(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	s.ApplyOutages(f)
-	// Drop pooled keep-alive connections: outages only affect new dials,
-	// exactly like real TCP.
-	if tr, ok := c.Transport.(*http.Transport); ok {
-		tr.CloseIdleConnections()
-	}
 	if _, err := c.Get("https://" + down.Domain + "/api/v1/instance"); err == nil {
 		t.Fatal("down instance served a response after ApplyOutages")
 	}

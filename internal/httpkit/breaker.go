@@ -408,18 +408,6 @@ func (r *HealthRegistry) Snapshot() []HostHealth {
 	return out
 }
 
-// Quarantined lists hosts currently quarantined (breaker opened at least
-// QuarantineAfter times), sorted.
-func (r *HealthRegistry) Quarantined() []string {
-	var out []string
-	for _, h := range r.Snapshot() {
-		if h.Quarantined {
-			out = append(out, h.Host)
-		}
-	}
-	return out
-}
-
 // ImportHealth seeds the registry from a persisted Snapshot,
 // replacing any existing state for the same hosts. Open and half-open
 // breakers import as open with the cooldown anchored at the last

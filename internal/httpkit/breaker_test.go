@@ -91,9 +91,8 @@ func TestBreakerQuarantine(t *testing.T) {
 			t.Fatalf("probe %d refused: %v", i, err)
 		}
 	}
-	q := r.Quarantined()
-	if len(q) != 1 || q[0] != "gone.test" {
-		t.Fatalf("quarantined = %v", q)
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Host != "gone.test" || !snap[0].Quarantined {
+		t.Fatalf("snapshot = %+v, want gone.test quarantined", snap)
 	}
 }
 

@@ -60,8 +60,8 @@ func TestHealthExportImportRoundTrip(t *testing.T) {
 	if string(got) != string(raw) {
 		t.Fatalf("imported registry diverged:\n got %s\nwant %s", got, raw)
 	}
-	if q := r2.Quarantined(); len(q) != 1 || q[0] != "dead.test" {
-		t.Fatalf("quarantined after import = %v", q)
+	if !r2.Health("dead.test").Quarantined || r2.Health("ok.test").Quarantined {
+		t.Fatalf("quarantined after import: %+v", r2.Snapshot())
 	}
 	// The imported open breaker still refuses inside the cooldown…
 	if err := r2.Allow("dead.test"); !errors.Is(err, ErrCircuitOpen) {
@@ -87,8 +87,8 @@ func TestQuarantineProbationDecay(t *testing.T) {
 	if !h.Quarantined || h.Probation {
 		t.Fatalf("fresh failure: quarantined=%v probation=%v, want true/false", h.Quarantined, h.Probation)
 	}
-	if q := r.Quarantined(); len(q) != 1 {
-		t.Fatalf("quarantined = %v", q)
+	if snap := r.Snapshot(); len(snap) != 1 || !snap[0].Quarantined {
+		t.Fatalf("snapshot = %+v, want the host quarantined", snap)
 	}
 
 	// Past the probation age the host decays to probe-able.
@@ -97,8 +97,8 @@ func TestQuarantineProbationDecay(t *testing.T) {
 	if h.Quarantined || !h.Probation {
 		t.Fatalf("aged failure: quarantined=%v probation=%v, want false/true", h.Quarantined, h.Probation)
 	}
-	if q := r.Quarantined(); len(q) != 0 {
-		t.Fatalf("aged host still listed quarantined: %v", q)
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Quarantined {
+		t.Fatalf("aged host still snapshotted quarantined: %+v", snap)
 	}
 
 	// A successful probe clears the quarantine history entirely; the

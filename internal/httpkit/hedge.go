@@ -133,19 +133,6 @@ func (c *Client) observeLatency(host string, v time.Duration) {
 	c.mu.Unlock()
 }
 
-// LatencyQuantile exposes the hedging digest for observability and
-// tests: the q-quantile of host's recent successful-exchange latency.
-// ok is false when hedging is off or the host has no samples yet.
-func (c *Client) LatencyQuantile(host string, q float64) (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.digests[host]
-	if d == nil {
-		return 0, false
-	}
-	return d.quantile(q)
-}
-
 // hedgeDelay computes the trigger delay for a request to host, or
 // ok=false when the host is still cold (fewer than MinSamples
 // observations).

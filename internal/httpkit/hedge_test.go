@@ -54,7 +54,13 @@ func TestHedgeDigestUsesInjectedClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	q, ok := c.LatencyQuantile("slow.example", 0.5)
+	c.mu.Lock()
+	d := c.digests["slow.example"]
+	c.mu.Unlock()
+	if d == nil {
+		t.Fatal("no latency digest for slow.example")
+	}
+	q, ok := d.quantile(0.5)
 	if !ok || q != 250*time.Millisecond {
 		t.Fatalf("virtual latency quantile = %v ok=%v, want 250ms", q, ok)
 	}

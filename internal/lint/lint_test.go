@@ -99,3 +99,7 @@ func TestGoroutine(t *testing.T) {
 func TestGoroutineExemptsConcurrencyPackages(t *testing.T) {
 	linttest.Run(t, fixtures, "goroutine/parallel", lint.Goroutine)
 }
+
+func TestGoroutineReportsMemnet(t *testing.T) {
+	linttest.Run(t, fixtures, "goroutine/memnet", lint.Goroutine)
+}

@@ -2,101 +2,114 @@
 //
 // The paper's crawl survived a hostile network — 11.58% of Mastodon
 // timeline crawls failed because instances died mid-crawl (§3.2), and
-// both platforms throttle aggressively. The chaos engine is the fabric's
-// one fault injector. A ChaosSpec can set a single failure mode (a fixed
-// latency, a flap cycle) or compose the full storm: probabilistic dial
-// failures, scripted down/up flap windows, latency jitter,
-// mid-connection resets and byte-rate throttling (slow-loris), all drawn
-// from a randx-seeded stream so every chaos run is reproducible from its
-// seed.
+// both platforms throttle aggressively. The chaos engine is the one
+// fault injector: the fabric consults it for every request, and
+// cmd/fedisim's chaos middleware for every request it serves. A
+// ChaosSpec can set a single failure mode (a fixed latency, a flap
+// cycle) or compose the full storm: probabilistic refusals, scripted
+// down/up flap windows, latency jitter, per-request stalls, byte-rate
+// throttling (slow-loris) and mid-body resets, all drawn from a
+// randx-seeded stream so every chaos run is reproducible from its seed.
 //
-// Determinism: every per-dial decision (fail? how much latency? will this
-// connection reset, and after how many bytes?) is derived from
-// (host seed, dial index) alone, never from a shared mutable stream, so
-// the schedule for dial #k of a host is the same regardless of goroutine
-// interleaving. Flapping is likewise counted in dial attempts, not wall
-// time: the host serves FlapUpDials dials, refuses the next
-// FlapDownDials, and repeats.
+// Determinism: a Schedule decides each attempt from the request itself.
+// The key is the method, the request URI and a digest of the body; the
+// schedule counts the attempts it has seen of each key, and attempt n
+// of key k draws every decision from one stream of (host seed, k, n).
+// So a request's fate does not depend on which other requests reach the
+// host first, and a crawl's dataset does not depend on its worker
+// count. Flapping keeps its window shape per request: each key draws a
+// phase, and its attempts walk the up/down cycle from there, so a
+// request retried into a down window meets refusals in a row.
+//
+// Two races remain. A hedge's backup starts after its primary has
+// drawn, so it takes the next attempt number, and a retry after a hedge
+// fired draws one attempt later than it would have without the hedge.
+// And two units that request the same URL share its attempt count.
 package memnet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flock/internal/randx"
 )
 
-// ErrConnReset is the error chaos-injected mid-connection resets surface.
+// ErrConnReset is the error chaos-injected mid-body resets surface.
 var ErrConnReset = errors.New("memnet: connection reset by chaos")
 
-// ErrChaosDial is the transient error injected for probabilistic dial
-// failures.
+// ErrChaosDial is the transient refusal injected by PDialFail.
 var ErrChaosDial = errors.New("memnet: chaos dial failure")
 
 // ErrFlapDown is returned while a flapping host is inside a down window.
 var ErrFlapDown = errors.New("memnet: host flapping (down window)")
 
 // ChaosSpec configures the chaos schedule for one host. The zero value
-// injects nothing.
+// injects nothing. Every knob applies per request: the fabric and
+// cmd/fedisim have no connections to charge it to.
 type ChaosSpec struct {
 	// Seed roots the host's decision stream. Two hosts with the same
 	// Seed and spec fail identically.
 	Seed uint64
 
-	// PDialFail is the probability each dial fails with ErrChaosDial.
+	// PDialFail is the probability a request is refused with
+	// ErrChaosDial.
 	PDialFail float64
 
-	// FlapUpDials / FlapDownDials script down/up windows in dial counts:
-	// the host accepts FlapUpDials dials, then refuses the next
-	// FlapDownDials with ErrFlapDown, cycling. FlapUpDials == 0 disables
+	// FlapUpDials / FlapDownDials script down/up windows in attempts of
+	// one request: out of every FlapUpDials+FlapDownDials attempts, the
+	// host serves FlapUpDials and refuses FlapDownDials in a row with
+	// ErrFlapDown, from a phase the request draws. Either at 0 disables
 	// flapping.
 	FlapUpDials   int
 	FlapDownDials int
 
-	// Latency is added to every successful dial; Jitter adds a further
-	// uniform [0, Jitter) on top.
+	// Latency is added to every request; Jitter adds a further uniform
+	// [0, Jitter) on top.
 	Latency time.Duration
 	Jitter  time.Duration
 
-	// PReset is the probability a dialed connection is reset after
-	// carrying between 1 and ResetAfterBytes bytes (default 4096).
+	// PReset is the probability a response body is cut with
+	// ErrConnReset after between 1 and ResetAfterBytes bytes (default
+	// 4096).
 	PReset          float64
 	ResetAfterBytes int
 
-	// BytesPerSec throttles the connection's combined read+write rate
+	// BytesPerSec throttles each request's request and response bodies
 	// (slow-loris). 0 disables throttling.
 	BytesPerSec int
 
-	// PSlowReq stalls individual HTTP exchanges: each request served on
-	// a connection independently pauses for SlowReqDelay with this
-	// probability before the response bytes flow. Unlike Latency/Jitter
-	// (paid once, at dial time) this bites pooled keep-alive
-	// connections too, producing the bimodal per-request tail that
-	// hedged requests exist to cut.
+	// PSlowReq stalls individual requests: with this probability a
+	// request pauses for SlowReqDelay before it is served, producing the
+	// bimodal per-request tail that hedged requests exist to cut.
 	PSlowReq     float64
 	SlowReqDelay time.Duration
 }
 
 // ChaosStats counts what the engine injected for one host.
 type ChaosStats struct {
-	Dials        int // dial attempts seen
-	FailedDials  int // dials failed via PDialFail
-	FlapRejected int // dials refused inside a down window
-	Resets       int // connections reset mid-stream
-	SlowRequests int // exchanges stalled via PSlowReq
+	Requests     int // attempts seen
+	FailedDials  int // attempts refused via PDialFail
+	FlapRejected int // attempts refused inside a down window
+	Resets       int // response bodies cut mid-stream
+	SlowRequests int // attempts stalled via PSlowReq
 }
 
-// chaosHost is the per-host runtime state behind a ChaosSpec.
-type chaosHost struct {
-	spec     ChaosSpec
-	hostSeed uint64
+// Schedule is one host's fault schedule. It is safe for concurrent use.
+type Schedule struct {
+	spec ChaosSpec
+	seed uint64
 
-	mu    sync.Mutex
-	dials int
-	stats ChaosStats
+	mu       sync.Mutex
+	attempts map[string]int
+	stats    ChaosStats
+}
+
+// NewSchedule returns host's schedule under spec.
+func NewSchedule(host string, spec ChaosSpec) *Schedule {
+	return &Schedule{spec: spec, seed: mixHostSeed(spec.Seed, canonical(host)), attempts: map[string]int{}}
 }
 
 // mixHostSeed mixes the spec seed with the hostname so distinct hosts
@@ -109,89 +122,79 @@ func mixHostSeed(seed uint64, host string) uint64 {
 	return h
 }
 
-// dialRand returns the decision stream for one dial attempt, a pure
-// function of (host seed, dial index).
-func (c *chaosHost) dialRand(n int) *randx.Source {
-	return randx.New(c.hostSeed).SplitN("dial", n)
+// decision is the schedule's verdict on one attempt.
+type decision struct {
+	err   error         // ErrFlapDown or ErrChaosDial: refuse the attempt
+	delay time.Duration // latency, jitter and stall, slept before serving
+	reset int64         // cut the response body after this many bytes; 0: never
 }
 
-// plan decides the fate of one dial: the latency to apply plus a
-// pre-built connection wrapper when the spec injects mid-connection
-// chaos (nil when the bare pipe suffices), or an error (fail/flap).
-func (c *chaosHost) plan() (latency time.Duration, cc *chaosConn, err error) {
-	c.mu.Lock()
-	n := c.dials
-	c.dials++
-	c.stats.Dials++
-	rng := c.dialRand(n)
+// Next counts one attempt of the request (method, request URI, body)
+// and returns its refusal, ErrFlapDown or ErrChaosDial, or else the
+// delay to sleep before serving it.
+func (s *Schedule) Next(method, uri string, body []byte) (time.Duration, error) {
+	d := s.decide(method, uri, body)
+	return d.delay, d.err
+}
 
-	// Flap windows are scripted in dial attempts for determinism.
-	if c.spec.FlapUpDials > 0 && c.spec.FlapDownDials > 0 {
-		cycle := c.spec.FlapUpDials + c.spec.FlapDownDials
-		if n%cycle >= c.spec.FlapUpDials {
-			c.stats.FlapRejected++
-			c.mu.Unlock()
-			return 0, nil, ErrFlapDown
+// decide counts one attempt of the request and draws its decision.
+func (s *Schedule) decide(method, uri string, body []byte) decision {
+	key := method + " " + uri
+	if len(body) > 0 {
+		sum := sha256.Sum256(body)
+		key += " " + hex.EncodeToString(sum[:8])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.attempts[key]
+	s.attempts[key] = n + 1
+	s.stats.Requests++
+
+	spec := &s.spec
+	keyRng := randx.New(s.seed).Split(key)
+	rng := keyRng.SplitN("attempt", n)
+	if cycle := spec.FlapUpDials + spec.FlapDownDials; spec.FlapUpDials > 0 && spec.FlapDownDials > 0 {
+		// The phase is the key stream's next draw after the attempt
+		// split, so it is the same for every attempt of the key.
+		if (keyRng.Intn(cycle)+n)%cycle >= spec.FlapUpDials {
+			s.stats.FlapRejected++
+			return decision{err: ErrFlapDown}
 		}
 	}
-	if c.spec.PDialFail > 0 && rng.Bool(c.spec.PDialFail) {
-		c.stats.FailedDials++
-		c.mu.Unlock()
-		return 0, nil, ErrChaosDial
+	if spec.PDialFail > 0 && rng.Bool(spec.PDialFail) {
+		s.stats.FailedDials++
+		return decision{err: ErrChaosDial}
 	}
-	c.mu.Unlock()
-
-	latency = c.spec.Latency
-	if c.spec.Jitter > 0 {
-		latency += time.Duration(rng.Float64() * float64(c.spec.Jitter))
+	d := decision{delay: spec.Latency}
+	if spec.Jitter > 0 {
+		d.delay += time.Duration(rng.Float64() * float64(spec.Jitter))
 	}
-	var resetAfter int64
-	if c.spec.PReset > 0 && rng.Bool(c.spec.PReset) {
-		max := c.spec.ResetAfterBytes
+	if spec.PSlowReq > 0 && spec.SlowReqDelay > 0 && rng.Bool(spec.PSlowReq) {
+		s.stats.SlowRequests++
+		d.delay += spec.SlowReqDelay
+	}
+	if spec.PReset > 0 && rng.Bool(spec.PReset) {
+		max := spec.ResetAfterBytes
 		if max <= 0 {
 			max = 4096
 		}
-		resetAfter = 1 + rng.Int63n(int64(max))
+		s.stats.Resets++
+		d.reset = 1 + rng.Int63n(int64(max))
 	}
-	if resetAfter > 0 || c.spec.BytesPerSec > 0 || c.slowReqs() {
-		cc = &chaosConn{host: c, resetAfter: resetAfter, bytesPerSec: c.spec.BytesPerSec}
-		if c.slowReqs() {
-			// Per-exchange decisions draw from a stream keyed by
-			// (host seed, dial index): deterministic per connection,
-			// independent across connections.
-			cc.slowRng = randx.New(c.hostSeed).SplitN("slowreq", n)
-			cc.pSlow = c.spec.PSlowReq
-			cc.slowDelay = c.spec.SlowReqDelay
-		}
+	return d
+}
+
+// throttle is the time n body bytes take at the spec's byte rate; a nil
+// schedule does not throttle.
+func (s *Schedule) throttle(n int) time.Duration {
+	if s == nil || s.spec.BytesPerSec <= 0 {
+		return 0
 	}
-	return latency, cc, nil
-}
-
-// slowReqs reports whether the spec stalls individual exchanges.
-func (c *chaosHost) slowReqs() bool {
-	return c.spec.PSlowReq > 0 && c.spec.SlowReqDelay > 0
-}
-
-func (c *chaosHost) recordSlow() {
-	c.mu.Lock()
-	c.stats.SlowRequests++
-	c.mu.Unlock()
-}
-
-func (c *chaosHost) recordReset() {
-	c.mu.Lock()
-	c.stats.Resets++
-	c.mu.Unlock()
-}
-
-func (c *chaosHost) snapshot() ChaosStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return time.Duration(float64(n) / float64(s.spec.BytesPerSec) * float64(time.Second))
 }
 
 // SetChaos installs a chaos schedule for a host. Passing nil clears it.
-// A host marked down (SetDown) refuses dials before its schedule is
+// A host marked down (SetDown) refuses requests before its schedule is
 // consulted.
 func (f *Fabric) SetChaos(host string, spec *ChaosSpec) {
 	host = canonical(host)
@@ -201,106 +204,20 @@ func (f *Fabric) SetChaos(host string, spec *ChaosSpec) {
 		delete(f.chaos, host)
 		return
 	}
-	f.chaos[host] = &chaosHost{spec: *spec, hostSeed: mixHostSeed(spec.Seed, host)}
+	f.chaos[host] = NewSchedule(host, *spec)
 }
 
 // ChaosStats reports what chaos injected for a host so far.
 func (f *Fabric) ChaosStats(host string) ChaosStats {
 	f.mu.Lock()
-	c := f.chaos[canonical(host)]
+	s := f.chaos[canonical(host)]
 	f.mu.Unlock()
-	if c == nil {
+	if s == nil {
 		return ChaosStats{}
 	}
-	return c.snapshot()
-}
-
-// chaosConn wraps a fabric conn with reset-after-N-bytes, byte-rate
-// throttling and per-exchange stalls. The reset closes the underlying
-// pipe so the peer observes the failure too.
-type chaosConn struct {
-	net.Conn
-	host        *chaosHost
-	resetAfter  int64 // total bytes before the reset fires; 0 = never
-	bytesPerSec int   // combined read+write throttle; 0 = unthrottled
-
-	// Per-exchange tail injection (PSlowReq): the first Read after a
-	// Write marks a request/response turnaround and may stall.
-	slowRng   *randx.Source // nil: no slow-request injection
-	pSlow     float64
-	slowDelay time.Duration
-	slowMu    sync.Mutex
-	wroteLast atomic.Bool
-
-	transferred atomic.Int64
-	tripped     atomic.Bool
-}
-
-// maxThrottleSleep caps one operation's throttle pause so a tiny rate
-// cannot wedge a test forever; the aggregate rate still bites.
-const maxThrottleSleep = 100 * time.Millisecond
-
-func (c *chaosConn) account(n int) {
-	if n > 0 && c.bytesPerSec > 0 {
-		d := time.Duration(float64(n) / float64(c.bytesPerSec) * float64(time.Second))
-		if d > maxThrottleSleep {
-			d = maxThrottleSleep
-		}
-		time.Sleep(d)
-	}
-	if c.resetAfter > 0 && c.transferred.Add(int64(n)) >= c.resetAfter {
-		if c.tripped.CompareAndSwap(false, true) {
-			c.host.recordReset()
-			_ = c.Conn.Close()
-		}
-	}
-}
-
-func (c *chaosConn) resetErr(op string) error {
-	return &net.OpError{Op: op, Net: "memnet", Err: ErrConnReset}
-}
-
-// maybeStall fires at a write→read turnaround: the request is on the
-// wire and the caller is about to read the response head. With
-// probability pSlow the exchange stalls for slowDelay, modelling an
-// overloaded worker rather than a slow link.
-func (c *chaosConn) maybeStall() {
-	if c.slowRng == nil || !c.wroteLast.CompareAndSwap(true, false) {
-		return
-	}
-	c.slowMu.Lock()
-	slow := c.slowRng.Bool(c.pSlow)
-	c.slowMu.Unlock()
-	if slow {
-		c.host.recordSlow()
-		time.Sleep(c.slowDelay)
-	}
-}
-
-func (c *chaosConn) Read(p []byte) (int, error) {
-	if c.tripped.Load() {
-		return 0, c.resetErr("read")
-	}
-	c.maybeStall()
-	n, err := c.Conn.Read(p)
-	c.account(n)
-	if err == nil && c.tripped.Load() {
-		// Deliver the bytes already read; the next operation fails.
-		return n, nil
-	}
-	return n, err
-}
-
-func (c *chaosConn) Write(p []byte) (int, error) {
-	if c.tripped.Load() {
-		return 0, c.resetErr("write")
-	}
-	if c.slowRng != nil {
-		c.wroteLast.Store(true)
-	}
-	n, err := c.Conn.Write(p)
-	c.account(n)
-	return n, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // Storm is a generated chaos plan over a set of hosts: some permanently

@@ -4,27 +4,33 @@
 // (one per Mastodon instance, plus the Twitter-like service, the index,
 // the toxicity scorer, ...). Binding each to a real TCP port would exhaust
 // ephemeral ports and make tests slow and flaky, so memnet implements a
-// virtual internet: services Listen on a hostname, clients Dial hostnames,
-// and connections are synchronous in-process pipes implementing net.Conn.
+// virtual internet: services Serve a handler on a hostname, and the
+// Fabric, an http.RoundTripper, hands each request to the handler of its
+// host. No bytes are written: the handler gets the request as a server
+// would parse it and its recorded response goes back to the caller.
 //
 // The crawler stack is completely unaware of memnet: it talks standard
-// net/http through a Transport whose DialContext points at the fabric. To
-// run the same crawler against real servers (see cmd/fedisim), swap the
-// dialer — nothing else changes.
+// net/http through a client whose Transport is the fabric. To run the
+// same crawler against real servers (see cmd/fedisim), swap the
+// transport — nothing else changes.
 //
 // The fabric supports the failure modes the paper's crawl encountered:
 // hosts can be taken down (11.58% of Mastodon timeline crawls failed with
 // "instance down", §3.2), and a seeded per-host chaos schedule (SetChaos,
-// the fabric's one fault injector) lets tests exercise the retry, backoff,
-// breaker and hedging paths in httpkit.
+// the one fault injector, which cmd/fedisim shares through Schedule) lets
+// tests exercise the retry, backoff, breaker and hedging paths in httpkit.
 package memnet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -32,31 +38,32 @@ import (
 	"flock/internal/httpkit"
 )
 
-// ErrHostDown is returned by Dial for hosts marked down.
+// ErrHostDown is the dial error of a request to a host marked down.
 var ErrHostDown = errors.New("memnet: host is down")
 
-// ErrNoSuchHost is returned by Dial for unregistered hostnames.
+// ErrNoSuchHost is the dial error of a request to an unbound hostname.
 var ErrNoSuchHost = errors.New("memnet: no such host")
 
 // ErrFabricClosed is returned after the fabric has been shut down.
 var ErrFabricClosed = errors.New("memnet: fabric closed")
 
-// Fabric is a virtual network connecting named hosts. It is safe for
+// Fabric is a virtual network connecting named hosts, and the
+// http.RoundTripper that carries requests over it. It is safe for
 // concurrent use.
 type Fabric struct {
-	mu     sync.Mutex
-	hosts  map[string]*listener
-	down   map[string]bool
-	chaos  map[string]*chaosHost
-	closed bool
+	mu       sync.Mutex
+	handlers map[string]http.Handler
+	down     map[string]bool
+	chaos    map[string]*Schedule
+	closed   bool
 }
 
 // NewFabric returns an empty fabric.
 func NewFabric() *Fabric {
 	return &Fabric{
-		hosts: make(map[string]*listener),
-		down:  make(map[string]bool),
-		chaos: make(map[string]*chaosHost),
+		handlers: make(map[string]http.Handler),
+		down:     make(map[string]bool),
+		chaos:    make(map[string]*Schedule),
 	}
 }
 
@@ -70,219 +77,178 @@ func canonical(host string) string {
 	return host
 }
 
-// Listen registers host on the fabric and returns its listener. It fails
-// if the host is already bound.
-func (f *Fabric) Listen(host string) (net.Listener, error) {
-	host = canonical(host)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, ErrFabricClosed
-	}
-	if _, ok := f.hosts[host]; ok {
-		return nil, fmt.Errorf("memnet: host %q already bound", host)
-	}
-	l := &listener{
-		fabric: f,
-		host:   host,
-		conns:  make(chan net.Conn, 16),
-		done:   make(chan struct{}),
-	}
-	f.hosts[host] = l
-	return l, nil
+// dialError wraps err the way a failed TCP dial surfaces, so httpkit
+// classifies it as httpkit.KindDial.
+func dialError(err error) error {
+	return &net.OpError{Op: "dial", Net: "memnet", Err: err}
 }
 
-// DialContext connects to host (any ":port" suffix is ignored), honouring
-// ctx cancellation and injected faults. There is deliberately no
-// context-free Dial: every dial is on behalf of some caller whose
-// cancellation must propagate (the ctxflow analyzer in internal/lint
-// keeps it that way).
-func (f *Fabric) DialContext(ctx context.Context, host string) (net.Conn, error) {
-	host = canonical(host)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrFabricClosed
-	}
-	if f.down[host] {
-		f.mu.Unlock()
-		return nil, &net.OpError{Op: "dial", Net: "memnet", Err: ErrHostDown}
-	}
-	l, ok := f.hosts[host]
-	ch := f.chaos[host]
-	f.mu.Unlock()
-	if !ok {
-		return nil, &net.OpError{Op: "dial", Net: "memnet", Err: ErrNoSuchHost}
-	}
-	latency := time.Duration(0)
-	var cc *chaosConn
-	if ch != nil {
-		var cerr error
-		latency, cc, cerr = ch.plan()
-		if cerr != nil {
-			return nil, &net.OpError{Op: "dial", Net: "memnet", Err: cerr}
-		}
-	}
-	if latency > 0 {
-		select {
-		case <-time.After(latency):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	client, server := net.Pipe()
-	select {
-	case l.conns <- server:
-		if cc != nil {
-			cc.Conn = client
-			return cc, nil
-		}
-		return client, nil
-	case <-l.done:
-		return nil, &net.OpError{Op: "dial", Net: "memnet", Err: ErrHostDown}
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// SetDown marks a host down (true) or back up (false). Dials to a down
-// host fail immediately with ErrHostDown, matching a dead Mastodon
-// instance. The listener itself is left registered so the host can come
-// back.
+// SetDown marks a host down (true) or back up (false). Requests to a
+// down host fail with ErrHostDown, matching a dead Mastodon instance.
+// The handler stays bound so the host can come back.
 func (f *Fabric) SetDown(host string, down bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.down[canonical(host)] = down
 }
 
-// IsDown reports whether a host is currently marked down.
-func (f *Fabric) IsDown(host string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down[canonical(host)]
-}
-
-// Hosts returns the registered hostnames, in no particular order.
+// Hosts returns the bound hostnames, in no particular order.
 func (f *Fabric) Hosts() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.hosts))
-	for h := range f.hosts {
+	out := make([]string, 0, len(f.handlers))
+	for h := range f.handlers {
 		out = append(out, h)
 	}
 	return out
 }
 
-// Close shuts the fabric down: all listeners stop accepting and future
-// dials fail.
+// Close shuts the fabric down: every later request fails with
+// ErrFabricClosed. It is safe to call more than once.
 func (f *Fabric) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return nil
-	}
 	f.closed = true
-	for _, l := range f.hosts {
-		l.closeLocked()
-	}
 	return nil
 }
 
-// unbind removes a closed listener's registration.
-func (f *Fabric) unbind(host string) {
+// Serve binds handler to host and returns a stop function that unbinds
+// it; stop is safe to call twice. It fails when the host is already
+// bound or the fabric is closed. The context is not used: handlers run
+// inside the caller's RoundTrip, so there is no server to shut down.
+func (f *Fabric) Serve(_ context.Context, host string, handler http.Handler) (stop func(), err error) {
+	host = canonical(host)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.hosts, host)
-}
-
-// listener implements net.Listener over the fabric.
-type listener struct {
-	fabric *Fabric
-	host   string
-	conns  chan net.Conn
-
-	closeOnce sync.Once
-	done      chan struct{}
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.done:
-		return nil, &net.OpError{Op: "accept", Net: "memnet", Err: net.ErrClosed}
+	if f.closed {
+		return nil, ErrFabricClosed
 	}
-}
-
-func (l *listener) Close() error {
-	l.closeOnce.Do(func() {
-		close(l.done)
-		l.fabric.unbind(l.host)
-	})
-	return nil
-}
-
-// closeLocked closes without unbinding (caller holds fabric lock).
-func (l *listener) closeLocked() {
-	l.closeOnce.Do(func() { close(l.done) })
-}
-
-func (l *listener) Addr() net.Addr { return addr(l.host) }
-
-// addr is a trivial net.Addr for fabric endpoints.
-type addr string
-
-func (a addr) Network() string { return "memnet" }
-func (a addr) String() string  { return string(a) }
-
-// Transport returns an http.RoundTripper that routes every request over
-// the fabric by request host. TLS is not simulated; https URLs are carried
-// over plain pipes, which is transparent to the HTTP layer. Mastodon
-// URLs in the wild are https, so the simulated services publish https
-// URLs and this transport makes them work.
-func (f *Fabric) Transport() http.RoundTripper {
-	return &http.Transport{
-		DialContext: func(ctx context.Context, network, address string) (net.Conn, error) {
-			return f.DialContext(ctx, address)
-		},
-		DialTLSContext: func(ctx context.Context, network, address string) (net.Conn, error) {
-			return f.DialContext(ctx, address)
-		},
-		// In-memory pipes are cheap but a pipe conn carries exactly one
-		// HTTP exchange safely when the server side is serving many
-		// hosts, so keep idle pooling modest.
-		MaxIdleConnsPerHost: 4,
-		IdleConnTimeout:     5 * time.Second,
+	if _, ok := f.handlers[host]; ok {
+		return nil, fmt.Errorf("memnet: host %q already bound", host)
 	}
-}
-
-// Client returns an *http.Client routed over the fabric.
-func (f *Fabric) Client() *http.Client {
-	return httpkit.NewHTTPClient(f.Transport(), 30*time.Second)
-}
-
-// Serve starts an HTTP server for handler on host. It returns a stop
-// function. Serving runs until stop is called or the fabric closes; ctx
-// is the parent lifecycle for the graceful shutdown stop performs (the
-// grace period survives ctx's own cancellation, so stopping after a
-// cancelled run still drains cleanly).
-func (f *Fabric) Serve(ctx context.Context, host string, handler http.Handler) (stop func(), err error) {
-	l, err := f.Listen(host)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: handler}
-	go func() {
-		// ErrClosed is the normal shutdown path.
-		_ = srv.Serve(l)
-	}()
+	f.handlers[host] = handler
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-			_ = l.Close()
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			delete(f.handlers, host)
 		})
 	}, nil
+}
+
+// Transport returns the fabric as an http.RoundTripper. TLS is not
+// simulated: https URLs route like http ones. Mastodon URLs in the wild
+// are https, so the simulated services publish https URLs and the
+// fabric makes them work.
+func (f *Fabric) Transport() http.RoundTripper { return f }
+
+// Client returns an *http.Client routed over the fabric.
+func (f *Fabric) Client() *http.Client {
+	return httpkit.NewHTTPClient(f, 30*time.Second)
+}
+
+// RoundTrip hands req to the handler bound to its URL's host, after the
+// host's chaos schedule has decided the attempt. A down or unbound host
+// fails with a dial *net.OpError wrapping ErrHostDown or ErrNoSuchHost,
+// as does a refusal by the schedule. Every wait — latency, stall,
+// throttle — is slept on req's context, so cancelling it (a hedge's
+// loser, an expired client timeout) ends the exchange. A handler panic
+// becomes the exchange's error.
+func (f *Fabric) RoundTrip(req *http.Request) (*http.Response, error) {
+	var payload []byte
+	if req.Body != nil && req.Body != http.NoBody {
+		var err error
+		payload, err = io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	host := canonical(req.URL.Host)
+	f.mu.Lock()
+	closed, down, h, sched := f.closed, f.down[host], f.handlers[host], f.chaos[host]
+	f.mu.Unlock()
+	switch {
+	case closed:
+		return nil, ErrFabricClosed
+	case down:
+		return nil, dialError(ErrHostDown)
+	case h == nil:
+		return nil, dialError(ErrNoSuchHost)
+	}
+	uri := req.URL.RequestURI()
+	var d decision
+	if sched != nil {
+		d = sched.decide(req.Method, uri, payload)
+		if d.err != nil {
+			return nil, dialError(d.err)
+		}
+	}
+	ctx := req.Context()
+	if err := httpkit.SleepContext(ctx, d.delay+sched.throttle(len(payload))); err != nil {
+		return nil, err
+	}
+
+	in := req.Clone(ctx)
+	in.URL = &url.URL{Path: req.URL.Path, RawPath: req.URL.RawPath, RawQuery: req.URL.RawQuery}
+	in.RequestURI = uri
+	if in.Host == "" {
+		in.Host = req.URL.Host
+	}
+	in.RemoteAddr = "memnet"
+	in.Body, in.ContentLength, in.GetBody = http.NoBody, 0, nil
+	if len(payload) > 0 {
+		in.Body, in.ContentLength = io.NopCloser(bytes.NewReader(payload)), int64(len(payload))
+	}
+	rec := httptest.NewRecorder()
+	if err := serve(h, rec, in); err != nil {
+		return nil, err
+	}
+	if err := httpkit.SleepContext(ctx, sched.throttle(rec.Body.Len())); err != nil {
+		return nil, err
+	}
+	resp := rec.Result()
+	resp.ContentLength = int64(rec.Body.Len())
+	resp.Request = req
+	if d.reset > 0 {
+		resp.Body = &resetBody{ReadCloser: resp.Body, left: d.reset}
+	}
+	return resp, nil
+}
+
+// serve runs the handler, turning a panic into an error the way a
+// server that recovers it and drops the connection would.
+func serve(h http.Handler, w http.ResponseWriter, r *http.Request) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("memnet: handler for %s panicked: %v", r.Host, p)
+		}
+	}()
+	h.ServeHTTP(w, r)
+	return nil
+}
+
+// resetBody delivers the first left bytes of a response body and then
+// fails with ErrConnReset, as a connection reset mid-stream does.
+type resetBody struct {
+	io.ReadCloser
+	left int64
+}
+
+func (b *resetBody) Read(p []byte) (int, error) {
+	reset := &net.OpError{Op: "read", Net: "memnet", Err: ErrConnReset}
+	if b.left <= 0 {
+		return 0, reset
+	}
+	if int64(len(p)) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.ReadCloser.Read(p)
+	b.left -= int64(n)
+	if err == io.EOF {
+		// A body shorter than the cut ends in the reset, not in EOF.
+		b.left, err = 0, reset
+	}
+	return n, err
 }

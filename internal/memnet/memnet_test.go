@@ -5,86 +5,69 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"flock/internal/httpkit"
 )
 
-func TestListenDialRoundTrip(t *testing.T) {
-	f := NewFabric()
-	defer f.Close()
-	l, err := f.Listen("example.com")
+// okHandler answers every request with "ok".
+var okHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	io.WriteString(w, "ok")
+})
+
+// get fetches url over the fabric's client and drains the body.
+func get(f *Fabric, url string) error {
+	return getCtx(context.Background(), f, url)
+}
+
+func getCtx(ctx context.Context, f *Fabric, url string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 5)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			return
-		}
-		c.Write([]byte("pong:" + string(buf)))
-	}()
-	c, err := f.DialContext(context.Background(), "example.com")
+	resp, err := f.Client().Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	defer c.Close()
-	if _, err := c.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 10)
-	if _, err := io.ReadFull(c, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "pong:hello" {
-		t.Fatalf("got %q", buf)
-	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }
 
 func TestDialUnknownHost(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	_, err := f.DialContext(context.Background(), "nope.example")
+	err := get(f, "https://nope.example/")
 	if !errors.Is(err, ErrNoSuchHost) {
 		t.Fatalf("err = %v, want ErrNoSuchHost", err)
+	}
+	if k := httpkit.Classify(err, 0); k != httpkit.KindDial {
+		t.Fatalf("unknown host classified %v, want KindDial", k)
 	}
 }
 
 func TestDialStripsPortAndCase(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	if _, err := f.Listen("Mastodon.Social"); err != nil {
+	if _, err := f.Serve(context.Background(), "Mastodon.Social", okHandler); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		l := f.hosts["mastodon.social"]
-		c, _ := l.Accept()
-		if c != nil {
-			c.Close()
-		}
-	}()
-	c, err := f.DialContext(context.Background(), "MASTODON.SOCIAL:443")
-	if err != nil {
-		t.Fatalf("dial with port/case failed: %v", err)
+	if err := get(f, "https://MASTODON.SOCIAL:443/"); err != nil {
+		t.Fatalf("request with port/case failed: %v", err)
 	}
-	c.Close()
 }
 
 func TestDoubleBindFails(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	if _, err := f.Listen("a.example"); err != nil {
+	if _, err := f.Serve(context.Background(), "a.example", okHandler); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Listen("a.example"); err == nil {
+	if _, err := f.Serve(context.Background(), "A.example:80", okHandler); err == nil {
 		t.Fatal("second bind succeeded")
 	}
 }
@@ -92,134 +75,109 @@ func TestDoubleBindFails(t *testing.T) {
 func TestHostDown(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	if _, err := f.Listen("down.example"); err != nil {
+	if _, err := f.Serve(context.Background(), "down.example", okHandler); err != nil {
 		t.Fatal(err)
 	}
 	f.SetDown("down.example", true)
-	if !f.IsDown("down.example") {
-		t.Fatal("IsDown = false")
-	}
-	_, err := f.DialContext(context.Background(), "down.example")
+	err := get(f, "https://down.example/")
 	if !errors.Is(err, ErrHostDown) {
 		t.Fatalf("err = %v, want ErrHostDown", err)
 	}
+	if k := httpkit.Classify(err, 0); k != httpkit.KindDial {
+		t.Fatalf("down host classified %v, want KindDial", k)
+	}
 	f.SetDown("down.example", false)
-	go func() {
-		l := f.hosts["down.example"]
-		c, _ := l.Accept()
-		if c != nil {
-			c.Close()
-		}
-	}()
-	if _, err := f.DialContext(context.Background(), "down.example"); err != nil {
-		t.Fatalf("dial after recovery failed: %v", err)
+	if err := get(f, "https://down.example/"); err != nil {
+		t.Fatalf("request after recovery failed: %v", err)
 	}
 }
 
 func TestFaultInjection(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	l, err := f.Listen("flaky.example")
-	if err != nil {
+	if _, err := f.Serve(context.Background(), "flaky.example", okHandler); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Close()
-		}
-	}()
-	// One dial up, one down: every second dial fails.
+	// One attempt up, one down: every second repeat of a request fails.
 	f.SetChaos("flaky.example", &ChaosSpec{FlapUpDials: 1, FlapDownDials: 1})
 	var fails int
 	for i := 0; i < 10; i++ {
-		c, err := f.DialContext(context.Background(), "flaky.example")
-		if err != nil {
+		if err := get(f, "https://flaky.example/x"); err != nil {
+			if !errors.Is(err, ErrFlapDown) {
+				t.Fatalf("repeat %d: unexpected error %v", i, err)
+			}
 			fails++
-			continue
 		}
-		c.Close()
 	}
 	if fails != 5 {
-		t.Fatalf("a 1-up/1-down flap produced %d failures in 10 dials, want 5", fails)
+		t.Fatalf("a 1-up/1-down flap failed %d of 10 repeats, want 5", fails)
 	}
-	// Two dials: the schedule, had it stayed, would refuse the second.
+	// Two repeats: the schedule, had it stayed, would refuse one.
 	f.SetChaos("flaky.example", nil)
 	for i := 0; i < 2; i++ {
-		c, err := f.DialContext(context.Background(), "flaky.example")
-		if err != nil {
-			t.Fatalf("dial %d after clearing the schedule: %v", i, err)
+		if err := get(f, "https://flaky.example/x"); err != nil {
+			t.Fatalf("repeat %d after clearing the schedule: %v", i, err)
 		}
-		c.Close()
 	}
 }
 
 func TestDialContextCancel(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	if _, err := f.Listen("slow.example"); err != nil {
+	if _, err := f.Serve(context.Background(), "slow.example", okHandler); err != nil {
 		t.Fatal(err)
 	}
 	f.SetChaos("slow.example", &ChaosSpec{Latency: time.Minute})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := f.DialContext(ctx, "slow.example")
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if err := getCtx(ctx, f, "https://slow.example/"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
 
 func TestFabricClose(t *testing.T) {
 	f := NewFabric()
-	if _, err := f.Listen("x.example"); err != nil {
+	if _, err := f.Serve(context.Background(), "x.example", okHandler); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.DialContext(context.Background(), "x.example"); !errors.Is(err, ErrFabricClosed) {
-		t.Fatalf("dial after close: %v", err)
+	if err := get(f, "https://x.example/"); !errors.Is(err, ErrFabricClosed) {
+		t.Fatalf("request after close: %v", err)
 	}
-	if _, err := f.Listen("y.example"); !errors.Is(err, ErrFabricClosed) {
-		t.Fatalf("listen after close: %v", err)
+	if _, err := f.Serve(context.Background(), "y.example", okHandler); !errors.Is(err, ErrFabricClosed) {
+		t.Fatalf("serve after close: %v", err)
 	}
 }
 
 func TestListenerCloseUnbinds(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	l, err := f.Listen("gone.example")
+	stop, err := f.Serve(context.Background(), "gone.example", okHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if _, err := f.DialContext(context.Background(), "gone.example"); !errors.Is(err, ErrNoSuchHost) {
-		t.Fatalf("dial after listener close: %v", err)
+	stop()
+	if err := get(f, "https://gone.example/"); !errors.Is(err, ErrNoSuchHost) {
+		t.Fatalf("request after stop: %v", err)
 	}
-	// Host can be rebound after close.
-	if _, err := f.Listen("gone.example"); err != nil {
+	// The host can be rebound after stop, and a second stop of the old
+	// binding leaves the new one alone.
+	if _, err := f.Serve(context.Background(), "gone.example", okHandler); err != nil {
 		t.Fatalf("rebind failed: %v", err)
 	}
-}
-
-func TestAcceptAfterClose(t *testing.T) {
-	f := NewFabric()
-	defer f.Close()
-	l, _ := f.Listen("z.example")
-	l.Close()
-	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("Accept after close: %v", err)
+	stop()
+	if err := get(f, "https://gone.example/"); err != nil {
+		t.Fatalf("stale stop unbound the new handler: %v", err)
 	}
 }
 
 func TestHosts(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
-	f.Listen("a.example")
-	f.Listen("b.example")
+	f.Serve(context.Background(), "a.example", okHandler)
+	f.Serve(context.Background(), "b.example", okHandler)
 	hosts := f.Hosts()
 	if len(hosts) != 2 {
 		t.Fatalf("Hosts() = %v", hosts)
@@ -239,9 +197,10 @@ func TestHTTPOverFabric(t *testing.T) {
 	}
 	defer stop()
 
-	client := f.Client()
-	for _, scheme := range []string{"http", "https"} {
-		resp, err := client.Get(scheme + "://inst.example/api/v1/instance")
+	// Client and a plain client over Transport route alike.
+	clients := []*http.Client{f.Client(), {Transport: f.Transport()}}
+	for i, scheme := range []string{"http", "https"} {
+		resp, err := clients[i].Get(scheme + "://inst.example/api/v1/instance")
 		if err != nil {
 			t.Fatalf("%s request failed: %v", scheme, err)
 		}
@@ -253,6 +212,68 @@ func TestHTTPOverFabric(t *testing.T) {
 		if !strings.Contains(string(body), "inst.example") {
 			t.Fatalf("body %q", body)
 		}
+		if resp.Request == nil || resp.Request.URL.Scheme != scheme {
+			t.Fatalf("response does not carry its request: %+v", resp.Request)
+		}
+	}
+}
+
+// TestServerShapedRequest: the handler sees what a server would parse,
+// whatever the client request carried.
+func TestServerShapedRequest(t *testing.T) {
+	f := NewFabric()
+	defer f.Close()
+	type seen struct {
+		uri, host, path, query, remote, body string
+		length                               int64
+		urlHost                              string
+	}
+	got := make(chan seen, 1)
+	f.Serve(context.Background(), "shape.example", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Body == nil {
+			t.Error("handler got a nil body")
+			return
+		}
+		b, _ := io.ReadAll(r.Body)
+		got <- seen{r.RequestURI, r.Host, r.URL.Path, r.URL.Query().Get("q"), r.RemoteAddr, string(b), r.ContentLength, r.URL.Host}
+	}))
+	client := f.Client()
+	resp, err := client.Post("https://shape.example/a%20b?q=x+y", "text/plain", strings.NewReader("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	want := seen{"/a%20b?q=x+y", "shape.example", "/a b", "x y", "memnet", "payload", 7, ""}
+	if s := <-got; s != want {
+		t.Fatalf("handler saw %+v, want %+v", s, want)
+	}
+	if resp, err = client.Get("https://shape.example/"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if s := <-got; s.body != "" || s.length != 0 {
+		t.Fatalf("bodyless request reached the handler as %+v", s)
+	}
+}
+
+// TestHandlerPanicIsTransportError: a panicking handler fails its
+// exchange and leaves the process and the fabric running.
+func TestHandlerPanicIsTransportError(t *testing.T) {
+	f := NewFabric()
+	defer f.Close()
+	f.Serve(context.Background(), "boom.example", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		panic("handler bug")
+	}))
+	f.Serve(context.Background(), "fine.example", okHandler)
+	_, err := f.Client().Get("https://boom.example/")
+	if err == nil || !strings.Contains(err.Error(), "handler bug") {
+		t.Fatalf("err = %v, want the handler's panic", err)
+	}
+	if k := httpkit.Classify(err, 0); k != httpkit.KindConn {
+		t.Fatalf("panic classified %v, want KindConn", k)
+	}
+	if err := get(f, "https://fine.example/"); err != nil {
+		t.Fatalf("fabric broken after a handler panic: %v", err)
 	}
 }
 
@@ -272,6 +293,8 @@ func TestManyHostsConcurrentHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer stop()
+		// Four concurrent repeats of one request share a schedule.
+		f.SetChaos(host, &ChaosSpec{Seed: uint64(i), Jitter: time.Millisecond})
 	}
 	client := f.Client()
 	var wg sync.WaitGroup
@@ -298,6 +321,11 @@ func TestManyHostsConcurrentHTTP(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	for i := 0; i < hosts; i++ {
+		if st := f.ChaosStats(fmt.Sprintf("inst%d.example", i)); st.Requests != 4 {
+			t.Fatalf("inst%d.example counted %d attempts, want 4", i, st.Requests)
+		}
+	}
 }
 
 func TestServeStopIdempotent(t *testing.T) {
@@ -314,11 +342,7 @@ func TestServeStopIdempotent(t *testing.T) {
 func BenchmarkHTTPRequest(b *testing.B) {
 	f := NewFabric()
 	defer f.Close()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	})
-	stop, err := f.Serve(context.Background(), "bench.example", mux)
+	stop, err := f.Serve(context.Background(), "bench.example", okHandler)
 	if err != nil {
 		b.Fatal(err)
 	}
