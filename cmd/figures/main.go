@@ -1,12 +1,17 @@
-// Command figures regenerates the paper's figures from a stored dataset
-// (written by migratrack -out) or, absent one, from a fresh pipeline
-// run.
+// Command figures runs the full reproduction pipeline and prints the
+// paper's figures: it generates a synthetic world, serves the simulated
+// platforms, runs the paper's §3 crawl against them and computes every
+// analysis. With -data it analyzes a stored dataset instead.
 //
 // Usage:
 //
-//	figures -data DIR [-fig N|all]
-//	figures -migrants 500 -fig 5
-//	figures -workers 4 -timing        # parallel analysis + per-pass wall-clock
+//	figures [-migrants N] [-seed S] [-toxicity] [-out DIR [-salt S]] [-fig N|all|summary]
+//	figures -data DIR [-fig N|all|summary]
+//	figures -workers 4 -timing        # parallel analysis + per-pass and crawl progress logs
+//
+// With -out the crawled dataset is anonymized (§3.4) and written as
+// gzip JSONL with a manifest, which -data loads. A loaded dataset is
+// already anonymized, so -out with -data is an error.
 package main
 
 import (
@@ -24,17 +29,24 @@ import (
 )
 
 func main() {
-	data := flag.String("data", "", "dataset directory written by migratrack -out")
+	data := flag.String("data", "", "dataset directory written by figures -out")
 	migrants := flag.Int("migrants", 500, "world size when no -data is given")
-	seed := flag.Uint64("seed", 1, "world seed when no -data is given")
-	fig := flag.String("fig", "all", `figure number 1-16 or "all"`)
+	seed := flag.Uint64("seed", 1, "world seed when no -data is given (identical seeds give identical runs)")
+	toxicity := flag.Bool("toxicity", false, "score every post via the Perspective-style service during the crawl (slower, faithful); otherwise scores are computed locally at analysis time")
+	out := flag.String("out", "", "directory to write the anonymized dataset to")
+	salt := flag.String("salt", "flock-default-salt", "anonymization salt for -out")
+	fig := flag.String("fig", "all", `what to print: a figure number 1-16, "all", or "summary"`)
 	workers := flag.Int("workers", 0, "worker pool of the overlap, toxicity and hashtag passes (0 = GOMAXPROCS); results are identical at any setting")
-	timing := flag.Bool("timing", false, "log per-analysis elapsed wall-clock to stderr")
+	timing := flag.Bool("timing", false, "log crawl progress and per-analysis elapsed wall-clock to stderr")
 	flag.Parse()
+	if *data != "" && *out != "" {
+		fmt.Fprintln(os.Stderr, "-out needs a crawl: a dataset loaded with -data is already anonymized")
+		os.Exit(2)
+	}
 
 	var res *core.Result
 	cfg := core.DefaultConfig(*migrants)
-	cfg.ScoreToxicity = false
+	cfg.ScoreToxicity = *toxicity
 	cfg.AnalysisWorkers = *workers
 	if *timing {
 		cfg.Logf = log.Printf
@@ -59,14 +71,25 @@ func main() {
 		log.Printf("pipeline+analysis total %s", time.Since(analyzeStart).Round(time.Millisecond))
 	}
 
-	if *fig == "all" {
+	switch *fig {
+	case "all":
 		fmt.Print(report.All(res))
-		return
+	case "summary":
+		fmt.Print(report.Summary(res))
+	default:
+		n, err := strconv.Atoi(*fig)
+		if err != nil || report.Figure(res, n) == "" {
+			fmt.Fprintf(os.Stderr, "unknown -fig %q (want 1-16, all, summary)\n", *fig)
+			os.Exit(2)
+		}
+		fmt.Print(report.Figure(res, n))
 	}
-	n, err := strconv.Atoi(*fig)
-	if err != nil || report.Figure(res, n) == "" {
-		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *fig)
-		os.Exit(2)
+
+	if *out != "" {
+		anon := store.NewAnonymizer(*salt).Anonymize(res.Dataset)
+		if err := store.Save(*out, anon, true); err != nil {
+			log.Fatalf("saving dataset: %v", err)
+		}
+		fmt.Fprintf(os.Stderr, "anonymized dataset written to %s\n", *out)
 	}
-	fmt.Print(report.Figure(res, n))
 }

@@ -22,9 +22,13 @@ import (
 // Records applied since (see store.FileCheckpoint). v4 replaces the four
 // per-phase done sets, and the timeline phases' use of the dataset as
 // theirs, with the one Done set; UnmarshalJSON reads v1–v3 snapshots
-// into it. Decoders refuse versions newer than this constant rather than
-// silently dropping fields they do not understand.
-const ProgressVersion = 4
+// into it. v5 keeps each unit's gap and quarantine skip, which its
+// record carries, in Gaps and Skipped across phase ends, so a resumed
+// crawl reports the whole crawl. v1–v4 files load with both empty: the
+// gaps recorded before their kill are unknown. Decoders refuse versions
+// newer than this constant rather than silently dropping fields they do
+// not understand.
+const ProgressVersion = 5
 
 // The §3 pipeline's phases, in execution order. Progress.Phase holds the
 // highest phase that has fully completed, so a resumed crawl re-enters
@@ -52,7 +56,9 @@ type SeenTweet struct {
 // records (Progress.Apply) is the only way the crawler changes a
 // progress; the package comment lists each phase's records. A unit
 // record names its unit in Key; an End record, and the scores a
-// cancelled toxicity phase saves, have no key.
+// cancelled toxicity phase saves, have no key. A unit that failed
+// terminally carries its gap, and the host that the host gate skipped
+// when that failure is a quarantine skip.
 //
 // The slice payloads behind pointers keep present-versus-absent through
 // JSON: a nil pointer adds no dataset entry, a pointer to an empty slice
@@ -61,6 +67,10 @@ type Record struct {
 	Phase int    `json:"phase"`
 	Key   string `json:"key,omitempty"`
 	End   bool   `json:"end,omitempty"`
+	// Gap is the unit's terminal failure as its error text.
+	Gap string `json:"gap,omitempty"`
+	// SkippedHost is the quarantined host whose skip is the gap.
+	SkippedHost string `json:"skipped_host,omitempty"`
 
 	Instances  *[]IndexedInstance `json:"instances,omitempty"`
 	Class      QueryClass         `json:"class,omitempty"`
@@ -99,6 +109,11 @@ type Progress struct {
 	// Done marks the finished units of the phase in progress by key,
 	// failed ones included; cleared when the phase completes (schema v4).
 	Done map[string]bool `json:"done"`
+	// Gaps maps phase to unit key to the gap of every unit that failed
+	// terminally, and Skipped maps host to the units whose gap is its
+	// quarantine skip. Both outlive their phase (schema v5).
+	Gaps    map[int]map[string]string `json:"gaps,omitempty"`
+	Skipped map[string]int            `json:"skipped,omitempty"`
 
 	// seq counts the records applied since the progress was created or
 	// decoded; journal holds the last len(journal) of them while
@@ -208,6 +223,12 @@ func (p *Progress) normalize() {
 	if p.Done == nil {
 		p.Done = map[string]bool{}
 	}
+	if p.Gaps == nil {
+		p.Gaps = map[int]map[string]string{}
+	}
+	if p.Skipped == nil {
+		p.Skipped = map[string]int{}
+	}
 }
 
 // Apply applies one record to the progress, live and when a checkpoint
@@ -282,6 +303,15 @@ func (p *Progress) apply(r Record) error {
 		}
 	default:
 		return errors.New("phase has no unit records")
+	}
+	if r.Gap != "" {
+		if p.Gaps[r.Phase] == nil {
+			p.Gaps[r.Phase] = map[string]string{}
+		}
+		p.Gaps[r.Phase][r.Key] = r.Gap
+	}
+	if r.SkippedHost != "" {
+		p.Skipped[r.SkippedHost]++
 	}
 	p.Done[r.Key] = true
 	return nil
@@ -462,12 +492,14 @@ func (m *MemCheckpoint) Saves() int {
 // tracker serializes all changes to the in-flight Progress, which it
 // makes only through Progress.Apply, and drives checkpoint saves: one
 // Save per `every` completed units, plus a flush at every phase boundary.
+// Crawler.Report reads the progress under the same lock.
 type tracker struct {
 	mu      sync.Mutex
 	ckpt    Checkpoint // nil: no persistence
 	every   int
 	pending int
 	prog    *Progress
+	resumed bool                    // prog came from the checkpoint
 	health  *httpkit.HealthRegistry // nil: no health persistence
 }
 
@@ -532,7 +564,8 @@ func (t *tracker) flush() error {
 // per-host health and error taxonomy from the circuit-breaker registry,
 // plus every unit of work that failed terminally, instead of the gaps
 // being silently dropped (the paper reports its own failure taxonomy in
-// §3.2 the same way).
+// §3.2 the same way). The gap maps and SkippedQuarantined are read from
+// the crawl's progress, so they cover the whole crawl across resumes.
 type CrawlReport struct {
 	// Resumed is true when the run continued from a checkpoint.
 	Resumed bool
@@ -555,12 +588,16 @@ type CrawlReport struct {
 	ActivityGaps map[string]string
 	// SkippedQuarantined lists hosts the host gate refused to dial
 	// because the (possibly resumed) health registry had them
-	// quarantined, mapped to a short account of what was skipped. Units
-	// on these hosts also appear in the per-phase gap maps above; this
-	// map is the host-level rollup.
+	// quarantined, mapped to a short account of what was skipped. It
+	// counts work units whose gap is the skip, so those units also
+	// appear in the per-phase gap maps above; an exchange the gate
+	// refused without failing its unit (a mapping lookup, which leaves
+	// the pair unverified) is not counted.
 	SkippedQuarantined map[string]string
 	// HTTPStats is the shared client's counter snapshot: requests,
-	// retries, hedges fired/won/denied, breaker short-circuits.
+	// retries, hedges fired/won/denied, breaker short-circuits. It
+	// counts this process's requests only, not those of a run it
+	// resumed.
 	HTTPStats httpkit.Stats
 	// HostLimits is the host gate's final per-host AIMD window (nil
 	// when adaptation is off).
@@ -593,49 +630,20 @@ func (r *CrawlReport) Summary() string {
 		len(r.FolloweeGaps), len(r.ActivityGaps))
 }
 
-// report accumulates gap records during a run; Crawler.Report snapshots
-// it.
-type reportState struct {
-	mu                 sync.Mutex
-	resumed            bool
-	gaps               map[int]map[string]string // phase -> unit key -> error
-	skippedQuarantined map[string]int            // host -> work units skipped
-}
-
-func newReportState() *reportState {
-	return &reportState{gaps: map[int]map[string]string{}, skippedQuarantined: map[string]int{}}
-}
-
-// note records a unit's gap; runPhase is its only caller.
-func (r *reportState) note(phase int, key string, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gaps[phase] == nil {
-		r.gaps[phase] = map[string]string{}
-	}
-	r.gaps[phase][key] = err.Error()
-}
-
-// noteSkip counts one work unit the host gate skipped against host.
-func (r *reportState) noteSkip(host string) {
-	r.mu.Lock()
-	r.skippedQuarantined[host]++
-	r.mu.Unlock()
-}
-
 // Report snapshots the crawl's failure accounting and per-host health.
-// Call it after Run returns; it is also valid after a cancelled run (the
-// report then covers the work attempted so far).
+// It is valid before, during and after Run, a cancelled run included:
+// the report covers the units the progress holds so far.
 func (c *Crawler) Report() *CrawlReport {
-	c.rep.mu.Lock()
-	defer c.rep.mu.Unlock()
+	t := c.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	gaps := func(phase int) map[string]string {
-		out := make(map[string]string, len(c.rep.gaps[phase]))
-		maps.Copy(out, c.rep.gaps[phase])
+		out := make(map[string]string, len(t.prog.Gaps[phase]))
+		maps.Copy(out, t.prog.Gaps[phase])
 		return out
 	}
 	rep := &CrawlReport{
-		Resumed:                  c.rep.resumed,
+		Resumed:                  t.resumed,
 		Hosts:                    c.health.Snapshot(),
 		FailedQueries:            gaps(phaseTweets),
 		DroppedAuthors:           gaps(phaseMapping),
@@ -647,7 +655,7 @@ func (c *Crawler) Report() *CrawlReport {
 		HTTPStats:                c.client.Stats(),
 		HostLimits:               c.gate.Limits(),
 	}
-	for host, units := range c.rep.skippedQuarantined {
+	for host, units := range t.prog.Skipped {
 		opens := 0
 		for _, h := range rep.Hosts {
 			if h.Host == host {
@@ -660,41 +668,36 @@ func (c *Crawler) Report() *CrawlReport {
 	return rep
 }
 
-// begin loads (or starts) progress and builds the run's tracker.
-func (c *Crawler) begin() (*tracker, error) {
-	t := &tracker{ckpt: c.cfg.Checkpoint, every: c.cfg.CheckpointEvery, health: c.health}
-	if t.every <= 0 {
-		t.every = 32
-	}
-	if t.ckpt == nil {
-		t.prog = newProgress()
-		return t, nil
-	}
-	prog, err := t.ckpt.Load()
-	if err != nil {
-		return nil, fmt.Errorf("crawler: checkpoint load: %w", err)
-	}
-	if prog == nil {
-		prog = newProgress()
-	} else {
-		if prog.Version > ProgressVersion {
-			return nil, fmt.Errorf("crawler: checkpoint schema v%d is newer than supported v%d", prog.Version, ProgressVersion)
+// begin loads (or starts) the run's progress and notes whether it
+// resumed.
+func (c *Crawler) begin() error {
+	t := c.t
+	prog, resumed := newProgress(), false
+	if t.ckpt != nil {
+		loaded, err := t.ckpt.Load()
+		if err != nil {
+			return fmt.Errorf("crawler: checkpoint load: %w", err)
 		}
-		prog.normalize()
-		// Seed the registry with the persisted health snapshot so the
-		// host gate skips hosts quarantined before the kill. v1 files carry
-		// no snapshot and resume with an empty registry.
-		if !c.cfg.NoHealthResume && len(prog.Health) > 0 {
-			c.health.ImportHealth(prog.Health)
+		if loaded != nil {
+			if loaded.Version > ProgressVersion {
+				return fmt.Errorf("crawler: checkpoint schema v%d is newer than supported v%d", loaded.Version, ProgressVersion)
+			}
+			loaded.normalize()
+			// Seed the registry with the persisted health snapshot so the
+			// host gate skips hosts quarantined before the kill. v1 files
+			// carry no snapshot and resume with an empty registry.
+			if !c.cfg.NoHealthResume && len(loaded.Health) > 0 {
+				c.health.ImportHealth(loaded.Health)
+			}
+			loaded.Version = ProgressVersion
+			prog, resumed = loaded, true
 		}
-		prog.Version = ProgressVersion
-		c.rep.mu.Lock()
-		c.rep.resumed = true
-		c.rep.mu.Unlock()
+		prog.StartJournal()
 	}
-	prog.StartJournal()
-	t.prog = prog
-	return t, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.prog, t.resumed, t.pending = prog, resumed, 0
+	return nil
 }
 
 // parseTweetTime is the shared RFC3339 parse for crawl phases.

@@ -18,11 +18,13 @@
 // gap, the terminal failure CrawlReport lists under the key. One runner
 // runs every such phase: it skips the keys already in Progress.Done and
 // schedules each key once, fans the units out over Concurrency workers,
-// writes every unit's record (with or without a gap) and ends the phase.
-// When the crawl's context is done as a fetch returns, the runner writes
-// neither the unit's record nor its gap: the phase fails with the
-// context error, and a resumed run fetches the unit again. The instance
-// index is one request whose failure is fatal, so it has no units.
+// writes every unit's record and ends the phase. A failed unit's record
+// carries its gap as Gap and, when the gap is the host gate's quarantine
+// skip, the skipped host as SkippedHost. When the crawl's context is
+// done as a fetch returns, the runner writes nothing for the unit: the
+// phase fails with the context error, and a resumed run fetches the unit
+// again. The instance index is one request whose failure is fatal, so it
+// has no units.
 //
 // Toxicity scoring is not a runner phase. It has one request per post
 // and no unit keys or gaps: its End record carries every score, and a
@@ -37,7 +39,11 @@
 // persist a snapshot plus the records applied since, and a resumed
 // progress replays them through the same function. A unit record's key
 // joins Progress.Done, the one done set, and every End record clears it,
-// so it only ever holds units of the phase in progress.
+// so it only ever holds units of the phase in progress. A unit record's
+// Gap joins Progress.Gaps under its phase and key, and its SkippedHost
+// counts one unit in Progress.Skipped. End records leave both, so they
+// outlive their phase and hold the failures of the whole crawl, which
+// Crawler.Report reads.
 //
 //	phase        key         payload             Apply
 //	index        (End)       Instances           sets Dataset.Instances
@@ -60,6 +66,7 @@
 //	toxicity     (End)       Scores              sets every timeline
 //	                                             post's score
 //
+// A unit record of any keyed phase may also carry Gap and SkippedHost.
 // A unit record whose key is already done is an error. The End records
 // of the timeline, followee and activity phases only clear Done and
 // advance the phase.

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"html"
 	"maps"
@@ -102,7 +103,7 @@ type Crawler struct {
 	gate    *hostGate
 	twHost  string
 	toxHost string
-	rep     *reportState
+	t       *tracker
 }
 
 // New builds a Crawler. All service clients share ONE httpkit client —
@@ -112,6 +113,9 @@ type Crawler struct {
 func New(cfg Config) *Crawler {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 8
+	}
+	if cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = 32
 	}
 	if cfg.Keywords == nil {
 		cfg.Keywords = DefaultKeywords
@@ -135,7 +139,7 @@ func New(cfg Config) *Crawler {
 		gate:    newHostGate(cfg.Adaptive, health, cfg.Concurrency, vclock.Wall),
 		twHost:  hostOf(cfg.TwitterBase),
 		toxHost: hostOf(cfg.PerspectiveBase),
-		rep:     newReportState(),
+		t:       &tracker{ckpt: cfg.Checkpoint, every: cfg.CheckpointEvery, prog: newProgress(), health: health},
 	}
 	return c
 }
@@ -174,8 +178,9 @@ func waitPhase(ctx context.Context, g *httpkit.Group, phase string) error {
 func (c *Crawler) Health() *httpkit.HealthRegistry { return c.health }
 
 // unit is one resumable work unit of a keyed phase. fetch returns the
-// unit's record and its gap: a terminal failure the crawl report lists
-// under the unit's key. The record is written either way.
+// unit's record and its gap: a terminal failure, which the record
+// carries and the crawl report lists under the unit's key. The record is
+// written either way.
 type unit struct {
 	key   string
 	fetch func(ctx context.Context) (Record, error)
@@ -210,10 +215,10 @@ var keyedPhases = []struct {
 // Run again resumes at the first incomplete phase and skips work units
 // that already finished.
 func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
-	t, err := c.begin()
-	if err != nil {
+	if err := c.begin(); err != nil {
 		return nil, err
 	}
+	t := c.t
 	prog := t.prog
 	ds := prog.Dataset
 
@@ -265,9 +270,10 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 
 // runPhase runs a keyed phase's units through one worker group, skipping
 // the ones the progress already has done, then ends the phase. It writes
-// each unit's record and notes its gap. A unit whose fetch returns after
-// ctx is done writes neither: the phase fails with the context error,
-// and a resumed run fetches the unit again.
+// each unit's record, with its gap and quarantine skip if it has them. A
+// unit whose fetch returns after ctx is done writes nothing: the phase
+// fails with the context error, and a resumed run fetches the unit
+// again.
 func (c *Crawler) runPhase(ctx context.Context, t *tracker, phase int, name string, units []unit) error {
 	// Copy the done set before scheduling (workers add to the live one)
 	// and mark each key as it is scheduled, so a key listed twice (a
@@ -284,10 +290,14 @@ func (c *Crawler) runPhase(ctx context.Context, t *tracker, phase int, name stri
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if gap != nil {
-				c.rep.note(phase, u.key, gap)
-			}
 			rec.Phase, rec.Key = phase, u.key
+			if gap != nil {
+				rec.Gap = gap.Error()
+				var skip *quarantineSkip
+				if errors.As(gap, &skip) {
+					rec.SkippedHost = skip.host
+				}
+			}
 			return t.record(rec)
 		})
 	}

@@ -61,16 +61,24 @@ const (
 // CrawlReport.SkippedQuarantined.
 var errQuarantineSkip = errors.New("host quarantined, skipped by planner")
 
+// quarantineSkip is the error under returns for a quarantined host: it
+// reads as errQuarantineSkip, unwraps to it and names the host, which
+// runPhase files in the unit's record.
+type quarantineSkip struct{ host string }
+
+func (e *quarantineSkip) Error() string { return errQuarantineSkip.Error() }
+
+func (e *quarantineSkip) Unwrap() error { return errQuarantineSkip }
+
 // under runs fetch as one exchange with host, admitted by the crawl's
 // host gate.
 //
 // For a fediverse instance it first reads the health registry's
 // verdict, taken when the unit runs, so known-dead hosts (including
 // ones learned by a previous run and restored from the checkpoint) cost
-// no dials, retries or breaker probes. A quarantined host returns
-// errQuarantineSkip without dialing (and counts the skip); a host past
-// probation is admitted one exchange at a time, as a probe, until it
-// proves itself again.
+// no dials, retries or breaker probes. A quarantined host returns a
+// *quarantineSkip without dialing; a host past probation is admitted one
+// exchange at a time, as a probe, until it proves itself again.
 //
 // The crawl's own backends (the Twitter archive and Perspective) are
 // never skipped or probed: if they are down the crawl cannot proceed at
@@ -84,8 +92,7 @@ func under[T any](ctx context.Context, c *Crawler, host string, fetch func() (T,
 	if host != c.twHost && host != c.toxHost {
 		switch h := c.health.Health(host); {
 		case h.Quarantined:
-			c.rep.noteSkip(host)
-			return zero, errQuarantineSkip
+			return zero, &quarantineSkip{host}
 		case h.Probation:
 			probe = true
 		}

@@ -21,10 +21,12 @@ import (
 )
 
 // journalCheckpoint keeps every record the crawl applies, in order: each
-// Save appends the records journaled since the last one and trims them.
+// Save appends the records journaled since the last one and trims them,
+// and keeps the progress it was given.
 type journalCheckpoint struct {
 	seq  int
 	recs []crawler.Record
+	prog *crawler.Progress
 }
 
 func (j *journalCheckpoint) Load() (*crawler.Progress, error) { return nil, nil }
@@ -37,29 +39,36 @@ func (j *journalCheckpoint) Save(p *crawler.Progress) error {
 	j.recs = append(j.recs, recs...)
 	j.seq = p.Seq()
 	p.TrimJournal(j.seq)
+	j.prog = p
 	return nil
 }
 
 // FuzzApplyCommutes: within a phase, unit records commute. The journal
-// of one crawl of a sparse world, replayed with each phase's unit
-// records in a fuzzed order and checkpointed at a fuzzed point (the
-// prefix goes through Progress.Clone, the snapshot layout), yields the
-// crawl's dataset byte for byte. Units overlap only where two queries
-// return the same tweet, and the instance-link class wins whatever the
-// order; the End records' sorts join the rest.
+// of one crawl of a sparse world with one instance down and one
+// quarantined (cripple), replayed with each phase's unit records in a
+// fuzzed order and checkpointed at a fuzzed point (the prefix goes
+// through Progress.Clone, the snapshot layout), yields the crawl's
+// dataset byte for byte, and its gaps and quarantine skips. Units
+// overlap only where two queries return the same tweet, and the
+// instance-link class wins whatever the order; the End records' sorts
+// join the rest.
 func FuzzApplyCommutes(f *testing.F) {
 	e := newSoakEnvFrom(f, sparseWorld())
 	jc := &journalCheckpoint{}
 	cfg := e.config()
 	cfg.ScoreToxicity = true
 	cfg.Checkpoint = jc
-	ds, err := crawler.New(cfg).Run(context.Background())
+	ds, err := cripple(f, e)(cfg).Run(context.Background())
 	if err != nil {
 		f.Fatal(err)
 	}
 	want, err := json.Marshal(ds)
 	if err != nil {
 		f.Fatal(err)
+	}
+	wantGaps, wantSkipped := jc.prog.Gaps, jc.prog.Skipped
+	if len(wantGaps) == 0 || len(wantSkipped) == 0 {
+		f.Fatalf("crawl recorded gaps %v and skips %v; want both", wantGaps, wantSkipped)
 	}
 	// Replay what a checkpoint would: the records as JSON decodes them.
 	raw, err := json.Marshal(jc.recs)
@@ -97,6 +106,9 @@ func FuzzApplyCommutes(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("replay cut at %d of %d records, order %x: dataset differs (%d bytes, want %d)", n, len(recs), perm, len(got), len(want))
+		}
+		if !maps.EqualFunc(p.Gaps, wantGaps, maps.Equal) || !maps.Equal(p.Skipped, wantSkipped) {
+			t.Fatalf("replay cut at %d of %d records, order %x: gaps %v, skipped %v; want %v, %v", n, len(recs), perm, p.Gaps, p.Skipped, wantGaps, wantSkipped)
 		}
 	})
 }
@@ -138,6 +150,43 @@ func shuffleUnits(journal []crawler.Record, perm []byte) []crawler.Record {
 		start = i + 1
 	}
 	return recs
+}
+
+// TestReportDuringRun reads the report before, during and after a crawl
+// with gaps and skips (cripple), from a goroutine other than the crawl's.
+// The report is a view of the crawl's progress, so it starts empty and
+// its gap count only grows, up to the finished crawl's.
+func TestReportDuringRun(t *testing.T) {
+	e := newSoakEnvFrom(t, sparseWorld())
+	c := cripple(t, e)(e.config())
+	if rep := c.Report(); rep.Resumed || rep.GapCount() != 0 || len(rep.SkippedQuarantined) != 0 {
+		t.Fatalf("report before Run: %s", rep.Summary())
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(context.Background())
+		done <- err
+	}()
+	gaps, reads := 0, 0
+	for running := true; running; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		rep := c.Report()
+		if rep.GapCount() < gaps {
+			t.Fatalf("report went back from %d gaps: %s", gaps, rep.Summary())
+		}
+		gaps = rep.GapCount()
+	}
+	if rep := c.Report(); gaps == 0 || len(rep.SkippedQuarantined) != 1 {
+		t.Fatalf("finished crawl: %s; want gaps and one skipped host", rep.Summary())
+	}
+	t.Logf("%d reads, %d gaps", reads, gaps)
 }
 
 // cancelAt cancels the crawl when the n-th request of one endpoint class
@@ -216,16 +265,17 @@ func TestCancelledUnitsLeaveNoGap(t *testing.T) {
 	}
 }
 
-// legacyDone reads a v3 checkpoint file as the v3 code wrote it and
-// returns the done keys of phase, the phase in progress: the snapshot's
-// set for it (or its timelines, for the timeline phases) when the
-// snapshot is in that phase, plus the keys of the frames' unit records
-// of it.
-func legacyDone(t *testing.T, raw []byte, phase int) map[string]bool {
+// legacyDone reads a v3 or v4 checkpoint file as that schema's code
+// wrote it and returns the done keys of phase, the phase in progress:
+// the snapshot's set for it when the snapshot is in that phase (v3 kept
+// one set per phase, or took the dataset's timelines as the timeline
+// phases' set; v4 keeps the one done set), plus the keys of the frames'
+// unit records of it.
+func legacyDone(t *testing.T, raw []byte, version, phase int) map[string]bool {
 	t.Helper()
 	const trailer = 16
 	if len(raw) < trailer || string(raw[len(raw)-trailer:][:8]) != "flockck3" {
-		t.Fatal("not a v3 file")
+		t.Fatal("not a framed checkpoint file")
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(raw[:len(raw)-trailer]))
 	if err != nil {
@@ -235,7 +285,7 @@ func legacyDone(t *testing.T, raw []byte, phase int) map[string]bool {
 	var snap struct {
 		Version       int             `json:"version"`
 		Phase         int             `json:"phase"`
-		Done          json.RawMessage `json:"done"`
+		Done          map[string]bool `json:"done"`
 		DoneQueries   map[string]bool `json:"done_queries"`
 		DoneAuthors   map[string]bool `json:"done_authors"`
 		DoneFollowees map[string]bool `json:"done_followees"`
@@ -248,11 +298,15 @@ func legacyDone(t *testing.T, raw []byte, phase int) map[string]bool {
 	if err := dec.Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 3 || snap.Done != nil {
-		t.Fatalf("snapshot version %d, done %s: not a v3 snapshot", snap.Version, snap.Done)
+	if snap.Version != version || (snap.Done != nil) != (version >= 4) {
+		t.Fatalf("snapshot version %d, done %v: not a v%d snapshot", snap.Version, snap.Done, version)
 	}
 	done := map[string]bool{}
-	if snap.Phase+1 == phase {
+	switch {
+	case snap.Phase+1 != phase:
+	case version >= 4:
+		maps.Copy(done, snap.Done)
+	default:
 		sets := map[int]map[string]bool{2: snap.DoneQueries, 3: snap.DoneAuthors, 6: snap.DoneFollowees, 7: snap.DoneActivity}
 		maps.Copy(done, sets[phase])
 		timelines := map[int]map[string]json.RawMessage{4: snap.Dataset.TwitterTimelines, 5: snap.Dataset.MastodonTimelines}
@@ -278,6 +332,13 @@ func legacyDone(t *testing.T, raw []byte, phase int) map[string]bool {
 	return done
 }
 
+// fixture is a committed checkpoint file and the phase in progress in
+// it.
+type fixture struct {
+	file  string
+	phase int
+}
+
 // TestCheckpointV3Fixtures resumes from real v3 checkpoint files, written
 // by the v3 code and killed inside each phase that kept done units (see
 // testdata/README.md). Each must load with the done set of the phase in
@@ -286,6 +347,26 @@ func legacyDone(t *testing.T, raw []byte, phase int) map[string]bool {
 // lost set in the timeline phases: fetching those timelines again
 // rewrites identical entries.
 func TestCheckpointV3Fixtures(t *testing.T) {
+	testFixtures(t, 3, []fixture{
+		{"v3_tweets.ckpt.gz", 2},
+		{"v3_mapping.ckpt.gz", 3},
+		{"v3_twitter_tl.ckpt.gz", 4},
+		{"v3_mastodon_tl.ckpt.gz", 5},
+	})
+}
+
+// TestCheckpointV4Fixtures does the same for real v4 files, which carry
+// no gaps (see testdata/README.md): killed inside the Mastodon timelines
+// and inside activity, each resumes to the uninterrupted dataset and
+// re-saves as the current schema.
+func TestCheckpointV4Fixtures(t *testing.T) {
+	testFixtures(t, 4, []fixture{
+		{"v4_mastodon_tl.ckpt.gz", 5},
+		{"v4_activity.ckpt.gz", 7},
+	})
+}
+
+func testFixtures(t *testing.T, version int, fixtures []fixture) {
 	config := func(e *soakEnv) crawler.Config {
 		cfg := e.config()
 		cfg.Concurrency = 2
@@ -301,21 +382,13 @@ func TestCheckpointV3Fixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fx := range []struct {
-		file  string
-		phase int // the phase in progress
-	}{
-		{"v3_tweets.ckpt.gz", 2},
-		{"v3_mapping.ckpt.gz", 3},
-		{"v3_twitter_tl.ckpt.gz", 4},
-		{"v3_mastodon_tl.ckpt.gz", 5},
-	} {
+	for _, fx := range fixtures {
 		t.Run(fx.file, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", fx.file))
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy := legacyDone(t, raw, fx.phase)
+			legacy := legacyDone(t, raw, version, fx.phase)
 			if len(legacy) == 0 {
 				t.Fatal("fixture holds no done units")
 			}

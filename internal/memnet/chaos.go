@@ -230,76 +230,6 @@ type Storm struct {
 	Specs map[string]*ChaosSpec
 }
 
-// StormConfig tunes RandomStorm's fault mix. Fractions are of the host
-// list and need not sum to 1; leftover hosts get light latency jitter
-// only.
-type StormConfig struct {
-	FracDead      float64 // permanently down
-	FracFlapping  float64 // scripted down/up windows
-	FracLossy     float64 // probabilistic dial failures
-	FracThrottled float64 // byte-rate throttled + occasional resets
-}
-
-// DefaultStorm mirrors the paper's observed failure mix: ~8% of hosts
-// dead outright, plus flapping, lossy and throttled cohorts.
-var DefaultStorm = StormConfig{FracDead: 0.08, FracFlapping: 0.10, FracLossy: 0.15, FracThrottled: 0.10}
-
-// RandomStorm deals the hosts into fault cohorts using the seeded source.
-// The same (seed, hosts) input always yields the same storm. Hosts the
-// caller must keep alive (core services) should simply be left off the
-// list.
-func RandomStorm(rng *randx.Source, hosts []string, cfg StormConfig) *Storm {
-	st := &Storm{Specs: make(map[string]*ChaosSpec)}
-	n := len(hosts)
-	if n == 0 {
-		return st
-	}
-	order := make([]string, n)
-	copy(order, hosts)
-	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-	count := func(frac float64) int { return int(float64(n) * frac) }
-	i := 0
-	take := func(k int) []string {
-		if i+k > n {
-			k = n - i
-		}
-		out := order[i : i+k]
-		i += k
-		return out
-	}
-	st.Dead = append(st.Dead, take(count(cfg.FracDead))...)
-	seed := rng.Uint64()
-	for _, h := range take(count(cfg.FracFlapping)) {
-		st.Specs[h] = &ChaosSpec{
-			Seed:          seed,
-			FlapUpDials:   3 + rng.Intn(6),
-			FlapDownDials: 2 + rng.Intn(6),
-			Latency:       time.Millisecond,
-			Jitter:        2 * time.Millisecond,
-		}
-	}
-	for _, h := range take(count(cfg.FracLossy)) {
-		st.Specs[h] = &ChaosSpec{
-			Seed:      seed,
-			PDialFail: 0.15 + 0.25*rng.Float64(),
-			Jitter:    2 * time.Millisecond,
-		}
-	}
-	for _, h := range take(count(cfg.FracThrottled)) {
-		st.Specs[h] = &ChaosSpec{
-			Seed:        seed,
-			BytesPerSec: 64 << 10,
-			PReset:      0.05,
-			Latency:     time.Millisecond,
-		}
-	}
-	for _, h := range order[i:] {
-		st.Specs[h] = &ChaosSpec{Seed: seed, Jitter: time.Millisecond}
-	}
-	return st
-}
-
 // Apply installs the storm on a fabric: dead hosts go down, the rest get
 // their chaos schedules.
 func (st *Storm) Apply(f *Fabric) {

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"flock/internal/randx"
 )
 
 // echoHandler responds with a fixed payload for body-level chaos tests.
@@ -164,43 +162,34 @@ func TestChaosLatencyJitterHonoursContext(t *testing.T) {
 	}
 }
 
-func TestRandomStormSeededAndApplied(t *testing.T) {
-	hosts := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
-	s1 := RandomStorm(randx.New(42), hosts, DefaultStorm)
-	s2 := RandomStorm(randx.New(42), hosts, DefaultStorm)
-	if len(s1.Dead) != len(s2.Dead) {
-		t.Fatalf("dead cohorts differ: %v vs %v", s1.Dead, s2.Dead)
+// TestStormApplyDownsDeadHostsAndSetsSpecs: Apply marks a storm's dead
+// hosts down and installs each spec on its host.
+func TestStormApplyDownsDeadHostsAndSetsSpecs(t *testing.T) {
+	storm := &Storm{
+		Dead:  []string{"a", "b"},
+		Specs: map[string]*ChaosSpec{"c": {Seed: 1, PDialFail: 1}, "d": {Seed: 2}},
 	}
-	for i := range s1.Dead {
-		if s1.Dead[i] != s2.Dead[i] {
-			t.Fatalf("dead cohorts differ: %v vs %v", s1.Dead, s2.Dead)
-		}
-	}
-	if len(s1.Specs) != len(s2.Specs) {
-		t.Fatalf("spec counts differ")
-	}
-	for h, sp := range s1.Specs {
-		o := s2.Specs[h]
-		if o == nil || *sp != *o {
-			t.Fatalf("spec for %s differs: %+v vs %+v", h, sp, o)
-		}
-	}
-	if len(s1.Dead)+len(s1.Specs) != len(hosts) {
-		t.Fatalf("storm does not cover all hosts: %d dead + %d specs", len(s1.Dead), len(s1.Specs))
-	}
-
 	f := NewFabric()
 	defer f.Close()
-	for _, h := range hosts {
+	for _, h := range []string{"a", "b", "c", "d"} {
 		if _, err := f.Serve(context.Background(), h, okHandler); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s1.Apply(f)
-	for _, h := range s1.Dead {
+	storm.Apply(f)
+	for _, h := range storm.Dead {
 		if err := get(f, "https://"+h+"/"); !errors.Is(err, ErrHostDown) {
 			t.Fatalf("request to dead host %s: %v", h, err)
 		}
+	}
+	if err := get(f, "https://c/"); err == nil || errors.Is(err, ErrHostDown) {
+		t.Fatalf("request to c, whose spec refuses every request: %v", err)
+	}
+	if err := get(f, "https://d/"); err != nil {
+		t.Fatalf("request to d, whose spec injects nothing: %v", err)
+	}
+	if st := f.ChaosStats("c"); st.FailedDials != 1 || st.Requests != 1 {
+		t.Fatalf("c's schedule saw %+v, want one request, refused", st)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"time"
 
 	"flock/internal/httpkit"
 )
@@ -143,9 +142,13 @@ func (f *Fabric) Serve(_ context.Context, host string, handler http.Handler) (st
 // fabric makes them work.
 func (f *Fabric) Transport() http.RoundTripper { return f }
 
-// Client returns an *http.Client routed over the fabric.
+// Client returns an *http.Client routed over the fabric. It sets no
+// timeout: every wait the fabric injects is finite and ends with the
+// request's context. The fabric is not an *http.Transport, so a client
+// timeout would cost a goroutine, a timer and a body wrapper per
+// request.
 func (f *Fabric) Client() *http.Client {
-	return httpkit.NewHTTPClient(f, 30*time.Second)
+	return httpkit.NewHTTPClient(f, 0)
 }
 
 // RoundTrip hands req to the handler bound to its URL's host, after the

@@ -23,7 +23,7 @@ import (
 // then a rename), so a crash mid-save leaves the previous checkpoint
 // intact and a resumed crawl never sees a torn file.
 //
-// The file (schemas v3 and v4) is a snapshot, then zero or more frames,
+// The file (schemas v3 to v5) is a snapshot, then zero or more frames,
 // then a trailer:
 //
 //	snapshot  one gzip member: the crawler.Progress as JSON (its schema
