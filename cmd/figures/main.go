@@ -35,12 +35,17 @@ func main() {
 	toxicity := flag.Bool("toxicity", false, "score every post via the Perspective-style service during the crawl (slower, faithful); otherwise scores are computed locally at analysis time")
 	out := flag.String("out", "", "directory to write the anonymized dataset to")
 	salt := flag.String("salt", "flock-default-salt", "anonymization salt for -out")
-	fig := flag.String("fig", "all", `what to print: a figure number 1-16, "all", or "summary"`)
+	fig := flag.String("fig", "all", fmt.Sprintf(`what to print: a figure number 1-%d, "all", or "summary"`, report.Figures))
 	workers := flag.Int("workers", 0, "worker pool of the overlap, toxicity and hashtag passes (0 = GOMAXPROCS); results are identical at any setting")
 	timing := flag.Bool("timing", false, "log crawl progress and per-analysis elapsed wall-clock to stderr")
 	flag.Parse()
 	if *data != "" && *out != "" {
 		fmt.Fprintln(os.Stderr, "-out needs a crawl: a dataset loaded with -data is already anonymized")
+		os.Exit(2)
+	}
+	figNum, err := strconv.Atoi(*fig)
+	if *fig != "all" && *fig != "summary" && (err != nil || figNum < 1 || figNum > report.Figures) {
+		fmt.Fprintf(os.Stderr, "unknown -fig %q (want 1-%d, all, summary)\n", *fig, report.Figures)
 		os.Exit(2)
 	}
 
@@ -61,7 +66,6 @@ func main() {
 		res = core.Analyze(ds, cfg)
 	} else {
 		cfg.World.Seed = *seed
-		var err error
 		res, err = core.Run(context.Background(), cfg)
 		if err != nil {
 			log.Fatalf("pipeline: %v", err)
@@ -77,12 +81,7 @@ func main() {
 	case "summary":
 		fmt.Print(report.Summary(res))
 	default:
-		n, err := strconv.Atoi(*fig)
-		if err != nil || report.Figure(res, n) == "" {
-			fmt.Fprintf(os.Stderr, "unknown -fig %q (want 1-16, all, summary)\n", *fig)
-			os.Exit(2)
-		}
-		fmt.Print(report.Figure(res, n))
+		fmt.Print(report.Figure(res, figNum))
 	}
 
 	if *out != "" {

@@ -244,6 +244,7 @@ func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := SearchResponse{Data: []TweetDTO{}}
 	var next string
+	author := u.TwitterID.String()
 	for i := len(timeline) - 1; i >= 0; i-- {
 		tw := &timeline[i]
 		if tw.ID >= beforeID {
@@ -259,7 +260,7 @@ func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		resp.Data = append(resp.Data, TweetDTO{
 			ID:        tw.ID.String(),
 			Text:      tw.Text,
-			AuthorID:  u.TwitterID.String(),
+			AuthorID:  author,
 			CreatedAt: tw.Time.UTC().Format(timeLayout),
 			Source:    tw.Source,
 		})

@@ -83,6 +83,7 @@ import (
 	"time"
 
 	"flock/internal/httpkit"
+	"flock/internal/jsonx"
 	"flock/internal/toxsvc"
 )
 
@@ -118,11 +119,42 @@ type UserJSON struct {
 	} `json:"public_metrics"`
 }
 
+// searchEnvelope is a page of the Twitter timeline and search
+// endpoints, the crawl's most fetched shape. It decodes itself without
+// reflection (see httpkit.SelfDecoder).
 type searchEnvelope struct {
 	Data []TweetJSON `json:"data"`
 	Meta struct {
 		NextToken string `json:"next_token"`
 	} `json:"meta"`
+}
+
+// The keys searchEnvelope's decoder reads, in the order of its fields.
+var (
+	envelopeKeys = []string{"data", "meta"}
+	metaKeys     = []string{"next_token"}
+	tweetKeys    = []string{"id", "text", "author_id", "created_at", "source"}
+)
+
+// DecodeJSON decodes a page with jsonx, or declines it.
+func (e *searchEnvelope) DecodeJSON(body []byte) bool {
+	s := jsonx.NewScanner(body)
+	var env searchEnvelope
+	s.Object(envelopeKeys, func(i int) {
+		if i == 1 {
+			s.Object(metaKeys, func(int) { env.Meta.NextToken = s.String() })
+			return
+		}
+		env.Data = jsonx.Slice(s, func(t *TweetJSON) {
+			fields := [...]*string{&t.ID, &t.Text, &t.AuthorID, &t.CreatedAt, &t.Source}
+			s.Object(tweetKeys, func(i int) { *fields[i] = s.String() })
+		})
+	})
+	if s.Declined() {
+		return false
+	}
+	*e = env
+	return true
 }
 
 type usersEnvelope struct {
@@ -228,6 +260,29 @@ type MastoStatusJSON struct {
 	Content   string `json:"content"`
 }
 
+// statusPage is a page of an account's statuses, the shape of every
+// Mastodon timeline request. It decodes itself without reflection (see
+// httpkit.SelfDecoder), checking and skipping the embedded account.
+type statusPage []MastoStatusJSON
+
+// statusKeys are the keys statusPage's decoder reads, in the order of
+// MastoStatusJSON's fields.
+var statusKeys = []string{"id", "created_at", "content"}
+
+// DecodeJSON decodes a page with jsonx, or declines it.
+func (p *statusPage) DecodeJSON(body []byte) bool {
+	s := jsonx.NewScanner(body)
+	page := jsonx.Slice(s, func(st *MastoStatusJSON) {
+		fields := [...]*string{&st.ID, &st.CreatedAt, &st.Content}
+		s.Object(statusKeys, func(i int) { *fields[i] = s.String() })
+	})
+	if s.Declined() {
+		return false
+	}
+	*p = page
+	return true
+}
+
 // ActivityJSON mirrors the weekly activity entity (string-typed counts).
 type ActivityJSON struct {
 	Week          string `json:"week"`
@@ -255,7 +310,7 @@ func (m *MastodonClient) Statuses(ctx context.Context, domain, accountID string)
 		if maxID != "" {
 			u += "&max_id=" + maxID
 		}
-		var page []MastoStatusJSON
+		var page statusPage
 		if err := m.C.GetJSON(ctx, u, &page); err != nil || len(page) == 0 {
 			return httpkit.Page[MastoStatusJSON]{}, err
 		}

@@ -218,8 +218,10 @@ func (s *Service) handleStatuses(w http.ResponseWriter, r *http.Request, st *ins
 		}
 		maxID = id
 	}
-	// Statuses by this user on THIS instance, newest first.
+	// Statuses by this user on THIS instance, newest first. They share
+	// one author, so the page renders the account once.
 	all := s.w.StatusesByUser[acc.User.ID]
+	account := s.accountDTO(acc, false)
 	out := []StatusDTO{}
 	for i := len(all) - 1; i >= 0 && len(out) < limit; i-- {
 		status := &all[i]
@@ -229,19 +231,21 @@ func (s *Service) handleStatuses(w http.ResponseWriter, r *http.Request, st *ins
 		if uint64(status.ID) >= maxID {
 			continue
 		}
-		out = append(out, s.statusDTO(status, acc))
+		out = append(out, s.statusDTO(status, acc, account))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Service) statusDTO(status *world.Status, acc *Account) StatusDTO {
+// statusDTO renders a status by acc, whose rendering is account.
+func (s *Service) statusDTO(status *world.Status, acc *Account, account AccountDTO) StatusDTO {
+	id := status.ID.String()
 	domain := s.w.Instances[status.InstanceID].Domain
 	return StatusDTO{
-		ID:        status.ID.String(),
+		ID:        id,
 		CreatedAt: status.Time.UTC().Format(timeLayout),
 		Content:   "<p>" + html.EscapeString(status.Text) + "</p>",
-		URL:       "https://" + domain + "/@" + acc.User.MastodonUsername + "/" + status.ID.String(),
-		Account:   s.accountDTO(acc, false),
+		URL:       "https://" + domain + "/@" + acc.User.MastodonUsername + "/" + id,
+		Account:   account,
 	}
 }
 
@@ -310,7 +314,7 @@ func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request, st *ins
 			if acc == nil {
 				continue
 			}
-			dto := s.statusDTO(status, acc)
+			dto := s.statusDTO(status, acc, s.accountDTO(acc, false))
 			remoteAcct(&dto.Account, status.InstanceID, st.inst.ID, s.w.Instances[status.InstanceID].Domain)
 			out = append(out, dto)
 		}

@@ -10,10 +10,13 @@
 // one pagination loop (Paginate) that drains cursor, max_id and offset
 // endpoints alike and stops on a repeated cursor, and a concurrency
 // group for fan-out crawls that bounds the running tasks, not the
-// waiting ones.
+// waiting ones. GetJSON reads each JSON body once into a reused buffer;
+// a destination that implements SelfDecoder decodes itself from those
+// bytes, and encoding/json decodes the rest.
 package httpkit
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -370,7 +373,33 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 	return nil, lastErr
 }
 
-// GetJSON fetches u and decodes the JSON response into out.
+// SelfDecoder is a GetJSON destination that decodes itself from the
+// bytes of a response body. DecodeJSON either sets the receiver to what
+// a json.Decoder's first Decode of body into a zero value gives, with a
+// nil error, and reports true, or leaves the receiver as it was and
+// reports false. It must not keep body, which GetJSON reuses.
+type SelfDecoder interface {
+	DecodeJSON(body []byte) bool
+}
+
+// bodies holds the buffers GetJSON reads response bodies into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPresize caps how far GetJSON grows a body buffer from a response's
+// Content-Length before reading, so a false length cannot make it
+// allocate more than this ahead of the bytes.
+const maxPresize = 8 << 20
+
+// GetJSON fetches u and decodes the JSON response into out, which holds
+// a zero value.
+//
+// It reads the body once, to its end or a read error, into a reused
+// buffer. When out is a SelfDecoder that accepts the bytes, GetJSON
+// returns nil, even when the read then failed: as with a json.Decoder
+// reading the body, a value that is whole before the failure decodes.
+// Otherwise a json.Decoder decodes the same bytes, followed by the same
+// read error, into out. A value cut short by a read error thus fails
+// with that error, wrapped.
 func (c *Client) GetJSON(ctx context.Context, u string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -381,12 +410,30 @@ func (c *Client) GetJSON(ctx context.Context, u string, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	if err := dec.Decode(out); err != nil {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
+	}
+	_, readErr := buf.ReadFrom(resp.Body)
+	if d, ok := out.(SelfDecoder); ok && d.DecodeJSON(buf.Bytes()) {
+		return nil
+	}
+	var body io.Reader = bytes.NewReader(buf.Bytes())
+	if readErr != nil {
+		body = io.MultiReader(body, failedRead{readErr})
+	}
+	if err := json.NewDecoder(body).Decode(out); err != nil {
 		return fmt.Errorf("httpkit: decoding %s: %w", u, err)
 	}
 	return nil
 }
+
+// failedRead is a reader whose every Read fails with err.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // NewHTTPClient builds the plain *http.Client that backs a Client's Doer.
 // Raw http.Client construction is confined to httpkit (the rawhttp

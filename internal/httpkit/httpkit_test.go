@@ -1,7 +1,9 @@
 package httpkit
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -286,6 +288,107 @@ func TestGetJSONBadJSON(t *testing.T) {
 	var out map[string]any
 	if err := c.GetJSON(context.Background(), "https://x.example/", &out); err == nil {
 		t.Fatal("bad JSON decoded without error")
+	}
+}
+
+// cutBody is a response body that ends in err instead of io.EOF, in the
+// same Read as its last bytes, as memnet's chaos reset does.
+type cutBody struct {
+	data []byte
+	err  error
+}
+
+func (b *cutBody) Read(p []byte) (int, error) {
+	n := copy(p, b.data)
+	b.data = b.data[n:]
+	if len(b.data) == 0 {
+		return n, b.err
+	}
+	return n, nil
+}
+
+func (b *cutBody) Close() error { return nil }
+
+var errCut = errors.New("connection reset by peer")
+
+// plainPage is a GetJSON destination that encoding/json decodes.
+type plainPage struct {
+	Name  string `json:"name"`
+	Users int    `json:"users"`
+}
+
+// selfPage is a GetJSON destination that decodes itself, as the first
+// value of body would decode into a zero plainPage.
+type selfPage plainPage
+
+func (p *selfPage) DecodeJSON(body []byte) bool {
+	var v plainPage
+	if json.NewDecoder(bytes.NewReader(body)).Decode(&v) != nil {
+		return false
+	}
+	*p = selfPage(v)
+	return true
+}
+
+// TestGetJSONReadError pins what GetJSON makes of a body whose read
+// fails after some bytes: a value that is whole before the failure
+// decodes and GetJSON returns nil, with or without its newline; a value
+// cut in the middle fails with the read error, wrapped. Each case runs
+// with a destination encoding/json decodes and one that decodes itself.
+func TestGetJSONReadError(t *testing.T) {
+	const u = "https://x.example/p"
+	for _, c := range []struct {
+		body    string
+		wantErr bool
+	}{
+		{"{\"name\":\"a\",\"users\":3}\n", false},
+		{`{"name":"a","users":3}`, false},
+		{`{"name":"a","us`, true},
+	} {
+		for _, out := range []any{new(plainPage), new(selfPage)} {
+			fd := &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
+				return &http.Response{StatusCode: 200, Header: http.Header{}, Body: &cutBody{[]byte(c.body), errCut}}, nil
+			}}
+			err := New(WithDoer(fd), WithSleep(noSleep)).GetJSON(context.Background(), u, out)
+			got := fmt.Sprint(out)
+			switch {
+			case !c.wantErr && err != nil:
+				t.Errorf("%T from %q: %v", out, c.body, err)
+			case !c.wantErr && got != "&{a 3}":
+				t.Errorf("%T from %q decoded %s", out, c.body, got)
+			case c.wantErr && (!errors.Is(err, errCut) || err.Error() != "httpkit: decoding "+u+": "+errCut.Error()):
+				t.Errorf("%T from %q: error %v, want the read error wrapped", out, c.body, err)
+			}
+		}
+	}
+}
+
+// choosy decodes itself to Name "self" when it accepts, and declines
+// otherwise.
+type choosy struct {
+	Name   string `json:"name"`
+	accept bool
+}
+
+func (c *choosy) DecodeJSON([]byte) bool {
+	if c.accept {
+		c.Name = "self"
+	}
+	return c.accept
+}
+
+// TestGetJSONSelfDecoder: GetJSON hands the body to a destination that
+// decodes itself, and decodes it with encoding/json when that declines.
+func TestGetJSONSelfDecoder(t *testing.T) {
+	fd := &fakeDoer{fn: func(_ int, _ *http.Request) (*http.Response, error) {
+		return respond(200, `{"name":"json"}`, nil), nil
+	}}
+	c := New(WithDoer(fd), WithSleep(noSleep))
+	for accept, want := range map[bool]string{true: "self", false: "json"} {
+		out := &choosy{accept: accept}
+		if err := c.GetJSON(context.Background(), "https://x.example/", out); err != nil || out.Name != want {
+			t.Errorf("accept=%v: decoded %q, %v; want %q", accept, out.Name, err, want)
+		}
 	}
 }
 

@@ -397,6 +397,10 @@ func Summary(res *core.Result) string {
 	return b.String()
 }
 
+// Figures is the number of the paper's figures; Figure renders them as
+// numbers 1 to Figures.
+const Figures = len(figures) - 1
+
 // figures renders the paper's figures, indexed by figure number (1-16).
 var figures = [...]func(*core.Result) string{
 	1:  func(*core.Result) string { return Fig1Trends() },

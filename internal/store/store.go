@@ -29,7 +29,18 @@
 // block on its own through internal/parallel, so the bytes it writes are
 // the same at any worker count, and it never holds a file's JSON, only
 // each block's compressed bytes. Cutting by encoded size would need the
-// JSON first.
+// JSON first. Members compress at gzip.BestSpeed, as checkpoints do.
+//
+// The two timeline files hold most of a dataset's JSON, so their rows
+// have a hand codec (timelineRow, on internal/jsonx) that writes and
+// reads the bytes encoding/json would. Save appends each such row to a
+// reused buffer and writes it on; Load streams each of their members
+// one line at a time and never holds one whole. encoding/json encodes
+// and decodes the other six files, and stays the timeline rows'
+// fallback: it writes any row the codec cannot write exactly, and Load
+// decodes a member again through it whenever the codec's reading is not
+// exactly as the manifest says, so Load accepts and returns what it did
+// before the codec.
 //
 // Save writes the manifest last, after every data file has been renamed
 // into place. A save torn between two files leaves the old manifest
@@ -207,15 +218,8 @@ const (
 	activityFile  = "activity.jsonl.gz"
 )
 
-// timeline rows pair a key with its payload for JSONL storage.
-type twitterTLRow struct {
-	TwitterID string                   `json:"twitter_id"`
-	Timeline  *crawler.TwitterTimeline `json:"timeline"`
-}
-type mastoTLRow struct {
-	TwitterID string                    `json:"twitter_id"`
-	Timeline  *crawler.MastodonTimeline `json:"timeline"`
-}
+// Map-backed rows pair a key with its payload for JSONL storage; both
+// timeline files store timelineRow (timeline.go).
 type followeeRow struct {
 	TwitterID string                `json:"twitter_id"`
 	Followees []crawler.FolloweeRef `json:"followees"`
@@ -235,13 +239,31 @@ type activityRow struct {
 type table interface {
 	file() string
 	len() int
-	encode(enc *json.Encoder, lo, hi int) error
+	// encode writes rows [lo, hi) to d, one JSON line each.
+	encode(d *deflater, lo, hi int) error
 	// resize makes room for n rows.
 	resize(n int)
 	// decode decodes rows until dec's stream ends into [lo, lo+n), or
 	// appends them when n < 0 (the count is unknown).
 	decode(dec *json.Decoder, lo, n int) error
+	// decodeLines does for the gzip member data what decode does for
+	// its JSON, one line at a time, for rows with a hand codec. It
+	// reports false, and may have written rows, when the rows have none
+	// or the member is not as m says (see inflate).
+	decodeLines(in *inflater, data []byte, lo int, m Member) bool
 	put()
+}
+
+// A rowCodec is a row type's hand codec, which Save and Load use in
+// place of encoding/json.
+type rowCodec interface {
+	// appendJSON appends the row's JSON line as json.Encoder writes it,
+	// or reports false for a row it cannot write exactly.
+	appendJSON(b []byte) ([]byte, bool)
+	// decodeJSON sets the row to what json.Decoder decodes from line
+	// into a zero row, when line holds that value and then only
+	// whitespace, and reports whether it did.
+	decodeJSON(line []byte) bool
 }
 
 // rowTable is the table of a data file whose rows have type T.
@@ -261,9 +283,18 @@ func (t *rowTable[T]) resize(n int) {
 	}
 }
 
-func (t *rowTable[T]) encode(enc *json.Encoder, lo, hi int) error {
+func (t *rowTable[T]) encode(d *deflater, lo, hi int) error {
 	for i := lo; i < hi; i++ {
-		if err := enc.Encode(&t.rows[i]); err != nil {
+		if c, ok := any(&t.rows[i]).(rowCodec); ok {
+			var exact bool
+			if d.line, exact = c.appendJSON(d.line[:0]); exact {
+				if _, err := d.Write(d.line); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		if err := d.enc.Encode(&t.rows[i]); err != nil {
 			return err
 		}
 	}
@@ -296,6 +327,33 @@ func (t *rowTable[T]) decode(dec *json.Decoder, lo, n int) error {
 	return nil
 }
 
+func (t *rowTable[T]) decodeLines(in *inflater, data []byte, lo int, m Member) bool {
+	if _, ok := any((*T)(nil)).(rowCodec); !ok || !in.open(data) {
+		return false
+	}
+	n := m.Rows
+	dst := t.rows[lo:lo]
+	if n >= 0 {
+		dst = t.rows[lo : lo : lo+n]
+	}
+	for {
+		line, err := in.line()
+		if err == io.EOF {
+			break
+		}
+		var row T
+		if err != nil || len(dst) == n || !any(&row).(rowCodec).decodeJSON(line) {
+			return false
+		}
+		dst = append(dst, row)
+	}
+	ok := (n < 0 || len(dst) == n) && in.src.Len() == 0 && (m.JSONBytes < 0 || in.n == m.JSONBytes)
+	if ok && n < 0 {
+		t.rows = dst
+	}
+	return ok
+}
+
 // tables lists ds's data files in manifest order. Save encodes the rows
 // found there; Load, given an empty dataset, fills each table and puts
 // its rows into ds.
@@ -308,11 +366,15 @@ func tables(ds *crawler.Dataset) []table {
 		&rowTable[crawler.AccountPair]{pairsFile, ds.Pairs,
 			func(rs []crawler.AccountPair) { ds.Pairs = rs }},
 		keyed(twitterTLFile, ds.TwitterTimelines,
-			func(id string, tl *crawler.TwitterTimeline) twitterTLRow { return twitterTLRow{id, tl} },
-			func(r twitterTLRow) (string, *crawler.TwitterTimeline) { return r.TwitterID, r.Timeline }),
+			func(id string, tl *crawler.TwitterTimeline) timelineRow { return timelineRow{id, tl} },
+			func(r timelineRow) (string, *crawler.TwitterTimeline) { return r.TwitterID, r.Timeline }),
 		keyed(mastoTLFile, ds.MastodonTimelines,
-			func(id string, tl *crawler.MastodonTimeline) mastoTLRow { return mastoTLRow{id, tl} },
-			func(r mastoTLRow) (string, *crawler.MastodonTimeline) { return r.TwitterID, r.Timeline }),
+			func(id string, tl *crawler.MastodonTimeline) timelineRow {
+				return timelineRow{id, (*crawler.TwitterTimeline)(tl)}
+			},
+			func(r timelineRow) (string, *crawler.MastodonTimeline) {
+				return r.TwitterID, (*crawler.MastodonTimeline)(r.Timeline)
+			}),
 		keyed(followeeFile, ds.TwitterFollowees,
 			func(id string, fs []crawler.FolloweeRef) followeeRow { return followeeRow{id, fs} },
 			func(r followeeRow) (string, []crawler.FolloweeRef) { return r.TwitterID, r.Followees }),
@@ -417,10 +479,14 @@ type deflated struct {
 }
 
 // deflater streams JSON lines through bw into zw, counting them in n.
+// enc writes through the deflater itself, and line holds the last row a
+// hand codec wrote.
 type deflater struct {
-	zw *gzip.Writer
-	bw *bufio.Writer
-	n  int
+	zw   *gzip.Writer
+	bw   *bufio.Writer
+	enc  *json.Encoder
+	line []byte
+	n    int
 }
 
 func (d *deflater) Write(p []byte) (int, error) {
@@ -429,10 +495,12 @@ func (d *deflater) Write(p []byte) (int, error) {
 }
 
 // deflaters keeps one deflater per running Save task, so their
-// compressors, about 800 KB each, are reused.
+// compressors, about 1.2 MB each at BestSpeed, are reused.
 var deflaters = sync.Pool{New: func() any {
-	zw := gzip.NewWriter(nil)
-	return &deflater{zw: zw, bw: bufio.NewWriter(zw)}
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid level cannot fail
+	d := &deflater{zw: zw, bw: bufio.NewWriter(zw)}
+	d.enc = json.NewEncoder(d)
+	return d
 }}
 
 // deflate encodes rows [lo, hi) of t into one gzip member of its own.
@@ -443,7 +511,7 @@ func deflate(t table, lo, hi int) deflated {
 	d.zw.Reset(&buf)
 	d.bw.Reset(d.zw)
 	d.n = 0
-	err := t.encode(json.NewEncoder(d), lo, hi)
+	err := t.encode(d, lo, hi)
 	if err == nil {
 		err = d.bw.Flush()
 	}
@@ -578,21 +646,44 @@ func (f *DataFile) check(name string, raw []byte) error {
 	return nil
 }
 
-// inflaters keeps gzip readers for Load, so their decompressors are
-// reused.
-var inflaters = sync.Pool{New: func() any { return new(gzip.Reader) }}
+// An inflater reads one gzip member at a time for Load: zr inflates it
+// from src, and br splits it into lines, n counting their bytes. long
+// holds a line longer than br's buffer.
+type inflater struct {
+	src  bytes.Reader
+	zr   gzip.Reader
+	br   *bufio.Reader
+	long []byte
+	n    int
+}
+
+// inflaters keeps inflaters for Load, so their decompressors and line
+// buffers are reused.
+var inflaters = sync.Pool{New: func() any {
+	return &inflater{br: bufio.NewReaderSize(nil, 64<<10)}
+}}
 
 // inflate decodes the gzip member data into rows [lo, lo+m.Rows) of t. It
 // reads the member to its end, so gzip checks its CRC-32 and length.
+//
+// Rows with a hand codec stream through it one line at a time. When
+// anything there is not as the manifest says (a line the codec
+// declines, a read or gzip error, a row or JSON byte count that differs,
+// bytes after the member), the member is decoded again from its
+// compressed bytes through encoding/json, which accepts or fails it
+// exactly as before the codec existed.
 func inflate(t table, data []byte, lo int, m Member) error {
-	zr := inflaters.Get().(*gzip.Reader)
-	defer inflaters.Put(zr)
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	if t.decodeLines(in, data, lo, m) {
+		return nil
+	}
 	br := bytes.NewReader(data)
-	if err := zr.Reset(br); err != nil {
+	if err := in.zr.Reset(br); err != nil {
 		return err
 	}
-	zr.Multistream(false)
-	cr := &countingReader{r: zr}
+	in.zr.Multistream(false)
+	cr := &countingReader{r: &in.zr}
 	if err := t.decode(json.NewDecoder(cr), lo, m.Rows); err != nil {
 		return err
 	}
@@ -603,6 +694,37 @@ func inflate(t table, data []byte, lo int, m Member) error {
 		return fmt.Errorf("%d bytes of JSON, manifest says %d", cr.n, m.JSONBytes)
 	}
 	return nil
+}
+
+// open starts reading the gzip member data line by line.
+func (in *inflater) open(data []byte) bool {
+	in.src.Reset(data)
+	if in.zr.Reset(&in.src) != nil {
+		return false
+	}
+	in.zr.Multistream(false)
+	in.br.Reset(&in.zr)
+	in.n = 0
+	return true
+}
+
+// line returns the member's next line, its newline included, or io.EOF
+// after the last. The line is valid until the next call.
+func (in *inflater) line() ([]byte, error) {
+	line, err := in.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		in.long = append(in.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = in.br.ReadSlice('\n')
+			in.long = append(in.long, line...)
+		}
+		line = in.long
+	}
+	in.n += len(line)
+	if err == io.EOF && len(line) > 0 {
+		err = nil
+	}
+	return line, err
 }
 
 // countingReader counts the bytes read through it.
