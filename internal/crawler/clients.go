@@ -73,11 +73,8 @@
 package crawler
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/url"
 	"strconv"
 	"time"
@@ -369,35 +366,20 @@ func (i *IndexClient) List(ctx context.Context) ([]IndexedInstance, error) {
 }
 
 // PerspectiveClient scores text toxicity over HTTP, speaking toxsvc's
-// wire shape. HTTP is required; the crawl passes its shared
-// httpkit.Client.
+// wire shape through the crawl's shared client: toxsvc.MarshalRequest
+// writes each request body, and the reply decodes itself into a
+// toxsvc.Response (see httpkit.SelfDecoder). encoding/json decodes only
+// a reply that decoder declines.
 type PerspectiveClient struct {
 	Base string
-	HTTP httpkit.Doer
+	C    *httpkit.Client
 }
 
 // Score returns the TOXICITY summary score of text. A reply without
 // that score is an error, like a failed exchange.
 func (p *PerspectiveClient) Score(ctx context.Context, text string) (float64, error) {
-	reqBody, err := toxsvc.MarshalRequest(text)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+toxsvc.Path, bytes.NewReader(reqBody))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.HTTP.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, &httpkit.StatusError{Code: resp.StatusCode, URL: p.Base}
-	}
 	var out toxsvc.Response
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := p.C.PostJSON(ctx, p.Base+toxsvc.Path, toxsvc.MarshalRequest(text), &out); err != nil {
 		return 0, err
 	}
 	if out.AttributeScores.Toxicity == nil {

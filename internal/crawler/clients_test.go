@@ -2,11 +2,14 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"flock/internal/httpkit"
@@ -38,14 +41,72 @@ func TestPerspectiveScoreNeedsToxicity(t *testing.T) {
 		`{}`,
 		`{"attributeScores":{"TOXICITY":null,"INSULT":{"summaryScore":{"value":0.9,"type":"PROBABILITY"}}}}`,
 	} {
-		p := &PerspectiveClient{Base: "https://" + toxsvc.Host, HTTP: replyDoer(body)}
+		p := &PerspectiveClient{Base: "https://" + toxsvc.Host, C: httpkit.New(httpkit.WithDoer(replyDoer(body)))}
 		if v, err := p.Score(ctx, "hello"); err == nil {
 			t.Errorf("reply %s: score %v, want an error", body, v)
 		}
 	}
-	p := &PerspectiveClient{Base: "https://" + toxsvc.Host, HTTP: replyDoer(`{"attributeScores":{"TOXICITY":{"summaryScore":{"value":0.25,"type":"PROBABILITY"}}}}`)}
+	p := &PerspectiveClient{Base: "https://" + toxsvc.Host, C: httpkit.New(httpkit.WithDoer(replyDoer(scoreReply)))}
 	if v, err := p.Score(ctx, "hello"); err != nil || v != 0.25 {
 		t.Fatalf("Score = %v, %v; want 0.25", v, err)
+	}
+}
+
+// scoreReply is a reply scoring 0.25, as the toxsvc handler writes it
+// but for its newline.
+const scoreReply = `{"attributeScores":{"TOXICITY":{"summaryScore":{"value":0.25,"type":"PROBABILITY"}}}}`
+
+// TestPerspectiveScoreOverTCP scores through net/http's server and
+// transport, the path fedisim serves: each text gets the score toxsvc
+// gives the text the request carries, which holds U+FFFD for each byte
+// of invalid UTF-8.
+func TestPerspectiveScoreOverTCP(t *testing.T) {
+	srv := httptest.NewServer(toxsvc.New(0).Handler())
+	defer srv.Close()
+	p := &PerspectiveClient{Base: srv.URL, C: httpkit.New(httpkit.WithDoer(srv.Client()))}
+	for _, c := range []struct{ text, scored string }{
+		{"you are a complete idiot", "you are a complete idiot"},
+		{"lovely weather for a walk today", "lovely weather for a walk today"},
+		{"<b>&amp; \"q\"\n\t\xff", "<b>&amp; \"q\"\n\t\uFFFD"},
+	} {
+		if v, err := p.Score(context.Background(), c.text); err != nil || v != toxsvc.Score(c.scored) {
+			t.Errorf("Score(%q) = %v, %v; want %v", c.text, v, err, toxsvc.Score(c.scored))
+		}
+	}
+}
+
+// cutDoer answers every request with 200 and its body, whose last bytes
+// come with errReset instead of io.EOF, as memnet's chaos reset cuts a
+// reply.
+type cutDoer string
+
+var errReset = errors.New("connection reset by peer")
+
+func (d cutDoer) Do(req *http.Request) (*http.Response, error) {
+	body := iotest.DataErrReader(io.MultiReader(strings.NewReader(string(d)), iotest.ErrReader(errReset)))
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(body), Request: req}, nil
+}
+
+// TestPerspectiveScoreCutReply: a reply that is whole before its read
+// fails still scores, with or without its newline, and one cut in the
+// middle fails with the read error, wrapped.
+func TestPerspectiveScoreCutReply(t *testing.T) {
+	for _, c := range []struct {
+		body    string
+		wantErr bool
+	}{
+		{scoreReply + "\n", false},
+		{scoreReply, false},
+		{scoreReply[:strings.Index(scoreReply, "0.25")+3], true},
+	} {
+		p := &PerspectiveClient{Base: "https://" + toxsvc.Host, C: httpkit.New(httpkit.WithDoer(cutDoer(c.body)))}
+		v, err := p.Score(context.Background(), "hello")
+		switch {
+		case !c.wantErr && (err != nil || v != 0.25):
+			t.Errorf("reply %q: Score = %v, %v; want 0.25", c.body, v, err)
+		case c.wantErr && !errors.Is(err, errReset):
+			t.Errorf("reply %q: Score = %v, %v; want the read error wrapped", c.body, v, err)
+		}
 	}
 }
 

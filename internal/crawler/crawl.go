@@ -134,7 +134,7 @@ func New(cfg Config) *Crawler {
 		tw:      &TwitterClient{Base: cfg.TwitterBase, C: client},
 		masto:   &MastodonClient{C: client},
 		index:   &IndexClient{Base: cfg.IndexBase, C: client},
-		tox:     &PerspectiveClient{Base: cfg.PerspectiveBase, HTTP: client},
+		tox:     &PerspectiveClient{Base: cfg.PerspectiveBase, C: client},
 		health:  health,
 		gate:    newHostGate(cfg.Adaptive, health, cfg.Concurrency, vclock.Wall),
 		twHost:  hostOf(cfg.TwitterBase),

@@ -10,9 +10,10 @@
 // one pagination loop (Paginate) that drains cursor, max_id and offset
 // endpoints alike and stops on a repeated cursor, and a concurrency
 // group for fan-out crawls that bounds the running tasks, not the
-// waiting ones. GetJSON reads each JSON body once into a reused buffer;
-// a destination that implements SelfDecoder decodes itself from those
-// bytes, and encoding/json decodes the rest.
+// waiting ones. GetJSON and PostJSON share one body path: it reads each
+// JSON body once into a reused buffer, a destination that implements
+// SelfDecoder decodes itself from those bytes, and encoding/json
+// decodes the rest.
 package httpkit
 
 import (
@@ -373,19 +374,20 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 	return nil, lastErr
 }
 
-// SelfDecoder is a GetJSON destination that decodes itself from the
-// bytes of a response body. DecodeJSON either sets the receiver to what
-// a json.Decoder's first Decode of body into a zero value gives, with a
-// nil error, and reports true, or leaves the receiver as it was and
-// reports false. It must not keep body, which GetJSON reuses.
+// SelfDecoder is a GetJSON or PostJSON destination that decodes itself
+// from the bytes of a response body. DecodeJSON either sets the receiver
+// to what a json.Decoder's first Decode of body into a zero value gives,
+// with a nil error, and reports true, or leaves the receiver as it was
+// and reports false. It must not keep body, which the client reuses.
 type SelfDecoder interface {
 	DecodeJSON(body []byte) bool
 }
 
-// bodies holds the buffers GetJSON reads response bodies into.
+// bodies holds the buffers GetJSON and PostJSON read response bodies
+// into.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPresize caps how far GetJSON grows a body buffer from a response's
+// maxPresize caps how far doJSON grows a body buffer from a response's
 // Content-Length before reading, so a false length cannot make it
 // allocate more than this ahead of the bytes.
 const maxPresize = 8 << 20
@@ -405,6 +407,24 @@ func (c *Client) GetJSON(ctx context.Context, u string, out any) error {
 	if err != nil {
 		return err
 	}
+	return c.doJSON(req, u, out)
+}
+
+// PostJSON posts body to u as application/json and decodes the JSON
+// response into out, which holds a zero value, as GetJSON does. The
+// request body rewinds, so Do retries the exchange as it retries a GET.
+func (c *Client) PostJSON(ctx context.Context, u string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return c.doJSON(req, u, out)
+}
+
+// doJSON performs req, whose URL is u, with Do and decodes the body of
+// its 2xx response into out: GetJSON's and PostJSON's one body path.
+func (c *Client) doJSON(req *http.Request, u string, out any) error {
 	resp, err := c.Do(req)
 	if err != nil {
 		return err

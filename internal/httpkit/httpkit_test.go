@@ -392,6 +392,27 @@ func TestGetJSONSelfDecoder(t *testing.T) {
 	}
 }
 
+// TestPostJSONRetries: PostJSON sends its body as application/json on
+// every attempt, so a retried POST carries the whole body again, and it
+// decodes the reply as GetJSON does.
+func TestPostJSONRetries(t *testing.T) {
+	fd := &fakeDoer{fn: func(call int, req *http.Request) (*http.Response, error) {
+		body, err := io.ReadAll(req.Body)
+		if err != nil || string(body) != `{"q":1}` || req.Header.Get("Content-Type") != "application/json" {
+			return nil, fmt.Errorf("attempt %d sent %q (%v) as %q", call, body, err, req.Header.Get("Content-Type"))
+		}
+		if call == 1 {
+			return respond(503, "", nil), nil
+		}
+		return respond(200, `{"name":"a","users":3}`, nil), nil
+	}}
+	var out plainPage
+	err := New(WithDoer(fd), WithSleep(noSleep)).PostJSON(context.Background(), "https://x.example/q", []byte(`{"q":1}`), &out)
+	if err != nil || out != (plainPage{"a", 3}) || fd.calls != 2 {
+		t.Fatalf("PostJSON = %v, decoded %+v in %d attempts; want {a 3} in 2", err, out, fd.calls)
+	}
+}
+
 func TestPaginate(t *testing.T) {
 	pages := map[string]Page[int]{
 		"":   {Items: []int{1, 2}, Next: "p2"},

@@ -1,7 +1,8 @@
 // Package jsonx reads and writes the JSON of flock's hottest shapes
-// without reflection: the crawl's timeline pages and the dataset's
-// timeline rows. It holds a Scanner over a byte slice and a few
-// appenders, and uses only the standard library.
+// without reflection: the crawl's timeline pages, both legs of every
+// Perspective exchange (the request and the reply, on the crawler and in
+// toxsvc) and the dataset's timeline rows. It holds a Scanner over a
+// byte slice and a few appenders, and uses only the standard library.
 //
 // Its contract is agreement with encoding/json, which stays the
 // reference and the fallback. A Scanner reads a value only where it

@@ -8,9 +8,15 @@
 // Request and Response are the one wire shape of that exchange: the
 // crawler's Perspective client encodes its body with MarshalRequest and
 // decodes the reply into Response, and the handler decodes Request and
-// encodes Response. The requested attributes stay a map, so the handler
-// finds TOXICITY by an exact key match: a struct field would also match
-// "toxicity" and would read "TOXICITY": null as absent.
+// encodes Response. Both ends write and read that shape by hand, with
+// internal/jsonx: MarshalRequest and the handler's reply append their
+// bytes, the handler reads a body MarshalRequest wrote without
+// reflection, and Response decodes itself (see Response.DecodeJSON).
+// encoding/json decodes every other body the handler receives, and is
+// the reference the fuzzers hold both ends to. The requested attributes
+// stay a map, so the handler finds TOXICITY by an exact key match: a
+// struct field would also match "toxicity" and would read
+// "TOXICITY": null as absent.
 //
 // Scoring is a transparent lexicon model: the toxic phrases the world
 // generator plants (see textkit.ToxicPhrases) decompose into a word
@@ -23,12 +29,14 @@
 package toxsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"flock/internal/jsonx"
 	"flock/internal/textkit"
 	"flock/internal/vclock"
 )
@@ -52,14 +60,47 @@ type Comment struct {
 	Text string `json:"text"`
 }
 
-// toxicityOnly is the attribute set MarshalRequest sends. It is only
-// ever encoded, never modified.
-var toxicityOnly = map[string]struct{}{"TOXICITY": {}}
+// The bytes json.Marshal writes around the text of a Request that asks
+// for TOXICITY alone, and json.Encoder around the score of a Response.
+const (
+	requestHead = `{"comment":{"text":`
+	requestTail = `},"requestedAttributes":{"TOXICITY":{}}}`
+	replyHead   = `{"attributeScores":{"TOXICITY":{"summaryScore":{"value":`
+	replyTail   = `,"type":"PROBABILITY"}}}}` + "\n"
+)
 
 // MarshalRequest returns the body of a request that scores text for
-// TOXICITY alone.
-func MarshalRequest(text string) ([]byte, error) {
-	return json.Marshal(&Request{Comment: Comment{Text: text}, RequestedAttributes: toxicityOnly})
+// TOXICITY alone: the bytes json.Marshal writes for that Request.
+func MarshalRequest(text string) []byte {
+	b := make([]byte, 0, len(requestHead)+len(text)+2+len(requestTail))
+	b = jsonx.AppendString(append(b, requestHead...), text)
+	return append(b, requestTail...)
+}
+
+// readRequest returns the text of a body MarshalRequest wrote, read as
+// json.Unmarshal reads it into a Request, and reports false for any
+// other body. Whitespace around the text is allowed, and a null text
+// reads as "", as json.Unmarshal leaves it.
+func readRequest(body []byte) (string, bool) {
+	text, ok := bytes.CutPrefix(body, []byte(requestHead))
+	if !ok {
+		return "", false
+	}
+	if text, ok = bytes.CutSuffix(text, []byte(requestTail)); !ok {
+		return "", false
+	}
+	s := jsonx.NewScanner(text)
+	t := s.String()
+	return t, s.End()
+}
+
+// marshalReply returns the reply that carries score: the bytes
+// json.Encoder writes for that Response. AppendFloat cannot refuse
+// score, which Score keeps in [0, 1], and writes at most 24 bytes.
+func marshalReply(score float64) []byte {
+	b := make([]byte, 0, len(replyHead)+24+len(replyTail))
+	b, _ = jsonx.AppendFloat(append(b, replyHead...), score)
+	return append(b, replyTail...)
 }
 
 // Response is the comments:analyze response subset. The service scores
@@ -76,6 +117,46 @@ type AttributeScore struct {
 		Value float64 `json:"value"`
 		Type  string  `json:"type"`
 	} `json:"summaryScore"`
+}
+
+// The keys Response's decoder reads, one list per level.
+var (
+	responseKeys = []string{"attributeScores"}
+	scoresKeys   = []string{"TOXICITY"}
+	scoreKeys    = []string{"summaryScore"}
+	summaryKeys  = []string{"value", "type"}
+)
+
+// DecodeJSON decodes a reply with jsonx, as a json.Decoder's first
+// Decode into a zero Response would, or declines it and leaves r as it
+// was. "TOXICITY": null leaves Toxicity nil; bytes after the reply are
+// not read. Its method set makes Response an httpkit.SelfDecoder.
+func (r *Response) DecodeJSON(body []byte) bool {
+	s := jsonx.NewScanner(body)
+	var resp Response
+	s.Object(responseKeys, func(int) {
+		s.Object(scoresKeys, func(int) {
+			if s.Null() {
+				return
+			}
+			a := new(AttributeScore)
+			s.Object(scoreKeys, func(int) {
+				s.Object(summaryKeys, func(i int) {
+					if i == 0 {
+						a.SummaryScore.Value = s.Float()
+					} else {
+						a.SummaryScore.Type = s.String()
+					}
+				})
+			})
+			resp.AttributeScores.Toxicity = a
+		})
+	})
+	if s.Declined() {
+		return false
+	}
+	*r = resp
+	return true
 }
 
 // lexicon maps toxic markers to weights. Built from the same phrase pool
@@ -184,26 +265,28 @@ func (s *Service) Handler() http.Handler {
 			http.Error(w, `{"error":{"code":400}}`, http.StatusBadRequest)
 			return
 		}
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			http.Error(w, `{"error":{"code":400,"message":"invalid json"}}`, http.StatusBadRequest)
-			return
+		// ok: the body requests TOXICITY, as every body MarshalRequest
+		// writes does.
+		text, ok := readRequest(body)
+		if !ok {
+			var req Request
+			if err := json.Unmarshal(body, &req); err != nil {
+				http.Error(w, `{"error":{"code":400,"message":"invalid json"}}`, http.StatusBadRequest)
+				return
+			}
+			text = req.Comment.Text
+			_, ok = req.RequestedAttributes["TOXICITY"]
 		}
-		if req.Comment.Text == "" {
+		if text == "" {
 			http.Error(w, `{"error":{"code":400,"message":"empty comment"}}`, http.StatusBadRequest)
 			return
 		}
-		if _, ok := req.RequestedAttributes["TOXICITY"]; !ok {
+		if !ok {
 			http.Error(w, `{"error":{"code":400,"message":"TOXICITY attribute required"}}`, http.StatusBadRequest)
 			return
 		}
-		var score AttributeScore
-		score.SummaryScore.Value = Score(req.Comment.Text)
-		score.SummaryScore.Type = "PROBABILITY"
-		var resp Response
-		resp.AttributeScores.Toxicity = &score
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(&resp)
+		_, _ = w.Write(marshalReply(Score(text)))
 	})
 	return mux
 }
