@@ -233,7 +233,7 @@ func (c *Client) race(req *http.Request, host string, delay time.Duration) (*htt
 	launch := func(idx int, hedge bool) {
 		ctx, cancel := context.WithCancel(parent)
 		cancels[idx] = cancel
-		r := req.Clone(ctx)
+		r := req.WithContext(ctx)
 		go func() {
 			resp, err := c.attempt(r, host)
 			if resp != nil {

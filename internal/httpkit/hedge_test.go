@@ -66,12 +66,13 @@ func TestHedgeDigestUsesInjectedClock(t *testing.T) {
 	}
 }
 
-// warmClient builds a hedging client over fn and issues `warm` fast GET
-// requests so the host's digest passes MinSamples.
-func warmClient(t *testing.T, pol HedgePolicy, fn func(call int, req *http.Request) (*http.Response, error)) *Client {
+// warmClient builds a hedging client over fn, with opts on top, and
+// issues `warm` fast GET requests so the host's digest passes
+// MinSamples.
+func warmClient(t *testing.T, pol HedgePolicy, fn func(call int, req *http.Request) (*http.Response, error), opts ...Option) *Client {
 	t.Helper()
 	warmed := atomic.Bool{}
-	c := New(
+	c := New(append([]Option{
 		WithHedge(pol),
 		WithDoer(&fakeDoer{fn: func(call int, req *http.Request) (*http.Response, error) {
 			if !warmed.Load() {
@@ -79,7 +80,7 @@ func warmClient(t *testing.T, pol HedgePolicy, fn func(call int, req *http.Reque
 			}
 			return fn(call, req)
 		}}),
-	)
+	}, opts...)...)
 	for i := 0; i < pol.MinSamples; i++ {
 		req, _ := http.NewRequest("GET", "https://h.example/warm", nil)
 		resp, err := c.Do(req)

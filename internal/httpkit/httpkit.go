@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -222,11 +223,10 @@ func retryable(code int) bool {
 	return false
 }
 
-// attempt performs one wire exchange: breaker admission, header
-// stamping, the round trip, latency observation and health
-// reporting. It returns the response whatever its status — retry and
-// non-2xx handling stay in Do — and is the unit the hedging race
-// duplicates.
+// attempt performs one wire exchange: breaker admission, the round
+// trip, latency observation and health reporting. It returns the
+// response whatever its status — retry and non-2xx handling stay in
+// Do — and is the unit the hedging race duplicates.
 func (c *Client) attempt(r *http.Request, host string) (*http.Response, error) {
 	if c.health != nil {
 		if err := c.health.Allow(host); err != nil {
@@ -235,9 +235,6 @@ func (c *Client) attempt(r *http.Request, host string) (*http.Response, error) {
 			c.mu.Unlock()
 			return nil, err
 		}
-	}
-	if c.userAgent != "" {
-		r.Header.Set("User-Agent", c.userAgent)
 	}
 	c.mu.Lock()
 	c.stats.Requests++
@@ -294,7 +291,16 @@ func (c *Client) send(r *http.Request, host string) (*http.Response, error) {
 // fresh copy (http.NewRequest sets it for common in-memory readers); a
 // consumed, unrewindable body would resend nothing, so the retry is
 // refused instead.
+//
+// Do does not modify req. When req's User-Agent is not the client's,
+// Do sends one copy of req stamped with it. Every attempt, retries and
+// hedges included, shares that request's header map, which the Doer
+// must only read.
 func (c *Client) Do(req *http.Request) (*http.Response, error) {
+	if ua := c.userAgent; ua != "" && !slices.Equal(req.Header["User-Agent"], []string{ua}) {
+		req = req.Clone(req.Context())
+		req.Header.Set("User-Agent", ua)
+	}
 	policy := c.policy()
 	host := strings.ToLower(req.URL.Hostname())
 	rewindable := req.Body == nil || req.Body == http.NoBody || req.GetBody != nil
@@ -314,12 +320,13 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			c.stats.Retries++
 			c.mu.Unlock()
 		}
-		r := req.Clone(req.Context())
+		r := req
 		if attempt > 1 && req.GetBody != nil {
 			body, err := req.GetBody()
 			if err != nil {
 				return nil, fmt.Errorf("httpkit: rewinding request body: %w", err)
 			}
+			r = req.WithContext(req.Context())
 			r.Body = body
 		}
 		resp, err := c.send(r, host)
@@ -424,7 +431,12 @@ func (c *Client) PostJSON(ctx context.Context, u string, body []byte, out any) e
 
 // doJSON performs req, whose URL is u, with Do and decodes the body of
 // its 2xx response into out: GetJSON's and PostJSON's one body path.
+// req is its own, so it stamps the User-Agent there and Do sends req
+// itself.
 func (c *Client) doJSON(req *http.Request, u string, out any) error {
+	if c.userAgent != "" {
+		req.Header.Set("User-Agent", c.userAgent)
+	}
 	resp, err := c.Do(req)
 	if err != nil {
 		return err

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -261,6 +263,80 @@ func TestAuthAndUserAgentHeaders(t *testing.T) {
 	if sentAuth || gotUA != "flock/1.0" {
 		t.Fatalf("headers: Authorization sent=%v ua=%q", sentAuth, gotUA)
 	}
+}
+
+// TestDoKeepsCallerRequest: a client with a User-Agent stamps it on
+// every attempt, the retry and the hedged backup included, next to the
+// caller's own headers, and leaves the caller's request as it was. The
+// retried POST carries its whole body.
+func TestDoKeepsCallerRequest(t *testing.T) {
+	const ua = "flock/1.0"
+	callerReq := func(method string, body io.Reader) *http.Request {
+		req, _ := http.NewRequest(method, "https://h.example/r", body)
+		req.Header.Set("X-Caller", "1")
+		return req
+	}
+	// stamped reports an attempt that lacks either header.
+	stamped := func(call int, req *http.Request) error {
+		if req.Header.Get("X-Caller") != "1" || req.Header.Get("User-Agent") != ua {
+			return fmt.Errorf("attempt %d sent headers %v", call, req.Header)
+		}
+		return nil
+	}
+	unchanged := func(req *http.Request) {
+		t.Helper()
+		if want := (http.Header{"X-Caller": {"1"}}); !reflect.DeepEqual(req.Header, want) {
+			t.Errorf("caller's headers became %v, want %v", req.Header, want)
+		}
+	}
+
+	fd := &fakeDoer{fn: func(call int, req *http.Request) (*http.Response, error) {
+		body, err := io.ReadAll(req.Body)
+		if err == nil && string(body) != "payload" {
+			err = fmt.Errorf("attempt %d sent %q", call, body)
+		}
+		if err == nil {
+			err = stamped(call, req)
+		}
+		if err != nil {
+			t.Error(err)
+			return nil, err
+		}
+		if call == 1 {
+			return respond(503, "", nil), nil
+		}
+		return respond(200, "ok", nil), nil
+	}}
+	req := callerReq("POST", strings.NewReader("payload"))
+	resp, err := New(WithDoer(fd), WithUserAgent(ua), WithSleep(noSleep)).Do(req)
+	if err != nil || fd.calls != 2 {
+		t.Fatalf("retried POST: %v after %d attempts, want success after 2", err, fd.calls)
+	}
+	resp.Body.Close()
+	unchanged(req)
+
+	var arrivals atomic.Int32
+	pol := HedgePolicy{Percentile: 0.9, MinSamples: 4, BudgetFrac: 1.0, MinDelay: 5 * time.Millisecond}
+	c := warmClient(t, pol, func(call int, req *http.Request) (*http.Response, error) {
+		if err := stamped(call, req); err != nil {
+			t.Error(err)
+		}
+		// The primary wedges until the race cancels it; the backup wins.
+		if arrivals.Add(1) == 1 {
+			<-req.Context().Done()
+			return nil, req.Context().Err()
+		}
+		return respond(200, "hedged", nil), nil
+	}, WithUserAgent(ua))
+	req = callerReq("GET", nil)
+	if resp, err = c.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if s := c.Stats(); s.HedgesFired != 1 || s.HedgeWins != 1 || arrivals.Load() != 2 {
+		t.Fatalf("stats %+v after %d attempts, want one hedge fired and won", s, arrivals.Load())
+	}
+	unchanged(req)
 }
 
 func TestGetJSONDecodes(t *testing.T) {

@@ -6,8 +6,11 @@
 // ephemeral ports and make tests slow and flaky, so memnet implements a
 // virtual internet: services Serve a handler on a hostname, and the
 // Fabric, an http.RoundTripper, hands each request to the handler of its
-// host. No bytes are written: the handler gets the request as a server
-// would parse it and its recorded response goes back to the caller.
+// host. No bytes are written: the handler gets a copy of the request as
+// a server would parse it, and answers through the fabric's own
+// http.ResponseWriter, which builds the caller's response as
+// httptest.ResponseRecorder would. That writer supports no trailers and
+// no Flush; no handler here uses either.
 //
 // The crawler stack is completely unaware of memnet: it talks standard
 // net/http through a client whose Transport is the fabric. To run the
@@ -29,7 +32,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -158,6 +160,12 @@ func (f *Fabric) Client() *http.Client {
 // throttle — is slept on req's context, so cancelling it (a hedge's
 // loser, an expired client timeout) ends the exchange. A handler panic
 // becomes the exchange's error.
+//
+// The handler gets a copy of req with its own header map and answers
+// through the fabric's writer (see exchange), which builds the
+// response: one allocation for the exchange, plus the header copy and
+// the reply's bytes. Apart from reading and closing its body, req is
+// not modified.
 func (f *Fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 	var payload []byte
 	if req.Body != nil && req.Body != http.NoBody {
@@ -193,27 +201,26 @@ func (f *Fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 
-	in := req.Clone(ctx)
-	in.URL = &url.URL{Path: req.URL.Path, RawPath: req.URL.RawPath, RawQuery: req.URL.RawQuery}
-	in.RequestURI = uri
+	x := &exchange{in: *req}
+	in := &x.in
+	x.url = url.URL{Path: req.URL.Path, RawPath: req.URL.RawPath, RawQuery: req.URL.RawQuery}
+	in.URL, in.RequestURI, in.RemoteAddr = &x.url, uri, "memnet"
+	in.Header = req.Header.Clone()
 	if in.Host == "" {
 		in.Host = req.URL.Host
 	}
-	in.RemoteAddr = "memnet"
 	in.Body, in.ContentLength, in.GetBody = http.NoBody, 0, nil
 	if len(payload) > 0 {
-		in.Body, in.ContentLength = io.NopCloser(bytes.NewReader(payload)), int64(len(payload))
+		x.payload.Reset(payload)
+		in.Body, in.ContentLength = &x.payload, int64(len(payload))
 	}
-	rec := httptest.NewRecorder()
-	if err := serve(h, rec, in); err != nil {
+	if err := serve(h, x, in); err != nil {
 		return nil, err
 	}
-	if err := httpkit.SleepContext(ctx, sched.throttle(rec.Body.Len())); err != nil {
+	if err := httpkit.SleepContext(ctx, sched.throttle(x.body.Len())); err != nil {
 		return nil, err
 	}
-	resp := rec.Result()
-	resp.ContentLength = int64(rec.Body.Len())
-	resp.Request = req
+	resp := x.response(req)
 	if d.reset > 0 {
 		resp.Body = &resetBody{ReadCloser: resp.Body, left: d.reset}
 	}
@@ -232,6 +239,101 @@ func serve(h http.Handler, w http.ResponseWriter, r *http.Request) (err error) {
 	return nil
 }
 
+// exchange is one request's trip through the fabric: the request the
+// handler sees, the http.ResponseWriter it answers through and the
+// response that goes back, so that the caller's response body keeps
+// the whole exchange alive until the caller drops it.
+//
+// As the writer it records what httptest.ResponseRecorder records for
+// every handler here. The first Write sniffs a Content-Type unless one,
+// or a Transfer-Encoding, is set, and implies a 200. The header map
+// becomes the response's when the header is written; Header then hands
+// out throwaway maps, so a header set late does not reach the caller
+// (a map the handler kept from before still would). A code outside
+// 100–999 panics. It supports no trailers and no Flush.
+type exchange struct {
+	in      http.Request
+	url     url.URL
+	payload payloadBody
+	resp    http.Response // its Header and StatusCode are the writer's
+	wrote   bool          // the header is written
+	body    replyBody
+}
+
+// payloadBody is the handler's request body.
+type payloadBody struct{ bytes.Reader }
+
+func (*payloadBody) Close() error { return nil }
+
+// replyBody is the response body: the bytes the handler wrote.
+type replyBody struct{ bytes.Buffer }
+
+func (*replyBody) Close() error { return nil }
+
+// Header returns the reply's header map until the header is written,
+// and a throwaway map after.
+func (x *exchange) Header() http.Header {
+	if x.wrote {
+		return http.Header{}
+	}
+	if x.resp.Header == nil {
+		x.resp.Header = http.Header{}
+	}
+	return x.resp.Header
+}
+
+func (x *exchange) WriteHeader(code int) {
+	if x.wrote {
+		return
+	}
+	if code < 100 || code > 999 {
+		panic(fmt.Sprintf("invalid WriteHeader code %v", code))
+	}
+	x.Header() // the response's header map is never nil
+	x.resp.StatusCode, x.wrote = code, true
+}
+
+// writeHeader writes an implicit 200 before the first bytes of the
+// body, b or else s, sniffing their Content-Type when the handler set
+// none.
+func (x *exchange) writeHeader(b []byte, s string) {
+	if x.wrote {
+		return
+	}
+	h := x.Header()
+	if _, typed := h["Content-Type"]; !typed && h.Get("Transfer-Encoding") == "" {
+		if b == nil {
+			b = []byte(s[:min(len(s), 512)])
+		}
+		h.Set("Content-Type", http.DetectContentType(b))
+	}
+	x.WriteHeader(http.StatusOK)
+}
+
+func (x *exchange) Write(b []byte) (int, error) {
+	x.writeHeader(b, "")
+	return x.body.Write(b)
+}
+
+func (x *exchange) WriteString(s string) (int, error) {
+	x.writeHeader(nil, s)
+	return x.body.WriteString(s)
+}
+
+// response finishes the exchange as the reply to req: a handler that
+// wrote nothing answered 200.
+func (x *exchange) response(req *http.Request) *http.Response {
+	x.WriteHeader(http.StatusOK)
+	r := &x.resp
+	r.Proto, r.ProtoMajor, r.ProtoMinor = "HTTP/1.1", 1, 1
+	r.Status = "200 OK"
+	if r.StatusCode != http.StatusOK {
+		r.Status = fmt.Sprintf("%03d %s", r.StatusCode, http.StatusText(r.StatusCode))
+	}
+	r.Body, r.ContentLength, r.Request = &x.body, int64(x.body.Len()), req
+	return r
+}
+
 // resetBody delivers the first left bytes of a response body and then
 // fails with ErrConnReset, as a connection reset mid-stream does.
 type resetBody struct {
@@ -240,9 +342,8 @@ type resetBody struct {
 }
 
 func (b *resetBody) Read(p []byte) (int, error) {
-	reset := &net.OpError{Op: "read", Net: "memnet", Err: ErrConnReset}
 	if b.left <= 0 {
-		return 0, reset
+		return 0, connReset()
 	}
 	if int64(len(p)) > b.left {
 		p = p[:b.left]
@@ -251,7 +352,13 @@ func (b *resetBody) Read(p []byte) (int, error) {
 	b.left -= int64(n)
 	if err == io.EOF {
 		// A body shorter than the cut ends in the reset, not in EOF.
-		b.left, err = 0, reset
+		b.left, err = 0, connReset()
 	}
 	return n, err
+}
+
+// connReset is the read error of a body cut by the schedule, built only
+// when a read returns it.
+func connReset() error {
+	return &net.OpError{Op: "read", Net: "memnet", Err: ErrConnReset}
 }

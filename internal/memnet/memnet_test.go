@@ -219,7 +219,8 @@ func TestHTTPOverFabric(t *testing.T) {
 }
 
 // TestServerShapedRequest: the handler sees what a server would parse,
-// whatever the client request carried.
+// whatever the client request carried, and a header it sets on its
+// request does not reach the caller's.
 func TestServerShapedRequest(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()
@@ -235,10 +236,13 @@ func TestServerShapedRequest(t *testing.T) {
 			return
 		}
 		b, _ := io.ReadAll(r.Body)
+		r.Header.Set("X-Handler", "1")
 		got <- seen{r.RequestURI, r.Host, r.URL.Path, r.URL.Query().Get("q"), r.RemoteAddr, string(b), r.ContentLength, r.URL.Host}
 	}))
 	client := f.Client()
-	resp, err := client.Post("https://shape.example/a%20b?q=x+y", "text/plain", strings.NewReader("payload"))
+	req, _ := http.NewRequest(http.MethodPost, "https://shape.example/a%20b?q=x+y", strings.NewReader("payload"))
+	req.Header.Set("Content-Type", "text/plain")
+	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +250,9 @@ func TestServerShapedRequest(t *testing.T) {
 	want := seen{"/a%20b?q=x+y", "shape.example", "/a b", "x y", "memnet", "payload", 7, ""}
 	if s := <-got; s != want {
 		t.Fatalf("handler saw %+v, want %+v", s, want)
+	}
+	if h := req.Header; len(h) != 1 || h.Get("Content-Type") != "text/plain" {
+		t.Fatalf("the caller's request headers became %v", h)
 	}
 	if resp, err = client.Get("https://shape.example/"); err != nil {
 		t.Fatal(err)
@@ -339,6 +346,7 @@ func TestServeStopIdempotent(t *testing.T) {
 	stop() // must not panic
 }
 
+// BenchmarkHTTPRequest is one GET over the fabric's client.
 func BenchmarkHTTPRequest(b *testing.B) {
 	f := NewFabric()
 	defer f.Close()
@@ -348,8 +356,8 @@ func BenchmarkHTTPRequest(b *testing.B) {
 	}
 	defer stop()
 	client := f.Client()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		resp, err := client.Get("https://bench.example/")
 		if err != nil {
 			b.Fatal(err)
