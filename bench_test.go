@@ -414,10 +414,9 @@ func BenchmarkAblationToxThreshold(b *testing.B) {
 // BenchmarkAblationTailLatency quantifies the tail-at-scale design: a
 // soak where the flagship instance is byte-throttled and stalls 8% of
 // exchanges for 250ms. The global-bound baseline eats the tail on every
-// slow exchange; the hedged+adaptive client races a backup after the
-// host's p90 and widens per-host windows on success. Wall-clock per
-// crawl is the benchmark time; hedge counters and the widest adaptive
-// window ride along as metrics.
+// slow exchange; the hedged client races a backup after the host's p90.
+// Wall-clock per crawl is the benchmark time; hedge counters ride along
+// as metrics.
 func BenchmarkAblationTailLatency(b *testing.B) {
 	ctx := context.Background()
 	wcfg := core.DefaultConfig(120).World
@@ -461,25 +460,16 @@ func BenchmarkAblationTailLatency(b *testing.B) {
 			crawl(b, mkCfg())
 		}
 	})
-	b.Run("hedged_adaptive", func(b *testing.B) {
+	b.Run("hedged", func(b *testing.B) {
 		var st httpkit.Stats
-		maxWin := 0
 		for i := 0; i < b.N; i++ {
 			cfg := mkCfg()
 			cfg.Hedge = httpkit.HedgePolicy{Percentile: 0.9, MinSamples: 8, BudgetFrac: 0.05, MinDelay: 5 * time.Millisecond}
-			cfg.Adaptive = crawler.AdaptivePolicy{Enabled: true}
-			rep := crawl(b, cfg).Report()
-			st = rep.HTTPStats
-			for _, l := range rep.HostLimits {
-				if l > maxWin {
-					maxWin = l
-				}
-			}
+			st = crawl(b, cfg).Report().HTTPStats
 		}
 		b.ReportMetric(float64(st.HedgesFired), "hedges_fired")
 		b.ReportMetric(float64(st.HedgeWins), "hedge_wins")
 		b.ReportMetric(float64(st.HedgesDenied), "hedges_denied")
-		b.ReportMetric(float64(maxWin), "max_host_window")
 	})
 }
 

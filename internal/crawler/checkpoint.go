@@ -599,9 +599,6 @@ type CrawlReport struct {
 	// counts this process's requests only, not those of a run it
 	// resumed.
 	HTTPStats httpkit.Stats
-	// HostLimits is the host gate's final per-host AIMD window (nil
-	// when adaptation is off).
-	HostLimits map[string]int
 }
 
 // GapCount totals the terminally failed work units.
@@ -653,7 +650,6 @@ func (c *Crawler) Report() *CrawlReport {
 		ActivityGaps:             gaps(phaseActivity),
 		SkippedQuarantined:       map[string]string{},
 		HTTPStats:                c.client.Stats(),
-		HostLimits:               c.gate.Limits(),
 	}
 	for host, units := range t.prog.Skipped {
 		opens := 0

@@ -47,14 +47,18 @@ type Transport struct {
 	// Hedge enables tail-latency hedging on the crawl's shared client
 	// (zero value: off).
 	Hedge httpkit.HedgePolicy
-	// Adaptive sizes a per-host AIMD concurrency window under the global
-	// bound (zero value: global bound only).
+	// Adaptive has no effect; it is kept only so that code which still
+	// sets it compiles. Delete it with its last user.
 	Adaptive AdaptivePolicy
 	// Breaker tunes the per-host circuit-breaker registry shared by the
 	// crawl's HTTP clients (see Crawler.Health); zero fields take
 	// httpkit.DefaultBreaker values.
 	Breaker httpkit.BreakerPolicy
 }
+
+// AdaptivePolicy has no effect; it is kept only so that code which still
+// sets Transport.Adaptive compiles. Delete it with its last user.
+type AdaptivePolicy struct{ Enabled bool }
 
 // Config parameterizes a crawl.
 type Config struct {
@@ -63,7 +67,7 @@ type Config struct {
 	IndexBase       string
 	PerspectiveBase string
 	// Transport holds the wire-level knobs (HTTP doer, concurrency,
-	// hedging, adaptive windows, breakers).
+	// hedging, breakers).
 	Transport
 	// ScoreToxicity enables the §6.3 Perspective pass over every post.
 	ScoreToxicity bool
@@ -100,7 +104,7 @@ type Crawler struct {
 	index   *IndexClient
 	tox     *PerspectiveClient
 	health  *httpkit.HealthRegistry
-	gate    *hostGate
+	gate    hostGate
 	twHost  string
 	toxHost string
 	t       *tracker
@@ -108,8 +112,8 @@ type Crawler struct {
 
 // New builds a Crawler. All service clients share ONE httpkit client —
 // so the hedge budget, latency digests and per-host health registry are
-// global across the crawl — and one host gate that admits every
-// exchange (see under).
+// global across the crawl — and one host gate that skips quarantined
+// instances and probes hosts on probation (see under).
 func New(cfg Config) *Crawler {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 8
@@ -136,7 +140,6 @@ func New(cfg Config) *Crawler {
 		index:   &IndexClient{Base: cfg.IndexBase, C: client},
 		tox:     &PerspectiveClient{Base: cfg.PerspectiveBase, C: client},
 		health:  health,
-		gate:    newHostGate(cfg.Adaptive, health, cfg.Concurrency, vclock.Wall),
 		twHost:  hostOf(cfg.TwitterBase),
 		toxHost: hostOf(cfg.PerspectiveBase),
 		t:       &tracker{ckpt: cfg.Checkpoint, every: cfg.CheckpointEvery, prog: newProgress(), health: health},

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,151 +15,41 @@ import (
 	"flock/internal/httpkit"
 )
 
-// fakeClock is a hand-advanced vclock.NowFunc for cooldown tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-// newTestLimiter builds an adaptive host gate whose windows start at,
-// and never exceed, globalBound.
-func newTestLimiter(t *testing.T, globalBound int, clk *fakeClock) (*hostGate, *httpkit.HealthRegistry) {
-	t.Helper()
-	health := httpkit.NewHealthRegistry(httpkit.BreakerPolicy{})
-	return newHostGate(AdaptivePolicy{Enabled: true}, health, globalBound, clk.now), health
-}
-
-func TestAdaptiveDisabledIsNop(t *testing.T) {
-	g := newHostGate(AdaptivePolicy{}, nil, 8, nil)
-	// With adaptation off an exchange that is not a probe is admitted at
-	// once, however many are in flight, and leaves no per-host state.
-	var releases []func()
-	for i := 0; i < 20; i++ {
-		release, err := g.acquire(context.Background(), "any.host", false)
-		if err != nil {
+// TestGateAdmitsNonProbesAtOnce: exchanges with a host that is not on
+// probation are admitted at once, however many are in flight, and leave
+// no per-host gate state.
+func TestGateAdmitsNonProbesAtOnce(t *testing.T) {
+	c := New(Config{})
+	const n = 20
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var admitted sync.WaitGroup
+	admitted.Add(n)
+	all := make(chan struct{})
+	go func() { admitted.Wait(); close(all) }()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := under(ctx, c, "any.host", func() (struct{}, error) {
+				admitted.Done()
+				select {
+				case <-all:
+					return struct{}{}, nil
+				case <-ctx.Done():
+					return struct{}{}, errors.New("exchange waited for another to finish")
+				}
+			})
+			errs <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
-		releases = append(releases, release)
 	}
-	for _, release := range releases {
-		release()
+	if len(c.gate.probing) != 0 {
+		t.Fatalf("gate kept state for %d hosts", len(c.gate.probing))
 	}
-	if len(g.hosts) != 0 {
-		t.Fatalf("disabled gate kept state for %d hosts", len(g.hosts))
-	}
-	if g.Limits() != nil {
-		t.Fatal("disabled gate reported limits")
-	}
-}
-
-func TestAdaptiveBackpressureAndRecovery(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	lim, health := newTestLimiter(t, 8, clk)
-
-	const host = "busy.example"
-	if got := lim.Limits()[host]; got != 0 {
-		t.Fatalf("untouched host already has a window: %d", got)
-	}
-
-	// A burst of 429s within one cooldown (50ms) halves the window once,
-	// not once per response.
-	health.ReportFailure(host, httpkit.Kind429)
-	health.ReportFailure(host, httpkit.Kind429)
-	health.ReportFailure(host, httpkit.Kind429)
-	if got := lim.Limits()[host]; got != 4 {
-		t.Fatalf("window after one burst = %d, want 8/2 = 4", got)
-	}
-	// Past the cooldown the next load signal halves again; breaker-open
-	// refusals count as backpressure too.
-	clk.advance(60 * time.Millisecond)
-	health.ReportFailure(host, httpkit.Kind5xx)
-	if got := lim.Limits()[host]; got != 2 {
-		t.Fatalf("window after second backoff = %d, want 2", got)
-	}
-	clk.advance(60 * time.Millisecond)
-	health.ReportFailure(host, httpkit.Kind429)
-	clk.advance(60 * time.Millisecond)
-	health.ReportFailure(host, httpkit.Kind429)
-	if got := lim.Limits()[host]; got != 1 {
-		t.Fatalf("window must floor at minPerHost: %d", got)
-	}
-
-	// Dial failures are the breaker's business, not load: no shrink —
-	// and no growth either.
-	clk.advance(60 * time.Millisecond)
-	health.ReportFailure(host, httpkit.KindDial)
-	if got := lim.Limits()[host]; got != 1 {
-		t.Fatalf("dial failure moved the window to %d", got)
-	}
-
-	// Additive recovery: at limit 1 each success credits a full slot.
-	health.ReportSuccess(host)
-	if got := lim.Limits()[host]; got != 2 {
-		t.Fatalf("window after recovery success = %d, want 2", got)
-	}
-	for i := 0; i < 100; i++ {
-		health.ReportSuccess(host)
-	}
-	if got := lim.Limits()[host]; got != 8 {
-		t.Fatalf("window must cap at the global bound: %d", got)
-	}
-}
-
-func TestAdaptiveAcquireBlocksAtWindow(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	lim, health := newTestLimiter(t, 2, clk)
-
-	const host = "narrow.example"
-	r1, err := lim.acquire(context.Background(), host, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := lim.acquire(context.Background(), host, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Third slot: blocked until a release.
-	acquired := make(chan func(), 1)
-	go func() {
-		r, err := lim.acquire(context.Background(), host, false)
-		if err != nil {
-			t.Error(err)
-		}
-		acquired <- r
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("third acquire did not block at window 2")
-	case <-time.After(20 * time.Millisecond):
-	}
-	r1()
-	r1() // double release is safe and must not free a second slot
-	select {
-	case r := <-acquired:
-		r()
-	case <-time.After(time.Second):
-		t.Fatal("release did not wake the blocked acquire")
-	}
-	r2()
-
-	// Other hosts are unaffected by this host's window.
-	r3, err := lim.acquire(context.Background(), "other.example", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3()
-
-	// A cancelled context aborts a blocked acquire.
-	a, _ := lim.acquire(context.Background(), host, false)
-	b, _ := lim.acquire(context.Background(), host, false)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := lim.acquire(ctx, host, false); err == nil {
-		t.Fatal("acquire beyond the window with expiring ctx returned no error")
-	}
-	a()
-	b()
-	_ = health
 }
 
 // failFirst answers 503 to the first request it sees and 200 with an
@@ -173,70 +64,57 @@ func (f *failFirst) Do(*http.Request) (*http.Response, error) {
 	return &http.Response{StatusCode: code, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("{}"))}, nil
 }
 
-// TestIdleWaitsDoNotDeadlock: one worker slot, and host H admits one
-// exchange at a time, through an adaptive window of 1 or as a probe on
-// probation. Task A holds H, fails once and backs off; task B, let in
-// by A's backoff, waits for H. A must get a worker slot back to retry,
-// so B's wait must not keep the one slot.
+// TestIdleWaitsDoNotDeadlock: one worker slot, and host H, on
+// probation, admits one exchange at a time as a probe. Task A holds H,
+// fails once and backs off; task B, let in by A's backoff, waits for H.
+// A must get a worker slot back to retry, so B's wait must not keep the
+// one slot.
 func TestIdleWaitsDoNotDeadlock(t *testing.T) {
 	const host = "h.example"
-	for _, tc := range []struct {
-		name  string
-		build func(Config) *Crawler
-	}{
-		{"adaptive window", func(cfg Config) *Crawler {
-			// The window is at most Concurrency, 1.
-			cfg.Adaptive = AdaptivePolicy{Enabled: true}
-			return New(cfg)
-		}},
-		{"probe gate", func(cfg Config) *Crawler {
-			// Past the quarantine threshold, last failure older than the
-			// probation age (1ns, so A's failure does not quarantine H
-			// again): the gate admits one probe at a time.
-			cfg.Breaker = httpkit.BreakerPolicy{Probation: time.Nanosecond}
-			c := New(cfg)
-			c.Health().ImportHealth([]httpkit.HostHealth{{
-				Host:            host,
-				QuarantineOpens: httpkit.DefaultBreaker.QuarantineAfter,
-				LastFailure:     time.Now().Add(-time.Second),
-			}})
-			return c
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			doer := &failFirst{}
-			c := tc.build(Config{Transport: Transport{HTTP: doer, Concurrency: 1}})
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			g := httpkit.NewGroup(ctx, 1)
-			for i := 0; i < 2; i++ {
-				g.Go(func(ctx context.Context) error {
-					_, err := under(ctx, c, host, func() (struct{}, error) {
-						var out struct{}
-						return out, c.client.GetJSON(ctx, "https://"+host+"/x", &out)
-					})
-					return err
+	t.Run("probe gate", func(t *testing.T) {
+		doer := &failFirst{}
+		// Past the quarantine threshold, last failure older than the
+		// probation age (1ns, so A's failure does not quarantine H again):
+		// the gate admits one probe at a time.
+		c := New(Config{Transport: Transport{HTTP: doer, Concurrency: 1, Breaker: httpkit.BreakerPolicy{Probation: time.Nanosecond}}})
+		c.Health().ImportHealth([]httpkit.HostHealth{{
+			Host:            host,
+			QuarantineOpens: httpkit.DefaultBreaker.QuarantineAfter,
+			LastFailure:     time.Now().Add(-time.Second),
+		}})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		g := httpkit.NewGroup(ctx, 1)
+		for i := 0; i < 2; i++ {
+			g.Go(func(ctx context.Context) error {
+				_, err := under(ctx, c, host, func() (struct{}, error) {
+					var out struct{}
+					return out, c.client.GetJSON(ctx, "https://"+host+"/x", &out)
 				})
-			}
-			if err := g.Wait(); err != nil {
-				t.Fatalf("deadlocked until the deadline: %v", err)
-			}
-			if n := doer.calls.Load(); n != 3 {
-				t.Fatalf("%d requests, want 3 (A's failure and retry, B's exchange)", n)
-			}
-		})
-	}
+				return err
+			})
+		}
+		if err := g.Wait(); err != nil {
+			t.Fatalf("deadlocked until the deadline: %v", err)
+		}
+		if n := doer.calls.Load(); n != 3 {
+			t.Fatalf("%d requests, want 3 (A's failure and retry, B's exchange)", n)
+		}
+	})
 }
 
-// TestHostGateProbeRules: a probe waits for the host's other probe, and
-// with adaptation on for a slot in the host's window; an exchange that
-// is not a probe never waits for a probe.
+// TestHostGateProbeRules: a probe waits while the host's other probe
+// is in flight, and a cancelled wait returns the context's error; an
+// exchange that is not a probe never waits for a probe; and a second
+// release of a probe frees nothing.
 func TestHostGateProbeRules(t *testing.T) {
 	const host = "h.example"
-	acquireAsync := func(ctx context.Context, g *hostGate, probe bool) chan error {
+	c := New(Config{})
+	g := &c.gate
+	probeAsync := func(ctx context.Context) chan error {
 		done := make(chan error, 1)
 		go func() {
-			release, err := g.acquire(ctx, host, probe)
+			release, err := g.probe(ctx, host)
 			if err == nil {
 				release()
 			}
@@ -252,66 +130,67 @@ func TestHostGateProbeRules(t *testing.T) {
 			return true
 		}
 	}
-
-	t.Run("adaptation off", func(t *testing.T) {
-		g := newHostGate(AdaptivePolicy{}, nil, 8, nil)
-		first, err := g.acquire(context.Background(), host, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		second := acquireAsync(context.Background(), g, true)
-		if !blocked(second) {
-			t.Fatal("second probe admitted while the first holds")
-		}
-		plain, err := g.acquire(context.Background(), host, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain()
-		first()
+	finished := func(done chan error, what string) {
+		t.Helper()
 		select {
-		case err := <-second:
+		case err := <-done:
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", what, err)
 			}
 		case <-time.After(time.Second):
-			t.Fatal("release did not wake the waiting probe")
+			t.Fatalf("%s is still waiting", what)
 		}
-		if g.Limits() != nil {
-			t.Fatal("disabled gate reported limits")
-		}
-	})
+	}
 
-	t.Run("adaptation on", func(t *testing.T) {
-		g, _ := newTestLimiter(t, 2, &fakeClock{t: time.Unix(1_700_000_000, 0)})
-		a, err := g.acquire(context.Background(), host, false)
-		if err != nil {
-			t.Fatal(err)
+	first, err := g.probe(context.Background(), host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := probeAsync(context.Background())
+	if !blocked(second) {
+		t.Fatal("second probe admitted while the first holds")
+	}
+	// The registry has no verdict on host, so under admits the exchange
+	// as no probe, and at once.
+	plain := make(chan error, 1)
+	go func() {
+		_, err := under(context.Background(), c, host, func() (struct{}, error) { return struct{}{}, nil })
+		plain <- err
+	}()
+	finished(plain, "exchange that is not a probe")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := probeAsync(ctx)
+	if !blocked(cancelled) {
+		t.Fatal("third probe admitted while the first holds")
+	}
+	cancel()
+	select {
+	case err := <-cancelled:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
 		}
-		b, err := g.acquire(context.Background(), host, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		probe := acquireAsync(ctx, g, true)
-		if !blocked(probe) {
-			t.Fatal("probe admitted past a full window of 2")
-		}
-		cancel()
-		select {
-		case err := <-probe:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
-			}
-		case <-time.After(time.Second):
-			t.Fatal("cancel did not abort the waiting probe")
-		}
-		a()
-		if blocked(acquireAsync(context.Background(), g, true)) {
-			t.Fatal("probe not admitted into a freed slot")
-		}
-		b()
-	})
+	case <-time.After(time.Second):
+		t.Fatal("cancel did not abort the waiting probe")
+	}
+	first()
+	finished(second, "probe woken by a release")
+
+	// The first probe's second release must not free the probe that now
+	// holds the host.
+	held, err := g.probe(context.Background(), host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first()
+	next := probeAsync(context.Background())
+	if !blocked(next) {
+		t.Fatal("a second release freed another probe's hold")
+	}
+	held()
+	finished(next, "probe woken by a release")
+	if len(g.probing) != 0 {
+		t.Fatalf("gate kept state for %d hosts after every release", len(g.probing))
+	}
 }
 
 // TestBackendNeverSkipped: the registry's quarantine verdict skips a

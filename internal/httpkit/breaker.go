@@ -52,11 +52,6 @@ const (
 	Kind429 ErrorKind = "429"
 	// KindOther: terminal client-side statuses (4xx) and the rest.
 	KindOther ErrorKind = "other"
-	// KindBreakerOpen is a synthetic kind delivered only to listeners
-	// when a request is refused by an open breaker. It is never added
-	// to a host's counts — the refusal is our doing, not the host's —
-	// but adaptive controllers treat it like backpressure.
-	KindBreakerOpen ErrorKind = "breaker-open"
 )
 
 // trips reports whether a failure kind counts toward opening the breaker.
@@ -96,8 +91,8 @@ type BreakerPolicy struct {
 	// Probation is how long after its last failure a quarantined host
 	// stays skip-worthy (default 1h). Past that age the host decays to
 	// probation: HostHealth.Quarantined turns false and
-	// HostHealth.Probation true, telling planners to probe it at the
-	// limiter floor instead of banning it forever. The age is read
+	// HostHealth.Probation true, telling planners to probe it one
+	// exchange at a time instead of banning it forever. The age is read
 	// through the registry's clock (vclock.NowFunc), so persisted
 	// quarantine state replays correctly under a virtual clock.
 	Probation time.Duration
@@ -139,8 +134,8 @@ type HostHealth struct {
 	Quarantined     bool `json:"quarantined,omitempty"`
 	// Probation is true when the host reached the quarantine threshold
 	// but its last failure is older than the policy's Probation age:
-	// no longer skip-worthy, but planners should re-admit it at the
-	// limiter floor rather than with a full fan-out burst.
+	// no longer skip-worthy, but planners should re-admit it one
+	// exchange at a time rather than with a full fan-out burst.
 	Probation   bool              `json:"probation,omitempty"`
 	Counts      map[ErrorKind]int `json:"counts,omitempty"`
 	Successes   int               `json:"successes,omitempty"`
@@ -161,41 +156,13 @@ type hostState struct {
 	lastFailure time.Time
 }
 
-// HealthListener observes per-host outcomes as the registry records
-// them: success=true for a successful exchange, otherwise the failure
-// kind (including the synthetic KindBreakerOpen for refusals). Called
-// outside the registry lock; implementations must be concurrency-safe.
-type HealthListener func(host string, kind ErrorKind, success bool)
-
 // HealthRegistry tracks per-host health and gates requests through
 // circuit breakers. It is safe for concurrent use.
 type HealthRegistry struct {
-	mu        sync.Mutex
-	policy    BreakerPolicy
-	hosts     map[string]*hostState
-	now       vclock.NowFunc
-	listeners []HealthListener
-}
-
-// Subscribe registers a listener for every recorded outcome. Adaptive
-// concurrency controllers key their AIMD steps off this stream.
-func (r *HealthRegistry) Subscribe(fn HealthListener) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.listeners = append(r.listeners, fn)
-	r.mu.Unlock()
-}
-
-// notify fans an outcome out to listeners; never called under r.mu.
-func (r *HealthRegistry) notify(host string, kind ErrorKind, success bool) {
-	r.mu.Lock()
-	ls := r.listeners
-	r.mu.Unlock()
-	for _, fn := range ls {
-		fn(host, kind, success)
-	}
+	mu     sync.Mutex
+	policy BreakerPolicy
+	hosts  map[string]*hostState
+	now    vclock.NowFunc
 }
 
 // NewHealthRegistry builds a registry with the given policy (zero fields
@@ -224,14 +191,6 @@ func (r *HealthRegistry) Allow(host string) error {
 	if r == nil {
 		return nil
 	}
-	err := r.allow(host)
-	if err != nil {
-		r.notify(host, KindBreakerOpen, false)
-	}
-	return err
-}
-
-func (r *HealthRegistry) allow(host string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.host(host)
@@ -292,17 +251,16 @@ func (r *HealthRegistry) ReportSuccess(host string) {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	h := r.host(host)
 	h.successes++
 	h.consecFails = 0
 	// A successful exchange proves the host is back: drop the
 	// quarantine history (the cumulative opens counter stays for
-	// reporting) so planners stop skipping or flooring it.
+	// reporting) so planners stop skipping or probing it.
 	h.quarOpens = 0
 	h.probing = false
 	h.state = BreakerClosed
-	r.mu.Unlock()
-	r.notify(host, "", true)
 }
 
 // ReportFailure records a failed exchange of the given kind. Kinds that
@@ -313,6 +271,7 @@ func (r *HealthRegistry) ReportFailure(host string, kind ErrorKind) {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	h := r.host(host)
 	h.counts[kind]++
 	h.lastFailure = r.now()
@@ -324,8 +283,6 @@ func (r *HealthRegistry) ReportFailure(host string, kind ErrorKind) {
 		if h.state == BreakerHalfOpen {
 			h.probing = false
 		}
-		r.mu.Unlock()
-		r.notify(host, kind, false)
 		return
 	}
 	h.consecFails++
@@ -344,8 +301,6 @@ func (r *HealthRegistry) ReportFailure(host string, kind ErrorKind) {
 			h.quarOpens++
 		}
 	}
-	r.mu.Unlock()
-	r.notify(host, kind, false)
 }
 
 // snapshotLocked builds a HostHealth copy; caller holds r.mu.
@@ -356,8 +311,8 @@ func (r *HealthRegistry) snapshotLocked(host string, h *hostState) HostHealth {
 	}
 	// Quarantine decays with age: a host over the threshold is
 	// skip-worthy while its last failure is fresher than the probation
-	// window, and merely on probation (probe at the limiter floor) once
-	// it is older. Without the decay a host that died once would be
+	// window, and merely on probation (probed one exchange at a time)
+	// once it is older. Without the decay a host that died once would be
 	// banned across every future resumed run.
 	overThreshold := h.quarOpens >= r.policy.QuarantineAfter
 	quarantined := overThreshold && r.now().Sub(h.lastFailure) < r.policy.Probation
@@ -415,8 +370,7 @@ func (r *HealthRegistry) Snapshot() []HostHealth {
 // while a fresh one keeps refusing. Quarantine is recomputed from the
 // imported QuarantineOpens and LastFailure against the receiving
 // registry's policy and clock — a snapshot older than the probation
-// window therefore lands in probation, not quarantine. Listeners are
-// not notified: imports are bookkeeping, not traffic.
+// window therefore lands in probation, not quarantine.
 func (r *HealthRegistry) ImportHealth(snap []HostHealth) {
 	if r == nil {
 		return

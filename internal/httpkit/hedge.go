@@ -42,9 +42,6 @@ type HedgePolicy struct {
 	// MinDelay floors the hedge trigger so a uniformly fast host cannot
 	// spend the budget on no-win micro-hedges (default 1ms).
 	MinDelay time.Duration
-	// Window is the per-host sliding-window size of the latency digest
-	// (default 128 samples).
-	Window int
 }
 
 // enabled reports whether the policy turns hedging on.
@@ -52,7 +49,7 @@ func (p HedgePolicy) enabled() bool { return p.Percentile > 0 }
 
 // DefaultHedge is a crawl-appropriate hedging policy: back up requests
 // beyond the host's p95, spending at most 5% extra requests.
-var DefaultHedge = HedgePolicy{Percentile: 0.95, MinSamples: 8, BudgetFrac: 0.05, MinDelay: time.Millisecond, Window: 128}
+var DefaultHedge = HedgePolicy{Percentile: 0.95, MinSamples: 8, BudgetFrac: 0.05, MinDelay: time.Millisecond}
 
 func (p HedgePolicy) withDefaults() HedgePolicy {
 	if p.MinSamples <= 0 {
@@ -64,15 +61,16 @@ func (p HedgePolicy) withDefaults() HedgePolicy {
 	if p.MinDelay <= 0 {
 		p.MinDelay = DefaultHedge.MinDelay
 	}
-	if p.Window <= 0 {
-		p.Window = DefaultHedge.Window
-	}
 	return p
 }
 
+// digestWindow is the per-host sliding-window size of the latency
+// digest, in samples.
+const digestWindow = 128
+
 // latencyDigest is a fixed-size sliding window of latency samples for
 // one host. Quantiles are computed on demand by sorting a copy — the
-// window is small (default 128), so this is cheaper than maintaining a
+// window is small (digestWindow), so this is cheaper than maintaining a
 // proper streaming sketch and exactly reproducible.
 type latencyDigest struct {
 	window  []time.Duration
@@ -119,14 +117,13 @@ func (c *Client) observeLatency(host string, v time.Duration) {
 	if !c.hedge.enabled() {
 		return
 	}
-	pol := c.hedge.withDefaults()
 	c.mu.Lock()
 	if c.digests == nil {
 		c.digests = make(map[string]*latencyDigest)
 	}
 	d := c.digests[host]
 	if d == nil {
-		d = newLatencyDigest(pol.Window)
+		d = newLatencyDigest(digestWindow)
 		c.digests[host] = d
 	}
 	d.observe(v)

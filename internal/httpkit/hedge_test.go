@@ -250,36 +250,6 @@ func TestStateDoesNotConsumeProbe(t *testing.T) {
 	}
 }
 
-// TestSubscribeSeesOutcomes: listeners observe successes, classified
-// failures and synthetic breaker-open refusals.
-func TestSubscribeSeesOutcomes(t *testing.T) {
-	health := NewHealthRegistry(BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
-	type event struct {
-		kind    ErrorKind
-		success bool
-	}
-	var events []event
-	health.Subscribe(func(host string, kind ErrorKind, success bool) {
-		if host != "h.example" {
-			t.Errorf("listener saw host %q", host)
-		}
-		events = append(events, event{kind, success})
-	})
-	health.ReportSuccess("h.example")
-	health.ReportFailure("h.example", Kind429)
-	health.ReportFailure("h.example", KindDial)
-	_ = health.Allow("h.example") // refused: breaker open
-	want := []event{{"", true}, {Kind429, false}, {KindDial, false}, {KindBreakerOpen, false}}
-	if len(events) != len(want) {
-		t.Fatalf("events %+v, want %+v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, events[i], want[i])
-		}
-	}
-}
-
 // TestZeroValueClientStillWorks: the zero value, which outside this
 // package is the only Client literal that compiles, behaves like New().
 func TestZeroValueClientStillWorks(t *testing.T) {

@@ -120,8 +120,8 @@ type Client struct {
 	// requests (see HedgePolicy); the zero value disables it.
 	hedge HedgePolicy
 	// clock is the time base for latency digests and Retry-After
-	// arithmetic; nil means vclock.Wall. Virtual-time tests inject a
-	// vclock.Clock's Now so hedge percentiles replay deterministically.
+	// arithmetic; nil means vclock.Wall. Tests inject a hand-advanced
+	// vclock.NowFunc so hedge percentiles replay deterministically.
 	clock vclock.NowFunc
 
 	// mu guards the counters and the per-host latency digests.
@@ -299,6 +299,9 @@ func (c *Client) send(r *http.Request, host string) (*http.Response, error) {
 func (c *Client) Do(req *http.Request) (*http.Response, error) {
 	if ua := c.userAgent; ua != "" && !slices.Equal(req.Header["User-Agent"], []string{ua}) {
 		req = req.Clone(req.Context())
+		if req.Header == nil {
+			req.Header = make(http.Header, 1)
+		}
 		req.Header.Set("User-Agent", ua)
 	}
 	policy := c.policy()

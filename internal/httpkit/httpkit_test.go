@@ -268,7 +268,8 @@ func TestAuthAndUserAgentHeaders(t *testing.T) {
 // TestDoKeepsCallerRequest: a client with a User-Agent stamps it on
 // every attempt, the retry and the hedged backup included, next to the
 // caller's own headers, and leaves the caller's request as it was. The
-// retried POST carries its whole body.
+// retried POST carries its whole body, and a request with no header map
+// is sent with one of its own.
 func TestDoKeepsCallerRequest(t *testing.T) {
 	const ua = "flock/1.0"
 	callerReq := func(method string, body io.Reader) *http.Request {
@@ -337,6 +338,21 @@ func TestDoKeepsCallerRequest(t *testing.T) {
 		t.Fatalf("stats %+v after %d attempts, want one hedge fired and won", s, arrivals.Load())
 	}
 	unchanged(req)
+
+	fd = &fakeDoer{fn: func(call int, req *http.Request) (*http.Response, error) {
+		if got := req.Header.Get("User-Agent"); got != ua {
+			t.Errorf("attempt %d sent User-Agent %q, want %q", call, got, ua)
+		}
+		return respond(200, "ok", nil), nil
+	}}
+	req = &http.Request{Method: "GET", URL: callerReq("GET", nil).URL}
+	if resp, err = New(WithDoer(fd), WithUserAgent(ua)).Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if req.Header != nil {
+		t.Errorf("caller's nil header map became %v", req.Header)
+	}
 }
 
 func TestGetJSONDecodes(t *testing.T) {

@@ -4,14 +4,11 @@
 // several analyses to dated events (Musk's takeover on 2022-10-27, the
 // layoffs on 2022-11-04, the "extremely hardcore" ultimatum on
 // 2022-11-17). vclock provides those anchors, day/week bucketing in UTC,
-// and a Clock type the simulated services use instead of time.Now so that
-// the entire universe is replayable at any speed.
+// and NowFunc, which simulated services read instead of calling
+// time.Now so that a run can be replayed on a clock of its own.
 package vclock
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Event dates from the paper, all midnight UTC.
 var (
@@ -73,51 +70,15 @@ func PostTakeover(t time.Time) bool {
 // NowFunc is a clock-reading function. Simulated services accept a
 // NowFunc instead of calling time.Now directly (the walltime analyzer in
 // internal/lint enforces this), so the same service runs on wall time
-// (Wall) or on a virtual Clock (Clock.Now) without code changes.
+// (Wall) or on any other clock without code changes.
 type NowFunc func() time.Time
 
 // Wall is the wall-clock NowFunc. It is the one sanctioned gateway to
 // time.Now for simulated-service packages: services default to Wall so
 // existing behavior under real time is unchanged, and tests or replays
-// swap in a Clock.
+// swap in a NowFunc of their own.
 func Wall() time.Time {
 	return time.Now()
-}
-
-// Clock is a monotonically advancing virtual clock. Services read Now from
-// it; generators advance it. The zero value starts at StudyStart.
-type Clock struct {
-	now time.Time
-}
-
-// NewClock returns a Clock positioned at start.
-func NewClock(start time.Time) *Clock {
-	return &Clock{now: start}
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() time.Time {
-	if c.now.IsZero() {
-		return StudyStart
-	}
-	return c.now
-}
-
-// Advance moves the clock forward by d. It panics on negative d to catch
-// accidental time travel in generators.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("vclock: negative Advance")
-	}
-	c.now = c.Now().Add(d)
-}
-
-// SetAt jumps the clock to t, which must not be before the current time.
-func (c *Clock) SetAt(t time.Time) {
-	if t.Before(c.Now()) {
-		panic(fmt.Sprintf("vclock: SetAt(%s) would move clock backwards from %s", t, c.Now()))
-	}
-	c.now = t
 }
 
 // FormatDay renders t as the paper's figures label days (e.g. "Oct 27").

@@ -56,45 +56,6 @@ func TestPostTakeover(t *testing.T) {
 	}
 }
 
-func TestClockAdvance(t *testing.T) {
-	c := NewClock(StudyStart)
-	c.Advance(2 * time.Hour)
-	if got := c.Now(); !got.Equal(StudyStart.Add(2 * time.Hour)) {
-		t.Fatalf("Now = %s", got)
-	}
-	c.SetAt(Takeover)
-	if !c.Now().Equal(Takeover) {
-		t.Fatal("SetAt failed")
-	}
-}
-
-func TestClockZeroValue(t *testing.T) {
-	var c Clock
-	if !c.Now().Equal(StudyStart) {
-		t.Fatal("zero clock should start at StudyStart")
-	}
-}
-
-func TestClockPanicsOnBackwards(t *testing.T) {
-	c := NewClock(Takeover)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetAt backwards did not panic")
-		}
-	}()
-	c.SetAt(StudyStart)
-}
-
-func TestClockPanicsOnNegativeAdvance(t *testing.T) {
-	c := NewClock(StudyStart)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Advance did not panic")
-		}
-	}()
-	c.Advance(-time.Second)
-}
-
 func TestFormatDay(t *testing.T) {
 	if got := FormatDay(Takeover); got != "Oct 27" {
 		t.Fatalf("FormatDay = %q", got)
