@@ -109,88 +109,92 @@ func TestIdleWaitsDoNotDeadlock(t *testing.T) {
 // release of a probe frees nothing.
 func TestHostGateProbeRules(t *testing.T) {
 	const host = "h.example"
-	c := New(Config{})
-	g := &c.gate
-	probeAsync := func(ctx context.Context) chan error {
-		done := make(chan error, 1)
-		go func() {
-			release, err := g.probe(ctx, host)
-			if err == nil {
-				release()
-			}
-			done <- err
-		}()
-		return done
-	}
-	blocked := func(done chan error) bool {
-		select {
-		case <-done:
-			return false
-		case <-time.After(20 * time.Millisecond):
-			return true
+	// The gate has no adaptive window, so Transport.Adaptive at its zero
+	// value, adaptation off, is the one configuration to check.
+	t.Run("adaptation off", func(t *testing.T) {
+		c := New(Config{})
+		g := &c.gate
+		probeAsync := func(ctx context.Context) chan error {
+			done := make(chan error, 1)
+			go func() {
+				release, err := g.probe(ctx, host)
+				if err == nil {
+					release()
+				}
+				done <- err
+			}()
+			return done
 		}
-	}
-	finished := func(done chan error, what string) {
-		t.Helper()
+		blocked := func(done chan error) bool {
+			select {
+			case <-done:
+				return false
+			case <-time.After(20 * time.Millisecond):
+				return true
+			}
+		}
+		finished := func(done chan error, what string) {
+			t.Helper()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("%s is still waiting", what)
+			}
+		}
+
+		first, err := g.probe(context.Background(), host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := probeAsync(context.Background())
+		if !blocked(second) {
+			t.Fatal("second probe admitted while the first holds")
+		}
+		// The registry has no verdict on host, so under admits the exchange
+		// as no probe, and at once.
+		plain := make(chan error, 1)
+		go func() {
+			_, err := under(context.Background(), c, host, func() (struct{}, error) { return struct{}{}, nil })
+			plain <- err
+		}()
+		finished(plain, "exchange that is not a probe")
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := probeAsync(ctx)
+		if !blocked(cancelled) {
+			t.Fatal("third probe admitted while the first holds")
+		}
+		cancel()
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
+		case err := <-cancelled:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
 			}
 		case <-time.After(time.Second):
-			t.Fatalf("%s is still waiting", what)
+			t.Fatal("cancel did not abort the waiting probe")
 		}
-	}
+		first()
+		finished(second, "probe woken by a release")
 
-	first, err := g.probe(context.Background(), host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := probeAsync(context.Background())
-	if !blocked(second) {
-		t.Fatal("second probe admitted while the first holds")
-	}
-	// The registry has no verdict on host, so under admits the exchange
-	// as no probe, and at once.
-	plain := make(chan error, 1)
-	go func() {
-		_, err := under(context.Background(), c, host, func() (struct{}, error) { return struct{}{}, nil })
-		plain <- err
-	}()
-	finished(plain, "exchange that is not a probe")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancelled := probeAsync(ctx)
-	if !blocked(cancelled) {
-		t.Fatal("third probe admitted while the first holds")
-	}
-	cancel()
-	select {
-	case err := <-cancelled:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
+		// The first probe's second release must not free the probe that now
+		// holds the host.
+		held, err := g.probe(context.Background(), host)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("cancel did not abort the waiting probe")
-	}
-	first()
-	finished(second, "probe woken by a release")
-
-	// The first probe's second release must not free the probe that now
-	// holds the host.
-	held, err := g.probe(context.Background(), host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first()
-	next := probeAsync(context.Background())
-	if !blocked(next) {
-		t.Fatal("a second release freed another probe's hold")
-	}
-	held()
-	finished(next, "probe woken by a release")
-	if len(g.probing) != 0 {
-		t.Fatalf("gate kept state for %d hosts after every release", len(g.probing))
-	}
+		first()
+		next := probeAsync(context.Background())
+		if !blocked(next) {
+			t.Fatal("a second release freed another probe's hold")
+		}
+		held()
+		finished(next, "probe woken by a release")
+		if len(g.probing) != 0 {
+			t.Fatalf("gate kept state for %d hosts after every release", len(g.probing))
+		}
+	})
 }
 
 // TestBackendNeverSkipped: the registry's quarantine verdict skips a
