@@ -39,10 +39,12 @@ type Transport struct {
 	// HTTP performs all requests (point it at the memnet fabric or a real
 	// network).
 	HTTP httpkit.Doer
-	// Concurrency bounds the crawl's running work units (default 8). A
-	// unit waiting out a retry backoff or at the host gate does not
-	// count against it; at most 8x as many units exist at once (see
-	// httpkit.Group).
+	// Concurrency bounds the crawl's work outside waits (default 8): a
+	// goroutine that holds one of its slots waits only on its own CPU
+	// work, and every other wait lends the slot. A unit waiting out a
+	// retry backoff, at the host gate, for its hedge race's attempts or
+	// on the fabric's injected delays does not count against it; at most
+	// 16x as many units exist at once (see httpkit.Group).
 	Concurrency int
 	// Hedge enables tail-latency hedging on the crawl's shared client
 	// (zero value: off).

@@ -53,10 +53,10 @@ func under[T any](ctx context.Context, c *Crawler, host string, fetch func() (T,
 	var zero T
 	host = strings.ToLower(host)
 	if host != c.twHost && host != c.toxHost {
-		switch h := c.health.Health(host); {
-		case h.Quarantined:
+		switch quarantined, probation := c.health.Verdict(host); {
+		case quarantined:
 			return zero, &quarantineSkip{host}
-		case h.Probation:
+		case probation:
 			release, err := c.gate.probe(ctx, host)
 			if err != nil {
 				return zero, err

@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -13,6 +14,7 @@ import (
 
 	"flock/internal/birdsite"
 	"flock/internal/httpkit"
+	"flock/internal/memnet"
 )
 
 // TestGateAdmitsNonProbesAtOnce: exchanges with a host that is not on
@@ -101,6 +103,54 @@ func TestIdleWaitsDoNotDeadlock(t *testing.T) {
 			t.Fatalf("%d requests, want 3 (A's failure and retry, B's exchange)", n)
 		}
 	})
+	// Every exchange waits on the wire and some stall, so races hedge:
+	// the task lends its slot to wait for its attempts, each attempt
+	// takes one for its exchange and lends it again for the fabric's
+	// waits. With one slot, every wait must still end.
+	t.Run("hedged exchanges over latency", func(t *testing.T) {
+		fab := memnet.NewFabric()
+		defer fab.Close()
+		if _, err := fab.Serve(context.Background(), host, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, "{}")
+		})); err != nil {
+			t.Fatal(err)
+		}
+		fab.SetChaos(host, &memnet.ChaosSpec{Seed: 1, Latency: time.Millisecond, PSlowReq: 0.3, SlowReqDelay: 20 * time.Millisecond})
+		c := New(Config{Transport: Transport{HTTP: fab.Client(), Concurrency: 1, Hedge: httpkit.HedgePolicy{Percentile: 0.5, MinSamples: 2, BudgetFrac: 1}}})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		g := httpkit.NewGroup(ctx, 1)
+		for i := 0; i < 40; i++ {
+			g.Go(func(ctx context.Context) error {
+				_, err := under(ctx, c, host, func() (struct{}, error) {
+					var out struct{}
+					return out, c.client.GetJSON(ctx, fmt.Sprintf("https://%s/%d", host, i), &out)
+				})
+				return err
+			})
+		}
+		if err := g.Wait(); err != nil {
+			t.Fatalf("deadlocked until the deadline: %v", err)
+		}
+		if s := c.client.Stats(); s.HedgesFired == 0 {
+			t.Fatalf("no hedge fired in %d requests", s.Requests)
+		}
+	})
+}
+
+// TestGateVerdictAllocFree: the gate reads a host's health verdict
+// without allocating, for a host with a recorded failure and for a host
+// never seen.
+func TestGateVerdictAllocFree(t *testing.T) {
+	c := New(Config{})
+	c.Health().ReportFailure("failed.example", httpkit.KindDial)
+	ctx := context.Background()
+	fetch := func() (struct{}, error) { return struct{}{}, nil }
+	for _, host := range []string{"failed.example", "never.example"} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = under(ctx, c, host, fetch) }); n != 0 {
+			t.Errorf("%s: %v allocations per admitted exchange, want 0", host, n)
+		}
+	}
 }
 
 // TestHostGateProbeRules: a probe waits while the host's other probe

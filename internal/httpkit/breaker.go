@@ -303,19 +303,25 @@ func (r *HealthRegistry) ReportFailure(host string, kind ErrorKind) {
 	}
 }
 
+// verdictLocked is the quarantine rule; caller holds r.mu. Quarantine
+// decays with age: a host over the threshold is skip-worthy while its
+// last failure is fresher than the probation window, and merely on
+// probation (probed one exchange at a time) once it is older. Without
+// the decay a host that died once would be banned across every future
+// resumed run.
+func (r *HealthRegistry) verdictLocked(h *hostState) (quarantined, probation bool) {
+	overThreshold := h.quarOpens >= r.policy.QuarantineAfter
+	quarantined = overThreshold && r.now().Sub(h.lastFailure) < r.policy.Probation
+	return quarantined, overThreshold && !quarantined
+}
+
 // snapshotLocked builds a HostHealth copy; caller holds r.mu.
 func (r *HealthRegistry) snapshotLocked(host string, h *hostState) HostHealth {
 	counts := make(map[ErrorKind]int, len(h.counts))
 	for k, v := range h.counts {
 		counts[k] = v
 	}
-	// Quarantine decays with age: a host over the threshold is
-	// skip-worthy while its last failure is fresher than the probation
-	// window, and merely on probation (probed one exchange at a time)
-	// once it is older. Without the decay a host that died once would be
-	// banned across every future resumed run.
-	overThreshold := h.quarOpens >= r.policy.QuarantineAfter
-	quarantined := overThreshold && r.now().Sub(h.lastFailure) < r.policy.Probation
+	quarantined, probation := r.verdictLocked(h)
 	return HostHealth{
 		Host:            host,
 		State:           h.state,
@@ -324,7 +330,7 @@ func (r *HealthRegistry) snapshotLocked(host string, h *hostState) HostHealth {
 		QuarantineOpens: h.quarOpens,
 		ShortCircuits:   h.shorts,
 		Quarantined:     quarantined,
-		Probation:       overThreshold && !quarantined,
+		Probation:       probation,
 		Counts:          counts,
 		Successes:       h.successes,
 		LastFailure:     h.lastFailure,
@@ -343,6 +349,21 @@ func (r *HealthRegistry) Health(host string) HostHealth {
 		return HostHealth{Host: host, State: BreakerClosed, Counts: map[ErrorKind]int{}}
 	}
 	return r.snapshotLocked(host, h)
+}
+
+// Verdict returns host's Quarantined and Probation, as Health would,
+// without building its snapshot. A host never seen is neither.
+func (r *HealthRegistry) Verdict(host string) (quarantined, probation bool) {
+	if r == nil {
+		return false, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h, ok := r.hosts[host]
+	if !ok {
+		return false, false
+	}
+	return r.verdictLocked(h)
 }
 
 // Snapshot returns every tracked host's health, sorted by host. It is

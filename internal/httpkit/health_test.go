@@ -81,9 +81,22 @@ func TestHealthExportImportRoundTrip(t *testing.T) {
 func TestQuarantineProbationDecay(t *testing.T) {
 	policy := BreakerPolicy{FailureThreshold: 1, Cooldown: time.Minute, QuarantineAfter: 1, Probation: 10 * time.Minute}
 	r, now := testRegistry(policy)
+	// health reads the host's Health, whose verdicts Verdict must give
+	// too.
+	health := func() HostHealth {
+		t.Helper()
+		h := r.Health("gone.test")
+		if q, p := r.Verdict("gone.test"); q != h.Quarantined || p != h.Probation {
+			t.Fatalf("Verdict = %v, %v; Health has %v, %v", q, p, h.Quarantined, h.Probation)
+		}
+		return h
+	}
+	if q, p := r.Verdict("never.test"); q || p {
+		t.Fatalf("host never seen: Verdict = %v, %v", q, p)
+	}
 	r.ReportFailure("gone.test", KindDial)
 
-	h := r.Health("gone.test")
+	h := health()
 	if !h.Quarantined || h.Probation {
 		t.Fatalf("fresh failure: quarantined=%v probation=%v, want true/false", h.Quarantined, h.Probation)
 	}
@@ -93,7 +106,7 @@ func TestQuarantineProbationDecay(t *testing.T) {
 
 	// Past the probation age the host decays to probe-able.
 	*now = now.Add(policy.Probation + time.Second)
-	h = r.Health("gone.test")
+	h = health()
 	if h.Quarantined || !h.Probation {
 		t.Fatalf("aged failure: quarantined=%v probation=%v, want false/true", h.Quarantined, h.Probation)
 	}
@@ -107,7 +120,7 @@ func TestQuarantineProbationDecay(t *testing.T) {
 		t.Fatalf("post-probation probe refused: %v", err)
 	}
 	r.ReportSuccess("gone.test")
-	h = r.Health("gone.test")
+	h = health()
 	if h.Quarantined || h.Probation {
 		t.Fatalf("recovered host still flagged: %+v", h)
 	}
@@ -118,7 +131,7 @@ func TestQuarantineProbationDecay(t *testing.T) {
 	// Relapse re-quarantines from a clean slate: one more open trips the
 	// threshold again.
 	r.ReportFailure("gone.test", KindDial)
-	if h = r.Health("gone.test"); !h.Quarantined {
+	if h = health(); !h.Quarantined {
 		t.Fatalf("relapsed host not re-quarantined: %+v", h)
 	}
 }

@@ -21,7 +21,7 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -69,47 +69,45 @@ func (p HedgePolicy) withDefaults() HedgePolicy {
 const digestWindow = 128
 
 // latencyDigest is a fixed-size sliding window of latency samples for
-// one host. Quantiles are computed on demand by sorting a copy — the
-// window is small (digestWindow), so this is cheaper than maintaining a
-// proper streaming sketch and exactly reproducible.
+// one host, kept twice: in arrival order, to know which sample leaves,
+// and sorted, so a quantile is one index. The window is small
+// (digestWindow), so this is cheaper than a streaming sketch and
+// exactly reproducible.
 type latencyDigest struct {
-	window  []time.Duration
-	next    int // ring cursor
-	samples int // total observed (may exceed len(window))
+	window  []time.Duration // ring, in arrival order
+	sorted  []time.Duration // the window's samples, ascending
+	next    int             // ring cursor
+	samples int             // total observed (may exceed len(window))
 }
 
 func newLatencyDigest(size int) *latencyDigest {
-	return &latencyDigest{window: make([]time.Duration, 0, size)}
+	return &latencyDigest{window: make([]time.Duration, 0, size), sorted: make([]time.Duration, 0, size)}
 }
 
 func (d *latencyDigest) observe(v time.Duration) {
 	if len(d.window) < cap(d.window) {
 		d.window = append(d.window, v)
 	} else {
+		old := d.window[d.next]
 		d.window[d.next] = v
 		d.next = (d.next + 1) % len(d.window)
+		i, _ := slices.BinarySearch(d.sorted, old)
+		d.sorted = slices.Delete(d.sorted, i, i+1)
 	}
+	i, _ := slices.BinarySearch(d.sorted, v)
+	d.sorted = slices.Insert(d.sorted, i, v)
 	d.samples++
 }
 
 // quantile returns the q-quantile (nearest rank) of the window.
 // ok is false while the window is empty.
 func (d *latencyDigest) quantile(q float64) (time.Duration, bool) {
-	n := len(d.window)
+	n := len(d.sorted)
 	if n == 0 {
 		return 0, false
 	}
-	cp := make([]time.Duration, n)
-	copy(cp, d.window)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(q * float64(n-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return cp[idx], true
+	idx := min(max(int(q*float64(n-1)), 0), n-1)
+	return d.sorted[idx], true
 }
 
 // observeLatency records a successful exchange's duration for host.
@@ -218,21 +216,35 @@ func (r raceResult) discard() {
 }
 
 // race performs one hedged exchange: the primary attempt starts
-// immediately; if it is still in flight after delay, one backup fires
-// (budget and breaker permitting) and the first 2xx wins. The loser is
-// cancelled. When neither attempt produces a 2xx, the primary's result
-// is returned so the caller's retry/backoff logic sees a deterministic
-// outcome.
+// immediately; if it is still in flight delay after it took a worker
+// slot, one backup fires (budget and breaker permitting) and the first
+// 2xx wins. The loser is cancelled. When neither attempt produces a 2xx,
+// the primary's result is returned so the caller's retry/backoff logic
+// sees a deterministic outcome.
+//
+// Each attempt runs its exchange on a worker slot of its own (occupy),
+// and the race lends the task's slot while it waits for them (Idle). So
+// inside a Group the attempts wait for a slot, and the hedge trigger
+// starts only once the primary holds one: a hedge times the exchange,
+// not the wait for a slot.
 func (c *Client) race(req *http.Request, host string, delay time.Duration) (*http.Response, error) {
 	parent := req.Context()
 	results := make(chan raceResult, 2)
 	var cancels [2]context.CancelFunc
+	held := make(chan struct{}) // closed once the primary holds its slot
 	launch := func(idx int, hedge bool) {
 		ctx, cancel := context.WithCancel(parent)
 		cancels[idx] = cancel
-		r := req.WithContext(ctx)
 		go func() {
-			resp, err := c.attempt(r, host)
+			var resp *http.Response
+			ctx, release, err := occupy(ctx)
+			if err == nil {
+				if !hedge {
+					close(held)
+				}
+				resp, err = c.attempt(req.WithContext(ctx), host)
+				release()
+			}
 			if resp != nil {
 				// The context must survive until the body is consumed.
 				resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
@@ -247,58 +259,68 @@ func (c *Client) race(req *http.Request, host string, delay time.Duration) (*htt
 
 	// The hedge trigger runs through c.sleep so tests that inject a
 	// sleep (WithSleep) control it; cancelling timerCtx reaps the
-	// goroutine once a result settles the race. It is not c.wait: the
-	// primary attempt still runs, so the task keeps its Group slot.
+	// goroutine once a result settles the race.
 	timerCtx, timerCancel := context.WithCancel(parent)
 	defer timerCancel()
 	timer := make(chan struct{})
 	go func() {
+		select {
+		case <-held:
+		case <-timerCtx.Done():
+			return
+		}
 		if c.sleep(timerCtx, delay) == nil {
 			close(timer)
 		}
 	}()
 
+	var resp *http.Response
 	var primary, hedged *raceResult
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err == nil && res.resp.StatusCode >= 200 && res.resp.StatusCode < 300 {
-				// First success wins; cancel and drain the loser.
+	err := Idle(parent, func() error {
+		for {
+			select {
+			case res := <-results:
+				inflight--
+				if res.err == nil && res.resp.StatusCode >= 200 && res.resp.StatusCode < 300 {
+					// First success wins; cancel and drain the loser.
+					if res.hedge {
+						c.mu.Lock()
+						c.stats.HedgeWins++
+						c.mu.Unlock()
+						cancels[0]()
+					} else if cancels[1] != nil {
+						cancels[1]()
+					}
+					if primary != nil {
+						primary.discard()
+					}
+					if inflight > 0 {
+						go func() { (<-results).discard() }()
+					}
+					resp = res.resp
+					return nil
+				}
 				if res.hedge {
-					c.mu.Lock()
-					c.stats.HedgeWins++
-					c.mu.Unlock()
-					cancels[0]()
-				} else if cancels[1] != nil {
-					cancels[1]()
+					hedged = &res
+				} else {
+					primary = &res
 				}
-				if primary != nil {
-					primary.discard()
+				if inflight == 0 {
+					// No winner: surface the primary outcome, drop the rest.
+					if hedged != nil {
+						hedged.discard()
+					}
+					resp = primary.resp
+					return primary.err
 				}
-				if inflight > 0 {
-					go func() { (<-results).discard() }()
+			case <-timer:
+				timer = nil // fire at most once
+				if c.allowHedge(host) {
+					launch(1, true)
+					inflight++
 				}
-				return res.resp, nil
-			}
-			if res.hedge {
-				hedged = &res
-			} else {
-				primary = &res
-			}
-			if inflight == 0 {
-				// No winner: surface the primary outcome, drop the rest.
-				if hedged != nil {
-					hedged.discard()
-				}
-				return primary.resp, primary.err
-			}
-		case <-timer:
-			timer = nil // fire at most once
-			if c.allowHedge(host) {
-				launch(1, true)
-				inflight++
 			}
 		}
-	}
+	})
+	return resp, err
 }

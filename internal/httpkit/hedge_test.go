@@ -2,10 +2,15 @@ package httpkit
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"flock/internal/randx"
 )
 
 func TestLatencyDigestSlidingQuantile(t *testing.T) {
@@ -31,6 +36,58 @@ func TestLatencyDigestSlidingQuantile(t *testing.T) {
 	}
 	if d.samples != 8 {
 		t.Fatalf("samples = %d, want 8", d.samples)
+	}
+}
+
+// sortedCopyQuantile is the digest's quantile as it was computed before
+// the digest kept its window sorted: sort a copy of the window and take
+// the nearest rank.
+func sortedCopyQuantile(window []time.Duration, q float64) (time.Duration, bool) {
+	n := len(window)
+	if n == 0 {
+		return 0, false
+	}
+	cp := make([]time.Duration, n)
+	copy(cp, window)
+	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	idx := int(q * float64(n-1))
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return cp[idx], true
+}
+
+// TestLatencyDigestMatchesSortedCopy: on seeded sequences three times
+// longer than the window, with values that repeat and values that
+// rarely do, every quantile the digest gives after each observation is
+// the one a sorted copy of its window gives.
+func TestLatencyDigestMatchesSortedCopy(t *testing.T) {
+	qs := []float64{0, 0.05, 0.5, 0.9, 0.95, 0.99, 1}
+	for _, size := range []int{1, 2, 7, digestWindow} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			rng := randx.New(seed)
+			spread := 10 // many repeats
+			if seed%2 == 0 {
+				spread = 1 << 30
+			}
+			d := newLatencyDigest(size)
+			for i := 0; i < 3*size+rng.Intn(size+1); i++ {
+				d.observe(time.Duration(rng.Intn(spread)))
+				for _, q := range qs {
+					got, gotOK := d.quantile(q)
+					want, wantOK := sortedCopyQuantile(d.window, q)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("size %d seed %d, after %d samples: quantile(%v) = %v, %v; sorted copy gives %v, %v", size, seed, i+1, q, got, gotOK, want, wantOK)
+					}
+				}
+			}
+			if !slices.IsSorted(d.sorted) || len(d.sorted) != len(d.window) {
+				t.Fatalf("size %d seed %d: sorted copy %v of window %v", size, seed, d.sorted, d.window)
+			}
+		}
 	}
 }
 
@@ -296,3 +353,104 @@ func TestOptionsCompose(t *testing.T) {
 
 // guard against unused import when tests shrink
 var _ = context.Background
+
+// TestHedgeRaceLendsSlot: in a Group of 1, a hedge race lends its task's
+// worker slot while it waits, and each attempt takes a slot of its own.
+func TestHedgeRaceLendsSlot(t *testing.T) {
+	// The Doer works a little, waits out its exchange through Idle, and
+	// works again. Primaries outlast the hedge delay, so most races run
+	// two attempts of one task at once. Outside their waits, attempts
+	// never work at the same time, and their waits overlap.
+	t.Run("attempts work one at a time", func(t *testing.T) {
+		const tasks, exchange = 6, 10 * time.Millisecond
+		var working, inflight, peak atomic.Int64
+		section := func() {
+			if n := working.Add(1); n > 1 {
+				t.Errorf("%d attempts working outside their waits, bound 1", n)
+			}
+			time.Sleep(200 * time.Microsecond)
+			working.Add(-1)
+		}
+		pol := HedgePolicy{Percentile: 0.5, MinSamples: 1, BudgetFrac: 1.0, MinDelay: 2 * time.Millisecond}
+		c := warmClient(t, pol, func(_ int, req *http.Request) (*http.Response, error) {
+			maxInto(&peak, inflight.Add(1))
+			defer inflight.Add(-1)
+			section()
+			ctx := req.Context()
+			if err := Idle(ctx, func() error { return SleepContext(ctx, exchange) }); err != nil {
+				return nil, err
+			}
+			section()
+			return respond(200, "ok", nil), nil
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		g := NewGroup(ctx, 1)
+		for i := 0; i < tasks; i++ {
+			g.Go(func(ctx context.Context) error {
+				req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "https://h.example/slow", nil)
+				resp, err := c.Do(req)
+				if err != nil {
+					return err
+				}
+				return resp.Body.Close()
+			})
+		}
+		if err := g.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Stats(); s.HedgesFired == 0 || peak.Load() < 2 {
+			t.Fatalf("%d hedges fired, %d attempts in flight at peak; want hedges and overlapping waits", s.HedgesFired, peak.Load())
+		}
+	})
+
+	// Task A runs its exchange inside a wait of its own, so it holds no
+	// slot, while task B works on the one slot for three hedge delays:
+	// A's primary waits for B. The trigger starts once the primary holds
+	// the slot, and the exchange itself is instant, so no hedge fires.
+	t.Run("trigger starts on the slot", func(t *testing.T) {
+		const delay = 50 * time.Millisecond
+		var bDone, waited atomic.Bool
+		pol := HedgePolicy{Percentile: 0.5, MinSamples: 1, BudgetFrac: 1.0, MinDelay: delay}
+		c := warmClient(t, pol, func(_ int, _ *http.Request) (*http.Response, error) {
+			waited.Store(bDone.Load())
+			return respond(200, "ok", nil), nil
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		g := NewGroup(ctx, 1)
+		lent, working := make(chan struct{}), make(chan struct{})
+		g.Go(func(ctx context.Context) error {
+			return Idle(ctx, func() error {
+				close(lent)
+				select {
+				case <-working:
+				case <-ctx.Done():
+					return fmt.Errorf("B never took the lent slot: %w", ctx.Err())
+				}
+				req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "https://h.example/a", nil)
+				resp, err := c.Do(req)
+				if err != nil {
+					return err
+				}
+				return resp.Body.Close()
+			})
+		})
+		<-lent
+		g.Go(func(context.Context) error {
+			close(working)
+			time.Sleep(3 * delay) // work on the slot
+			bDone.Store(true)
+			return nil
+		})
+		if err := g.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if !waited.Load() {
+			t.Fatal("A's primary ran before B gave the slot back")
+		}
+		if s := c.Stats(); s.HedgesFired != 0 {
+			t.Fatalf("%d hedges fired for an instant exchange whose primary waited for the slot", s.HedgesFired)
+		}
+	})
+}

@@ -519,14 +519,18 @@ func Paginate[T any](ctx context.Context, fetch func(ctx context.Context, token 
 //
 // Tasks run on worker goroutines that each take the next task when one
 // ends, so a phase of many short tasks does not start (and regrow the
-// stack of) a goroutine per task. The bound counts running tasks, not
-// existing ones. Each task gets a context carrying its worker slot, and
-// a task that waits for anything other than its own exchange (a retry
-// backoff, the crawler's per-host gate) waits through Idle, which
-// lends the slot to another task for the wait. So waits overlap with
-// other tasks' work, and a task holding a slot blocks on nothing but its
-// own exchange: whatever it waits for is held by a task that either runs
-// or is itself waiting without a slot.
+// stack of) a goroutine per task. The bound counts worker slots, not
+// tasks, under one rule: a goroutine that holds a slot waits only on its
+// own CPU work; every other wait lends the slot. Each task gets a
+// context carrying its slot, and every wait that needs no CPU goes
+// through Idle, which lends the slot to another task for the wait: a
+// retry backoff, the crawler's per-host gate, a hedge race's wait for
+// its attempts, and the delays memnet injects on the wire. A goroutine
+// that a task starts to work for it, such as a hedge attempt, takes a
+// slot of its own (occupy). So at most n goroutines work outside their
+// waits, the waits overlap with that work, and whatever a slot holder
+// waits for is held by a goroutine that either runs or is itself waiting
+// without a slot.
 //
 // Call Go only before Wait, and Wait once.
 type Group struct {
@@ -542,8 +546,12 @@ type Group struct {
 // tasksPerSlot caps the worker goroutines, and so the tasks that exist
 // at once, at this multiple of the running bound: each worker holds one
 // task, running or waiting, and a phase with far more work units than
-// slots reuses them. Past 8x, crawl time stops improving.
-const tasksPerSlot = 8
+// slots reuses them. As every wait lends its slot, the cap also bounds
+// the exchanges waiting on the wire at once. On the chaos_300 benchmark
+// (seed 99, 2 vCPUs, ten pairs of runs) 16 beat 8 in every pair:
+// median run_s 1.053 → 0.940 s, cpu_s 0.485 → 0.462 s, the same
+// coverage and requests within 0.2%.
+const tasksPerSlot = 16
 
 // NewGroup returns a Group running at most n tasks at once. Each task's
 // context derives from ctx.
@@ -608,23 +616,24 @@ func (g *Group) Wait() error {
 // slotKey is the context key under which a Group task finds its slot.
 type slotKey struct{}
 
-// slot is one worker's claim on its Group's worker slots, held by the
-// task it runs.
+// slot is one goroutine's claim on its Group's worker slots: a worker's,
+// held by the task it runs, or one that occupy took.
 type slot struct {
 	run  chan struct{}
-	idle bool // the slot is lent out; only the worker's goroutine touches it
+	idle bool // the slot is lent out; only the holding goroutine touches it
 }
 
-// Idle runs wait with the calling task's worker slot lent to another
-// task, then takes a slot back before returning. The slot comes back
-// unconditionally, also when wait fails on cancellation: every slot is
-// held by a task that blocks on nothing but its own exchange, so one
+// Idle runs wait with the calling goroutine's worker slot lent to
+// another task, then takes a slot back before returning. The slot comes
+// back unconditionally, also when wait fails on cancellation: every slot
+// is held by a goroutine that waits only on its own CPU work, so one
 // always frees up, and the task still holds a slot when it returns to
 // its Group.
 //
-// Call Idle from the task's own goroutine, around a wait that does not
-// need a worker slot. Without a Group task in ctx (or inside another
-// Idle), it just runs wait.
+// Call Idle around any wait that needs no CPU, from the goroutine that
+// holds the slot in ctx: the task's own, or the one that took it with
+// occupy. Without a slot in ctx (or inside another Idle), it just runs
+// wait.
 func Idle(ctx context.Context, wait func() error) error {
 	s, _ := ctx.Value(slotKey{}).(*slot)
 	if s == nil || s.idle {
@@ -637,4 +646,24 @@ func Idle(ctx context.Context, wait func() error) error {
 		s.idle = false
 	}()
 	return wait()
+}
+
+// occupy takes a worker slot of its own for a goroutine that works for
+// the Group task in ctx, such as a hedge attempt, and returns a context
+// carrying that slot and the function that gives it back. The goroutine
+// lends the slot through Idle as a task lends its own, and the task
+// meanwhile lends its slot while it waits for the goroutine. It fails
+// with ctx's error when ctx ends before a slot frees up. Without a Group
+// task in ctx it takes nothing.
+func occupy(ctx context.Context) (context.Context, func(), error) {
+	s, _ := ctx.Value(slotKey{}).(*slot)
+	if s == nil {
+		return ctx, func() {}, nil
+	}
+	select {
+	case s.run <- struct{}{}:
+	case <-ctx.Done():
+		return ctx, nil, ctx.Err()
+	}
+	return context.WithValue(ctx, slotKey{}, &slot{run: s.run}), func() { <-s.run }, nil
 }

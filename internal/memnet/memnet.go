@@ -22,6 +22,12 @@
 // "instance down", §3.2), and a seeded per-host chaos schedule (SetChaos,
 // the one fault injector, which cmd/fedisim shares through Schedule) lets
 // tests exercise the retry, backoff, breaker and hedging paths in httpkit.
+//
+// The fabric keeps httpkit's rule for worker slots: a goroutine that
+// holds a slot waits only on its own CPU work; every other wait lends
+// the slot. It sleeps every wait it injects through httpkit.Idle, so in
+// a Group of n the exchanges of many tasks wait on the wire at once,
+// while at most n handlers run.
 package memnet
 
 import (
@@ -35,6 +41,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"time"
 
 	"flock/internal/httpkit"
 )
@@ -158,8 +165,10 @@ func (f *Fabric) Client() *http.Client {
 // fails with a dial *net.OpError wrapping ErrHostDown or ErrNoSuchHost,
 // as does a refusal by the schedule. Every wait — latency, stall,
 // throttle — is slept on req's context, so cancelling it (a hedge's
-// loser, an expired client timeout) ends the exchange. A handler panic
-// becomes the exchange's error.
+// loser, an expired client timeout) ends the exchange. A wait needs no
+// CPU, so it lends the worker slot of the Group task in that context
+// (httpkit.Idle), and the handler runs once the caller holds a slot
+// again. A handler panic becomes the exchange's error.
 //
 // The handler gets a copy of req with its own header map and answers
 // through the fabric's writer (see exchange), which builds the
@@ -197,7 +206,7 @@ func (f *Fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	ctx := req.Context()
-	if err := httpkit.SleepContext(ctx, d.delay+sched.throttle(len(payload))); err != nil {
+	if err := wait(ctx, d.delay+sched.throttle(len(payload))); err != nil {
 		return nil, err
 	}
 
@@ -217,7 +226,7 @@ func (f *Fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := serve(h, x, in); err != nil {
 		return nil, err
 	}
-	if err := httpkit.SleepContext(ctx, sched.throttle(x.body.Len())); err != nil {
+	if err := wait(ctx, sched.throttle(x.body.Len())); err != nil {
 		return nil, err
 	}
 	resp := x.response(req)
@@ -225,6 +234,16 @@ func (f *Fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 		resp.Body = &resetBody{ReadCloser: resp.Body, left: d.reset}
 	}
 	return resp, nil
+}
+
+// wait sleeps d on ctx through httpkit.Idle, so that a Group task
+// waiting on the wire lends its worker slot meanwhile. A zero wait only
+// checks ctx, as httpkit.SleepContext does, and lends nothing.
+func wait(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	return httpkit.Idle(ctx, func() error { return httpkit.SleepContext(ctx, d) })
 }
 
 // serve runs the handler, turning a panic into an error the way a

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,6 +333,54 @@ func TestManyHostsConcurrentHTTP(t *testing.T) {
 		if st := f.ChaosStats(fmt.Sprintf("inst%d.example", i)); st.Requests != 4 {
 			t.Fatalf("inst%d.example counted %d attempts, want 4", i, st.Requests)
 		}
+	}
+}
+
+// TestInjectedLatencyLendsSlot: in a Group of 1, tasks GET a host
+// whose every request waits 20 ms on the wire. The waits lend the
+// tasks' worker slot, so the exchanges overlap on the wire, and the
+// handler, which runs on the slot, never runs twice at once.
+func TestInjectedLatencyLendsSlot(t *testing.T) {
+	const tasks, latency = 8, 20 * time.Millisecond
+	f := NewFabric()
+	defer f.Close()
+	var handling atomic.Int64
+	if _, err := f.Serve(context.Background(), "slow.example", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if n := handling.Add(1); n > 1 {
+			t.Errorf("%d handler calls at once, bound 1", n)
+		}
+		time.Sleep(200 * time.Microsecond)
+		handling.Add(-1)
+		io.WriteString(w, "ok")
+	})); err != nil {
+		t.Fatal(err)
+	}
+	f.SetChaos("slow.example", &ChaosSpec{Latency: latency})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var mu sync.Mutex
+	inflight, peak := 0, 0
+	g := httpkit.NewGroup(ctx, 1)
+	start := time.Now()
+	for i := 0; i < tasks; i++ {
+		g.Go(func(ctx context.Context) error {
+			mu.Lock()
+			inflight++
+			peak = max(peak, inflight)
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				inflight--
+				mu.Unlock()
+			}()
+			return getCtx(ctx, f, fmt.Sprintf("https://slow.example/%d", i))
+		})
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); peak < 2 || elapsed >= tasks*latency/2 {
+		t.Fatalf("%d exchanges in flight at peak, %v for %d of %v each; want them overlapping", peak, elapsed, tasks, latency)
 	}
 }
 
