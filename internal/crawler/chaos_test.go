@@ -398,16 +398,43 @@ func TestChaosDatasetSameAtAnyConcurrency(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeConvergesToSameDataset kills the crawl twice at
-// phase boundaries (via the Logf hook) and resumes from the on-disk
-// checkpoint each time. The final dataset must be byte-identical to an
-// uninterrupted run over an identical world.
+// The crawler's phase numbers (Progress.Phase) that tests name.
+const (
+	phaseMapping   = 3
+	phaseTwitterTL = 4
+	phaseMastoTL   = 5
+)
+
+// killedInTimelineBatch loads the checkpoint file at path and fails t
+// unless it holds a crawl killed inside the timeline batch: the Mastodon
+// records wait for the Twitter phase's End record, so the progress is
+// still at account mapping and holds no Mastodon timeline.
+func killedInTimelineBatch(t *testing.T, path string) *crawler.Progress {
+	t.Helper()
+	prog, err := store.NewFileCheckpoint(path).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Phase != phaseMapping || len(prog.Dataset.MastodonTimelines) != 0 {
+		t.Fatalf("killed at phase %d with %d Mastodon timelines, want phase %d with none", prog.Phase, len(prog.Dataset.MastodonTimelines), phaseMapping)
+	}
+	return prog
+}
+
+// TestCheckpointResumeConvergesToSameDataset kills the crawl twice and
+// resumes from the on-disk checkpoint each time: once at a phase
+// boundary (via the Logf hook), once inside the timeline batch. The
+// final dataset must be byte-identical to an uninterrupted run over an
+// identical world.
 func TestCheckpointResumeConvergesToSameDataset(t *testing.T) {
 	const nMigrants, seed = 150, 77
 
 	// Reference: uninterrupted run.
 	ref := newSoakEnv(t, nMigrants, seed)
-	refDS, err := crawler.New(ref.config()).Run(context.Background())
+	refRec := &recorder{next: ref.http}
+	refCfg := ref.config()
+	refCfg.HTTP = refRec
+	refDS, err := crawler.New(refCfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,37 +442,51 @@ func TestCheckpointResumeConvergesToSameDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	timelineRequests := 0
+	for _, req := range refRec.sent {
+		if ofClass("statuses")(req) {
+			timelineRequests++
+		}
+	}
 
 	// Interrupted: same world seed, fresh services, file checkpoint.
 	e := newSoakEnv(t, nMigrants, seed)
-	ckpt := store.NewFileCheckpoint(filepath.Join(t.TempDir(), "crawl.ckpt.gz"))
-	runUntil := func(killAfter string) (*crawler.Dataset, error) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		cfg := e.config()
+	path := filepath.Join(t.TempDir(), "crawl.ckpt.gz")
+	ckpt := store.NewFileCheckpoint(path)
+	run := func(ctx context.Context, cfg crawler.Config) error {
 		cfg.Checkpoint = ckpt
 		cfg.CheckpointEvery = 8
-		if killAfter != "" {
-			cfg.Logf = func(format string, _ ...any) {
-				if strings.HasPrefix(format, killAfter) {
-					cancel()
-				}
-			}
-		}
-		return crawler.New(cfg).Run(ctx)
+		_, err := crawler.New(cfg).Run(ctx)
+		return err
 	}
 
 	// Kill 1: right after tweet collection, mid-mapping.
-	if _, err := runUntil("collected"); !errors.Is(err, context.Canceled) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := e.config()
+	cfg.Logf = func(format string, _ ...any) {
+		if strings.HasPrefix(format, "collected") {
+			cancel()
+		}
+	}
+	if err := run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("first kill: err = %v, want context.Canceled", err)
 	}
-	// Kill 2: right after the twitter timelines, mid-mastodon-timelines.
-	if _, err := runUntil("twitter timelines"); !errors.Is(err, context.Canceled) {
+	// Kill 2: inside the timeline batch, on the timeline request (Twitter
+	// or Mastodon) three quarters of the way through the reference's.
+	// The Mastodon units run first, so by then Twitter timelines are
+	// being saved and Mastodon records are held.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cfg = e.config()
+	cfg.HTTP = &cancelAt{next: e.http, match: ofClass("statuses"), n: timelineRequests * 3 / 4, cancel: cancel}
+	if err := run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("second kill: err = %v, want context.Canceled", err)
 	}
+	t.Logf("second kill after %d of %d timeline requests: %d Twitter timelines saved", timelineRequests*3/4, timelineRequests, len(killedInTimelineBatch(t, path).Dataset.TwitterTimelines))
 
 	// Final resume runs to completion.
-	cfg := e.config()
+	cfg = e.config()
 	cfg.Checkpoint = ckpt
 	c := crawler.New(cfg)
 	ds, err := c.Run(context.Background())
@@ -522,19 +563,23 @@ func tailStorm(w *world.World, seed uint64) *memnet.Storm {
 }
 
 // TestChaosHedgedTailLatency drives the pipeline against a tail-heavy
-// flagship with hedging on, killing the run once mid-pipeline to prove
-// checkpoints taken amid hedged traffic resume cleanly. Invariants:
-// hedges fire but stay within budget, the slow-but-alive host never
-// trips its breaker (no more opens than the unhedged baseline), and the
-// dataset is byte-identical to an unhedged run — hedging is
-// semantically transparent.
+// flagship with hedging on, killing the run once inside the timeline
+// batch to prove checkpoints taken amid hedged traffic resume cleanly.
+// Invariants: hedges fire but stay within budget, the slow-but-alive
+// host never trips its breaker (no more opens than the unhedged
+// baseline), and the dataset is byte-identical to an unhedged run —
+// hedging is semantically transparent.
 func TestChaosHedgedTailLatency(t *testing.T) {
 	const nMigrants, worldSeed, stormSeed = 150, 77, 1717
+	flagship := mastodonStatuses("mastodon.social")
 
 	// Baseline: same world, same storm, no hedging, global concurrency only.
 	base := newSoakEnv(t, nMigrants, worldSeed)
 	tailStorm(base.w, stormSeed).Apply(base.fab)
-	cBase := crawler.New(base.config())
+	baseRec := &recorder{next: base.http}
+	baseCfg := base.config()
+	baseCfg.HTTP = baseRec
+	cBase := crawler.New(baseCfg)
 	dsBase, err := cBase.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -543,11 +588,18 @@ func TestChaosHedgedTailLatency(t *testing.T) {
 	for _, h := range cBase.Health().Snapshot() {
 		baseOpens += h.Opens
 	}
+	flagshipStatuses := 0
+	for _, req := range baseRec.sent {
+		if flagship(req) {
+			flagshipStatuses++
+		}
+	}
 
 	// Hedged run on a fresh but identically seeded world.
 	e := newSoakEnv(t, nMigrants, worldSeed)
 	tailStorm(e.w, stormSeed).Apply(e.fab)
-	ckpt := store.NewFileCheckpoint(filepath.Join(t.TempDir(), "hedged.ckpt.gz"))
+	path := filepath.Join(t.TempDir(), "hedged.ckpt.gz")
+	ckpt := store.NewFileCheckpoint(path)
 	hedge := httpkit.HedgePolicy{Percentile: 0.75, MinSamples: 8, BudgetFrac: 0.05, MinDelay: 5 * time.Millisecond}
 	mkCfg := func() crawler.Config {
 		cfg := e.config()
@@ -557,19 +609,19 @@ func TestChaosHedgedTailLatency(t *testing.T) {
 		return cfg
 	}
 
-	// Kill mid-pipeline: checkpoints have been taken while hedges were in
-	// flight against the flagship.
+	// Kill inside the timeline batch, on the flagship statuses request
+	// halfway through the baseline's: checkpoints have been taken while
+	// hedges were in flight against the flagship.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killCfg := mkCfg()
-	killCfg.Logf = func(format string, _ ...any) {
-		if strings.HasPrefix(format, "twitter timelines") {
-			cancel()
-		}
-	}
-	if _, err := crawler.New(killCfg).Run(ctx); !errors.Is(err, context.Canceled) {
+	killCfg.HTTP = &cancelAt{next: e.http, match: flagship, n: flagshipStatuses / 2, cancel: cancel}
+	cKill := crawler.New(killCfg)
+	if _, err := cKill.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("kill: err = %v, want context.Canceled", err)
 	}
+	saved := killedInTimelineBatch(t, path).Dataset.TwitterTimelines
+	t.Logf("killed after %d of %d flagship statuses requests: %d Twitter timelines saved, %d hedges fired", flagshipStatuses/2, flagshipStatuses, len(saved), cKill.Report().HTTPStats.HedgesFired)
 
 	// Resume to completion under a hang guard.
 	rctx, rcancel := context.WithTimeout(context.Background(), 90*time.Second)

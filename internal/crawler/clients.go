@@ -16,13 +16,19 @@
 // Mastodon timelines, the §3.3 followee sample and the activity domains.
 // A unit is a key plus a fetch that returns the unit's Record and its
 // gap, the terminal failure CrawlReport lists under the key. One runner
-// runs every such phase: it skips the keys already in Progress.Done and
-// schedules each key once, fans the units out over Concurrency workers,
-// writes every unit's record and ends the phase. A failed unit's record
+// runs every such phase, in batches of consecutive phases that share a
+// worker group: the two timeline phases form one batch, whose units
+// reach disjoint hosts, and every other phase runs alone. The runner
+// skips the keys already in Progress.Done and schedules each key once,
+// fans the units out over Concurrency workers, writes every unit's
+// record and ends the batch's phases in order. In the timeline batch the
+// Mastodon units are scheduled first, so their retry backoffs against
+// dead instances overlap the Twitter units, and their records wait until
+// the Twitter phase's End record is written. A failed unit's record
 // carries its gap as Gap and, when the gap is the host gate's quarantine
 // skip, the skipped host as SkippedHost. When the crawl's context is
 // done as a fetch returns, the runner writes nothing for the unit: the
-// phase fails with the context error, and a resumed run fetches the unit
+// batch fails with the context error, and a resumed run fetches the unit
 // again. The instance index is one request whose failure is fatal, so it
 // has no units.
 //

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"flock/internal/httpkit"
@@ -75,13 +76,15 @@ type Config struct {
 	ScoreToxicity bool
 	// Keywords overrides DefaultKeywords when non-nil.
 	Keywords []string
-	// Logf receives progress lines (nil = silent).
+	// Logf receives progress lines (nil = silent): one per phase, once
+	// the phase's batch has ended, so the Twitter and Mastodon timeline
+	// lines print together after both timeline phases.
 	Logf func(format string, args ...any)
-	// BeforeTimelines runs after discovery+mapping and before the
-	// timeline crawls. The simulation uses it to take instances down at
-	// the point in the crawl where the paper's instance deaths bit
-	// (§3.2's 11.58%). On a resumed run it fires again whenever the
-	// timeline phases are not yet complete.
+	// BeforeTimelines runs after discovery+mapping and before the batch
+	// that crawls both timelines. The simulation uses it to take
+	// instances down at the point in the crawl where the paper's
+	// instance deaths bit (§3.2's 11.58%). On a resumed run it fires
+	// again whenever the timeline phases are not yet complete.
 	BeforeTimelines func()
 
 	// Checkpoint persists per-phase progress so a cancelled or crashed
@@ -191,34 +194,48 @@ type unit struct {
 	fetch func(ctx context.Context) (Record, error)
 }
 
-// keyedPhases are the phases between the instance index and toxicity
-// scoring, in order. Each builds its units from the dataset so far, and
-// Run logs its line with count after it.
-var keyedPhases = []struct {
+// keyedPhase is one of the phases between the instance index and
+// toxicity scoring. It builds its units from the dataset its batch
+// starts with, and Run logs its line with count after the batch.
+type keyedPhase struct {
 	phase int
 	name  string
 	units func(*Crawler, *Dataset) []unit
 	line  string
 	count func(*Dataset) int
-}{
-	{phaseTweets, "tweet collection", (*Crawler).tweetQueries,
-		"collected %d tweets", func(d *Dataset) int { return len(d.CollectedTweets) }},
-	{phaseMapping, "account mapping", (*Crawler).authors,
-		"mapped %d account pairs", func(d *Dataset) int { return len(d.Pairs) }},
-	{phaseTwitterTL, "twitter timelines", (*Crawler).twitterTimelines,
-		"twitter timelines: %d", func(d *Dataset) int { return len(d.TwitterTimelines) }},
-	{phaseMastoTL, "mastodon timelines", (*Crawler).mastodonTimelines,
-		"mastodon timelines: %d", func(d *Dataset) int { return len(d.MastodonTimelines) }},
-	{phaseFollowees, "followee sample", (*Crawler).followeeSample,
-		"followee sample: %d users", func(d *Dataset) int { return len(d.TwitterFollowees) }},
-	{phaseActivity, "activity", (*Crawler).activityDomains,
-		"activity: %d instances", func(d *Dataset) int { return len(d.Activity) }},
+}
+
+// keyedPhases are the keyed phases in order, in batches of consecutive
+// phases that share one worker group (see runPhases). The two timeline
+// phases form the one batch of two. Their units commute: the Twitter
+// units reach only the birdsite host, the Mastodon units are built from
+// the pairs alone and reach only fediverse instances, and everything
+// that decides a unit's outcome (breakers, the host gate, quarantine,
+// hedge digests, the fault schedule) is kept per host. The followee
+// units read the Twitter timelines, and they and the activity units
+// reach the fediverse instances, so those phases run alone.
+var keyedPhases = [][]keyedPhase{
+	{{phaseTweets, "tweet collection", (*Crawler).tweetQueries,
+		"collected %d tweets", func(d *Dataset) int { return len(d.CollectedTweets) }}},
+	{{phaseMapping, "account mapping", (*Crawler).authors,
+		"mapped %d account pairs", func(d *Dataset) int { return len(d.Pairs) }}},
+	{
+		{phaseTwitterTL, "twitter timelines", (*Crawler).twitterTimelines,
+			"twitter timelines: %d", func(d *Dataset) int { return len(d.TwitterTimelines) }},
+		{phaseMastoTL, "mastodon timelines", (*Crawler).mastodonTimelines,
+			"mastodon timelines: %d", func(d *Dataset) int { return len(d.MastodonTimelines) }},
+	},
+	{{phaseFollowees, "followee sample", (*Crawler).followeeSample,
+		"followee sample: %d users", func(d *Dataset) int { return len(d.TwitterFollowees) }}},
+	{{phaseActivity, "activity", (*Crawler).activityDomains,
+		"activity: %d instances", func(d *Dataset) int { return len(d.Activity) }}},
 }
 
 // Run executes the full §3 pipeline and returns the dataset. With a
 // Checkpoint configured, progress persists across cancellation: calling
-// Run again resumes at the first incomplete phase and skips work units
-// that already finished.
+// Run again resumes at the first incomplete phase, with the rest of its
+// batch (see keyedPhases), and skips the work units whose records were
+// saved.
 func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 	if err := c.begin(); err != nil {
 		return nil, err
@@ -247,18 +264,20 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 	}
 	c.logf("index: %d instances", len(ds.Instances))
 
-	for _, ph := range keyedPhases {
-		// The hook fires on every run (including resumes) that still has
-		// timeline work left.
-		if ph.phase == phaseTwitterTL && c.cfg.BeforeTimelines != nil && prog.Phase < phaseMastoTL {
-			c.cfg.BeforeTimelines()
-		}
-		if prog.Phase < ph.phase {
-			if err := c.runPhase(ctx, t, ph.phase, ph.name, ph.units(c, ds)); err != nil {
+	for _, batch := range keyedPhases {
+		if prog.Phase < batch[len(batch)-1].phase {
+			// The hook fires on every run (including resumes) that still
+			// has timeline work left, before the batch that does it.
+			if batch[0].phase == phaseTwitterTL && c.cfg.BeforeTimelines != nil {
+				c.cfg.BeforeTimelines()
+			}
+			if err := c.runPhases(ctx, t, batch); err != nil {
 				return abort(err)
 			}
 		}
-		c.logf(ph.line, ph.count(ds))
+		for _, ph := range batch {
+			c.logf(ph.line, ph.count(ds))
+		}
 	}
 
 	// Phase 7 (§6.3): toxicity scoring.
@@ -273,43 +292,85 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 	return ds, nil
 }
 
-// runPhase runs a keyed phase's units through one worker group, skipping
-// the ones the progress already has done, then ends the phase. It writes
-// each unit's record, with its gap and quarantine skip if it has them. A
-// unit whose fetch returns after ctx is done writes nothing: the phase
-// fails with the context error, and a resumed run fetches the unit
-// again.
-func (c *Crawler) runPhase(ctx context.Context, t *tracker, phase int, name string, units []unit) error {
-	// Copy the done set before scheduling (workers add to the live one)
-	// and mark each key as it is scheduled, so a key listed twice (a
-	// repeated keyword, two pairs sharing a Twitter ID) runs once.
-	done := maps.Clone(t.prog.Done)
-	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
-	for _, u := range units {
-		if done[u.key] {
-			continue
-		}
-		done[u.key] = true
-		g.Go(func(ctx context.Context) error {
-			rec, gap := u.fetch(ctx)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rec.Phase, rec.Key = phase, u.key
-			if gap != nil {
-				rec.Gap = gap.Error()
-				var skip *quarantineSkip
-				if errors.As(gap, &skip) {
-					rec.SkippedHost = skip.host
-				}
-			}
-			return t.record(rec)
-		})
+// runPhases runs a batch of consecutive keyed phases through one worker
+// group, leaving out the phases the progress has already ended, then
+// ends them in order. It writes each unit's record, with its gap and
+// quarantine skip if it has them. A unit whose fetch returns after ctx
+// is done writes nothing: the batch fails with the context error, and a
+// resumed run fetches the unit again.
+//
+// Only the first phase left can be one that a killed run had begun, so
+// it skips the units the progress already has done; every later phase
+// starts with none done. The later phases' units are scheduled first:
+// in the timeline batch these are the Mastodon units, so a retry chain
+// against a dead instance starts at once and the Twitter units fill its
+// backoffs. Their records are held until the group drains and the
+// phases before theirs have ended, so the journal and every checkpoint
+// stay in phase order; a kill inside the batch loses only the held
+// records.
+func (c *Crawler) runPhases(ctx context.Context, t *tracker, batch []keyedPhase) error {
+	for batch[0].phase <= t.prog.Phase {
+		batch = batch[1:]
 	}
-	if err := waitPhase(ctx, g, name); err != nil {
+	names := make([]string, len(batch))
+	for i, ph := range batch {
+		names[i] = ph.name
+	}
+	var mu sync.Mutex
+	held := make([][]Record, len(batch))
+	g := httpkit.NewGroup(ctx, c.cfg.Concurrency)
+	for i := len(batch) - 1; i >= 0; i-- {
+		// Mark each key as it is scheduled, so a key listed twice (a
+		// repeated keyword, two pairs sharing a Twitter ID) runs once. The
+		// first phase starts from a copy of the progress's done set, as
+		// its workers add to the live one.
+		done := map[string]bool{}
+		if i == 0 {
+			done = maps.Clone(t.prog.Done)
+		}
+		phase := batch[i].phase
+		for _, u := range batch[i].units(c, t.prog.Dataset) {
+			if done[u.key] {
+				continue
+			}
+			done[u.key] = true
+			g.Go(func(ctx context.Context) error {
+				rec, gap := u.fetch(ctx)
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				rec.Phase, rec.Key = phase, u.key
+				if gap != nil {
+					rec.Gap = gap.Error()
+					var skip *quarantineSkip
+					if errors.As(gap, &skip) {
+						rec.SkippedHost = skip.host
+					}
+				}
+				if i == 0 {
+					return t.record(rec)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				held[i] = append(held[i], rec)
+				return nil
+			})
+		}
+	}
+	if err := waitPhase(ctx, g, strings.Join(names, " and ")); err != nil {
 		return err
 	}
-	return t.end(Record{Phase: phase})
+	for i, ph := range batch {
+		for _, rec := range held[i] {
+			if err := t.record(rec); err != nil {
+				return err
+			}
+		}
+		if err := t.end(Record{Phase: ph.phase}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // tweetQueries lists the §3.1 instance-link and keyword queries over the

@@ -27,7 +27,7 @@ var errQuarantineSkip = errors.New("host quarantined, skipped by planner")
 
 // quarantineSkip is the error under returns for a quarantined host: it
 // reads as errQuarantineSkip, unwraps to it and names the host, which
-// runPhase files in the unit's record.
+// runPhases files in the unit's record.
 type quarantineSkip struct{ host string }
 
 func (e *quarantineSkip) Error() string { return errQuarantineSkip.Error() }

@@ -279,7 +279,7 @@ func TestBackendNeverSkipped(t *testing.T) {
 		t.Fatalf("quarantined instance was fetched (%d fetches)", calls)
 	}
 	// The skip reads and matches as errQuarantineSkip, and names the host
-	// that runPhase files in the unit's record.
+	// that runPhases files in the unit's record.
 	var skip *quarantineSkip
 	if !errors.Is(err, errQuarantineSkip) || !errors.As(err, &skip) || skip.host != domain || err.Error() != errQuarantineSkip.Error() {
 		t.Fatalf("quarantined instance: err = %#v, want a skip of %s reading as errQuarantineSkip", err, domain)

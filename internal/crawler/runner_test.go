@@ -16,7 +16,9 @@ import (
 	"sync"
 	"testing"
 
+	"flock/internal/birdsite"
 	"flock/internal/crawler"
+	"flock/internal/httpkit"
 	"flock/internal/store"
 )
 
@@ -189,11 +191,11 @@ func TestReportDuringRun(t *testing.T) {
 	t.Logf("%d reads, %d gaps", reads, gaps)
 }
 
-// cancelAt cancels the crawl when the n-th request of one endpoint class
+// cancelAt cancels the crawl when the n-th request that match accepts
 // starts, then passes every request on.
 type cancelAt struct {
-	next   *http.Client
-	class  string
+	next   httpkit.Doer
+	match  func(*http.Request) bool
 	n      int
 	cancel context.CancelFunc
 
@@ -218,8 +220,26 @@ func endpointClass(path string) string {
 	return ""
 }
 
+// ofClass matches the requests of one endpoint class.
+func ofClass(class string) func(*http.Request) bool {
+	return func(req *http.Request) bool { return endpointClass(req.URL.Path) == class }
+}
+
+// mastodonStatuses matches the statuses requests to host, or to any
+// fediverse instance when host is "".
+func mastodonStatuses(host string) func(*http.Request) bool {
+	return func(req *http.Request) bool {
+		return strings.HasSuffix(req.URL.Path, "/statuses") && (host == "" || req.URL.Host == host)
+	}
+}
+
+// twitterTimeline matches the Twitter timeline requests.
+func twitterTimeline(req *http.Request) bool {
+	return req.URL.Host == birdsite.Host && strings.HasSuffix(req.URL.Path, "/tweets")
+}
+
 func (d *cancelAt) Do(req *http.Request) (*http.Response, error) {
-	if endpointClass(req.URL.Path) == d.class {
+	if d.match(req) {
 		d.mu.Lock()
 		d.seen++
 		if d.seen == d.n {
@@ -228,6 +248,36 @@ func (d *cancelAt) Do(req *http.Request) (*http.Response, error) {
 		d.mu.Unlock()
 	}
 	return d.next.Do(req)
+}
+
+// recorder passes every request on and keeps them all, in the order
+// they were sent.
+type recorder struct {
+	next httpkit.Doer
+
+	mu   sync.Mutex
+	sent []*http.Request
+}
+
+func (r *recorder) Do(req *http.Request) (*http.Response, error) {
+	r.mu.Lock()
+	r.sent = append(r.sent, req)
+	r.mu.Unlock()
+	return r.next.Do(req)
+}
+
+// paths returns the host and path of every request that match accepts,
+// each once.
+func (r *recorder) paths(match func(*http.Request) bool) map[string]bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := map[string]bool{}
+	for _, req := range r.sent {
+		if match(req) {
+			out[req.URL.Host+req.URL.Path] = true
+		}
+	}
+	return out
 }
 
 // TestCancelledUnitsLeaveNoGap: a unit cut short by the crawl's
@@ -241,7 +291,7 @@ func TestCancelledUnitsLeaveNoGap(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cfg := e.config()
-			cfg.HTTP = &cancelAt{next: e.http, class: class, n: 5, cancel: cancel}
+			cfg.HTTP = &cancelAt{next: e.http, match: ofClass(class), n: 5, cancel: cancel}
 			c := crawler.New(cfg)
 			if _, err := c.Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -262,6 +312,229 @@ func TestCancelledUnitsLeaveNoGap(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// onePairHost returns a fediverse instance that exactly one of ds's
+// pairs reaches, a verified pair that did not move, so the instance's
+// only statuses requests are that pair's.
+func onePairHost(t *testing.T, ds *crawler.Dataset) string {
+	t.Helper()
+	pairs := map[string]int{}
+	for _, p := range ds.Pairs {
+		pairs[p.Handle.Domain]++
+		if p.Moved != nil {
+			pairs[p.Moved.Handle.Domain]++
+		}
+	}
+	for _, p := range ds.Pairs {
+		if host := p.Handle.Domain; pairs[host] == 1 && p.Moved == nil && p.MastodonAccountID != "" {
+			return host
+		}
+	}
+	t.Fatal("no instance holds exactly one verified pair that did not move")
+	return ""
+}
+
+// TestTimelineBatchOverlapsBackoffs: the two timeline phases share one
+// worker group, Mastodon units first, so the Twitter timelines run while
+// a dead instance's unit waits out its retry backoffs. At one worker,
+// with one pair's instance taken down before the timelines and a breaker
+// that the unit's three failed attempts do not open, a Twitter timeline
+// request goes out between the unit's first and last attempt. Run one
+// phase after the other, every Twitter timeline request would precede
+// every statuses request.
+func TestTimelineBatchOverlapsBackoffs(t *testing.T) {
+	e := newSoakEnv(t, 60, 13)
+	ref, err := crawler.New(e.config()).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := onePairHost(t, ref)
+
+	rec := &recorder{next: e.http}
+	cfg := e.config()
+	cfg.HTTP = rec
+	cfg.Concurrency = 1
+	cfg.Breaker = httpkit.BreakerPolicy{FailureThreshold: 10}
+	cfg.BeforeTimelines = func() { e.fab.SetDown(host, true) }
+	if _, err := crawler.New(cfg).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dead := mastodonStatuses(host)
+	var attempts []int
+	for i, req := range rec.sent {
+		if dead(req) {
+			attempts = append(attempts, i)
+		}
+	}
+	if len(attempts) != 3 {
+		t.Fatalf("%s got %d statuses attempts, want the retry chain's 3", host, len(attempts))
+	}
+	overlap := 0
+	for _, req := range rec.sent[attempts[0]:attempts[2]] {
+		if twitterTimeline(req) {
+			overlap++
+		}
+	}
+	if overlap == 0 {
+		t.Fatalf("no Twitter timeline request went out during %s's retry backoffs", host)
+	}
+	t.Logf("%d Twitter timeline requests went out during %s's retry backoffs", overlap, host)
+}
+
+// TestResumeInsideTimelineBatch kills a crawl inside the timeline batch,
+// on a Twitter timeline request. The checkpoint then holds the Twitter
+// timelines finished so far and no Mastodon timeline (the Mastodon
+// records wait for the Twitter phase's End record), so the resumed run
+// fetches every Mastodon timeline again but only the Twitter timelines
+// the checkpoint lacks, and ends with the uninterrupted crawl's dataset.
+func TestResumeInsideTimelineBatch(t *testing.T) {
+	e := newSoakEnv(t, 60, 13)
+	ref := &recorder{next: e.http}
+	cfg := e.config()
+	cfg.HTTP = ref
+	refDS, err := crawler.New(cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(refDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "crawl.ckpt.gz")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg = e.config()
+	cfg.HTTP = &cancelAt{next: e.http, match: twitterTimeline, n: len(refDS.TwitterTimelines) / 2, cancel: cancel}
+	cfg.Checkpoint = store.NewFileCheckpoint(path)
+	cfg.CheckpointEvery = 4
+	if _, err := crawler.New(cfg).Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("kill: err = %v, want context.Canceled", err)
+	}
+	prog := killedInTimelineBatch(t, path)
+	if n := len(prog.Dataset.TwitterTimelines); n == 0 || n == len(refDS.TwitterTimelines) {
+		t.Fatalf("kill left %d of %d Twitter timelines in the checkpoint, want some", n, len(refDS.TwitterTimelines))
+	}
+
+	rec := &recorder{next: e.http}
+	cfg = e.config()
+	cfg.HTTP = rec
+	cfg.Checkpoint = store.NewFileCheckpoint(path)
+	c := crawler.New(cfg)
+	ds, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Report().Resumed {
+		t.Fatal("did not resume")
+	}
+	got, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resume diverged from the uninterrupted crawl: %d bytes, want %d", len(got), len(want))
+	}
+	lacking := map[string]bool{}
+	for id := range refDS.TwitterTimelines {
+		if prog.Dataset.TwitterTimelines[id] == nil {
+			lacking[birdsite.Host+"/2/users/"+id+"/tweets"] = true
+		}
+	}
+	if tw := rec.paths(twitterTimeline); !maps.Equal(tw, lacking) {
+		t.Errorf("resume fetched %d Twitter timelines, want the %d the checkpoint lacks", len(tw), len(lacking))
+	}
+	if st, all := rec.paths(mastodonStatuses("")), ref.paths(mastodonStatuses("")); !maps.Equal(st, all) {
+		t.Errorf("resume fetched %d Mastodon timelines' statuses, want all %d", len(st), len(all))
+	}
+}
+
+// TestResumeMidMastodonTimelines resumes a checkpoint of a crawl killed
+// while the Mastodon timelines ran on their own, after the Twitter
+// phase's End record, as crawls ran before the two timeline phases
+// shared a worker group. It replays a reference crawl's records through
+// Progress.Apply up to that End record and half the Mastodon units. The
+// resumed run runs the Mastodon phase alone, fires BeforeTimelines once
+// and ends with the reference dataset.
+func TestResumeMidMastodonTimelines(t *testing.T) {
+	e := newSoakEnvFrom(t, sparseWorld())
+	jc := &journalCheckpoint{}
+	ref := &recorder{next: e.http}
+	cfg := e.config()
+	cfg.HTTP = ref
+	cfg.Checkpoint = jc
+	refDS, err := crawler.New(cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(refDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replay what a checkpoint would: the records as JSON decodes them.
+	raw, err := json.Marshal(jc.recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal []crawler.Record
+	if err := json.Unmarshal(raw, &journal); err != nil {
+		t.Fatal(err)
+	}
+	end := slices.IndexFunc(journal, func(r crawler.Record) bool { return r.End && r.Phase == phaseTwitterTL })
+	var masto []crawler.Record
+	for _, r := range journal[end+1:] {
+		if r.Phase == phaseMastoTL && !r.End {
+			masto = append(masto, r)
+		}
+	}
+	p := &crawler.Progress{Version: crawler.ProgressVersion}
+	for _, r := range append(journal[:end+1:end+1], masto[:len(masto)/2]...) {
+		if err := p.Apply(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem := &crawler.MemCheckpoint{}
+	if err := mem.Save(p); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := &recorder{next: e.http}
+	fired := 0
+	cfg = e.config()
+	cfg.HTTP = rec
+	cfg.Checkpoint = mem
+	cfg.BeforeTimelines = func() { fired++ }
+	c := crawler.New(cfg)
+	ds, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Report().Resumed {
+		t.Fatal("did not resume")
+	}
+	if fired != 1 {
+		t.Errorf("BeforeTimelines fired %d times, want once", fired)
+	}
+	if tw := rec.paths(twitterTimeline); len(tw) != 0 {
+		t.Errorf("resume fetched %d Twitter timelines, want none", len(tw))
+	}
+	st, all := rec.paths(mastodonStatuses("")), ref.paths(mastodonStatuses(""))
+	for path := range st {
+		if !all[path] {
+			t.Errorf("resume fetched %s, which the reference crawl did not", path)
+		}
+	}
+	if len(st) == 0 || len(st) >= len(all) {
+		t.Errorf("resume fetched %d Mastodon timelines' statuses, want some of the reference's %d", len(st), len(all))
+	}
+	got, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resume diverged from the uninterrupted crawl: %d bytes, want %d", len(got), len(want))
 	}
 }
 

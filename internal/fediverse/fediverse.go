@@ -20,12 +20,14 @@
 package fediverse
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
+	"flock/internal/ids"
 	"flock/internal/memnet"
 	"flock/internal/world"
 )
@@ -128,15 +130,6 @@ func New(w *world.World) *Service {
 				s.states[status.InstanceID].localStatuses, statusRef{UserID: uIdx, Idx: i})
 		}
 	}
-	for _, st := range s.states {
-		sort.Slice(st.localStatuses, func(a, b int) bool {
-			sa, sb := s.status(st.localStatuses[a]), s.status(st.localStatuses[b])
-			if !sa.Time.Equal(sb.Time) {
-				return sa.Time.Before(sb.Time)
-			}
-			return sa.ID < sb.ID
-		})
-	}
 
 	// Federation: an instance subscribes to every remote user a local
 	// account follows; the remote user's statuses flow to the federated
@@ -145,6 +138,11 @@ func New(w *world.World) *Service {
 	for i := range s.states {
 		s.buildFederated(i)
 	}
+	var keys []statusKey
+	for _, st := range s.states {
+		keys = s.sortByTime(st.localStatuses, keys)
+		keys = s.sortByTime(st.federated, keys)
+	}
 	return s
 }
 
@@ -152,7 +150,37 @@ func (s *Service) status(ref statusRef) *world.Status {
 	return &s.w.StatusesByUser[ref.UserID][ref.Idx]
 }
 
-// buildFederated computes instance i's federated timeline.
+// statusKey is a status's sort key: its time in Unix nanoseconds and
+// its ID. Time.UnixNano orders as Time.Before does for every time in
+// years 1678–2262, which holds all of a world's times.
+type statusKey struct {
+	at  int64
+	id  ids.Snowflake
+	ref statusRef
+}
+
+// sortByTime sorts refs by their statuses' (Time, ID), ascending. Status
+// IDs are unique, so the order is total. It builds the keys in buf and
+// returns it for reuse.
+func (s *Service) sortByTime(refs []statusRef, buf []statusKey) []statusKey {
+	keys := buf[:0]
+	for _, ref := range refs {
+		st := s.status(ref)
+		keys = append(keys, statusKey{st.Time.UnixNano(), st.ID, ref})
+	}
+	slices.SortFunc(keys, func(a, b statusKey) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for i, k := range keys {
+		refs[i] = k.ref
+	}
+	return keys
+}
+
+// buildFederated collects instance i's federated timeline, unsorted.
 func (s *Service) buildFederated(i int) {
 	st := s.states[i]
 	subscribed := map[int]bool{} // remote world-user IDs
@@ -174,13 +202,6 @@ func (s *Service) buildFederated(i int) {
 			}
 		}
 	}
-	sort.Slice(st.federated, func(a, b int) bool {
-		sa, sb := s.status(st.federated[a]), s.status(st.federated[b])
-		if !sa.Time.Equal(sb.Time) {
-			return sa.Time.Before(sb.Time)
-		}
-		return sa.ID < sb.ID
-	})
 }
 
 // RegisterAll binds every instance to the fabric. All instances start

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -408,5 +410,42 @@ func TestSwitcherStatusesSplitAcrossInstances(t *testing.T) {
 	}
 	if n1+n2 != len(fw.StatusesByUser[switcher.ID]) {
 		t.Fatalf("split %d+%d != %d", n1, n2, len(fw.StatusesByUser[switcher.ID]))
+	}
+}
+
+// TestTimelinesSortedByTimeThenID holds New's key sort to the comparator
+// it replaced, which loaded both statuses and compared their times: on
+// two worlds, every instance's local and federated timelines are in the
+// order that comparator gives them. (Time, ID) is a total order, so one
+// order satisfies it.
+func TestTimelinesSortedByTimeThenID(t *testing.T) {
+	for _, seed := range []uint64{3, 99} {
+		cfg := world.DefaultConfig(120)
+		cfg.Seed = seed
+		w, err := world.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(w)
+		n := 0
+		for _, st := range s.states {
+			for name, refs := range map[string][]statusRef{"local": st.localStatuses, "federated": st.federated} {
+				want := slices.Clone(refs)
+				sort.Slice(want, func(a, b int) bool {
+					sa, sb := s.status(want[a]), s.status(want[b])
+					if !sa.Time.Equal(sb.Time) {
+						return sa.Time.Before(sb.Time)
+					}
+					return sa.ID < sb.ID
+				})
+				if !slices.Equal(refs, want) {
+					t.Errorf("seed %d, %s: %s timeline out of (Time, ID) order", seed, st.inst.Domain, name)
+				}
+				n += len(refs)
+			}
+		}
+		if n == 0 {
+			t.Fatalf("seed %d: no timeline statuses", seed)
+		}
 	}
 }
