@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"flock/internal/ids"
+	"flock/internal/parallel"
 	"flock/internal/textkit"
 	"flock/internal/world"
 )
@@ -54,10 +55,14 @@ type tweetRef struct {
 // New indexes the world and returns the service. Indexing cost is paid
 // once; queries are posting-list intersections.
 //
-// The index is built in one serial pass over the corpus in (Time, ID)
-// order. Every word comes from the allocation-free textkit.NextWord, so a
-// token's key is allocated once, when it is first seen, and a position
-// is posted once per token per tweet by checking its list's last entry.
+// The corpus, in (Time, ID) order, is cut into two contiguous ranges per
+// worker, each indexed by its own indexer, and each token's lists are
+// joined in range order. Positions ascend across the ranges and a tweet
+// lies in one range, so the lists are those of one serial pass over the
+// corpus, wherever the cuts fall. Every word comes from the
+// allocation-free textkit.NextWord, so a token's key is allocated once
+// per range, when it is first seen there, and a position is posted once
+// per token per tweet by checking its list's last entry.
 func New(w *world.World) *Service {
 	s := &Service{
 		w:          w,
@@ -69,23 +74,38 @@ func New(w *world.World) *Service {
 		s.byUsername[strings.ToLower(u.Username)] = u
 		s.byID[u.TwitterID.String()] = u
 	}
-	ix := &indexer{ids: make(map[string]int32)}
-	// from[uid] is the id of uid's from: token, for users with tweets.
-	from := make([]int32, len(w.TweetsByUser))
+	// from[uid] is uid's from: token, for users with tweets.
+	from := make([][]byte, len(w.TweetsByUser))
 	for uid, tweets := range w.TweetsByUser {
 		if len(tweets) > 0 {
-			from[uid] = ix.id([]byte("from:" + strings.ToLower(w.Users[uid].Username)))
+			from[uid] = []byte("from:" + strings.ToLower(w.Users[uid].Username))
 		}
 	}
-	for pos, ref := range s.tweets {
-		ix.addText(s.get(ref).Text, int32(pos))
-		// Unconditional, after the text's tokens: a text that names
-		// from:<its author> posts the position twice.
-		ix.lists[from[ref.UserID]] = append(ix.lists[from[ref.UserID]], int32(pos))
-	}
-	s.postings = make(map[string][]int32, len(ix.keys))
-	for id, k := range ix.keys {
-		s.postings[k] = ix.lists[id]
+	n := len(s.tweets)
+	ranges := min(n, 2*parallel.Workers(0))
+	parts := parallel.MapSlice(0, ranges, func(r int) *indexer {
+		// The user count is about a range's token count: its authors'
+		// from: tokens and a vocabulary of a few hundred words.
+		ix := &indexer{ids: make(map[string]int32, len(w.Users))}
+		for pos := r * n / ranges; pos < (r+1)*n/ranges; pos++ {
+			ref := s.tweets[pos]
+			ix.addText(s.get(ref).Text, int32(pos))
+			// Unconditional, after the text's tokens: a text that names
+			// from:<its author> posts the position twice.
+			id := ix.id(from[ref.UserID])
+			ix.lists[id] = append(ix.lists[id], int32(pos))
+		}
+		return ix
+	})
+	s.postings = make(map[string][]int32, len(w.Users))
+	for _, ix := range parts {
+		for id, k := range ix.keys {
+			if l := s.postings[k]; l != nil {
+				s.postings[k] = append(l, ix.lists[id]...)
+			} else {
+				s.postings[k] = ix.lists[id]
+			}
+		}
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package birdsite
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -68,7 +69,11 @@ func refIndex(w *world.World) ([]tweetRef, map[string][]int32) {
 	return s.tweets, s.postings
 }
 
+// TestIndexMatchesReference builds each index at GOMAXPROCS 1, 2 and 3,
+// so New cuts the corpus into 2, 4 and 6 ranges, and compares each with
+// the reference's serial build.
 func TestIndexMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, migrants := range []int{60, 300} {
 		cfg := world.DefaultConfig(migrants)
 		cfg.Seed = 99
@@ -77,13 +82,16 @@ func TestIndexMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		tweets, postings := refIndex(w)
-		s := New(w)
-		if !reflect.DeepEqual(s.tweets, tweets) {
-			t.Errorf("%d migrants: corpus order differs from the reference", migrants)
-		}
-		if !reflect.DeepEqual(s.postings, postings) {
-			t.Errorf("%d migrants: postings differ from the reference (%d tokens, want %d)",
-				migrants, len(s.postings), len(postings))
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			s := New(w)
+			if !reflect.DeepEqual(s.tweets, tweets) {
+				t.Errorf("%d migrants, GOMAXPROCS %d: corpus order differs from the reference", migrants, procs)
+			}
+			if !reflect.DeepEqual(s.postings, postings) {
+				t.Errorf("%d migrants, GOMAXPROCS %d: postings differ from the reference (%d tokens, want %d)",
+					migrants, procs, len(s.postings), len(postings))
+			}
 		}
 	}
 }

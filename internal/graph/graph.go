@@ -66,15 +66,6 @@ func (g *Graph) AddEdge(u, v int) bool {
 	return true
 }
 
-// HasEdge reports whether u follows v.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || g.outS[u] == nil {
-		return false
-	}
-	_, ok := g.outS[u][int32(v)]
-	return ok
-}
-
 // Followees returns the nodes u follows. The returned slice must not be
 // modified.
 func (g *Graph) Followees(u int) []int32 { return g.out[u] }
@@ -88,15 +79,6 @@ func (g *Graph) OutDegree(u int) int { return len(g.out[u]) }
 
 // InDegree returns len(Followers(v)).
 func (g *Graph) InDegree(v int) int { return len(g.in[v]) }
-
-// Edges returns the total edge count.
-func (g *Graph) Edges() int {
-	t := 0
-	for _, adj := range g.out {
-		t += len(adj)
-	}
-	return t
-}
 
 // SortAdjacency sorts every adjacency list ascending and packs both
 // directions into CSR layout, giving deterministic iteration order

@@ -9,6 +9,24 @@ import (
 	"flock/internal/randx"
 )
 
+// HasEdge reports whether u follows v.
+func (g *Graph) HasEdge(u, v int) bool {
+	if u < 0 || u >= g.n || g.outS[u] == nil {
+		return false
+	}
+	_, ok := g.outS[u][int32(v)]
+	return ok
+}
+
+// Edges returns the total edge count.
+func (g *Graph) Edges() int {
+	t := 0
+	for _, adj := range g.out {
+		t += len(adj)
+	}
+	return t
+}
+
 func TestAddEdge(t *testing.T) {
 	g := New(3)
 	if !g.AddEdge(0, 1) {

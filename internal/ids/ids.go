@@ -23,7 +23,7 @@ var epoch = time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 type Snowflake uint64
 
 // Generator mints snowflakes for a single shard. It is not safe for
-// concurrent use; the world generator is single-threaded by design
+// concurrent use; the world generator mints every ID in one serial pass
 // (determinism), and each simulated service owns its own Generator.
 type Generator struct {
 	shard    uint64
@@ -76,11 +76,6 @@ func (g *Generator) At(t time.Time) Snowflake {
 func (s Snowflake) Time() time.Time {
 	ms := int64(s >> 22)
 	return epoch.Add(time.Duration(ms) * time.Millisecond)
-}
-
-// Shard extracts the shard bits.
-func (s Snowflake) Shard() int {
-	return int((s >> 12) & 0x3ff)
 }
 
 // String renders the ID as the decimal string used in API payloads.

@@ -6,6 +6,11 @@ import (
 	"time"
 )
 
+// Shard extracts the shard bits.
+func (s Snowflake) Shard() int {
+	return int((s >> 12) & 0x3ff)
+}
+
 func TestMonotonicWithinMillisecond(t *testing.T) {
 	g := NewGenerator(1)
 	at := time.Date(2022, 10, 27, 12, 0, 0, 0, time.UTC)

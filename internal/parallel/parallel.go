@@ -32,9 +32,11 @@
 // (tests pin 1, 2, 8 to prove the byte-identical property; benchmarks
 // sweep them for the ablation curves). Workers(0) resolves the default.
 //
-// All concurrency downstream of the crawl flows through these kernels;
-// the fedilint `goroutine` analyzer enforces that naked `go` statements
-// stay confined to this package and the transport layers (see LINT.md).
+// All concurrency outside the transport layers flows through these
+// kernels: set-up's post generation and search index build, and the
+// analysis downstream of the crawl. The fedilint `goroutine` analyzer
+// enforces that naked `go` statements stay confined to this package and
+// the transport layers (see LINT.md).
 package parallel
 
 import (

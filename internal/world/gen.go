@@ -13,7 +13,7 @@ import (
 )
 
 // Generate builds the full world from cfg. It is deterministic in
-// cfg.Seed: equal configs yield identical worlds.
+// cfg.Seed: equal configs yield identical worlds, at any GOMAXPROCS.
 func Generate(cfg Config) (*World, error) {
 	if cfg.NMigrants <= 0 {
 		return nil, fmt.Errorf("world: NMigrants must be positive, got %d", cfg.NMigrants)

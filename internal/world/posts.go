@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"flock/internal/ids"
+	"flock/internal/parallel"
 	"flock/internal/randx"
 	"flock/internal/textkit"
 	"flock/internal/vclock"
@@ -50,29 +51,57 @@ func keywordChatter(day int) float64 {
 	}
 }
 
-// genPosts builds every tweet and status in the world.
-func (w *World) genPosts(rng *randx.Source) {
-	w.TweetsByUser = make([][]Tweet, len(w.Users))
-	w.StatusesByUser = make([][]Status, len(w.Users))
+// userPosts is one user's generated tweets and statuses, each list in
+// its final order and still without IDs.
+type userPosts struct {
+	tweets   []Tweet
+	statuses []Status
+}
 
+// genPosts builds every tweet and status in the world. Users are
+// generated in parallel, each from its own random stream, and joined in
+// user order, so the world is the same at any worker count.
+func (w *World) genPosts(rng *randx.Source) {
 	srcWeights := make([]float64, len(tweetSources))
 	for i, s := range tweetSources {
 		srcWeights[i] = s.weight
 	}
 	srcPick := randx.NewWeighted(srcWeights)
 
-	tweetGen := ids.NewGenerator(2)
-	statusGen := ids.NewGenerator(3)
-
-	for u, user := range w.Users {
-		r := rng.SplitN("posts", u)
+	// Split advances its parent, so every stream is split here, in user
+	// order.
+	streams := make([]*randx.Source, len(w.Users))
+	for u := range w.Users {
+		streams[u] = rng.SplitN("posts", u)
+	}
+	posts := parallel.MapSlice(0, len(w.Users), func(u int) userPosts {
+		user, r := w.Users[u], streams[u]
 		tg := textkit.NewGenerator(r.Split("text"))
 		switch {
 		case user.Migrated:
-			w.genMigrantPosts(user, r, tg, srcPick, tweetGen, statusGen)
+			return w.genMigrantPosts(user, r, tg, srcPick)
 		case user.Bystander:
-			w.genBystanderPosts(user, r, tg, srcPick, tweetGen)
+			return userPosts{tweets: genBystanderPosts(user, r, tg, srcPick)}
 		}
+		return userPosts{}
+	})
+
+	// A Generator is sequential state, so IDs are minted in one pass, in
+	// user order. Every list is already in its final order, and nothing
+	// above reads an ID, so these are the IDs a serial pass would mint.
+	tweetGen := ids.NewGenerator(2)
+	statusGen := ids.NewGenerator(3)
+	w.TweetsByUser = make([][]Tweet, len(w.Users))
+	w.StatusesByUser = make([][]Status, len(w.Users))
+	for u, p := range posts {
+		for i := range p.tweets {
+			p.tweets[i].ID = tweetGen.At(p.tweets[i].Time)
+		}
+		for i := range p.statuses {
+			p.statuses[i].ID = statusGen.At(p.statuses[i].Time)
+		}
+		w.TweetsByUser[u] = p.tweets
+		w.StatusesByUser[u] = p.statuses
 	}
 }
 
@@ -83,7 +112,7 @@ func pickSource(r *randx.Source, srcPick *randx.Weighted) string {
 
 // genMigrantPosts generates a migrant's full two-platform history.
 func (w *World) genMigrantPosts(user *User, r *randx.Source, tg *textkit.Generator,
-	srcPick *randx.Weighted, tweetGen, statusGen *ids.Generator) {
+	srcPick *randx.Weighted) userPosts {
 
 	// Personal posting rates: heavy-tailed across users.
 	tweetRate := w.Cfg.TweetsPerDay * (0.3 + r.LogNormal(0, 0.5))
@@ -231,12 +260,9 @@ func (w *World) genMigrantPosts(user *User, r *randx.Source, tg *textkit.Generat
 		}
 	}
 
-	// Final ordering + ID minting: exactly once, after every tweet
-	// exists, so IDs are strictly increasing in time order.
+	// Final ordering: exactly once, after every tweet exists, so the IDs
+	// genPosts mints are strictly increasing in time order.
 	sort.Slice(tweets, func(i, j int) bool { return tweets[i].Time.Before(tweets[j].Time) })
-	for i := range tweets {
-		tweets[i].ID = tweetGen.At(tweets[i].Time)
-	}
 
 	switch {
 	case user.Tool != NoTool:
@@ -262,11 +288,7 @@ func (w *World) genMigrantPosts(user *User, r *randx.Source, tg *textkit.Generat
 		}
 	}
 
-	for i := range statuses {
-		statuses[i].ID = statusGen.At(statuses[i].Time)
-	}
-	w.TweetsByUser[user.ID] = tweets
-	w.StatusesByUser[user.ID] = statuses
+	return userPosts{tweets: tweets, statuses: statuses}
 }
 
 // markMirrors links bridged tweets back to their source statuses.
@@ -328,8 +350,7 @@ func statusTopic(r *randx.Source, user *User) textkit.Topic {
 }
 
 // genBystanderPosts generates keyword-only chatter for non-migrants.
-func (w *World) genBystanderPosts(user *User, r *randx.Source, tg *textkit.Generator,
-	srcPick *randx.Weighted, tweetGen *ids.Generator) {
+func genBystanderPosts(user *User, r *randx.Source, tg *textkit.Generator, srcPick *randx.Weighted) []Tweet {
 	var tweets []Tweet
 	mainSource := pickSource(r, srcPick)
 	for d := 0; d < vclock.StudyDays; d++ {
@@ -344,8 +365,5 @@ func (w *World) genBystanderPosts(user *User, r *randx.Source, tg *textkit.Gener
 			Kind: KindKeyword, Toxic: toxic,
 		})
 	}
-	for i := range tweets {
-		tweets[i].ID = tweetGen.At(tweets[i].Time)
-	}
-	w.TweetsByUser[user.ID] = tweets
+	return tweets
 }

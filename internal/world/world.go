@@ -363,16 +363,6 @@ type World struct {
 	MigrantsPerInstance []int
 }
 
-// InstanceByDomain finds an instance by domain (nil if unknown).
-func (w *World) InstanceByDomain(domain string) *Instance {
-	for _, inst := range w.Instances {
-		if inst.Domain == domain {
-			return inst
-		}
-	}
-	return nil
-}
-
 // TweetCount returns the total number of tweets.
 func (w *World) TweetCount() int {
 	n := 0

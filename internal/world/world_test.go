@@ -1,7 +1,11 @@
 package world
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,33 +31,71 @@ func getWorld(t testing.TB) *World {
 	return w
 }
 
+// InstanceByDomain finds an instance by domain (nil if unknown).
+func (w *World) InstanceByDomain(domain string) *Instance {
+	for _, inst := range w.Instances {
+		if inst.Domain == domain {
+			return inst
+		}
+	}
+	return nil
+}
+
 func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(Config{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 }
 
+// postsDigest hashes every field of every user's tweets and statuses, in
+// user order and then list order.
+func postsDigest(w *World) string {
+	h := sha256.New()
+	for u := range w.Users {
+		fmt.Fprintf(h, "user %d: %d tweets, %d statuses\n", u, len(w.TweetsByUser[u]), len(w.StatusesByUser[u]))
+		for _, tw := range w.TweetsByUser[u] {
+			fmt.Fprintf(h, "t %d %d %d %q %q %d %t\n",
+				tw.ID, tw.UserID, tw.Time.UnixNano(), tw.Text, tw.Source, tw.Kind, tw.Toxic)
+		}
+		for _, s := range w.StatusesByUser[u] {
+			fmt.Fprintf(h, "s %d %d %d %d %q %d %t\n",
+				s.ID, s.UserID, s.InstanceID, s.Time.UnixNano(), s.Text, s.MirroredFrom, s.Toxic)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDeterminism generates one world at GOMAXPROCS 1, 2 and 8. Every
+// tweet and status must come out byte for byte the same, and the same as
+// the serial post generator made them: wantPosts is its digest of this
+// world.
 func TestDeterminism(t *testing.T) {
+	const wantPosts = "e4f218c50ed06e5d61bad142dc0a5444f7815edc10563cde3dcf60b2c2edc37b"
 	cfg := DefaultConfig(120)
 	cfg.Seed = 7
-	w1, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w1.Migrants) != len(w2.Migrants) {
-		t.Fatalf("migrant counts differ: %d vs %d", len(w1.Migrants), len(w2.Migrants))
-	}
-	if w1.TweetCount() != w2.TweetCount() || w1.StatusCount() != w2.StatusCount() {
-		t.Fatal("post counts differ between identical seeds")
-	}
-	for i := range w1.Migrants {
-		a, b := w1.Users[w1.Migrants[i]], w2.Users[w2.Migrants[i]]
-		if a.ID != b.ID || a.FirstInstance != b.FirstInstance || !a.MigratedAt.Equal(b.MigratedAt) {
-			t.Fatalf("migrant %d differs", i)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var w1 *World
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		w, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := postsDigest(w); got != wantPosts {
+			t.Errorf("GOMAXPROCS %d: posts digest %s, want %s", procs, got, wantPosts)
+		}
+		if w1 == nil {
+			w1 = w
+			continue
+		}
+		if len(w.Migrants) != len(w1.Migrants) {
+			t.Fatalf("GOMAXPROCS %d: %d migrants, want %d", procs, len(w.Migrants), len(w1.Migrants))
+		}
+		for i := range w1.Migrants {
+			a, b := w1.Users[w1.Migrants[i]], w.Users[w.Migrants[i]]
+			if a.ID != b.ID || a.FirstInstance != b.FirstInstance || !a.MigratedAt.Equal(b.MigratedAt) {
+				t.Fatalf("GOMAXPROCS %d: migrant %d differs", procs, i)
+			}
 		}
 	}
 }
@@ -482,12 +524,22 @@ func TestInstanceDomainsUnique(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateSmall(b *testing.B) {
-	cfg := DefaultConfig(200)
+// generateSink keeps BenchmarkGenerate's result live.
+var generateSink *World
+
+// BenchmarkGenerate times Generate on the seed-99 300-migrant world, the
+// paper_300 benchmark workload's world, so every iteration does the same
+// work. It loops to b.N rather than on b.Loop, which in Go 1.24 times the
+// first -cpu value at the previous GOMAXPROCS.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig(300)
+	cfg.Seed = 99
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := Generate(cfg); err != nil {
+		w, err := Generate(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		generateSink = w
 	}
 }
